@@ -40,12 +40,6 @@ def display(la, p=2, r=None):
     return AbacusDisplay(p, r, frozenset(beta_numbers(la, r)))
 
 
-def display_partition(d):
-    if len(d.beads) != d.bead_count:
-        raise ValueError("bead count mismatch")
-    return partition_from_beta(d.beads)
-
-
 def pretty(d):
     """ASCII picture, one slot per line, 'X' bead / '-' gap."""
     top = max(d.beads, default=-1) // d.runner_count

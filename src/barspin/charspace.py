@@ -20,7 +20,6 @@ from barspin.partitions import (
     addable_nodes,
     check_partition,
     check_strict,
-    contains,
     min_parts,
     removable_nodes,
     remove_corner_set,
@@ -245,30 +244,7 @@ def spin_swap_sign(al, eps):
 
 
 # ---------------------------------------------------------------------------
-# strips, intermediate bipartitions, and the closed matrix entries
-
-def is_horizontal_strip(la, mu):
-    """mu sits inside la with at most one difference cell per column."""
-    if not contains(la, mu):
-        return False
-    return all(
-        (la[i + 1] if i + 1 < len(la) else 0) <= (mu[i] if i < len(mu) else 0)
-        for i in range(len(la))
-    )
-
-
-def is_vertical_strip(la, mu):
-    """mu sits inside la with at most one difference cell per row."""
-    if not contains(la, mu):
-        return False
-    return all(la[i] - (mu[i] if i < len(mu) else 0) <= 1 for i in range(len(la)))
-
-
-def bip_step(bmu, bla):
-    """bmu sits one layer below bla: component 0 differs by a horizontal
-    strip and component 1 by a vertical strip."""
-    return is_horizontal_strip(bla[0], bmu[0]) and is_vertical_strip(bla[1], bmu[1])
-
+# intermediate bipartitions and the closed matrix entries
 
 def _get(parts, i):
     return parts[i] if i < len(parts) else 0

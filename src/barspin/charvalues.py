@@ -3,7 +3,9 @@
 Linear side: Murnaghan-Nakayama recursion for the ordinary irreducible
 characters; restricting to odd-part classes gives the 2-Brauer character.
 Spin side: values are extracted from the expansion of p_nu in the Schur P
-basis, normalized so that the value at (1^n) is the character degree and a
+basis, whose integer coefficients come from Morris's bar recursion
+(`symfunc.p_in_P_coefficient`; the P-matrix solve is only a test oracle),
+normalized so that the value at (1^n) is the character degree and a
 class of cycle type nu carries the factor
 
     prod_i (-1)^((nu_i^2 - 1)/8) * 2^(-(n - len(nu))/2),
@@ -15,6 +17,9 @@ of the odd-order lift in a Clifford-algebra model of the basic spin
 representation) rather than taken on trust.  The naive guess (-2)^(-(n-l)/2)
 agrees whenever all parts are 1 or 3 mod 8 but has the wrong sign on parts
 5 or 7 mod 8, first visible at the class (5).
+
+The proportionality scan keys every vector by its exact direction, so each
+spin vector is compared only with the linear vectors on the same line.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,19 +125,28 @@ def spin_degree(al):
     return sqrt2_pow(n - ell) * Scalar(rat)
 
 
+def _spin_values(al, classes):
+    """Spin character values of al on the odd classes given; the degree and
+    the (1^n) coefficient are computed once for all of them."""
+    n = size(al)
+    deg = spin_degree(al)
+    x_one = p_in_P_coefficient(al, (1,) * n)
+    out = []
+    for nu in classes:
+        sign = -1 if sum((q * q - 1) // 8 for q in nu) % 2 else 1
+        clsfac = Fraction(sign, 2 ** ((n - len(nu)) // 2))
+        out.append(deg * Scalar(Fraction(p_in_P_coefficient(al, nu), x_one) * clsfac))
+    return tuple(out)
+
+
 def spin_value(al, nu):
     """Spin character value on the odd class nu."""
     check_strict(al)
-    n = size(al)
-    if size(nu) != n:
+    if size(nu) != size(al):
         raise ValueError(f"size mismatch: {al} vs {nu}")
     if any(p % 2 == 0 for p in nu):
         raise ValueError(f"spin values live on odd classes, got {nu}")
-    x_nu = p_in_P_coefficient(al, tuple(nu))
-    x_one = p_in_P_coefficient(al, (1,) * n)
-    sign = -1 if sum((q * q - 1) // 8 for q in nu) % 2 else 1
-    clsfac = Fraction(sign, 2 ** ((n - len(nu)) // 2))
-    return spin_degree(al) * Scalar(x_nu / x_one * clsfac)
+    return _spin_values(al, (tuple(nu),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +170,7 @@ def spin_brauer(al):
     check_strict(al)
     n = size(al)
     classes = odd_classes(n)
-    values = tuple(spin_value(al, nu) for nu in classes)
-    return BrauerVector("spin", n, al, classes, values)
+    return BrauerVector("spin", n, al, classes, _spin_values(al, classes))
 
 
 @lru_cache(maxsize=None)
@@ -171,43 +185,94 @@ def spin_brauer_table(n):
 
 # optional disk cache for the tables, purely a speed feature
 
+def _label_key(label):
+    return ",".join(map(str, label)) or "-"
+
+
 def _table_to_json(table):
-    return {
-        ",".join(map(str, label)) or "-": [v.to_json() for v in vec.values]
-        for label, vec in table.items()
-    }
+    return {_label_key(label): [v.to_json() for v in vec.values] for label, vec in table.items()}
+
+
+def _table_from_json(rows, basis, n, labels, classes):
+    table = {}
+    for label in labels:
+        vals = tuple(Scalar.from_json(d) for d in rows[_label_key(label)])
+        if len(vals) != len(classes):
+            raise ValueError(f"{basis} row {_label_key(label)} has {len(vals)} values")
+        table[label] = BrauerVector(basis, n, label, classes, vals)
+    return table
+
+
+def _read_cache(path, n):
+    """(linear, spin) tables from a cache file; raises ValueError, KeyError
+    or TypeError when the file is truncated, incomplete or for another n."""
+    with open(path) as fh:
+        blob = json.load(fh)
+    if blob["n"] != n:
+        raise ValueError(f"file is for n={blob['n']}")
+    classes = odd_classes(n)
+    lin = _table_from_json(blob["linear"], "linear", n, partitions_of(n), classes)
+    spn = _table_from_json(blob["spin"], "spin", n, strict_partitions_of(n), classes)
+    return lin, spn
+
+
+def _write_cache(path, n, lin, spn):
+    """Write the tables through a temporary file in the same directory, so a
+    reader never sees a partial file."""
+    blob = {"n": n, "linear": _table_to_json(lin), "spin": _table_to_json(spn)}
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(blob, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_or_build_tables(n, cache_dir=None):
-    """(linear table, spin table) for size n, using cache_dir if given."""
+    """(linear table, spin table) for size n, using cache_dir if given.  An
+    unreadable cache file is a miss: one warning on stderr, then the tables
+    are rebuilt and the file rewritten."""
     if cache_dir is None:
         return linear_brauer_table(n), spin_brauer_table(n)
     path = os.path.join(cache_dir, f"brauer_{n}.json")
-    classes = odd_classes(n)
     if os.path.exists(path):
-        with open(path) as fh:
-            blob = json.load(fh)
-        lin = {}
-        for la in partitions_of(n):
-            key = ",".join(map(str, la)) or "-"
-            vals = tuple(Scalar.from_json(d) for d in blob["linear"][key])
-            lin[la] = BrauerVector("linear", n, la, classes, vals)
-        spn = {}
-        for al in strict_partitions_of(n):
-            key = ",".join(map(str, al)) or "-"
-            vals = tuple(Scalar.from_json(d) for d in blob["spin"][key])
-            spn[al] = BrauerVector("spin", n, al, classes, vals)
-        return lin, spn
+        try:
+            return _read_cache(path, n)
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"warning: ignoring bad table cache {path}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
     lin, spn = linear_brauer_table(n), spin_brauer_table(n)
     os.makedirs(cache_dir, exist_ok=True)
-    blob = {"n": n, "linear": _table_to_json(lin), "spin": _table_to_json(spn)}
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    _write_cache(path, n, lin, spn)
     return lin, spn
 
 
 # ---------------------------------------------------------------------------
 # proportionality scan
+
+def _primitive(xs):
+    """The primitive integer vector on the line of a nonzero rational vector,
+    with its first nonzero entry positive."""
+    m = math.lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (m // x.denominator) for x in xs]
+    g = math.gcd(*ints)
+    if next(i for i in ints if i) < 0:
+        g = -g
+    return tuple(i // g for i in ints)
+
+
+def direction_key(values):
+    """The exact direction of a vector of Scalars A + B*sqrt2 (A, B rational
+    vectors): the primitive integer vector of whichever of A and B is
+    nonzero.  None for the zero vector, and when A and B are both nonzero
+    and not parallel, since such a vector is no multiple of a rational one.
+    Two vectors with a key are proportional iff their keys are equal."""
+    keys = {_primitive(part) for part in ([x.a for x in values], [x.b for x in values])
+            if any(part)}
+    return keys.pop() if len(keys) == 1 else None
+
 
 def proportionality_ratio(u, v):
     """Scalar c with u = c*v entrywise, or None.  Zero vectors never match."""
@@ -231,12 +296,22 @@ def proportionality_ratio(u, v):
 
 def scan(n, cache_dir=None):
     """All (alpha, lambda, ratio) with the spin Brauer vector of alpha a
-    scalar multiple of the linear Brauer vector of lambda, sorted."""
+    scalar multiple of the linear Brauer vector of lambda, sorted.
+
+    Spin vectors are grouped by direction key; each linear vector is
+    confirmed, and the ratio taken, only against the spin vectors with its
+    own key (lambda and its conjugate share one).  Only the spin keys are
+    kept, as there are far fewer strict labels than partitions."""
     lin, spn = load_or_build_tables(n, cache_dir)
+    by_key = {}
+    for svec in spn.values():
+        key = direction_key(svec.values)
+        if key is not None:
+            by_key.setdefault(key, []).append(svec)
     out = []
-    for al, svec in spn.items():
-        for la, lvec in lin.items():
+    for la, lvec in lin.items():
+        for svec in by_key.get(direction_key(lvec.values), ()):
             c = proportionality_ratio(svec.values, lvec.values)
             if c is not None:
-                out.append((al, la, c))
+                out.append((svec.label, la, c))
     return sorted(out, key=lambda rec: (rec[0], rec[1]))

@@ -50,14 +50,6 @@ def check_strict(al):
         raise ValueError(f"parts must strictly decrease: {al!r}")
 
 
-def is_partition(la):
-    try:
-        check_partition(la)
-    except ValueError:
-        return False
-    return True
-
-
 def is_strict(al):
     try:
         check_strict(al)
@@ -91,11 +83,6 @@ def dominates(la, mu):
 
 def cells(la):
     return [(r, c) for r in range(1, len(la) + 1) for c in range(1, la[r - 1] + 1)]
-
-
-def contains(la, mu):
-    """mu fits inside la rowwise."""
-    return len(mu) <= len(la) and all(mu[i] <= la[i] for i in range(len(mu)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,16 @@
 
 A polynomial is a dict mapping a partition (the power-sum index) to a
 Fraction.  The p-basis is multiplicative, so products just merge indices.
-Schur Q/P live in the subring generated by odd power sums; the transition
-matrix between {P_alpha} and {p_nu : nu odd} is square and invertible, which
-is how spin character values are extracted.
+Schur Q/P live in the subring generated by odd power sums, and spin
+character values are read off the coefficients X with
+p_nu = sum_alpha X^alpha_nu P_alpha.
+
+The production route to X is Morris's bar recursion in plain integers
+(Morris 1962; Macdonald, Symmetric Functions, III.8 Ex. 11): multiplying
+P_beta by p_k adds a k-bar in every possible way, with a sign, so X^alpha_nu
+is a signed sum over the k-bars of alpha for k = nu[0].  Inverting the
+transition matrix between {P_alpha} and {p_nu : nu odd} (`_p_to_P_matrix`,
+`expand_in_P`) is an independent route kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from barspin.partitions import (
+    bars,
     check_strict,
     conjugate,
     odd_partitions_of,
@@ -197,7 +205,8 @@ def schur_poly(la):
 
 
 # ---------------------------------------------------------------------------
-# expansion of degree-n odd-power-sum polynomials in {P_alpha}
+# expansion of degree-n odd-power-sum polynomials in {P_alpha}: the matrix
+# solve is the oracle, the bar recursion is the production route
 
 @lru_cache(maxsize=None)
 def _p_to_P_matrix(n):
@@ -244,9 +253,32 @@ def expand_in_P(poly, n):
 
 
 def p_in_P_coefficient(al, nu):
-    """X with p_nu = sum_alpha X^alpha_nu P_alpha."""
-    _, _, x = _p_to_P_matrix(size(nu))
-    return x[al][nu]
+    """X with p_nu = sum_alpha X^alpha_nu P_alpha, an integer (nu odd)."""
+    return _bar_recursion(tuple(al), tuple(nu))
+
+
+def _bar_sign(al, be, k):
+    """c(al/be) in p_k P_be = sum c(al/be) P_al, for be in bars(al, k):
+    (-1)^(parts of be strictly between b and b+k) when part b grows by k,
+    (-1)^(parts of be below k) when k is a new part, and
+    2 (-1)^(parts of be strictly between b and a, plus b) when two new parts
+    a > b with a + b = k appear."""
+    grown = [a for a in al if a not in be]
+    if len(grown) == 2:
+        a, b = grown
+        return 2 * (-1) ** (sum(1 for p in be if b < p < a) + b)
+    (top,) = grown
+    low = top - k
+    return (-1) ** sum(1 for p in be if low < p < top)
+
+
+@lru_cache(maxsize=None)
+def _bar_recursion(al, nu):
+    """Morris's recursion: strip the k-bars of al for the front part k of nu."""
+    if not nu:
+        return int(not al)
+    k, rest = nu[0], nu[1:]
+    return sum(_bar_sign(al, be, k) * _bar_recursion(be, rest) for be in bars(al, k))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ an independent numerical model that realizes the basic spin representation
 on a Pauli-chain Clifford algebra and compares normalized traces.
 """
 
+import json
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin import charvalues as cv
-from barspin.partitions import partitions_of, strict_partitions_of
+from barspin.partitions import conjugate, partitions_of, strict_partitions_of
 
 S = lambda a, b=0: Scalar(a, b)
 
@@ -209,6 +212,46 @@ def test_scan_frozen_small():
     ]
 
 
+def test_scan_matches_brute_force_pairing():
+    """The keyed pairing finds exactly the pairs of the all-against-all
+    ratio loop."""
+    for n in range(1, 13):
+        lin, spn = cv.linear_brauer_table(n), cv.spin_brauer_table(n)
+        brute = []
+        for al, svec in spn.items():
+            for la, lvec in lin.items():
+                c = cv.proportionality_ratio(svec.values, lvec.values)
+                if c is not None:
+                    brute.append((al, la, c))
+        assert cv.scan(n) == sorted(brute, key=lambda rec: (rec[0], rec[1]))
+
+
+def test_direction_key_of_a_sqrt2_multiple():
+    v = (S(3), S(-6), S(0), S(9))
+    c = S(1, 1)
+    u = tuple(c * x for x in v)
+    assert cv.direction_key(v) == cv.direction_key(u) == (1, -2, 0, 3)
+    assert cv.proportionality_ratio(u, v) == c
+
+
+def test_direction_key_edges():
+    # A = (1, 0) and B = (0, 1) are not parallel: no key
+    assert cv.direction_key((S(1), S(0, 1))) is None
+    assert cv.direction_key((S(0), S(0))) is None
+    assert cv.proportionality_ratio((S(0), S(0)), (S(0), S(0))) is None
+    v = (S(F(1, 2)), S(F(-3, 4)))
+    assert cv.direction_key(v) == cv.direction_key(tuple(-x for x in v)) == (2, -3)
+    assert cv.direction_key((S(0, -2), S(0, 4))) == (1, -2)
+
+
+def test_conjugate_labels_share_a_key():
+    for la in partitions_of(7):
+        lam = conjugate(la)
+        assert cv.direction_key(cv.linear_brauer(la).values) == cv.direction_key(
+            cv.linear_brauer(lam).values
+        )
+
+
 def test_scan_ratios_are_sqrt2_powers():
     powers = {sqrt2_pow(k) for k in range(12)}
     for n in range(1, 9):
@@ -219,10 +262,40 @@ def test_scan_ratios_are_sqrt2_powers():
 
 def test_table_cache_round_trip(tmp_path):
     lin1, spn1 = cv.load_or_build_tables(4, cache_dir=str(tmp_path))
-    assert (tmp_path / "brauer_4.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["brauer_4.json"]
     lin2, spn2 = cv.load_or_build_tables(4, cache_dir=str(tmp_path))
     assert lin1 == lin2 and spn1 == spn2
     assert cv.scan(4, cache_dir=str(tmp_path)) == cv.scan(4)
+
+
+def _edit_blob(edit):
+    def corrupt(path):
+        blob = json.loads(path.read_text())
+        edit(blob)
+        path.write_text(json.dumps(blob))
+    return corrupt
+
+
+BAD_CACHE_FILES = {
+    "truncated": lambda path: path.write_text(path.read_text()[:100]),
+    "missing key": _edit_blob(lambda blob: blob["spin"].pop("4,1")),
+    "short row": _edit_blob(lambda blob: blob["linear"]["5"].pop()),
+    "wrong n": _edit_blob(lambda blob: blob.update(n=4)),
+}
+
+
+@pytest.mark.parametrize("corrupt", BAD_CACHE_FILES.values(), ids=BAD_CACHE_FILES.keys())
+def test_bad_cache_file_is_a_miss(tmp_path, capsys, corrupt):
+    cv.load_or_build_tables(5, cache_dir=str(tmp_path))
+    path = tmp_path / "brauer_5.json"
+    corrupt(path)
+    lin, spn = cv.load_or_build_tables(5, cache_dir=str(tmp_path))
+    assert lin == cv.linear_brauer_table(5) and spn == cv.spin_brauer_table(5)
+    assert capsys.readouterr().err.count("warning: ignoring bad table cache") == 1
+    # the rebuilt file was rewritten and now reads cleanly
+    assert json.loads(path.read_text())["n"] == 5
+    cv.load_or_build_tables(5, cache_dir=str(tmp_path))
+    assert capsys.readouterr().err == ""
 
 
 @given(st.integers(min_value=1, max_value=7))

@@ -183,3 +183,13 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "main", "--max-n", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_with_truncated_cache_rebuilds(capsys, tmp_path):
+    code, _, _ = run(capsys, "verify", "main", "--max-n", "4", "--cache", str(tmp_path))
+    assert code == 0
+    (tmp_path / "brauer_4.json").write_text("{\"n\": 4, \"lin")
+    code, out, err = run(capsys, "verify", "main", "--max-n", "4", "--cache", str(tmp_path))
+    assert code == 0
+    assert "main: PASS" in out
+    assert err.count("warning: ignoring bad table cache") == 1

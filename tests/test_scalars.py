@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from barspin.scalars import Scalar, sqrt2, sqrt2_pow
 
-rationals = st.fractions(max_numerator=10**6, max_denominator=10**4)
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 scalars = st.builds(Scalar, rationals, rationals)
 
 

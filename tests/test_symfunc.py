@@ -11,7 +11,13 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from barspin import symfunc as sf
-from barspin.partitions import conjugate, staircase, strict_partitions_of, sum_parts
+from barspin.partitions import (
+    conjugate,
+    odd_partitions_of,
+    staircase,
+    strict_partitions_of,
+    sum_parts,
+)
 
 
 def test_q_poly_frozen():
@@ -89,6 +95,22 @@ def test_p_in_P_coefficient_frozen():
     assert sf.p_in_P_coefficient((3,), (1, 1, 1)) == 1
     assert sf.p_in_P_coefficient((3,), (3,)) == 1
     assert sf.p_in_P_coefficient((2, 1), (3,)) == -2
+
+
+def test_bar_recursion_matches_P_matrix_solve():
+    """Morris's bar recursion (the production route) against inverting the
+    P-to-p transition matrix, every strict label and odd class of size <= 14."""
+    for n in range(0, 15):
+        alphas, nus, x = sf._p_to_P_matrix(n)
+        for al in alphas:
+            for nu in nus:
+                assert sf.p_in_P_coefficient(al, nu) == x[al][nu], (al, nu)
+
+
+def test_bar_recursion_is_integral():
+    for al in strict_partitions_of(10):
+        for nu in odd_partitions_of(10):
+            assert type(sf.p_in_P_coefficient(al, nu)) is int
 
 
 @given(st.lists(st.fractions(min_value=F(-3), max_value=F(3)), min_size=1, max_size=3))
