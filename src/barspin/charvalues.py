@@ -18,8 +18,12 @@ representation) rather than taken on trust.  The naive guess (-2)^(-(n-l)/2)
 agrees whenever all parts are 1 or 3 mod 8 but has the wrong sign on parts
 5 or 7 mod 8, first visible at the class (5).
 
-The proportionality scan keys every vector by its exact direction, so each
-spin vector is compared only with the linear vectors on the same line.
+The proportionality scan never builds a full table.  Two characters are
+proportional exactly when their values divided by the degree agree on
+every class, so it compares those normalized values one class at a time,
+the classes closest to (1^n) first, and drops a pair at the first class
+where they differ.  Only the few pairs that agree everywhere get full
+Brauer vectors, and each is confirmed by `proportionality_ratio`.
 """
 
 from __future__ import annotations
@@ -77,11 +81,13 @@ def z_order(nu):
 
 @lru_cache(maxsize=None)
 def chi(la, nu):
-    """Ordinary character value chi^la(nu), stripping the front part of nu."""
+    """Ordinary character value chi^la(nu), stripping the front part of nu.
+    nu is a partition, so nu[0] == 1 means the class (1^m), where the value
+    is the degree given by the hook formula."""
     if size(la) != size(nu):
         raise ValueError(f"size mismatch: {la} vs {nu}")
-    if not nu:
-        return 1
+    if not nu or nu[0] == 1:
+        return specht_degree(la)
     total = 0
     k = nu[0]
     for mu, leg in rim_hooks(la, k):
@@ -125,18 +131,20 @@ def spin_degree(al):
     return sqrt2_pow(n - ell) * Scalar(rat)
 
 
-def _spin_values(al, classes):
-    """Spin character values of al on the odd classes given; the degree and
-    the (1^n) coefficient are computed once for all of them."""
+def _spin_ratio(al, nu):
+    """Spin character value of al on the odd class nu divided by the
+    degree: the P-basis coefficient of p_nu over that of p_(1^n), times the
+    class factor.  A Fraction."""
     n = size(al)
+    sign = -1 if sum((q * q - 1) // 8 for q in nu) % 2 else 1
+    clsfac = Fraction(sign, 2 ** ((n - len(nu)) // 2))
+    return Fraction(p_in_P_coefficient(al, nu), p_in_P_coefficient(al, (1,) * n)) * clsfac
+
+
+def _spin_values(al, classes):
+    """Spin character values of al on the odd classes given."""
     deg = spin_degree(al)
-    x_one = p_in_P_coefficient(al, (1,) * n)
-    out = []
-    for nu in classes:
-        sign = -1 if sum((q * q - 1) // 8 for q in nu) % 2 else 1
-        clsfac = Fraction(sign, 2 ** ((n - len(nu)) // 2))
-        out.append(deg * Scalar(Fraction(p_in_P_coefficient(al, nu), x_one) * clsfac))
-    return tuple(out)
+    return tuple(deg * Scalar(_spin_ratio(al, nu)) for nu in classes)
 
 
 def spin_value(al, nu):
@@ -185,6 +193,9 @@ def spin_brauer_table(n):
 
 # optional disk cache for the tables, purely a speed feature
 
+CACHE_VERSION = 1
+
+
 def _label_key(label):
     return ",".join(map(str, label)) or "-"
 
@@ -205,9 +216,12 @@ def _table_from_json(rows, basis, n, labels, classes):
 
 def _read_cache(path, n):
     """(linear, spin) tables from a cache file; raises ValueError, KeyError
-    or TypeError when the file is truncated, incomplete or for another n."""
+    or TypeError when the file is truncated, incomplete, of another format
+    version or for another n."""
     with open(path) as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict) or blob.get("version") != CACHE_VERSION:
+        raise ValueError(f"not a version {CACHE_VERSION} table cache")
     if blob["n"] != n:
         raise ValueError(f"file is for n={blob['n']}")
     classes = odd_classes(n)
@@ -219,7 +233,8 @@ def _read_cache(path, n):
 def _write_cache(path, n, lin, spn):
     """Write the tables through a temporary file in the same directory, so a
     reader never sees a partial file."""
-    blob = {"n": n, "linear": _table_to_json(lin), "spin": _table_to_json(spn)}
+    blob = {"version": CACHE_VERSION, "n": n,
+            "linear": _table_to_json(lin), "spin": _table_to_json(spn)}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -252,28 +267,6 @@ def load_or_build_tables(n, cache_dir=None):
 # ---------------------------------------------------------------------------
 # proportionality scan
 
-def _primitive(xs):
-    """The primitive integer vector on the line of a nonzero rational vector,
-    with its first nonzero entry positive."""
-    m = math.lcm(*(x.denominator for x in xs))
-    ints = [x.numerator * (m // x.denominator) for x in xs]
-    g = math.gcd(*ints)
-    if next(i for i in ints if i) < 0:
-        g = -g
-    return tuple(i // g for i in ints)
-
-
-def direction_key(values):
-    """The exact direction of a vector of Scalars A + B*sqrt2 (A, B rational
-    vectors): the primitive integer vector of whichever of A and B is
-    nonzero.  None for the zero vector, and when A and B are both nonzero
-    and not parallel, since such a vector is no multiple of a rational one.
-    Two vectors with a key are proportional iff their keys are equal."""
-    keys = {_primitive(part) for part in ([x.a for x in values], [x.b for x in values])
-            if any(part)}
-    return keys.pop() if len(keys) == 1 else None
-
-
 def proportionality_ratio(u, v):
     """Scalar c with u = c*v entrywise, or None.  Zero vectors never match."""
     if len(u) != len(v):
@@ -294,24 +287,59 @@ def proportionality_ratio(u, v):
     return c
 
 
+def _table_ratio(vec, i):
+    """Value of a table vector on its i-th class over its value at (1^n),
+    the last class.  Rational: a spin vector is its degree times a rational
+    vector.  Integer rows skip the division in Q(sqrt2)."""
+    x, y = vec.values[i], vec.values[-1]
+    if not (x.b or y.b):
+        return x.a / y.a
+    return (x / y).a
+
+
 def scan(n, cache_dir=None):
     """All (alpha, lambda, ratio) with the spin Brauer vector of alpha a
     scalar multiple of the linear Brauer vector of lambda, sorted.
 
-    Spin vectors are grouped by direction key; each linear vector is
-    confirmed, and the ratio taken, only against the spin vectors with its
-    own key (lambda and its conjugate share one).  Only the spin keys are
-    kept, as there are far fewer strict labels than partitions."""
-    lin, spn = load_or_build_tables(n, cache_dir)
-    by_key = {}
-    for svec in spn.values():
-        key = direction_key(svec.values)
-        if key is not None:
-            by_key.setdefault(key, []).append(svec)
+    A pair is proportional iff its values over the degree agree on every
+    odd class other than (1^n).  Those classes are visited in order of
+    n - len(nu), cheapest first.  The strict labels are grouped by their
+    value on the first class; each partition looks up its group, and the
+    candidates are dropped class by class as soon as a value differs.  Only
+    the survivors get full vectors, confirmed by `proportionality_ratio`.
+    With cache_dir the values are read from the cached tables instead."""
+    classes = odd_classes(n)
+    cols = sorted(range(len(classes) - 1), key=lambda i: n - len(classes[i]))
+    if cache_dir is None:
+        one = classes[-1]
+        lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
+        lin_at = lambda la, i: Fraction(chi(la, classes[i]), chi(la, one))
+        spin_at = lambda al, i: _spin_ratio(al, classes[i])
+        lin_vec, spin_vec = linear_brauer, spin_brauer
+    else:
+        lin, spn = load_or_build_tables(n, cache_dir)
+        lin_labels, spin_labels = lin, spn
+        lin_at = lambda la, i: _table_ratio(lin[la], i)
+        spin_at = lambda al, i: _table_ratio(spn[al], i)
+        lin_vec, spin_vec = lin.__getitem__, spn.__getitem__
+
+    def first(at, label):
+        # n <= 2 has no class but (1^n): then every pair is a candidate
+        return at(label, cols[0]) if cols else None
+
+    groups = {}
+    for al in spin_labels:
+        groups.setdefault(first(spin_at, al), []).append(al)
     out = []
-    for la, lvec in lin.items():
-        for svec in by_key.get(direction_key(lvec.values), ()):
-            c = proportionality_ratio(svec.values, lvec.values)
+    for la in lin_labels:
+        cands = groups.get(first(lin_at, la), ())
+        for i in cols[1:]:
+            if not cands:
+                break
+            v = lin_at(la, i)
+            cands = [al for al in cands if spin_at(al, i) == v]
+        for al in cands:
+            c = proportionality_ratio(spin_vec(al).values, lin_vec(la).values)
             if c is not None:
-                out.append((svec.label, la, c))
+                out.append((al, la, c))
     return sorted(out, key=lambda rec: (rec[0], rec[1]))

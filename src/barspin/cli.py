@@ -1,13 +1,16 @@
 """Command line surface: label inspection, operator application, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 internal error (any other exception escaping a command).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 from barspin import abacus, charspace, charvalues, classify, verify
 from barspin import partitions as pt
@@ -19,6 +22,15 @@ class UsageError(Exception):
 
 def _fmt(la):
     return pt.format_partition(la)
+
+
+def _parse(parse, text):
+    """A label or class from the command line; malformed text is a usage
+    error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def build_parser():
@@ -102,9 +114,9 @@ def _info_strict(al):
 
 def cmd_info(args):
     if args.kind == "partition":
-        print(_info_partition(pt.parse_partition(args.label)))
+        print(_info_partition(_parse(pt.parse_partition, args.label)))
     else:
-        print(_info_strict(pt.parse_strict(args.label)))
+        print(_info_strict(_parse(pt.parse_strict, args.label)))
     return 0
 
 
@@ -112,14 +124,14 @@ def cmd_info(args):
 # value
 
 def cmd_value(args):
-    nu = pt.parse_partition(args.cls)
+    nu = _parse(pt.parse_partition, args.cls)
     if args.basis == "specht":
-        la = pt.parse_partition(args.label)
+        la = _parse(pt.parse_partition, args.label)
         if pt.size(la) != pt.size(nu):
             raise UsageError(f"size mismatch: |{_fmt(la)}| != |{_fmt(nu)}|")
         print(charvalues.chi(la, nu))
     else:
-        al = pt.parse_strict(args.label)
+        al = _parse(pt.parse_strict, args.label)
         if pt.size(al) != pt.size(nu):
             raise UsageError(f"size mismatch: |{_fmt(al)}| != |{_fmt(nu)}|")
         if any(q % 2 == 0 for q in nu):
@@ -132,10 +144,10 @@ def cmd_value(args):
 # apply
 
 def cmd_apply(args):
-    if args.basis == "linear":
-        label = pt.parse_partition(args.label)
-    else:
-        label = pt.parse_strict(args.label)
+    parse = pt.parse_partition if args.basis == "linear" else pt.parse_strict
+    label = _parse(parse, args.label)
+    if args.eps not in (0, 1):
+        raise UsageError("--eps must be 0 or 1")
     v = charspace.unit(args.basis, label)
     if args.op in ("e", "f"):
         if args.c is not None or args.d is not None:
@@ -187,6 +199,8 @@ def _print_csv(reports):
 
 
 def cmd_verify(args):
+    if args.cache is not None and os.path.exists(args.cache) and not os.path.isdir(args.cache):
+        raise UsageError(f"--cache {args.cache} is not a directory")
     if args.suite == "all":
         reports = verify.run_all(args.max_n, args.cache)
     else:
@@ -219,9 +233,10 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error in {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ on a Pauli-chain Clifford algebra and compares normalized traces.
 """
 
 import json
-from fractions import Fraction as F
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin import charvalues as cv
-from barspin.partitions import conjugate, partitions_of, strict_partitions_of
+from barspin.partitions import partitions_of, strict_partitions_of
 
 S = lambda a, b=0: Scalar(a, b)
 
@@ -35,9 +35,21 @@ def test_chi_trivial_and_sign_rows():
         assert cv.chi((1,) * 6, nu) == S((-1) ** (6 - len(nu)))
 
 
+def _degree_by_branching(la):
+    """f^la as the sum of f^mu over the mu obtained by removing one corner."""
+    if not la:
+        return 1
+    return sum(
+        _degree_by_branching(tuple(p for p in la[:i] + (la[i] - 1,) + la[i + 1:] if p))
+        for i in range(len(la))
+        if i + 1 == len(la) or la[i + 1] < la[i]
+    )
+
+
 def test_chi_degree_column():
-    for la in partitions_of(6):
-        assert cv.chi(la, (1,) * 6) == S(cv.specht_degree(la))
+    for n in range(1, 9):
+        for la in partitions_of(n):
+            assert cv.chi(la, (1,) * n) == S(_degree_by_branching(la))
 
 
 def test_chi_matches_determinant_oracle():
@@ -212,9 +224,9 @@ def test_scan_frozen_small():
     ]
 
 
-def test_scan_matches_brute_force_pairing():
-    """The keyed pairing finds exactly the pairs of the all-against-all
-    ratio loop."""
+def test_scan_matches_brute_force_pairing(tmp_path):
+    """The column-pruned scan, cold and on a filled table cache, finds
+    exactly the pairs of the all-against-all ratio loop."""
     for n in range(1, 13):
         lin, spn = cv.linear_brauer_table(n), cv.spin_brauer_table(n)
         brute = []
@@ -223,33 +235,28 @@ def test_scan_matches_brute_force_pairing():
                 c = cv.proportionality_ratio(svec.values, lvec.values)
                 if c is not None:
                     brute.append((al, la, c))
-        assert cv.scan(n) == sorted(brute, key=lambda rec: (rec[0], rec[1]))
+        brute.sort(key=lambda rec: (rec[0], rec[1]))
+        assert cv.scan(n) == brute
+        cv.load_or_build_tables(n, cache_dir=str(tmp_path))
+        assert cv.scan(n, cache_dir=str(tmp_path)) == brute
 
 
-def test_direction_key_of_a_sqrt2_multiple():
-    v = (S(3), S(-6), S(0), S(9))
-    c = S(1, 1)
-    u = tuple(c * x for x in v)
-    assert cv.direction_key(v) == cv.direction_key(u) == (1, -2, 0, 3)
-    assert cv.proportionality_ratio(u, v) == c
+def test_scan_builds_vectors_only_for_survivors(monkeypatch):
+    calls = Counter()
 
+    def counting(name):
+        original = getattr(cv, name)
 
-def test_direction_key_edges():
-    # A = (1, 0) and B = (0, 1) are not parallel: no key
-    assert cv.direction_key((S(1), S(0, 1))) is None
-    assert cv.direction_key((S(0), S(0))) is None
-    assert cv.proportionality_ratio((S(0), S(0)), (S(0), S(0))) is None
-    v = (S(F(1, 2)), S(F(-3, 4)))
-    assert cv.direction_key(v) == cv.direction_key(tuple(-x for x in v)) == (2, -3)
-    assert cv.direction_key((S(0, -2), S(0, 4))) == (1, -2)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
 
+        return wrapper
 
-def test_conjugate_labels_share_a_key():
-    for la in partitions_of(7):
-        lam = conjugate(la)
-        assert cv.direction_key(cv.linear_brauer(la).values) == cv.direction_key(
-            cv.linear_brauer(lam).values
-        )
+    for name in ("linear_brauer", "proportionality_ratio"):
+        monkeypatch.setattr(cv, name, counting(name))
+    pairs = cv.scan(12)
+    assert calls == {"linear_brauer": len(pairs), "proportionality_ratio": len(pairs)}
 
 
 def test_scan_ratios_are_sqrt2_powers():
@@ -278,6 +285,8 @@ def _edit_blob(edit):
 
 BAD_CACHE_FILES = {
     "truncated": lambda path: path.write_text(path.read_text()[:100]),
+    "no version": _edit_blob(lambda blob: blob.pop("version")),
+    "other version": _edit_blob(lambda blob: blob.update(version=2)),
     "missing key": _edit_blob(lambda blob: blob["spin"].pop("4,1")),
     "short row": _edit_blob(lambda blob: blob["linear"]["5"].pop()),
     "wrong n": _edit_blob(lambda blob: blob.update(n=4)),
@@ -293,7 +302,8 @@ def test_bad_cache_file_is_a_miss(tmp_path, capsys, corrupt):
     assert lin == cv.linear_brauer_table(5) and spn == cv.spin_brauer_table(5)
     assert capsys.readouterr().err.count("warning: ignoring bad table cache") == 1
     # the rebuilt file was rewritten and now reads cleanly
-    assert json.loads(path.read_text())["n"] == 5
+    blob = json.loads(path.read_text())
+    assert (blob["version"], blob["n"]) == (1, 5)
     cv.load_or_build_tables(5, cache_dir=str(tmp_path))
     assert capsys.readouterr().err == ""
 

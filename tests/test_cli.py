@@ -131,6 +131,12 @@ def test_apply_flag_mix_ups(capsys):
     assert code == 2
 
 
+def test_apply_bad_eps_is_usage_error(capsys):
+    code, _, err = run(capsys, "apply", "e", "--eps", "2", "--basis", "linear", "2,1")
+    assert code == 2
+    assert "error: --eps must be 0 or 1" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -183,6 +189,24 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "main", "--max-n", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_cache_on_a_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    code, _, err = run(capsys, "verify", "main", "--max-n", "2", "--cache", str(path))
+    assert code == 2
+    assert "is not a directory" in err
+
+
+def test_verify_internal_error_exits_3(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "run_suite", boom)
+    code, _, err = run(capsys, "verify", "main", "--max-n", "2")
+    assert code == 3
+    assert "internal error in verify: ValueError: boom" in err
 
 
 def test_verify_with_truncated_cache_rebuilds(capsys, tmp_path):
