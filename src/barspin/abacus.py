@@ -73,35 +73,6 @@ def two_quotient(la):
     return k_core(la, 2), (quots[0], quots[1])
 
 
-def p_quotient(la, p, r):
-    """Ordered p-quotient read off the r-bead p-runner display.
-
-    Component j lists the bead displacements on runner j, largest first.
-    The caller picks the bead count; different r values permute the
-    components cyclically."""
-    if r < len(la):
-        raise ValueError("bead count below partition length")
-    d = display(la, p, r)
-    quots = []
-    for eps in range(p):
-        slots = d.slots(eps)
-        parts = [s - i for i, s in enumerate(slots)]
-        quots.append(tuple(q for q in sorted(parts, reverse=True) if q))
-    return tuple(quots)
-
-
-def ordered_p_quotient(la, p, r):
-    """p-quotient with components listed by runner bead count, fewest first
-    (runner index breaks ties).  For p = 2 with the canonical bead count this
-    reproduces the two_quotient ordering, where the second runner never has
-    fewer beads than the first."""
-    d = display(la, p, r)
-    counts = [len(d.runner(eps)) for eps in range(p)]
-    raw = p_quotient(la, p, r)
-    order = sorted(range(p), key=lambda eps: (counts[eps], eps))
-    return tuple(raw[eps] for eps in order)
-
-
 def from_core_quotient(core, q0, q1):
     """The partition with the given 2-core and 2-quotient."""
     if k_core(core, 2) != core:
@@ -153,18 +124,3 @@ def bswp(al, eps):
     check_strict(out)
     return out
 
-
-def swp_general(la, p, i, r):
-    """Swap runners i-1 and i of the p-runner display with r beads."""
-    if not 1 <= i <= p - 1:
-        raise ValueError("runner index out of range")
-    beads = beta_numbers(la, r)
-    moved = []
-    for b in beads:
-        if b % p == i - 1:
-            moved.append(b + 1)
-        elif b % p == i:
-            moved.append(b - 1)
-        else:
-            moved.append(b)
-    return partition_from_beta(moved)

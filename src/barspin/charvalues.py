@@ -2,28 +2,31 @@
 
 Linear side: Murnaghan-Nakayama recursion for the ordinary irreducible
 characters; restricting to odd-part classes gives the 2-Brauer character.
-Spin side: values are extracted from the expansion of p_nu in the Schur P
-basis, whose integer coefficients come from Morris's bar recursion
-(`symfunc.p_in_P_coefficient`; the P-matrix solve is only a test oracle),
-normalized so that the value at (1^n) is the character degree and a
-class of cycle type nu carries the factor
+Spin side: the value of the spin character of the strict label alpha on
+the odd class nu is Morris's closed form
 
-    prod_i (-1)^((nu_i^2 - 1)/8) * 2^(-(n - len(nu))/2),
+    <alpha>(nu) = (-1)^(parts of nu = 3 or 5 mod 8) * X^alpha_nu * sqrt2^(len(nu) - len(alpha)),
 
-that is, a Gauss sign -1 for every part congruent to 3 or 5 mod 8.  The sign
-matches evaluating on the odd-order preimage of the class in the double
-cover; it is pinned by an explicit spinor-matrix oracle in the tests (trace
-of the odd-order lift in a Clifford-algebra model of the basic spin
-representation) rather than taken on trust.  The naive guess (-2)^(-(n-l)/2)
-agrees whenever all parts are 1 or 3 mod 8 but has the wrong sign on parts
-5 or 7 mod 8, first visible at the class (5).
+with X^alpha_nu the integer coefficient of P_alpha in p_nu, from Morris's
+bar recursion (`symfunc.p_in_P_coefficient`).  At nu = (1^n) this is the
+degree; Schur's product formula for it and the P-matrix solve for X are
+test oracles only.  Since len(nu) = n mod 2 on odd classes, every spin row
+lies wholly in Z or wholly in sqrt2*Z.
 
-The proportionality scan never builds a full table.  Two characters are
+The Gauss sign (-1)^((nu_i^2 - 1)/8) per part matches evaluating on the
+odd-order preimage of the class in the double cover; it is pinned by an
+explicit spinor-matrix oracle in the tests (trace of the odd-order lift in
+a Clifford-algebra model of the basic spin representation) rather than
+taken on trust.  The naive sign (-1)^((n - len(nu))/2) agrees whenever all
+parts are 1 or 3 mod 8 but is wrong on parts 5 or 7 mod 8, first visible
+at the class (5).
+
+The proportionality scan never builds a Brauer vector.  Two characters are
 proportional exactly when their values divided by the degree agree on
 every class, so it compares those normalized values one class at a time,
 the classes closest to (1^n) first, and drops a pair at the first class
-where they differ.  Only the few pairs that agree everywhere get full
-Brauer vectors, and each is confirmed by `proportionality_ratio`.
+where they differ.  A pair that agrees everywhere is proportional with
+ratio spin degree over linear degree.
 """
 
 from __future__ import annotations
@@ -60,9 +63,6 @@ class BrauerVector:
     label: tuple
     classes: tuple
     values: tuple
-
-    def value(self, nu):
-        return self.values[self.classes.index(tuple(nu))]
 
 
 def z_order(nu):
@@ -114,37 +114,32 @@ def chi_schur_oracle(la, nu):
 
 
 # ---------------------------------------------------------------------------
-# spin degrees and Brauer values
+# spin values
 
-def spin_degree(al):
-    """Degree of the spin character, normalized so the squares over strict
-    labels sum to n factorial; a Scalar, rational or rational times sqrt2."""
-    check_strict(al)
-    n = size(al)
-    ell = len(al)
-    rat = Fraction(math.factorial(n))
-    for a in al:
-        rat /= math.factorial(a)
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            rat *= Fraction(al[i] - al[j], al[i] + al[j])
-    return sqrt2_pow(n - ell) * Scalar(rat)
+def _gauss_sign(nu):
+    """(-1) to the number of parts of nu congruent to 3 or 5 mod 8."""
+    return -1 if sum((q * q - 1) // 8 for q in nu) % 2 else 1
+
+
+def _spin_value(al, nu):
+    """Spin character value of al on the odd class nu, by Morris's formula."""
+    return sqrt2_pow(len(nu) - len(al)) * (_gauss_sign(nu) * p_in_P_coefficient(al, nu))
 
 
 def _spin_ratio(al, nu):
     """Spin character value of al on the odd class nu divided by the
-    degree: the P-basis coefficient of p_nu over that of p_(1^n), times the
-    class factor.  A Fraction."""
+    degree, an integer Fraction."""
     n = size(al)
-    sign = -1 if sum((q * q - 1) // 8 for q in nu) % 2 else 1
-    clsfac = Fraction(sign, 2 ** ((n - len(nu)) // 2))
-    return Fraction(p_in_P_coefficient(al, nu), p_in_P_coefficient(al, (1,) * n)) * clsfac
+    return Fraction(_gauss_sign(nu) * p_in_P_coefficient(al, nu),
+                    p_in_P_coefficient(al, (1,) * n) * 2 ** ((n - len(nu)) // 2))
 
 
-def _spin_values(al, classes):
-    """Spin character values of al on the odd classes given."""
-    deg = spin_degree(al)
-    return tuple(deg * Scalar(_spin_ratio(al, nu)) for nu in classes)
+def spin_degree(al):
+    """Degree of the spin character, normalized so the squares over strict
+    labels sum to n factorial; a Scalar, an integer or an integer times
+    sqrt2."""
+    check_strict(al)
+    return _spin_value(tuple(al), (1,) * size(al))
 
 
 def spin_value(al, nu):
@@ -154,21 +149,17 @@ def spin_value(al, nu):
         raise ValueError(f"size mismatch: {al} vs {nu}")
     if any(p % 2 == 0 for p in nu):
         raise ValueError(f"spin values live on odd classes, got {nu}")
-    return _spin_values(al, (tuple(nu),))[0]
+    return _spin_value(tuple(al), tuple(nu))
 
 
 # ---------------------------------------------------------------------------
 # Brauer vectors and tables
 
-def odd_classes(n):
-    return odd_partitions_of(n)
-
-
 def linear_brauer(la):
     la = tuple(la)
     check_partition(la)
     n = size(la)
-    classes = odd_classes(n)
+    classes = odd_partitions_of(n)
     values = tuple(Scalar(chi(la, nu)) for nu in classes)
     return BrauerVector("linear", n, la, classes, values)
 
@@ -177,8 +168,8 @@ def spin_brauer(al):
     al = tuple(al)
     check_strict(al)
     n = size(al)
-    classes = odd_classes(n)
-    return BrauerVector("spin", n, al, classes, _spin_values(al, classes))
+    classes = odd_partitions_of(n)
+    return BrauerVector("spin", n, al, classes, tuple(_spin_value(al, nu) for nu in classes))
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +215,7 @@ def _read_cache(path, n):
         raise ValueError(f"not a version {CACHE_VERSION} table cache")
     if blob["n"] != n:
         raise ValueError(f"file is for n={blob['n']}")
-    classes = odd_classes(n)
+    classes = odd_partitions_of(n)
     lin = _table_from_json(blob["linear"], "linear", n, partitions_of(n), classes)
     spn = _table_from_json(blob["spin"], "spin", n, strict_partitions_of(n), classes)
     return lin, spn
@@ -289,12 +280,10 @@ def proportionality_ratio(u, v):
 
 def _table_ratio(vec, i):
     """Value of a table vector on its i-th class over its value at (1^n),
-    the last class.  Rational: a spin vector is its degree times a rational
-    vector.  Integer rows skip the division in Q(sqrt2)."""
+    the last class.  A row lies wholly in Z or wholly in sqrt2*Z (on an odd
+    class len(nu) = n mod 2), so one coordinate carries the quotient."""
     x, y = vec.values[i], vec.values[-1]
-    if not (x.b or y.b):
-        return x.a / y.a
-    return (x / y).a
+    return x.a / y.a if y.a else x.b / y.b
 
 
 def scan(n, cache_dir=None):
@@ -302,29 +291,29 @@ def scan(n, cache_dir=None):
     scalar multiple of the linear Brauer vector of lambda, sorted.
 
     A pair is proportional iff its values over the degree agree on every
-    odd class other than (1^n).  Those classes are visited in order of
-    n - len(nu), cheapest first.  The strict labels are grouped by their
-    value on the first class; each partition looks up its group, and the
-    candidates are dropped class by class as soon as a value differs.  Only
-    the survivors get full vectors, confirmed by `proportionality_ratio`.
-    With cache_dir the values are read from the cached tables instead."""
-    classes = odd_classes(n)
+    odd class other than (1^n), and then the ratio is spin degree over
+    linear degree.  Those classes are visited in order of n - len(nu),
+    cheapest first.  The strict labels are grouped by their value on the
+    first class; each partition looks up its group, and the candidates are
+    dropped class by class as soon as a value differs.  With cache_dir the
+    values are read from the cached tables instead."""
+    classes = odd_partitions_of(n)
     cols = sorted(range(len(classes) - 1), key=lambda i: n - len(classes[i]))
     if cache_dir is None:
         one = classes[-1]
         lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
         lin_at = lambda la, i: Fraction(chi(la, classes[i]), chi(la, one))
         spin_at = lambda al, i: _spin_ratio(al, classes[i])
-        lin_vec, spin_vec = linear_brauer, spin_brauer
+        ratio = lambda al, la: spin_degree(al) / specht_degree(la)
     else:
         lin, spn = load_or_build_tables(n, cache_dir)
         lin_labels, spin_labels = lin, spn
         lin_at = lambda la, i: _table_ratio(lin[la], i)
         spin_at = lambda al, i: _table_ratio(spn[al], i)
-        lin_vec, spin_vec = lin.__getitem__, spn.__getitem__
+        ratio = lambda al, la: spn[al].values[-1] / lin[la].values[-1]
 
     def first(at, label):
-        # n <= 2 has no class but (1^n): then every pair is a candidate
+        # n <= 2 has no class but (1^n): then every pair is proportional
         return at(label, cols[0]) if cols else None
 
     groups = {}
@@ -338,8 +327,5 @@ def scan(n, cache_dir=None):
                 break
             v = lin_at(la, i)
             cands = [al for al in cands if spin_at(al, i) == v]
-        for al in cands:
-            c = proportionality_ratio(spin_vec(al).values, lin_vec(la).values)
-            if c is not None:
-                out.append((al, la, c))
+        out.extend((al, la, ratio(al, la)) for al in cands)
     return sorted(out, key=lambda rec: (rec[0], rec[1]))

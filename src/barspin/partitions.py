@@ -68,19 +68,6 @@ def conjugate(la):
     return tuple(sum(1 for p in la if p >= c) for c in range(1, la[0] + 1))
 
 
-def dominates(la, mu):
-    """la dominates mu (same size, partial sums of la are at least mu's)."""
-    if sum(la) != sum(mu):
-        return False
-    a = b = 0
-    for i in range(max(len(la), len(mu))):
-        a += la[i] if i < len(la) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
-
-
 def cells(la):
     return [(r, c) for r in range(1, len(la) + 1) for c in range(1, la[r - 1] + 1)]
 
@@ -235,26 +222,6 @@ def regularize2(la):
         rows.append(row)
         r += 1
     return tuple(rows)
-
-
-def flad(al):
-    """Largest l whose full ladder lies inside dbl(al); 0 for the empty one."""
-    d = dbl(al)
-    best = 0
-    l = 1
-    while len(d) >= l:
-        if all(d[r - 1] >= l + 1 - r for r in range(1, l + 1)):
-            best = l
-        l += 1
-    return best
-
-
-def tlad(al):
-    """Largest ladder index meeting dbl(al) at all."""
-    d = dbl(al)
-    if not d:
-        return 0
-    return max(r + d[r - 1] - 1 for r in range(1, len(d) + 1))
 
 
 # ---------------------------------------------------------------------------

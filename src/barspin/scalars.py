@@ -114,9 +114,6 @@ class Scalar:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    def is_rational(self):
-        return self.b == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -168,8 +165,6 @@ def _coerce(x):
     return NotImplemented
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
 sqrt2 = Scalar(0, 1)
 
 

@@ -110,29 +110,3 @@ def test_bswp_splits_off_even_parts():
             for eps in (0, 1):
                 want = pt.union_parts(abacus.bswp(gamma, eps), pt.scale_parts(eta, 2))
                 assert abacus.bswp(al, eps) == want
-
-
-def test_swp_general_odd_p():
-    la = (9, 8, 5, 1, 1, 1, 1, 1)
-    mu = (9, 9, 4, 1, 1, 1, 1, 1, 1)
-    assert abacus.swp_general(la, 5, 2, 10) == mu
-    assert abacus.swp_general(mu, 5, 2, 10) == la
-    # p = 2 falls back to the two-runner swap
-    assert abacus.swp_general((6, 3, 1, 1), 2, 1, 4) == abacus.swp((6, 3, 1, 1), 1)
-
-
-def test_ordered_p_quotient():
-    la = (9, 8, 5, 1, 1, 1, 1, 1)
-    mu = (9, 9, 4, 1, 1, 1, 1, 1, 1)
-    want = ((), (), (1, 1), (2,), (1,))
-    assert abacus.ordered_p_quotient(la, 5, 10) == want
-    assert abacus.ordered_p_quotient(mu, 5, 10) == want
-    assert pt.k_core(la, 5) == (2,)
-    assert pt.k_core(mu, 5) == (3,)
-
-
-@given(partition_st)
-def test_ordered_quotient_matches_two_quotient(la):
-    core, (q0, q1) = abacus.two_quotient(la)
-    r = abacus.canonical_bead_count(la)
-    assert abacus.ordered_p_quotient(la, 2, r) == (q0, q1)

@@ -1,12 +1,15 @@
 """Tests for ordinary and spin character values and the Brauer-vector scan.
 
-The spin values are pinned two ways: a handful of frozen table entries, and
-an independent numerical model that realizes the basic spin representation
-on a Pauli-chain Clifford algebra and compares normalized traces.
+The spin values are pinned three ways: a handful of frozen table entries,
+Schur's product formula for the degrees, and an independent numerical model
+that realizes the basic spin representation on a Pauli-chain Clifford
+algebra and compares normalized traces.
 """
 
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin import charvalues as cv
-from barspin.partitions import partitions_of, strict_partitions_of
+from barspin.partitions import odd_partitions_of, partitions_of, strict_partitions_of
 
 S = lambda a, b=0: Scalar(a, b)
 
@@ -95,9 +98,41 @@ def test_spin_value_frozen():
     assert cv.spin_value((5, 2), (5, 1, 1)) == S(0, 1)
 
 
+def _schur_spin_degree(al):
+    """Schur's product formula: sqrt2^(n - len) * n!/prod(a_i!) *
+    prod_{i<j} (a_i - a_j)/(a_i + a_j)."""
+    n = sum(al)
+    rat = Fraction(math.factorial(n))
+    for a in al:
+        rat /= math.factorial(a)
+    for i, a in enumerate(al):
+        for b in al[i + 1:]:
+            rat *= Fraction(a - b, a + b)
+    return sqrt2_pow(n - len(al)) * Scalar(rat)
+
+
+def test_spin_degree_matches_schur_product_formula():
+    for n in range(17):
+        for al in strict_partitions_of(n):
+            assert cv.spin_degree(al) == _schur_spin_degree(al)
+
+
+def test_spin_rows_lie_in_z_or_sqrt2_z():
+    """A row is integral when n - len(al) is even and sqrt2 times integral
+    when it is odd; the cache-backed scan divides one coordinate by it."""
+    for n in range(1, 15):
+        for al, vec in cv.spin_brauer_table(n).items():
+            radical = (n - len(al)) % 2 == 1
+            for v in vec.values:
+                if radical:
+                    assert v.a == 0 and v.b.denominator == 1
+                else:
+                    assert v.b == 0 and v.a.denominator == 1
+
+
 def test_odd_classes():
-    assert cv.odd_classes(6) == ((5, 1), (3, 3), (3, 1, 1, 1), (1,) * 6)
-    assert cv.odd_classes(1) == ((1,),)
+    assert odd_partitions_of(6) == ((5, 1), (3, 3), (3, 1, 1, 1), (1,) * 6)
+    assert odd_partitions_of(1) == ((1,),)
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -167,7 +202,7 @@ def test_basic_spin_matches_clifford_model(n):
     classes), so trace/dimension must equal value/degree exactly.
     """
     deg = _to_float(cv.spin_degree((n,)))
-    for nu in cv.odd_classes(n):
+    for nu in odd_partitions_of(n):
         r = _model_trace_ratio(n, nu)
         assert abs(r.imag) < 1e-9
         want = _to_float(cv.spin_value((n,), nu)) / deg
@@ -241,7 +276,10 @@ def test_scan_matches_brute_force_pairing(tmp_path):
         assert cv.scan(n, cache_dir=str(tmp_path)) == brute
 
 
-def test_scan_builds_vectors_only_for_survivors(monkeypatch):
+def test_scan_builds_no_vectors(monkeypatch, tmp_path):
+    """Cold and on a filled cache, scan pairs by values over the degree and
+    takes the ratio from the degrees: no vector, no ratio test."""
+    cv.load_or_build_tables(12, cache_dir=str(tmp_path))
     calls = Counter()
 
     def counting(name):
@@ -253,10 +291,11 @@ def test_scan_builds_vectors_only_for_survivors(monkeypatch):
 
         return wrapper
 
-    for name in ("linear_brauer", "proportionality_ratio"):
+    for name in ("linear_brauer", "spin_brauer", "proportionality_ratio"):
         monkeypatch.setattr(cv, name, counting(name))
-    pairs = cv.scan(12)
-    assert calls == {"linear_brauer": len(pairs), "proportionality_ratio": len(pairs)}
+    assert cv.scan(12)
+    assert cv.scan(12, cache_dir=str(tmp_path))
+    assert calls == {}
 
 
 def test_scan_ratios_are_sqrt2_powers():
@@ -314,5 +353,5 @@ def test_spin_table_covers_strict_labels(n):
     table = cv.spin_brauer_table(n)
     assert set(table) == set(strict_partitions_of(n))
     for al, vec in table.items():
-        assert vec.classes == cv.odd_classes(n)
+        assert vec.classes == odd_partitions_of(n)
         assert len(vec.values) == len(vec.classes)

@@ -34,12 +34,6 @@ def test_conjugate_involution(la):
     assert pt.conjugate(pt.conjugate(la)) == la
 
 
-def test_dominance():
-    assert pt.dominates((4, 2), (3, 3))
-    assert not pt.dominates((3, 3), (4, 2))
-    assert pt.dominates((3, 1), (3, 1))
-
-
 def test_counting():
     assert len(pt.partitions_of(8)) == 22
     assert len(pt.strict_partitions_of(8)) == 6
@@ -130,8 +124,6 @@ def test_bars():
 
 def test_ladders():
     assert pt.ladder_counts((3, 1)) == {1: 1, 2: 2, 3: 1}
-    assert pt.flad((5, 2, 1)) == 3
-    assert pt.tlad((5, 2, 1)) == 5
 
 
 def test_beta_numbers_roundtrip():
