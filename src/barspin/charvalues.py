@@ -35,7 +35,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,18 +50,6 @@ from barspin.partitions import (
 )
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin.symfunc import p_in_P_coefficient, schur_poly
-
-
-@dataclass(frozen=True)
-class BrauerVector:
-    """Values of a character on the odd-part classes of one symmetric group,
-    classes in descending lexicographic order; entries are Scalars and the
-    entry at (1^n) is positive."""
-    basis: str
-    n: int
-    label: tuple
-    classes: tuple
-    values: tuple
 
 
 def z_order(nu):
@@ -154,22 +141,21 @@ def spin_value(al, nu):
 
 # ---------------------------------------------------------------------------
 # Brauer vectors and tables
+#
+# A Brauer vector is the tuple of a character's values, as Scalars, on the
+# odd classes odd_partitions_of(n): descending lexicographic order, so the
+# last entry is the value at (1^n), the degree, which is positive.
 
 def linear_brauer(la):
     la = tuple(la)
     check_partition(la)
-    n = size(la)
-    classes = odd_partitions_of(n)
-    values = tuple(Scalar(chi(la, nu)) for nu in classes)
-    return BrauerVector("linear", n, la, classes, values)
+    return tuple(Scalar(chi(la, nu)) for nu in odd_partitions_of(size(la)))
 
 
 def spin_brauer(al):
     al = tuple(al)
     check_strict(al)
-    n = size(al)
-    classes = odd_partitions_of(n)
-    return BrauerVector("spin", n, al, classes, tuple(_spin_value(al, nu) for nu in classes))
+    return tuple(_spin_value(al, nu) for nu in odd_partitions_of(size(al)))
 
 
 @lru_cache(maxsize=None)
@@ -182,26 +168,30 @@ def spin_brauer_table(n):
     return {al: spin_brauer(al) for al in strict_partitions_of(n)}
 
 
-# optional disk cache for the tables, purely a speed feature
+# optional disk cache for the tables, purely a speed feature; each value is
+# stored as its integer coordinates [a, b]
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def _label_key(label):
     return ",".join(map(str, label)) or "-"
 
 
-def _table_to_json(table):
-    return {_label_key(label): [v.to_json() for v in vec.values] for label, vec in table.items()}
+def _encode_table(table):
+    return {_label_key(label): [[v.a, v.b] for v in vec] for label, vec in table.items()}
 
 
-def _table_from_json(rows, basis, n, labels, classes):
+def _decode_table(rows, labels, width):
+    """{label: Brauer vector} from rows of [a, b] integer pairs.  A row of
+    another width, or an entry that is not a pair of integers, raises
+    ValueError or TypeError."""
     table = {}
     for label in labels:
-        vals = tuple(Scalar.from_json(d) for d in rows[_label_key(label)])
-        if len(vals) != len(classes):
-            raise ValueError(f"{basis} row {_label_key(label)} has {len(vals)} values")
-        table[label] = BrauerVector(basis, n, label, classes, vals)
+        vec = tuple(Scalar(a, b) for a, b in rows[_label_key(label)])
+        if len(vec) != width:
+            raise ValueError(f"row {_label_key(label)} has {len(vec)} values")
+        table[label] = vec
     return table
 
 
@@ -215,9 +205,9 @@ def _read_cache(path, n):
         raise ValueError(f"not a version {CACHE_VERSION} table cache")
     if blob["n"] != n:
         raise ValueError(f"file is for n={blob['n']}")
-    classes = odd_partitions_of(n)
-    lin = _table_from_json(blob["linear"], "linear", n, partitions_of(n), classes)
-    spn = _table_from_json(blob["spin"], "spin", n, strict_partitions_of(n), classes)
+    width = len(odd_partitions_of(n))
+    lin = _decode_table(blob["linear"], partitions_of(n), width)
+    spn = _decode_table(blob["spin"], strict_partitions_of(n), width)
     return lin, spn
 
 
@@ -225,7 +215,7 @@ def _write_cache(path, n, lin, spn):
     """Write the tables through a temporary file in the same directory, so a
     reader never sees a partial file."""
     blob = {"version": CACHE_VERSION, "n": n,
-            "linear": _table_to_json(lin), "spin": _table_to_json(spn)}
+            "linear": _encode_table(lin), "spin": _encode_table(spn)}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -282,8 +272,8 @@ def _table_ratio(vec, i):
     """Value of a table vector on its i-th class over its value at (1^n),
     the last class.  A row lies wholly in Z or wholly in sqrt2*Z (on an odd
     class len(nu) = n mod 2), so one coordinate carries the quotient."""
-    x, y = vec.values[i], vec.values[-1]
-    return x.a / y.a if y.a else x.b / y.b
+    x, y = vec[i], vec[-1]
+    return Fraction(x.a, y.a) if y.a else Fraction(x.b, y.b)
 
 
 def scan(n, cache_dir=None):
@@ -310,7 +300,7 @@ def scan(n, cache_dir=None):
         lin_labels, spin_labels = lin, spn
         lin_at = lambda la, i: _table_ratio(lin[la], i)
         spin_at = lambda al, i: _table_ratio(spn[al], i)
-        ratio = lambda al, la: spn[al].values[-1] / lin[la].values[-1]
+        ratio = lambda al, la: spn[al][-1] / lin[la][-1]
 
     def first(at, label):
         # n <= 2 has no class but (1^n): then every pair is proportional

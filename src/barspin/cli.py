@@ -207,7 +207,7 @@ def cmd_verify(args):
         reports = [verify.run_suite(args.suite, args.max_n, args.cache)]
     if args.fmt == "json":
         if len(reports) == 1:
-            print(verify.report_to_json(reports[0]))
+            print(json.dumps(reports[0].to_dict()))
         else:
             print(json.dumps([rep.to_dict() for rep in reports]))
     elif args.fmt == "csv":

@@ -1,9 +1,10 @@
 """Exact arithmetic in Q(sqrt(2)).
 
-A Scalar is a + b*sqrt(2) with a, b rational (fractions.Fraction, always in
-lowest terms since Fraction normalises).  This is the smallest field that
-holds every character value we meet: spin character values on odd classes lie
-in Z + Z*sqrt(2).
+A Scalar is a + b*sqrt(2) with a, b rational.  Each coordinate is an int
+when it is integral and a fractions.Fraction (in lowest terms) only when it
+is not, as for a quotient or a negative power of sqrt2.  Every character
+value we meet lies in Z + Z*sqrt(2), so in practice both coordinates are
+ints; Q(sqrt(2)) is the smallest field that holds them and their quotients.
 """
 
 from __future__ import annotations
@@ -11,24 +12,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _exact(x):
+    """x as a coordinate: an int when integral, else a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+        return int(x)  # a bool or another int subclass
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
 class Scalar:
-    """a + b*sqrt(2) with exact rational a, b."""
+    """a + b*sqrt(2) with exact rational a, b: ints when integral."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        object.__setattr__(self, "a", _exact(a))
+        object.__setattr__(self, "b", _exact(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -79,25 +81,13 @@ class Scalar:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
         # 1/(c + d r) = (c - d r)/(c^2 - 2 d^2)
         num = self * other.conjugate()
-        return Scalar(num.a / n, num.b / n)
+        return Scalar(Fraction(num.a, n), Fraction(num.b, n))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- field automorphism and norm ------------------------------------
 
@@ -106,8 +96,8 @@ class Scalar:
         return Scalar(self.a, -self.b)
 
     def norm(self):
-        """Field norm a^2 - 2 b^2, a rational."""
-        return self.a * self.a - 2 * self.b * self.b
+        """Field norm a^2 - 2 b^2, a rational: an int when integral."""
+        return _exact(self.a * self.a - 2 * self.b * self.b)
 
     # -- predicates ------------------------------------------------------
 
@@ -125,16 +115,6 @@ class Scalar:
 
     def __hash__(self):
         return hash((self.a, self.b))
-
-    # -- serialisation ----------------------------------------------------
-
-    def to_json(self):
-        """JSON-friendly dict with both coordinates as exact 'p/q' strings."""
-        return {"a": str(self.a), "b": str(self.b)}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(Fraction(d["a"]), Fraction(d["b"]))
 
     # -- display ----------------------------------------------------------
 
@@ -177,7 +157,7 @@ def sqrt2_pow(k):
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
     q, r = divmod(k, 2)
-    rat = Fraction(2) ** q
+    rat = 2 ** q if q >= 0 else Fraction(1, 2 ** -q)
     if r == 0:
         return Scalar(rat)
     return Scalar(0, rat)

@@ -8,7 +8,6 @@ offending labels.  All comparisons are exact.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -81,10 +80,6 @@ class Report:
             "pass": self.ok,
             "millis": self.millis,
         }
-
-
-def report_to_json(rep):
-    return json.dumps(rep.to_dict())
 
 
 def _fmt(la):
@@ -580,15 +575,15 @@ def run_degrees(max_n=None, cache_dir=None):
 
     lb22 = cv.linear_brauer((2, 2))
     sb4 = cv.spin_brauer((4,))
-    want = ", ".join(str(sqrt2_pow(1) * x) for x in lb22.values)
-    got = ", ".join(str(x) for x in sb4.values)
+    want = ", ".join(str(sqrt2_pow(1) * x) for x in lb22)
+    got = ", ".join(str(x) for x in sb4)
     rep.check("spin (4) == sqrt2 * linear (2,2) on odd classes", want, got)
 
     sb31 = cv.spin_brauer((3, 1))
     hits = [
         _fmt(la)
         for la in pt.partitions_of(4)
-        if cv.proportionality_ratio(sb31.values, cv.linear_brauer(la).values) is not None
+        if cv.proportionality_ratio(sb31, cv.linear_brauer(la)) is not None
     ]
     rep.check("linear rows proportional to spin (3,1)", "none", ", ".join(hits) or "none")
     rep.check("degree of spin (3,1)", "4", cv.spin_degree((3, 1)))
@@ -606,7 +601,7 @@ def run_degrees(max_n=None, cache_dir=None):
     fails, total = [], 0
     for n in range(1, int_bound + 1):
         for al in pt.strict_partitions_of(n):
-            for v in cv.spin_brauer(al).values:
+            for v in cv.spin_brauer(al):
                 total += 1
                 plain = v.b == 0 and v.a.denominator == 1
                 radical = v.a == 0 and v.b.denominator == 1
@@ -650,17 +645,19 @@ def run_invariants(max_n=None, cache_dir=None):
                     fails.append(f"al={_fmt(al)} k={k}: bar weight {want} support {got}")
         rep.tally(f"weights equal maximal nonvanishing cycle counts, n={n}", total, fails)
 
-    pair_cache = {}
+    # one scan per size, shared by the loop and the descent lookups
+    scans = {}
 
     def pairs_at(m):
-        if m not in pair_cache:
-            pair_cache[m] = {(al, la) for al, la, _ in cv.scan(m, cache_dir)}
-        return pair_cache[m]
+        """{(alpha, lambda): ratio} over the proportional pairs of size m."""
+        if m not in scans:
+            scans[m] = {(al, la): c for al, la, c in cv.scan(m, cache_dir)}
+        return scans[m]
 
     bound2 = min(bound + 2, 14)
     for n in range(1, bound2 + 1):
         fails, total = [], 0
-        for al, la, c in cv.scan(n, cache_dir):
+        for (al, la), c in pairs_at(n).items():
             total += 1
             errs = []
             if c != sqrt2_pow(classify.ratio_exponent(al)):

@@ -64,10 +64,10 @@ def test_criterion_03_size_four_golden_data():
     assert rep.ok, failing(rep)
     sb4 = cv.spin_brauer((4,))
     lb22 = cv.linear_brauer((2, 2))
-    assert sb4.values == tuple(S(0, 1) * x for x in lb22.values)
+    assert sb4 == tuple(S(0, 1) * x for x in lb22)
     sb31 = cv.spin_brauer((3, 1))
     for la in pt.partitions_of(4):
-        ratio = cv.proportionality_ratio(sb31.values, cv.linear_brauer(la).values)
+        ratio = cv.proportionality_ratio(sb31, cv.linear_brauer(la))
         assert ratio is None
     assert cv.spin_degree((3, 1)) == S(4)
 
@@ -150,6 +150,15 @@ def test_criterion_11_proportional_pair_consequences():
     assert rep.ok, failing(rep)
     tags = [c.input for c in rep.cases if c.input.startswith("proportional-pair")]
     assert any("n=14" in t for t in tags)
+
+
+def test_invariants_scans_each_size_once(monkeypatch):
+    """The pair loop and the descent lookups share one scan per size."""
+    sizes = []
+    scan = cv.scan
+    monkeypatch.setattr(cv, "scan", lambda n, cache_dir=None: sizes.append(n) or scan(n, cache_dir))
+    assert verify.run_suite("invariants", 6).ok
+    assert len(sizes) == len(set(sizes)) and set(range(1, 9)) <= set(sizes)
 
 
 def test_criterion_12_odd_runner_swap_example():

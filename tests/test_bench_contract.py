@@ -1,0 +1,30 @@
+"""The benchmark's tracer binds barspin names from outside the package
+(perfbench/tracer.py).  Renaming or deleting one of them breaks only a
+traced benchmark run, so this installs the tracer around a small suite."""
+
+import importlib.util
+from pathlib import Path
+
+from barspin import charvalues as cv, verify
+from barspin.scalars import Scalar
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("barspin_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_around_a_suite():
+    tracer = _load_tracer()
+    scan, add = cv.scan, Scalar.__dict__["__add__"]
+    with tracer.Tracer() as t:
+        assert cv.scan is not scan
+        rep = verify.run_suite("main", 4)
+    assert rep.ok
+    assert cv.scan is scan and Scalar.__dict__["__add__"] is add
+    assert "charvalues.scan" in {span[0] for span in t.spans}
+    assert t.counts["charvalues.scan"] == 4

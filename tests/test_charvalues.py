@@ -123,11 +123,11 @@ def test_spin_rows_lie_in_z_or_sqrt2_z():
     for n in range(1, 15):
         for al, vec in cv.spin_brauer_table(n).items():
             radical = (n - len(al)) % 2 == 1
-            for v in vec.values:
+            for v in vec:
                 if radical:
-                    assert v.a == 0 and v.b.denominator == 1
+                    assert v.a == 0 and type(v.b) is int
                 else:
-                    assert v.b == 0 and v.a.denominator == 1
+                    assert v.b == 0 and type(v.a) is int
 
 
 def test_odd_classes():
@@ -213,22 +213,17 @@ def test_basic_spin_matches_clifford_model(n):
 # Brauer vectors and the proportionality scan
 
 def test_linear_brauer_frozen():
-    v = cv.linear_brauer((2, 2))
-    assert v.basis == "linear" and v.n == 4
-    assert v.classes == ((3, 1), (1, 1, 1, 1))
-    assert v.values == (S(-1), S(2))
+    assert odd_partitions_of(4) == ((3, 1), (1, 1, 1, 1))
+    assert cv.linear_brauer((2, 2)) == (S(-1), S(2))
 
 
 def test_spin_brauer_frozen():
-    v = cv.spin_brauer((4,))
-    assert v.basis == "spin" and v.n == 4
-    assert v.classes == ((3, 1), (1, 1, 1, 1))
-    assert v.values == (S(0, -1), S(0, 2))
+    assert cv.spin_brauer((4,)) == (S(0, -1), S(0, 2))
 
 
 def test_spin_brauer_is_sqrt2_times_linear_at_n4():
-    u = cv.spin_brauer((4,)).values
-    v = cv.linear_brauer((2, 2)).values
+    u = cv.spin_brauer((4,))
+    v = cv.linear_brauer((2, 2))
     assert cv.proportionality_ratio(u, v) == S(0, 1)
 
 
@@ -267,7 +262,7 @@ def test_scan_matches_brute_force_pairing(tmp_path):
         brute = []
         for al, svec in spn.items():
             for la, lvec in lin.items():
-                c = cv.proportionality_ratio(svec.values, lvec.values)
+                c = cv.proportionality_ratio(svec, lvec)
                 if c is not None:
                     brute.append((al, la, c))
         brute.sort(key=lambda rec: (rec[0], rec[1]))
@@ -325,7 +320,12 @@ def _edit_blob(edit):
 BAD_CACHE_FILES = {
     "truncated": lambda path: path.write_text(path.read_text()[:100]),
     "no version": _edit_blob(lambda blob: blob.pop("version")),
-    "other version": _edit_blob(lambda blob: blob.update(version=2)),
+    "other version": _edit_blob(lambda blob: blob.update(version=cv.CACHE_VERSION + 1)),
+    # format version 1 stored each value as exact-rational strings
+    "version 1 file": _edit_blob(lambda blob: blob.update(version=1, spin={
+        key: [{"a": str(a), "b": str(b)} for a, b in row] for key, row in blob["spin"].items()})),
+    "v1 string entry": _edit_blob(lambda blob: blob["spin"]["5"].__setitem__(0, {"a": "1", "b": "0"})),
+    "float entry": _edit_blob(lambda blob: blob["linear"]["5"].__setitem__(0, [1.0, 0])),
     "missing key": _edit_blob(lambda blob: blob["spin"].pop("4,1")),
     "short row": _edit_blob(lambda blob: blob["linear"]["5"].pop()),
     "wrong n": _edit_blob(lambda blob: blob.update(n=4)),
@@ -342,7 +342,8 @@ def test_bad_cache_file_is_a_miss(tmp_path, capsys, corrupt):
     assert capsys.readouterr().err.count("warning: ignoring bad table cache") == 1
     # the rebuilt file was rewritten and now reads cleanly
     blob = json.loads(path.read_text())
-    assert (blob["version"], blob["n"]) == (1, 5)
+    assert (blob["version"], blob["n"]) == (cv.CACHE_VERSION, 5)
+    assert all(type(x) is int for row in blob["spin"].values() for v in row for x in v)
     cv.load_or_build_tables(5, cache_dir=str(tmp_path))
     assert capsys.readouterr().err == ""
 
@@ -352,6 +353,5 @@ def test_bad_cache_file_is_a_miss(tmp_path, capsys, corrupt):
 def test_spin_table_covers_strict_labels(n):
     table = cv.spin_brauer_table(n)
     assert set(table) == set(strict_partitions_of(n))
-    for al, vec in table.items():
-        assert vec.classes == odd_partitions_of(n)
-        assert len(vec.values) == len(vec.classes)
+    for vec in table.values():
+        assert len(vec) == len(odd_partitions_of(n))

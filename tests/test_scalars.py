@@ -1,12 +1,15 @@
-import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from barspin.scalars import Scalar, sqrt2, sqrt2_pow
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 scalars = st.builds(Scalar, rationals, rationals)
+# integer coordinates too, as every character value has
+coords = st.one_of(st.integers(), rationals)
+mixed_scalars = st.builds(Scalar, coords, coords)
 
 
 def test_basic_identities():
@@ -62,10 +65,36 @@ def test_norm_multiplicative(x, y):
     assert (x * y).norm() == x.norm() * y.norm()
 
 
-@given(scalars)
-def test_json_roundtrip(x):
-    blob = json.dumps(x.to_json())
-    assert Scalar.from_json(json.loads(blob)) == x
+def _is_exact(q):
+    """An int exactly when integral, else a Fraction; never a float or bool."""
+    if type(q) is int:
+        return True
+    return type(q) is Fraction and q.denominator != 1
+
+
+@given(mixed_scalars, mixed_scalars, st.integers(min_value=-40, max_value=40))
+def test_coordinates_are_int_exactly_when_integral(x, y, k):
+    results = [x, x + y, x - y, x * y, -x, x.conjugate(), sqrt2_pow(k)]
+    if not y.is_zero():
+        results.append(x / y)
+    for s in results:
+        assert _is_exact(s.a) and _is_exact(s.b), repr(s)
+    assert _is_exact(x.norm())
+
+
+def test_constructor_normalizes_and_rejects():
+    assert type(Scalar(Fraction(6, 3)).a) is int
+    assert type(Scalar(True, False).a) is type(Scalar(True, False).b) is int
+    assert Scalar(True, False) == Scalar(1)
+    assert type((Scalar(1) / Scalar(2)).a) is Fraction
+    assert type((Scalar(4) / Scalar(2)).a) is int
+    # an integral norm of non-integral coordinates: 100/49 - 2/49 = 2
+    assert type(Scalar(Fraction(10, 7), Fraction(1, 7)).norm()) is int
+    for bad in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar(0, bad)
 
 
 def test_str_forms():
