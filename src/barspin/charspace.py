@@ -3,10 +3,23 @@
 A vector is a finite Scalar-linear combination of labels: partitions for the
 linear basis, strict partitions for the spin basis.  Labels are orthonormal.
 The branching operators apply_e/apply_f remove or add several nodes of one
-residue at a time; alternating composites of them swap the two runners of the
-abacus display (runner_swap) or shift weight between the two components of
-the 2-quotient (quot_red).  The intermediate-bipartition counts that control
-the matrix entries of quot_red live here too.
+residue at a time; both run one move function (_moves) label by label.
+Alternating composites of them swap the two runners of the abacus display
+(runner_swap) or shift weight between the two components of the 2-quotient
+(quot_red).  The intermediate-bipartition counts that control the matrix
+entries of quot_red live here too.
+
+The composites work one input label at a time and stop at the first a where
+e_eps^(a) of the label vanishes.  That is exact: on one label, the counts r
+for which e_eps^(r) (or f_eps^(r)) has a term form an interval [0, max].
+Linear labels lose or gain any subset of their removable or addable
+eps-nodes.  For a spin label, take an r-cell removal and the topmost row
+that sheds cells, and shed one cell fewer there: a row that may shed two
+cells may shed one, the row ends one cell longer than before, so still
+longer than the row below, and no longer than it was, so still shorter
+than the unchanged row above.  That is a legal (r-1)-cell removal.
+Dually, grow one cell fewer in the lowest row that grows (dropping the new
+row (1) if it is added).
 """
 
 from __future__ import annotations
@@ -39,9 +52,6 @@ class CharVector:
     n: int
     coeffs: dict
 
-    def coefficient(self, label):
-        return self.coeffs.get(tuple(label), Scalar(0))
-
     def is_zero(self):
         return not self.coeffs
 
@@ -54,7 +64,7 @@ def _as_scalar(c):
 
 
 def _accum(coeffs, label, c):
-    tot = coeffs.get(label, Scalar(0)) + c
+    tot = coeffs[label] + c if label in coeffs else c
     if tot.is_zero():
         coeffs.pop(label, None)
     else:
@@ -128,53 +138,55 @@ def _check_residue(eps, p):
         raise ValueError(f"residue {eps} out of range for p = {p}")
 
 
-def apply_e(v, eps, r=1, p=2):
-    """Remove r nodes of residue eps in all legal ways at once.
+def _moves(basis, label, eps, r, p, grow):
+    """(new label, sqrt2 exponent) for every way of removing (grow=False)
+    or adding r nodes of residue eps on one label.
 
-    Linear basis: one term per r-subset of the removable eps-nodes, always
-    with coefficient 1.  Spin basis (p = 2 only): one term per way of
-    shedding r end cells of spin residue eps, at most two per row, leaving a
-    strict partition; the coefficient is sqrt2 to the number of even parts
-    created or destroyed.
+    Linear basis: one move per r-subset of the removable (addable)
+    eps-nodes, exponent 0.  Spin basis: one move per way of shedding
+    (growing) r end cells of spin residue eps, at most two per row, that
+    leaves a strict partition; the exponent counts the even parts created
+    or destroyed.
     """
+    if basis == "linear":
+        nodes = addable_nodes if grow else removable_nodes
+        move = add_corner_set if grow else remove_corner_set
+        return [(move(label, sub), 0) for sub in itertools.combinations(nodes(label, eps, p), r)]
+    moves = spin_additions if grow else spin_removals
+    return [(be, _even_flips(label, be)) for be, _ in moves(label, eps, count=r)]
+
+
+def _apply(v, eps, r, p, grow):
     if r < 0:
         raise ValueError("r must be nonnegative")
     _check_residue(eps, p)
+    if v.basis == "spin" and p != 2:
+        raise ValueError("spin operators exist only for p = 2")
     out = {}
-    if v.basis == "linear":
-        for la, c in v.coeffs.items():
-            for sub in itertools.combinations(removable_nodes(la, eps, p), r):
-                _accum(out, remove_corner_set(la, sub), c)
-    else:
-        if p != 2:
-            raise ValueError("spin operators exist only for p = 2")
-        for al, c in v.coeffs.items():
-            for be, _ in spin_removals(al, eps, count=r):
-                _accum(out, be, c * sqrt2_pow(_even_flips(al, be)))
-    return CharVector(v.basis, v.n - r, out)
+    for label, c in v.coeffs.items():
+        for new, k in _moves(v.basis, label, eps, r, p, grow):
+            _accum(out, new, c * sqrt2_pow(k) if k else c)
+    return CharVector(v.basis, v.n + r if grow else v.n - r, out)
+
+
+def apply_e(v, eps, r=1, p=2):
+    """Remove r nodes of residue eps in all legal ways at once (p = 2 only
+    in the spin basis); see _moves for the terms and their coefficients."""
+    return _apply(v, eps, r, p, grow=False)
 
 
 def apply_f(v, eps, r=1, p=2):
     """Add r nodes of residue eps in all legal ways at once; dual to apply_e."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    _check_residue(eps, p)
-    out = {}
-    if v.basis == "linear":
-        for la, c in v.coeffs.items():
-            for sub in itertools.combinations(addable_nodes(la, eps, p), r):
-                _accum(out, add_corner_set(la, sub), c)
-    else:
-        if p != 2:
-            raise ValueError("spin operators exist only for p = 2")
-        for al, c in v.coeffs.items():
-            for be, _ in spin_additions(al, eps, count=r):
-                _accum(out, be, c * sqrt2_pow(_even_flips(al, be)))
-    return CharVector(v.basis, v.n + r, out)
+    return _apply(v, eps, r, p, grow=True)
 
 
 # ---------------------------------------------------------------------------
 # runner swap and quotient redistribution
+
+def _add_signed(out, w, negate):
+    for label, x in w.coeffs.items():
+        _accum(out, label, -x if negate else x)
+
 
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
@@ -184,16 +196,15 @@ def runner_swap(v, eps, c, p=2):
     (-1)^c, invisible for even c; the convention here is pinned by the
     odd-p worked example S_2^(1) on (9,8,5,1^5) in the verify suite.
     """
-    total = zero(v.basis, v.n + c)
-    for a in range(max(0, -c), v.n + 1):
-        w = apply_e(v, eps, a, p)
-        if w.is_zero():
-            continue
-        w = apply_f(w, eps, a + c, p)
-        if a % 2:
-            w = scale(w, -1)
-        total = add(total, w)
-    return total
+    out = {}
+    for label, coef in v.coeffs.items():
+        one = CharVector(v.basis, v.n, {label: coef})
+        for a in range(max(0, -c), v.n + 1):
+            w = apply_e(one, eps, a, p)
+            if w.is_zero():
+                break
+            _add_signed(out, apply_f(w, eps, a + c, p), a % 2)
+    return CharVector(v.basis, v.n + c, out)
 
 
 def quot_red(v, eps, d):
@@ -201,20 +212,16 @@ def quot_red(v, eps, d):
     (-1)^(a+d) f_eps^(a+d) f_eps'^(a+d) e_eps'^(a) e_eps^(a) with
     eps' the other residue, rightmost factor applied first."""
     ebar = 1 - eps
-    total = zero(v.basis, v.n + 2 * d)
-    for a in range(max(0, -d), v.n + 1):
-        w = apply_e(v, eps, a)
-        if w.is_zero():
-            continue
-        w = apply_e(w, ebar, a)
-        if w.is_zero():
-            continue
-        w = apply_f(w, ebar, a + d)
-        w = apply_f(w, eps, a + d)
-        if (a + d) % 2:
-            w = scale(w, -1)
-        total = add(total, w)
-    return total
+    out = {}
+    for label, coef in v.coeffs.items():
+        one = CharVector(v.basis, v.n, {label: coef})
+        for a in range(max(0, -d), v.n + 1):
+            w = apply_e(one, eps, a)
+            if w.is_zero():
+                break
+            w = apply_f(apply_f(apply_e(w, ebar, a), ebar, a + d), eps, a + d)
+            _add_signed(out, w, (a + d) % 2)
+    return CharVector(v.basis, v.n + 2 * d, out)
 
 
 def linear_swap_sign(la, eps):
@@ -268,25 +275,26 @@ def _choices(lowers, uppers, strict=False):
     return out
 
 
+def _under(a, b, vertical=False, strict=False):
+    """Partitions (strict ones if strict) below both a and b by horizontal
+    strips, or by vertical strips if vertical.  Row i is at most
+    min(a_i, b_i) and at least max(a_{i+1}, b_{i+1}) (horizontal) or
+    max(a_i - 1, b_i - 1, 0) (vertical)."""
+    k = max(len(a), len(b))
+    if vertical:
+        low = [max(_get(a, i) - 1, _get(b, i) - 1, 0) for i in range(k)]
+    else:
+        low = [max(_get(a, i + 1), _get(b, i + 1)) for i in range(k)]
+    up = [min(_get(a, i), _get(b, i)) for i in range(k)]
+    if any(l > u for l, u in zip(low, up)):
+        return []
+    return _choices(low, up, strict)
+
+
 def interm(bla, bmu):
-    """All bipartitions one layer below both bla and bmu."""
-    la0, la1 = bla
-    mu0, mu1 = bmu
-    k0 = max(len(la0), len(mu0))
-    low0 = [max(_get(la0, i + 1), _get(mu0, i + 1)) for i in range(k0)]
-    up0 = [min(_get(la0, i), _get(mu0, i)) for i in range(k0)]
-    k1 = max(len(la1), len(mu1))
-    low1 = [max(_get(la1, i) - 1, _get(mu1, i) - 1, 0) for i in range(k1)]
-    up1 = [min(_get(la1, i), _get(mu1, i)) for i in range(k1)]
-    if any(l > u for l, u in zip(low0, up0)):
-        return []
-    if any(l > u for l, u in zip(low1, up1)):
-        return []
-    return [
-        (nu0, nu1)
-        for nu0 in _choices(low0, up0)
-        for nu1 in _choices(low1, up1)
-    ]
+    """All bipartitions one layer below both bla and bmu: component 0 by
+    horizontal strips, component 1 by vertical strips."""
+    return list(itertools.product(_under(bla[0], bmu[0]), interm1(bla[1], bmu[1])))
 
 
 def interm_signed_sum(bla, bmu):
@@ -300,26 +308,12 @@ def interm_signed_sum(bla, bmu):
 
 def interm0(eta, theta):
     """Strict partitions under both eta and theta by horizontal strips."""
-    k = max(len(eta), len(theta))
-    low = [max(_get(eta, i + 1), _get(theta, i + 1)) for i in range(k)]
-    up = [min(_get(eta, i), _get(theta, i)) for i in range(k)]
-    if any(l > u for l, u in zip(low, up)):
-        return []
-    return _choices(low, up, strict=True)
+    return _under(eta, theta, strict=True)
 
 
 def interm1(sigma, tau):
     """Partitions under both sigma and tau by vertical strips."""
-    k = max(len(sigma), len(tau))
-    low = [max(_get(sigma, i) - 1, _get(tau, i) - 1, 0) for i in range(k)]
-    up = [min(_get(sigma, i), _get(tau, i)) for i in range(k)]
-    if any(l > u for l, u in zip(low, up)):
-        return []
-    return _choices(low, up)
-
-
-def interm1_count(sigma, tau):
-    return len(interm1(sigma, tau))
+    return _under(sigma, tau, vertical=True)
 
 
 def kom(eta, theta):

@@ -184,11 +184,14 @@ def _encode_table(table):
 
 def _decode_table(rows, labels, width):
     """{label: Brauer vector} from rows of [a, b] integer pairs.  A row of
-    another width, or an entry that is not a pair of integers, raises
-    ValueError or TypeError."""
+    another width, or an entry that is not a pair of ints (a JSON true or
+    false included), raises ValueError or TypeError."""
     table = {}
     for label in labels:
-        vec = tuple(Scalar(a, b) for a, b in rows[_label_key(label)])
+        row = rows[_label_key(label)]
+        if any(type(x) is not int for entry in row for x in entry):
+            raise TypeError(f"row {_label_key(label)} holds a value that is not an int")
+        vec = tuple(Scalar(a, b) for a, b in row)
         if len(vec) != width:
             raise ValueError(f"row {_label_key(label)} has {len(vec)} values")
         table[label] = vec

@@ -19,8 +19,6 @@ from barspin.partitions import (
     check_strict,
     conjugate,
     even_parts,
-    k_core,
-    k_weight,
     odd_parts,
     scale_parts,
     size,
@@ -41,20 +39,6 @@ class FsasDecomposition:
     def rebuild(self):
         evens = scale_parts(sum_parts(staircase(self.r), staircase(self.s)), 2)
         return union_parts(bar_staircase(self.a), evens)
-
-
-def is_four_stepped(al):
-    pset = set(al)
-    return all(p - 4 in pset for p in al if p > 4)
-
-
-def is_four_semicongruent(al):
-    odds = odd_parts(al)
-    return len({p % 4 for p in odds}) <= 1
-
-
-def is_fsas(al):
-    return fsas_decompose(al) is not None
 
 
 def fsas_decompose(al):
@@ -123,10 +107,6 @@ def equality_cases(n):
 # ---------------------------------------------------------------------------
 # RoCK labels
 
-def linear_is_rock(la):
-    return k_weight(la, 2) <= len(k_core(la, 2)) + 1
-
-
 def spin_rock_decompose(al):
     """(b, sigma, eta) with alpha = (bar_staircase(b) + 4*sigma) U 2*eta,
     or None when the odd parts are not 4-semicongruent."""
@@ -154,10 +134,3 @@ def spin_rock_decompose(al):
     eta = tuple(p // 2 for p in even_parts(al))
     return b, sigma, eta
 
-
-def spin_is_rock(al):
-    dec = spin_rock_decompose(al)
-    if dec is None:
-        return False
-    b, sigma, eta = dec
-    return 2 * sum(sigma) + sum(eta) <= b + 1

@@ -295,7 +295,7 @@ def _rock_expected(b, sigma, eta, d):
     """Predicted R^{(d)} image on the label (bar_staircase(b)+4*sigma) U 2*eta.
 
     The coefficient of the label (bar_staircase(b)+4*tau) U 2*theta is
-    interm1_count(sigma, tau) * b_closed(eta, theta), summed over every
+    |interm1(sigma, tau)| * b_closed(eta, theta), summed over every
     pair (tau, theta) with 2|tau| + |theta| equal to the target weight
     whose label is strict.  The closed-form evaluation b_closed is applied
     with the size difference |theta| - |eta| of each pair, which need not
@@ -308,7 +308,7 @@ def _rock_expected(b, sigma, eta, d):
     items = []
     for k in range(0, max(w + d, 0) // 2 + 1):
         for tau in pt.partitions_of(k):
-            count = cs.interm1_count(sigma, tau)
+            count = len(cs.interm1(sigma, tau))
             if count == 0:
                 continue
             body = pt.sum_parts(gamma, pt.scale_parts(tau, 4))

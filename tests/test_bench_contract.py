@@ -28,3 +28,15 @@ def test_tracer_installs_and_restores_around_a_suite():
     assert cv.scan is scan and Scalar.__dict__["__add__"] is add
     assert "charvalues.scan" in {span[0] for span in t.spans}
     assert t.counts["charvalues.scan"] == 4
+
+
+def test_tracer_spans_the_operator_layer():
+    tracer = _load_tracer()
+    with tracer.Tracer() as t:
+        reps = [verify.run_suite(suite, 4) for suite in ("runner-swap", "quot-red")]
+    assert all(rep.ok for rep in reps)
+    # (caller, callee) for every span opened inside another
+    calls = {(t.spans[parent][0], name) for name, _, _, parent in t.spans if parent >= 0}
+    for composite in ("runner_swap", "quot_red"):
+        for op in ("apply_e", "apply_f"):
+            assert (f"charspace.{composite}", f"charspace.{op}") in calls

@@ -326,6 +326,8 @@ BAD_CACHE_FILES = {
         key: [{"a": str(a), "b": str(b)} for a, b in row] for key, row in blob["spin"].items()})),
     "v1 string entry": _edit_blob(lambda blob: blob["spin"]["5"].__setitem__(0, {"a": "1", "b": "0"})),
     "float entry": _edit_blob(lambda blob: blob["linear"]["5"].__setitem__(0, [1.0, 0])),
+    # JSON true/false would otherwise read as the ints 1/0
+    "bool entry": _edit_blob(lambda blob: blob["linear"]["5"].__setitem__(0, [True, False])),
     "missing key": _edit_blob(lambda blob: blob["spin"].pop("4,1")),
     "short row": _edit_blob(lambda blob: blob["linear"]["5"].pop()),
     "wrong n": _edit_blob(lambda blob: blob.update(n=4)),

@@ -2,7 +2,10 @@
 
 Decomposition examples are frozen from hand computations; the structural
 properties (rebuild round trips, conjugate pairs, size preservation) run
-over every strict partition up to a modest size.
+over every strict partition up to a modest size.  The paper's literal
+definitions of four-stepped and four-semicongruent, and the RoCK
+conditions, live here as oracles: the library decides membership by
+fsas_decompose and spin_rock_decompose alone.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,8 @@ from barspin import classify as cl
 from barspin.abacus import two_quotient
 from barspin.partitions import (
     bar_staircase,
+    k_core,
+    k_weight,
     partitions_of,
     scale_parts,
     size,
@@ -19,6 +24,30 @@ from barspin.partitions import (
     sum_parts,
     union_parts,
 )
+
+
+def is_four_stepped(al):
+    """Every part p > 4 has p - 4 as a part too."""
+    return all(p - 4 in al for p in al if p > 4)
+
+
+def is_four_semicongruent(al):
+    """All odd parts agree mod 4."""
+    return len({p % 4 for p in al if p % 2}) <= 1
+
+
+def linear_is_rock(la):
+    return k_weight(la, 2) <= len(k_core(la, 2)) + 1
+
+
+def spin_is_rock(al):
+    """Odd parts 4-semicongruent, and the weight over the bar staircase,
+    in units of 2, at most b + 1."""
+    dec = cl.spin_rock_decompose(al)
+    if dec is None:
+        return False
+    b = dec[0]
+    return size(al) - size(bar_staircase(b)) <= 2 * (b + 1)
 
 
 def test_fsas_decompose_frozen():
@@ -31,19 +60,22 @@ def test_fsas_decompose_frozen():
 
 
 def test_is_fsas_examples():
-    assert not cl.is_fsas((3, 2, 1))
-    assert cl.is_fsas((2,))
-    assert cl.is_fsas(())
-    assert cl.is_fsas((10, 6, 2))
-    assert not cl.is_fsas((8, 2))
-    assert not cl.is_fsas((7, 1))
+    assert cl.fsas_decompose((3, 2, 1)) is None
+    assert cl.fsas_decompose((2,)) is not None
+    assert cl.fsas_decompose(()) is not None
+    assert cl.fsas_decompose((10, 6, 2)) is not None
+    assert cl.fsas_decompose((8, 2)) is None
+    assert cl.fsas_decompose((7, 1)) is None
+    assert not is_four_stepped((8, 2)) and is_four_semicongruent((8, 2))
+    assert is_four_stepped((3, 1)) and not is_four_semicongruent((3, 1))
+    assert cl.fsas_decompose((3, 1)) is None
 
 
 def test_fsas_equals_stepped_and_semicongruent():
     for n in range(0, 14):
         for al in strict_partitions_of(n):
-            both = cl.is_four_stepped(al) and cl.is_four_semicongruent(al)
-            assert cl.is_fsas(al) == both
+            both = is_four_stepped(al) and is_four_semicongruent(al)
+            assert (cl.fsas_decompose(al) is not None) == both
 
 
 def test_fsas_rebuild_round_trip():
@@ -104,7 +136,7 @@ def test_predicted_pairs_structure():
         pairs = cl.predicted_pairs(n)
         assert pairs == sorted(pairs)
         for al, la, e in pairs:
-            assert cl.is_fsas(al)
+            assert cl.fsas_decompose(al) is not None
             assert e == cl.ratio_exponent(al)
             assert la in cl.lambda_of(al)
         eq = cl.equality_cases(n)
@@ -130,22 +162,22 @@ def test_spin_rock_decompose_rebuild():
 
 
 def test_is_rock_examples():
-    assert cl.spin_is_rock((9, 1))
-    assert cl.spin_is_rock((5, 2, 1))
-    assert not cl.spin_is_rock((6, 4, 2))
-    assert not cl.spin_is_rock((3, 2, 1))
-    assert not cl.spin_is_rock((4,))
-    assert cl.linear_is_rock((4, 1))
-    assert cl.linear_is_rock((2, 1))
-    assert not cl.linear_is_rock((2, 2))
-    assert not cl.linear_is_rock((6, 3, 1, 1))
+    assert spin_is_rock((9, 1))
+    assert spin_is_rock((5, 2, 1))
+    assert not spin_is_rock((6, 4, 2))
+    assert not spin_is_rock((3, 2, 1))
+    assert not spin_is_rock((4,))
+    assert linear_is_rock((4, 1))
+    assert linear_is_rock((2, 1))
+    assert not linear_is_rock((2, 2))
+    assert not linear_is_rock((6, 3, 1, 1))
 
 
 @given(st.integers(min_value=0, max_value=12))
 @settings(max_examples=13, deadline=None)
 def test_rock_spin_labels_have_small_weight(n):
     for al in strict_partitions_of(n):
-        if not cl.spin_is_rock(al):
+        if not spin_is_rock(al):
             continue
         b, sigma, eta = cl.spin_rock_decompose(al)
         assert 2 * size(sigma) + size(eta) <= b + 1

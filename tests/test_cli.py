@@ -182,6 +182,14 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", ["all", "main"])
+def test_verify_negative_max_n_is_usage_error(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--max-n", "-2")
+    assert code == 2
+    assert out == ""
+    assert "--max-n must be nonnegative" in err
+
+
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     rep = verify.Report(suite="main", max_n=2)
     rep.check("stub", "left", "right")
