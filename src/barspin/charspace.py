@@ -9,6 +9,11 @@ Alternating composites of them swap the two runners of the abacus display
 (quot_red).  The intermediate-bipartition counts that control the matrix
 entries of quot_red live here too.
 
+Every term an operator produces is c * sqrt2^k for an input coefficient
+c = a + b sqrt2, so vectors are summed as plain coordinate pairs per label
+(ints in practice, Fractions only if the input has them), with one Scalar
+built per label at the end and the labels whose sum is zero dropped.
+
 The composites work one input label at a time and stop at the first a where
 e_eps^(a) of the label vanishes.  That is exact: on one label, the counts r
 for which e_eps^(r) (or f_eps^(r)) has a term form an interval [0, max].
@@ -26,16 +31,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ge, gt
 
 from barspin.abacus import bswp, swp
 from barspin.partitions import (
-    add_corner_set,
     addable_nodes,
     check_partition,
     check_strict,
     min_parts,
     removable_nodes,
-    remove_corner_set,
     size,
     spin_addable_nodes,
     spin_additions,
@@ -63,18 +67,32 @@ def _as_scalar(c):
     return c if isinstance(c, Scalar) else Scalar(c)
 
 
-def _accum(coeffs, label, c):
-    tot = coeffs[label] + c if label in coeffs else c
-    if tot.is_zero():
-        coeffs.pop(label, None)
+def _add_pair(acc, label, a, b):
+    """Add a + b*sqrt2 into the coordinate pair that acc holds for label."""
+    pair = acc.get(label)
+    if pair is None:
+        acc[label] = [a, b]
     else:
-        coeffs[label] = tot
+        pair[0] += a
+        pair[1] += b
+
+
+def _add_signed(acc, w, negate=False):
+    """Add w (or -w) into the coordinate pairs of acc."""
+    sign = -1 if negate else 1
+    for label, x in w.coeffs.items():
+        _add_pair(acc, label, sign * x.a, sign * x.b)
+
+
+def _from_pairs(basis, n, acc):
+    """The vector with the summed coordinate pairs; zero sums are dropped."""
+    return CharVector(basis, n, {label: Scalar(a, b) for label, (a, b) in acc.items() if a or b})
 
 
 def vector(basis, n, items):
     if basis not in ("linear", "spin"):
         raise ValueError(f"unknown basis {basis!r}")
-    coeffs = {}
+    acc = {}
     for label, c in items.items() if isinstance(items, dict) else items:
         label = tuple(label)
         if basis == "spin":
@@ -83,8 +101,9 @@ def vector(basis, n, items):
             check_partition(label)
         if size(label) != n:
             raise ValueError(f"label {label} has the wrong size for n = {n}")
-        _accum(coeffs, label, _as_scalar(c))
-    return CharVector(basis, n, coeffs)
+        c = _as_scalar(c)
+        _add_pair(acc, label, c.a, c.b)
+    return _from_pairs(basis, n, acc)
 
 
 def unit(basis, label):
@@ -97,13 +116,12 @@ def zero(basis, n):
 
 def add(*vs):
     basis, n = vs[0].basis, vs[0].n
-    coeffs = {}
+    acc = {}
     for v in vs:
         if v.basis != basis or (v.coeffs and v.n != n):
             raise ValueError("incompatible vectors")
-        for label, c in v.coeffs.items():
-            _accum(coeffs, label, c)
-    return CharVector(basis, n, coeffs)
+        _add_signed(acc, v)
+    return _from_pairs(basis, n, acc)
 
 
 def scale(v, c):
@@ -113,25 +131,8 @@ def scale(v, c):
     return CharVector(v.basis, v.n, {label: x * c for label, x in v.coeffs.items()})
 
 
-def inner(u, v):
-    """Pairing in which the labels are orthonormal."""
-    if u.basis != v.basis:
-        raise ValueError("mismatched bases")
-    total = Scalar(0)
-    for label, c in u.coeffs.items():
-        d = v.coeffs.get(label)
-        if d is not None:
-            total = total + c * d
-    return total
-
-
 # ---------------------------------------------------------------------------
 # branching operators
-
-def _even_flips(al, be):
-    """Even integers that are a part of exactly one of the two."""
-    return len({p for p in al if p % 2 == 0} ^ {p for p in be if p % 2 == 0})
-
 
 def _check_residue(eps, p):
     if not 0 <= eps < p:
@@ -143,17 +144,29 @@ def _moves(basis, label, eps, r, p, grow):
     or adding r nodes of residue eps on one label.
 
     Linear basis: one move per r-subset of the removable (addable)
-    eps-nodes, exponent 0.  Spin basis: one move per way of shedding
-    (growing) r end cells of spin residue eps, at most two per row, that
-    leaves a strict partition; the exponent counts the even parts created
-    or destroyed.
+    eps-nodes, exponent 0.  Each subset changes its rows by one cell; the
+    nodes are corners of a partition, so the result is one by construction.
+    Spin basis: one move per way of shedding (growing) r end cells of spin
+    residue eps, at most two per row, that leaves a strict partition; the
+    exponent counts the even integers that are a part of exactly one of
+    the old and new labels.  Moving no nodes is the identity.
     """
+    if r == 0:
+        return [(label, 0)]
     if basis == "linear":
-        nodes = addable_nodes if grow else removable_nodes
-        move = add_corner_set if grow else remove_corner_set
-        return [(move(label, sub), 0) for sub in itertools.combinations(nodes(label, eps, p), r)]
+        nodes = addable_nodes(label, eps, p) if grow else removable_nodes(label, eps, p)
+        step = 1 if grow else -1
+        out = []
+        for sub in itertools.combinations(nodes, r):
+            rows = [*label, 0]
+            for i, _ in sub:
+                rows[i - 1] += step
+            out.append((tuple(filter(None, rows)), 0))
+        return out
     moves = spin_additions if grow else spin_removals
-    return [(be, _even_flips(label, be)) for be, _ in moves(label, eps, count=r)]
+    evens = {x for x in label if x % 2 == 0}
+    return [(be, len(evens ^ {x for x in be if x % 2 == 0}))
+            for be, _ in moves(label, eps, count=r)]
 
 
 def _apply(v, eps, r, p, grow):
@@ -162,11 +175,16 @@ def _apply(v, eps, r, p, grow):
     _check_residue(eps, p)
     if v.basis == "spin" and p != 2:
         raise ValueError("spin operators exist only for p = 2")
-    out = {}
+    acc = {}
     for label, c in v.coeffs.items():
+        # c * sqrt2^k with c = a + b sqrt2: sqrt2^(2q) = 2^q, and
+        # sqrt2 (a + b sqrt2) = 2b + a sqrt2
+        even, odd = (c.a, c.b), (2 * c.b, c.a)
         for new, k in _moves(v.basis, label, eps, r, p, grow):
-            _accum(out, new, c * sqrt2_pow(k) if k else c)
-    return CharVector(v.basis, v.n + r if grow else v.n - r, out)
+            x, y = odd if k & 1 else even
+            s = 1 << (k >> 1)
+            _add_pair(acc, new, x * s, y * s)
+    return _from_pairs(v.basis, v.n + r if grow else v.n - r, acc)
 
 
 def apply_e(v, eps, r=1, p=2):
@@ -183,11 +201,6 @@ def apply_f(v, eps, r=1, p=2):
 # ---------------------------------------------------------------------------
 # runner swap and quotient redistribution
 
-def _add_signed(out, w, negate):
-    for label, x in w.coeffs.items():
-        _accum(out, label, -x if negate else x)
-
-
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
     (-1)^a f_eps^(a+c) e_eps^(a), rightmost factor applied first.
@@ -196,15 +209,15 @@ def runner_swap(v, eps, c, p=2):
     (-1)^c, invisible for even c; the convention here is pinned by the
     odd-p worked example S_2^(1) on (9,8,5,1^5) in the verify suite.
     """
-    out = {}
+    acc = {}
     for label, coef in v.coeffs.items():
         one = CharVector(v.basis, v.n, {label: coef})
         for a in range(max(0, -c), v.n + 1):
             w = apply_e(one, eps, a, p)
             if w.is_zero():
                 break
-            _add_signed(out, apply_f(w, eps, a + c, p), a % 2)
-    return CharVector(v.basis, v.n + c, out)
+            _add_signed(acc, apply_f(w, eps, a + c, p), a % 2)
+    return _from_pairs(v.basis, v.n + c, acc)
 
 
 def quot_red(v, eps, d):
@@ -212,7 +225,7 @@ def quot_red(v, eps, d):
     (-1)^(a+d) f_eps^(a+d) f_eps'^(a+d) e_eps'^(a) e_eps^(a) with
     eps' the other residue, rightmost factor applied first."""
     ebar = 1 - eps
-    out = {}
+    acc = {}
     for label, coef in v.coeffs.items():
         one = CharVector(v.basis, v.n, {label: coef})
         for a in range(max(0, -d), v.n + 1):
@@ -220,8 +233,8 @@ def quot_red(v, eps, d):
             if w.is_zero():
                 break
             w = apply_f(apply_f(apply_e(w, ebar, a), ebar, a + d), eps, a + d)
-            _add_signed(out, w, (a + d) % 2)
-    return CharVector(v.basis, v.n + 2 * d, out)
+            _add_signed(acc, w, (a + d) % 2)
+    return _from_pairs(v.basis, v.n + 2 * d, acc)
 
 
 def linear_swap_sign(la, eps):
@@ -253,42 +266,38 @@ def spin_swap_sign(al, eps):
 # ---------------------------------------------------------------------------
 # intermediate bipartitions and the closed matrix entries
 
-def _get(parts, i):
-    return parts[i] if i < len(parts) else 0
-
-
-def _choices(lowers, uppers, strict=False):
-    """Weakly (or strictly) decreasing picks from per-row intervals."""
+def _choices(bounds, strict=False):
+    """Weakly (or strictly) decreasing picks, one from each row's interval
+    (lo, hi), with the zero rows dropped."""
     out = []
-
-    def rec(i, prev, acc):
-        if i == len(lowers):
-            out.append(tuple(p for p in acc if p))
-            return
-        hi = uppers[i]
-        if prev is not None:
-            hi = min(hi, prev - 1 if strict and prev > 0 else prev)
-        for val in range(lowers[i], hi + 1):
-            rec(i + 1, val, acc + [val])
-
-    rec(0, None, [])
+    for pick in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        if all(map(ge, pick, pick[1:])):
+            nu = tuple(filter(None, pick))
+            if not strict or all(map(gt, nu, nu[1:])):
+                out.append(nu)
     return out
+
+
+def _bounds(a, b, vertical=False):
+    """Per-row intervals (lo, hi) for the partitions below both a and b by
+    horizontal strips, or by vertical strips if vertical.  Row i is at most
+    min(a_i, b_i) and at least max(a_{i+1}, b_{i+1}) (horizontal) or
+    max(a_i - 1, b_i - 1, 0) (vertical)."""
+    rows = list(itertools.zip_longest(a, b, fillvalue=0))
+    if vertical:
+        low = [max(x, y, 1) - 1 for x, y in rows]
+    else:
+        low = [max(row) for row in rows[1:]] + [0]
+    return [(lo, min(row)) for lo, row in zip(low, rows)]
 
 
 def _under(a, b, vertical=False, strict=False):
     """Partitions (strict ones if strict) below both a and b by horizontal
-    strips, or by vertical strips if vertical.  Row i is at most
-    min(a_i, b_i) and at least max(a_{i+1}, b_{i+1}) (horizontal) or
-    max(a_i - 1, b_i - 1, 0) (vertical)."""
-    k = max(len(a), len(b))
-    if vertical:
-        low = [max(_get(a, i) - 1, _get(b, i) - 1, 0) for i in range(k)]
-    else:
-        low = [max(_get(a, i + 1), _get(b, i + 1)) for i in range(k)]
-    up = [min(_get(a, i), _get(b, i)) for i in range(k)]
-    if any(l > u for l, u in zip(low, up)):
+    strips, or by vertical strips if vertical; see _bounds."""
+    bounds = _bounds(a, b, vertical)
+    if any(lo > hi for lo, hi in bounds):
         return []
-    return _choices(low, up, strict)
+    return _choices(bounds, strict)
 
 
 def interm(bla, bmu):
@@ -298,12 +307,22 @@ def interm(bla, bmu):
 
 
 def interm_signed_sum(bla, bmu):
-    """Sum of (-1)^(|bmu| - |bnu|) over the intermediates below both."""
-    m = size(bmu[0]) + size(bmu[1])
-    total = 0
-    for nu0, nu1 in interm(bla, bmu):
-        total += -1 if (m - size(nu0) - size(nu1)) % 2 else 1
-    return total
+    """Sum of (-1)^(|bmu| - |bnu|) over the intermediates below both.
+
+    The intermediates are the product of the two components' lists and the
+    sign is (-1)^|bmu| (-1)^|nu0| (-1)^|nu1|, so the sum is (-1)^|bmu| times
+    one alternating count per component.  Component 0 needs no list: its
+    row intervals interlace (row i+1 is at most min(a_{i+1}, b_{i+1}) and
+    row i at least max(a_{i+1}, b_{i+1})), so every pick is a partition,
+    and its count is the product over rows of the sum of (-1)^v over
+    lo <= v <= hi: 0 for an interval of even length, else (-1)^lo."""
+    sign = -1 if (size(bmu[0]) + size(bmu[1])) % 2 else 1
+    for lo, hi in _bounds(bla[0], bmu[0]):
+        if lo > hi or (hi - lo) % 2:
+            return 0
+        if lo % 2:
+            sign = -sign
+    return sign * sum(-1 if size(nu) % 2 else 1 for nu in interm1(bla[1], bmu[1]))
 
 
 def interm0(eta, theta):
@@ -322,15 +341,18 @@ def kom(eta, theta):
 
 
 def b_sum(eta, theta):
-    """Alternating sqrt2-weighted sum over the strict intermediates."""
-    total = Scalar(0)
+    """Alternating sqrt2-weighted sum over the strict intermediates ze:
+    (-1)^(|theta| - |ze|) sqrt2^(kom(eta, ze) + kom(theta, ze)), added up
+    as integers by the parity of the sqrt2 power."""
+    e, t = set(eta), set(theta)
     st = size(theta)
+    acc = [0, 0]
     for ze in interm0(eta, theta):
-        term = sqrt2_pow(kom(eta, ze) + kom(theta, ze))
-        if (st - size(ze)) % 2:
-            term = -term
-        total = total + term
-    return total
+        z = set(ze)
+        k = len(e ^ z) + len(t ^ z)
+        term = 1 << (k >> 1)
+        acc[k & 1] += -term if (st - size(ze)) % 2 else term
+    return Scalar(*acc)
 
 
 def b_closed(eta, theta):

@@ -251,8 +251,15 @@ def addable_nodes(la, eps=None, p=2):
     return out
 
 
+def _check_rows_distinct(la, nodes):
+    rows = [r for r, _ in nodes]
+    if len(set(rows)) != len(rows):
+        raise ValueError(f"more than one node per row in {nodes!r} for {la}")
+
+
 def remove_corner_set(la, nodes):
     """Remove a set of removable corners (at most one per row)."""
+    _check_rows_distinct(la, nodes)
     lst = list(la)
     for r, c in nodes:
         if r > len(lst) or lst[r - 1] != c:
@@ -264,6 +271,8 @@ def remove_corner_set(la, nodes):
 
 
 def add_corner_set(la, nodes):
+    """Add a set of addable nodes (at most one per row)."""
+    _check_rows_distinct(la, nodes)
     lst = list(la)
     for r, c in nodes:
         if r == len(lst) + 1:
@@ -488,57 +497,57 @@ def _spin_addition_options(part, eps):
     return opts
 
 
+def _spin_moves(al, opts, sign, count, extra=0):
+    """(new parts, cells moved) for every pick of one option per row that
+    keeps the parts strictly decreasing (a trailing 0 allowed), built row
+    by row.  With count, picks that cannot end at count cells, counting
+    up to extra more after the last row, are dropped as early as possible."""
+    room = [extra]  # room[i]: the most cells rows i, i+1, ... can still move
+    for o in reversed(opts):
+        room.append(room[-1] + o[-1])
+    room.reverse()
+    states = [((), 0)]
+    for part, row_opts, rest in zip(al, opts, room[1:]):
+        nxt = []
+        for parts, moved in states:
+            for k in row_opts:
+                new = part + sign * k
+                if parts and new >= parts[-1]:
+                    continue
+                if count is not None and not moved + k <= count <= moved + k + rest:
+                    continue
+                nxt.append((parts + (new,), moved + k))
+        states = nxt
+    return states
+
+
 def spin_removals(al, eps, count=None):
     """All ways to shed end cells of spin residue eps, up to 2 per row,
     leaving a strict partition.  Yields (beta, frozenset of shed nodes).
     With count, only configurations shedding exactly that many cells."""
+    opts = [_spin_removal_options(part, eps) for part in al]
     results = []
-
-    def rec(i, prev, parts, nodes, shed):
-        if count is not None and shed > count:
-            return
-        if i == len(al):
-            if count is None or shed == count:
-                beta = tuple(p for p in parts if p)
-                results.append((beta, frozenset(nodes)))
-            return
-        for k in _spin_removal_options(al[i], eps):
-            new = al[i] - k
-            if prev is not None and new >= prev:
-                continue
-            added = [(i + 1, al[i] - j) for j in range(k)]
-            rec(i + 1, new, parts + [new], nodes + added, shed + k)
-
-    rec(0, None, [], [], 0)
+    for parts, shed in _spin_moves(al, opts, -1, count):
+        if count is None or shed == count:
+            nodes = frozenset((i + 1, c) for i, (old, new) in enumerate(zip(al, parts))
+                              for c in range(new + 1, old + 1))
+            results.append((tuple(filter(None, parts)), nodes))
     return results
 
 
 def spin_additions(al, eps, count=None):
     """All ways to grow rows by end cells of spin residue eps, up to 2 per
     row, plus possibly a new final row of size 1 (residue 0 only)."""
+    opts = [_spin_addition_options(part, eps) for part in al]
+    new_row = eps == 0
     results = []
-
-    def rec(i, prev, parts, nodes, grown):
-        if count is not None and grown > count:
-            return
-        if i == len(al):
-            for extra in (0, 1):
-                if extra and (eps != 0 or (prev is not None and prev <= 1)):
-                    continue
-                total = grown + extra
-                if count is not None and total != count:
-                    continue
-                beta = tuple(parts) + ((1,) if extra else ())
-                results.append((beta, frozenset(nodes + ([(len(al) + 1, 1)] if extra else []))))
-            return
-        for k in _spin_addition_options(al[i], eps):
-            new = al[i] + k
-            if prev is not None and new >= prev:
-                continue
-            added = [(i + 1, al[i] + j) for j in range(1, k + 1)]
-            rec(i + 1, new, parts + [new], nodes + added, grown + k)
-
-    rec(0, None, [], [], 0)
+    for parts, grown in _spin_moves(al, opts, 1, count, extra=int(new_row)):
+        nodes = [(i + 1, c) for i, (old, new) in enumerate(zip(al, parts))
+                 for c in range(old + 1, new + 1)]
+        if count is None or grown == count:
+            results.append((parts, frozenset(nodes)))
+        if new_row and (not parts or parts[-1] > 1) and (count is None or grown + 1 == count):
+            results.append((parts + (1,), frozenset(nodes + [(len(al) + 1, 1)])))
     return results
 
 

@@ -40,3 +40,15 @@ def test_tracer_spans_the_operator_layer():
     for composite in ("runner_swap", "quot_red"):
         for op in ("apply_e", "apply_f"):
             assert (f"charspace.{composite}", f"charspace.{op}") in calls
+
+
+def test_tracer_spans_the_interm_layer():
+    """charspace.interm_s is charged by the signed-sum and B routines
+    themselves; neither of them calls interm."""
+    tracer = _load_tracer()
+    with tracer.Tracer() as t:
+        rep = verify.run_suite("interm", 4)
+    assert rep.ok
+    spanned = {span[0] for span in t.spans}
+    assert {"charspace.interm_signed_sum", "charspace.b_sum"} <= spanned
+    assert tracer.layer_seconds(t.spans).get("charspace.interm_s", 0) > 0

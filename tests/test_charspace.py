@@ -3,23 +3,46 @@
 Operator images are frozen from hand computations on the abacus.  The
 adjointness of the raising and lowering operators is checked exhaustively
 in small sizes, since every branching identity used elsewhere reduces to it.
-The composite operators are checked against their defining alternating sums,
-summed vector by vector over every a (the reference routes below).
+The library sums coefficients as integer coordinate pairs and enumerates
+intermediates flat; the reference routes below do the same sums term by
+term in Scalar arithmetic, move by move through the validating corner
+helpers, and over the intermediates picked row by row.
 """
+
+import itertools
+from fractions import Fraction
 
 import pytest
 
 from barspin import charspace as cs
-from barspin.scalars import Scalar
+from barspin.scalars import Scalar, sqrt2_pow
 from barspin.partitions import (
+    add_corner_set,
+    addable_nodes,
     partitions_of,
+    removable_nodes,
+    remove_corner_set,
+    size,
     spin_additions,
     spin_removals,
     strict_partitions_of,
+    strict_partitions_upto,
 )
 
 S = lambda a, b=0: Scalar(a, b)
 u = cs.unit
+
+
+def inner(v, w):
+    """Pairing in which the labels are orthonormal."""
+    if v.basis != w.basis:
+        raise ValueError("mismatched bases")
+    total = Scalar(0)
+    for label, c in v.coeffs.items():
+        d = w.coeffs.get(label)
+        if d is not None:
+            total = total + c * d
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +59,7 @@ def test_vector_validation():
     with pytest.raises(ValueError):
         cs.vector("linear", 4, [((3, 2), S(1))])
     with pytest.raises(ValueError):
-        cs.inner(u("spin", (3, 1)), u("linear", (2, 2)))
+        inner(u("spin", (3, 1)), u("linear", (2, 2)))
     with pytest.raises(ValueError):
         cs.add(u("spin", (3, 1)), u("spin", (4, 1)))
 
@@ -44,8 +67,8 @@ def test_vector_validation():
 def test_add_scale_inner():
     v = cs.add(u("spin", (3, 1)), cs.scale(u("spin", (3, 1)), S(-1)))
     assert v.is_zero()
-    assert cs.inner(u("spin", (3, 1)), u("spin", (3, 1))) == S(1)
-    assert cs.inner(u("linear", (2, 2)), u("linear", (2, 1, 1))) == S(0)
+    assert inner(u("spin", (3, 1)), u("spin", (3, 1))) == S(1)
+    assert inner(u("linear", (2, 2)), u("linear", (2, 1, 1))) == S(0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +104,8 @@ def test_e_f_adjoint_spin():
         for eps in (0, 1):
             for al in strict_partitions_of(n):
                 for be in strict_partitions_of(n + 1):
-                    lhs = cs.inner(cs.apply_f(u("spin", al), eps), u("spin", be))
-                    rhs = cs.inner(u("spin", al), cs.apply_e(u("spin", be), eps))
+                    lhs = inner(cs.apply_f(u("spin", al), eps), u("spin", be))
+                    rhs = inner(u("spin", al), cs.apply_e(u("spin", be), eps))
                     assert lhs == rhs
 
 
@@ -91,56 +114,111 @@ def test_e_f_adjoint_linear():
         for eps in (0, 1):
             for la in partitions_of(n):
                 for mu in partitions_of(n + 1):
-                    lhs = cs.inner(cs.apply_f(u("linear", la), eps), u("linear", mu))
-                    rhs = cs.inner(u("linear", la), cs.apply_e(u("linear", mu), eps))
+                    lhs = inner(cs.apply_f(u("linear", la), eps), u("linear", mu))
+                    rhs = inner(u("linear", la), cs.apply_e(u("linear", mu), eps))
                     assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
 # composites against their defining sums
 
+def _even_flips(al, be):
+    """Even integers that are a part of exactly one of the two."""
+    return len({p for p in al if p % 2 == 0} ^ {p for p in be if p % 2 == 0})
+
+
+def scalar_sum(basis, n, terms):
+    """The vector sum of (label, Scalar) terms, added in Scalar arithmetic."""
+    coeffs = {}
+    for label, x in terms:
+        coeffs[label] = coeffs.get(label, Scalar(0)) + x
+    return cs.CharVector(basis, n, {label: x for label, x in coeffs.items() if not x.is_zero()})
+
+
+def apply_reference(v, eps, r, p=2, grow=False):
+    """e^(r) (f^(r) if grow) term by term: linear moves through the
+    validating corner helpers, spin moves weighted by sqrt2^(even flips)."""
+    terms = []
+    for label, c in v.coeffs.items():
+        if v.basis == "linear":
+            nodes = addable_nodes if grow else removable_nodes
+            move = add_corner_set if grow else remove_corner_set
+            terms += [(move(label, sub), c) for sub in itertools.combinations(nodes(label, eps, p), r)]
+        else:
+            moves = spin_additions if grow else spin_removals
+            terms += [(be, c * sqrt2_pow(_even_flips(label, be))) for be, _ in moves(label, eps, count=r)]
+    return scalar_sum(v.basis, v.n + r if grow else v.n - r, terms)
+
+
 def runner_swap_reference(v, eps, c, p=2):
     """sum over a of (-1)^a f^(a+c) e^(a) v, one whole vector per a."""
-    total = cs.zero(v.basis, v.n + c)
+    terms = []
     for a in range(max(0, -c), v.n + 1):
-        w = cs.apply_e(v, eps, a, p)
-        if w.is_zero():
-            continue
-        w = cs.apply_f(w, eps, a + c, p)
-        if a % 2:
-            w = cs.scale(w, -1)
-        total = cs.add(total, w)
-    return total
+        w = apply_reference(apply_reference(v, eps, a, p), eps, a + c, p, grow=True)
+        terms += [(label, -x if a % 2 else x) for label, x in w.coeffs.items()]
+    return scalar_sum(v.basis, v.n + c, terms)
 
 
 def quot_red_reference(v, eps, d):
     """sum over a of (-1)^(a+d) f_eps^(a+d) f_eps'^(a+d) e_eps'^(a) e_eps^(a) v."""
     ebar = 1 - eps
-    total = cs.zero(v.basis, v.n + 2 * d)
+    terms = []
     for a in range(max(0, -d), v.n + 1):
-        w = cs.apply_e(cs.apply_e(v, eps, a), ebar, a)
-        if w.is_zero():
-            continue
-        w = cs.apply_f(cs.apply_f(w, ebar, a + d), eps, a + d)
-        if (a + d) % 2:
-            w = cs.scale(w, -1)
-        total = cs.add(total, w)
-    return total
+        w = apply_reference(apply_reference(v, eps, a), ebar, a)
+        w = apply_reference(apply_reference(w, ebar, a + d, grow=True), eps, a + d, grow=True)
+        terms += [(label, -x if (a + d) % 2 else x) for label, x in w.coeffs.items()]
+    return scalar_sum(v.basis, v.n + 2 * d, terms)
+
+
+def _mixed_vectors():
+    """Multi-label vectors with mixed coefficients, some not integral."""
+    F = Fraction
+    yield cs.vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1)), ((6, 3, 1), S(-3, 2))])
+    yield cs.vector("spin", 10, [((9, 1), S(F(1, 3), 2)), ((5, 4, 1), S(0, F(-5, 7))),
+                                 ((6, 3, 1), S(-3, F(2, 9))), ((4, 3, 2, 1), S(F(1, 2), F(1, 2)))])
+    yield cs.vector("spin", 9, [(al, S((-1) ** i, i)) for i, al in enumerate(strict_partitions_of(9))])
+    yield cs.vector("spin", 8, [(al, S(F(i, 3), F(1, i + 2))) for i, al in enumerate(strict_partitions_of(8))])
+    yield cs.vector("linear", 6, [((3, 2, 1), S(1)), ((4, 2), S(-1)), ((2, 2, 1, 1), S(0, 1)),
+                                  ((3, 3), S(5, -2))])
+    yield cs.vector("linear", 6, [((3, 2, 1), S(F(1, 3))), ((4, 2), S(-1)), ((2, 2, 1, 1), S(0, F(3, 4))),
+                                  ((3, 3), S(5, F(-2, 9)))])
+    yield cs.vector("linear", 5, [(la, S(i + 1, i % 3)) for i, la in enumerate(partitions_of(5))])
+    yield cs.vector("linear", 5, [(la, S(F(1, i + 2), F(i, 5))) for i, la in enumerate(partitions_of(5))])
 
 
 def _vectors_upto(m):
-    """Every unit vector with n <= m in both bases, then a few multi-label
-    vectors with mixed coefficients."""
+    """Every unit vector with n <= m in both bases, then the mixed vectors."""
     for n in range(0, m + 1):
         for la in partitions_of(n):
             yield u("linear", la)
         for al in strict_partitions_of(n):
             yield u("spin", al)
-    yield cs.vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1)), ((6, 3, 1), S(-3, 2))])
-    yield cs.vector("spin", 9, [(al, S((-1) ** i, i)) for i, al in enumerate(strict_partitions_of(9))])
-    yield cs.vector("linear", 6, [((3, 2, 1), S(1)), ((4, 2), S(-1)), ((2, 2, 1, 1), S(0, 1)),
-                                  ((3, 3), S(5, -2))])
-    yield cs.vector("linear", 5, [(la, S(i + 1, i % 3)) for i, la in enumerate(partitions_of(5))])
+    yield from _mixed_vectors()
+
+
+def test_apply_matches_scalar_reference():
+    for v in _vectors_upto(8):
+        for eps in (0, 1):
+            for r in range(4):
+                assert cs.apply_e(v, eps, r) == apply_reference(v, eps, r)
+                assert cs.apply_f(v, eps, r) == apply_reference(v, eps, r, grow=True)
+        if v.basis == "linear":
+            for eps in range(3):
+                for r in range(3):
+                    assert cs.apply_e(v, eps, r, p=3) == apply_reference(v, eps, r, p=3)
+                    assert cs.apply_f(v, eps, r, p=3) == apply_reference(v, eps, r, p=3, grow=True)
+
+
+def test_apply_keeps_fraction_coordinates_exact():
+    F = Fraction
+    v = cs.vector("spin", 4, [((3, 1), S(F(1, 3), F(1, 2)))])
+    # f_0 <<3,1>> = sqrt2 <<4,1>>, and sqrt2 (1/3 + sqrt2/2) = 1 + sqrt2/3
+    got = cs.apply_f(v, 0)
+    assert got.coeffs == {(4, 1): S(1, F(1, 3))}
+    assert type(got.coeffs[(4, 1)].a) is int
+    # e_0 <<3,1>> = <<3>> and e_0 <<4>> = sqrt2 <<3>>: these two terms cancel
+    w = cs.add(v, cs.vector("spin", 4, [((4,), S(F(-1, 2), F(-1, 6)))]))
+    assert cs.apply_e(w, 0).is_zero()
 
 
 def test_composites_match_their_defining_sums():
@@ -222,6 +300,101 @@ def test_quot_red_is_linear():
 
 # ---------------------------------------------------------------------------
 # intermediate label sums
+
+def _get(parts, i):
+    return parts[i] if i < len(parts) else 0
+
+
+def choices_reference(lowers, uppers, strict=False):
+    """Weakly (or strictly) decreasing picks from per-row intervals, chosen
+    row by row with each upper bound capped by the previous pick."""
+    out = []
+
+    def rec(i, prev, acc):
+        if i == len(lowers):
+            out.append(tuple(p for p in acc if p))
+            return
+        hi = uppers[i]
+        if prev is not None:
+            hi = min(hi, prev - 1 if strict and prev > 0 else prev)
+        for val in range(lowers[i], hi + 1):
+            rec(i + 1, val, acc + [val])
+
+    rec(0, None, [])
+    return out
+
+
+def under_reference(a, b, vertical=False, strict=False):
+    """Partitions below both a and b by horizontal (vertical) strips."""
+    k = max(len(a), len(b))
+    if vertical:
+        low = [max(_get(a, i) - 1, _get(b, i) - 1, 0) for i in range(k)]
+    else:
+        low = [max(_get(a, i + 1), _get(b, i + 1)) for i in range(k)]
+    up = [min(_get(a, i), _get(b, i)) for i in range(k)]
+    if any(lo > hi for lo, hi in zip(low, up)):
+        return []
+    return choices_reference(low, up, strict)
+
+
+def interm_reference(bla, bmu):
+    return list(itertools.product(under_reference(bla[0], bmu[0]),
+                                  under_reference(bla[1], bmu[1], vertical=True)))
+
+
+def interm_signed_sum_reference(bla, bmu):
+    """Sum of (-1)^(|bmu| - |bnu|), one term per intermediate."""
+    m = size(bmu[0]) + size(bmu[1])
+    total = 0
+    for nu0, nu1 in interm_reference(bla, bmu):
+        total += -1 if (m - size(nu0) - size(nu1)) % 2 else 1
+    return total
+
+
+def b_sum_reference(eta, theta):
+    """B(eta, theta) summed term by term in Scalar arithmetic."""
+    total = Scalar(0)
+    for ze in under_reference(eta, theta, strict=True):
+        term = sqrt2_pow(cs.kom(eta, ze) + cs.kom(theta, ze))
+        total = total + (-term if (size(theta) - size(ze)) % 2 else term)
+    return total
+
+
+def _bipartitions_upto(m):
+    return [(a, b) for n in range(m + 1) for k in range(n + 1)
+            for a in partitions_of(k) for b in partitions_of(n - k)]
+
+
+def test_interm_components_match_row_by_row_picks():
+    labels = [la for n in range(9) for la in partitions_of(n)]
+    for a in labels:
+        for b in labels:
+            assert cs.interm1(a, b) == under_reference(a, b, vertical=True)
+    stricts = strict_partitions_upto(8)
+    for a in stricts:
+        for b in stricts:
+            assert cs.interm0(a, b) == under_reference(a, b, strict=True)
+
+
+def test_interm_signed_sum_matches_enumeration():
+    bips = _bipartitions_upto(6)
+    for bla in bips:
+        for bmu in bips:
+            assert cs.interm_signed_sum(bla, bmu) == interm_signed_sum_reference(bla, bmu)
+    small = _bipartitions_upto(4)
+    for bla in small:
+        for bmu in small:
+            assert cs.interm(bla, bmu) == interm_reference(bla, bmu)
+
+
+def test_b_sum_matches_scalar_reference():
+    stricts = strict_partitions_upto(10)
+    for eta in stricts:
+        for theta in stricts:
+            got = cs.b_sum(eta, theta)
+            assert got == b_sum_reference(eta, theta)
+            assert type(got.a) is int and type(got.b) is int
+
 
 def test_interm_frozen():
     assert cs.interm(((), (1,)), ((1,), ())) == [((), ())]

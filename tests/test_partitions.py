@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from barspin import partitions as pt
@@ -85,6 +86,22 @@ def test_spin_nodes():
     assert pt.spin_removable_nodes((7, 5, 4, 1), 0) == {(2, 5), (3, 4), (4, 1)}
     assert pt.spin_addable_nodes((7, 5, 4, 1), 0) == {(1, 8), (1, 9)}
     assert pt.spin_n_eps((6, 3, 2), 1) == -2
+
+
+def test_corner_sets():
+    assert pt.remove_corner_set((3, 1), [(1, 3), (2, 1)]) == (2,)
+    assert pt.add_corner_set((1,), [(1, 2), (2, 1)]) == (2, 1)
+    with pytest.raises(ValueError):
+        pt.remove_corner_set((3, 1), [(1, 2)])
+    with pytest.raises(ValueError):
+        pt.add_corner_set((2, 2), [(2, 3)])
+
+
+def test_corner_sets_reject_two_nodes_in_one_row():
+    with pytest.raises(ValueError):
+        pt.remove_corner_set((3,), [(1, 3), (1, 2)])
+    with pytest.raises(ValueError):
+        pt.add_corner_set((1,), [(1, 2), (1, 3)])
 
 
 def test_remove_all_spin_removable():
