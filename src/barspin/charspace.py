@@ -16,15 +16,16 @@ built per label at the end and the labels whose sum is zero dropped.
 
 The composites work one input label at a time and stop at the first a where
 e_eps^(a) of the label vanishes.  That is exact: on one label, the counts r
-for which e_eps^(r) (or f_eps^(r)) has a term form an interval [0, max].
-Linear labels lose or gain any subset of their removable or addable
-eps-nodes.  For a spin label, take an r-cell removal and the topmost row
-that sheds cells, and shed one cell fewer there: a row that may shed two
-cells may shed one, the row ends one cell longer than before, so still
-longer than the row below, and no longer than it was, so still shorter
-than the unchanged row above.  That is a legal (r-1)-cell removal.
-Dually, grow one cell fewer in the lowest row that grows (dropping the new
-row (1) if it is added).
+for which e_eps^(r) (or f_eps^(r)) has a term form the interval [0, m], m
+the number of removable (addable) eps-nodes.  Linear labels lose or gain
+any subset of those nodes.  A spin label's top end is its largest move
+(see the spin section of partitions), which moves every one of them.  To
+go down from an r-cell removal, take the topmost row that sheds cells and
+shed one cell fewer there: a row that may shed two cells may shed one,
+the row ends one cell longer than before, so still longer than the row
+below, and no longer than it was, so still shorter than the unchanged row
+above.  That is a legal (r-1)-cell removal.  Dually, grow one cell fewer
+in the lowest row that grows (dropping the new row (1) if it is added).
 """
 
 from __future__ import annotations
@@ -110,20 +111,6 @@ def unit(basis, label):
     return vector(basis, size(label), [(tuple(label), 1)])
 
 
-def zero(basis, n):
-    return CharVector(basis, n, {})
-
-
-def add(*vs):
-    basis, n = vs[0].basis, vs[0].n
-    acc = {}
-    for v in vs:
-        if v.basis != basis or (v.coeffs and v.n != n):
-            raise ValueError("incompatible vectors")
-        _add_signed(acc, v)
-    return _from_pairs(basis, n, acc)
-
-
 def scale(v, c):
     c = _as_scalar(c)
     if c.is_zero():
@@ -165,8 +152,7 @@ def _moves(basis, label, eps, r, p, grow):
         return out
     moves = spin_additions if grow else spin_removals
     evens = {x for x in label if x % 2 == 0}
-    return [(be, len(evens ^ {x for x in be if x % 2 == 0}))
-            for be, _ in moves(label, eps, count=r)]
+    return [(be, len(evens ^ {x for x in be if x % 2 == 0})) for be in moves(label, eps, r)]
 
 
 def _apply(v, eps, r, p, grow):

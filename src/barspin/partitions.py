@@ -15,14 +15,15 @@ from functools import lru_cache
 # parsing, validation, basic structure
 
 def parse_partition(text):
-    """Parse 'INT(,INT)*' into a partition tuple; '-' is the empty partition."""
+    """Parse 'INT(,INT)*' into a partition tuple; '-' is the empty partition.
+    Each part is ASCII digits, with spaces allowed around it."""
     text = text.strip()
     if text == "-":
         return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad partition text {text!r}") from None
+    parts = [p.strip() for p in text.split(",")]
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"bad partition text {text!r}")
+    parts = tuple(map(int, parts))
     check_partition(parts)
     return parts
 
@@ -38,7 +39,7 @@ def format_partition(la):
 
 
 def check_partition(la):
-    if any(not isinstance(p, int) or p <= 0 for p in la):
+    if any(type(p) is not int or p <= 0 for p in la):
         raise ValueError(f"parts must be positive integers: {la!r}")
     if any(la[i] < la[i + 1] for i in range(len(la) - 1)):
         raise ValueError(f"parts must weakly decrease: {la!r}")
@@ -251,45 +252,11 @@ def addable_nodes(la, eps=None, p=2):
     return out
 
 
-def _check_rows_distinct(la, nodes):
-    rows = [r for r, _ in nodes]
-    if len(set(rows)) != len(rows):
-        raise ValueError(f"more than one node per row in {nodes!r} for {la}")
-
-
-def remove_corner_set(la, nodes):
-    """Remove a set of removable corners (at most one per row)."""
-    _check_rows_distinct(la, nodes)
-    lst = list(la)
-    for r, c in nodes:
-        if r > len(lst) or lst[r - 1] != c:
-            raise ValueError(f"{(r, c)} is not a corner of {la}")
-        lst[r - 1] -= 1
-    out = tuple(p for p in lst if p)
-    check_partition(out)
-    return out
-
-
-def add_corner_set(la, nodes):
-    """Add a set of addable nodes (at most one per row)."""
-    _check_rows_distinct(la, nodes)
-    lst = list(la)
-    for r, c in nodes:
-        if r == len(lst) + 1:
-            if c != 1:
-                raise ValueError(f"{(r, c)} is not addable to {la}")
-            lst.append(1)
-        elif r <= len(lst) and lst[r - 1] + 1 == c:
-            lst[r - 1] += 1
-        else:
-            raise ValueError(f"{(r, c)} is not addable to {la}")
-    out = tuple(lst)
-    check_partition(out)
-    return out
-
-
 def remove_all_removable(la, eps, p=2):
-    return remove_corner_set(la, removable_nodes(la, eps, p))
+    rows = list(la)
+    for i, _ in removable_nodes(la, eps, p):
+        rows[i - 1] -= 1
+    return tuple(filter(None, rows))
 
 
 def n_eps(la, eps, p=2):
@@ -475,6 +442,14 @@ def bar_staircase_index(al):
 
 # ---------------------------------------------------------------------------
 # spin nodes: simultaneous end-of-row removals/additions for strict partitions
+#
+# A residue-eps spin move sheds (grows) end cells of spin residue eps, up to
+# two per row, and leaves a strict partition.  The legal moves are closed
+# under taking the larger move in each row: the new parts are the row-wise
+# min (max) of two strictly decreasing sequences, which decreases strictly,
+# and each row's options {0}, {0, 1} or {0, 1, 2} are closed downwards.  So
+# there is a unique largest move, and its cells hold every cell that any
+# move sheds (grows): those are the spin-removable (addable) eps-nodes.
 
 def _spin_removal_options(part, eps):
     """How many end cells (0, 1 or 2) a row of this size may shed with all
@@ -500,8 +475,8 @@ def _spin_addition_options(part, eps):
 def _spin_moves(al, opts, sign, count, extra=0):
     """(new parts, cells moved) for every pick of one option per row that
     keeps the parts strictly decreasing (a trailing 0 allowed), built row
-    by row.  With count, picks that cannot end at count cells, counting
-    up to extra more after the last row, are dropped as early as possible."""
+    by row.  Picks that cannot end at count cells, counting up to extra
+    more after the last row, are dropped as early as possible."""
     room = [extra]  # room[i]: the most cells rows i, i+1, ... can still move
     for o in reversed(opts):
         room.append(room[-1] + o[-1])
@@ -514,56 +489,74 @@ def _spin_moves(al, opts, sign, count, extra=0):
                 new = part + sign * k
                 if parts and new >= parts[-1]:
                     continue
-                if count is not None and not moved + k <= count <= moved + k + rest:
+                if not moved + k <= count <= moved + k + rest:
                     continue
                 nxt.append((parts + (new,), moved + k))
         states = nxt
     return states
 
 
-def spin_removals(al, eps, count=None):
-    """All ways to shed end cells of spin residue eps, up to 2 per row,
-    leaving a strict partition.  Yields (beta, frozenset of shed nodes).
-    With count, only configurations shedding exactly that many cells."""
+def spin_removals(al, eps, count):
+    """Every strict partition left by shedding exactly count end cells of
+    spin residue eps, up to 2 per row."""
     opts = [_spin_removal_options(part, eps) for part in al]
-    results = []
-    for parts, shed in _spin_moves(al, opts, -1, count):
-        if count is None or shed == count:
-            nodes = frozenset((i + 1, c) for i, (old, new) in enumerate(zip(al, parts))
-                              for c in range(new + 1, old + 1))
-            results.append((tuple(filter(None, parts)), nodes))
-    return results
+    return [tuple(filter(None, parts))
+            for parts, shed in _spin_moves(al, opts, -1, count) if shed == count]
 
 
-def spin_additions(al, eps, count=None):
-    """All ways to grow rows by end cells of spin residue eps, up to 2 per
-    row, plus possibly a new final row of size 1 (residue 0 only)."""
+def spin_additions(al, eps, count):
+    """Every strict partition made by growing exactly count end cells of
+    spin residue eps, up to 2 per row, plus possibly a new final row of
+    size 1 (residue 0 only)."""
     opts = [_spin_addition_options(part, eps) for part in al]
     new_row = eps == 0
-    results = []
+    out = []
     for parts, grown in _spin_moves(al, opts, 1, count, extra=int(new_row)):
-        nodes = [(i + 1, c) for i, (old, new) in enumerate(zip(al, parts))
-                 for c in range(old + 1, new + 1)]
-        if count is None or grown == count:
-            results.append((parts, frozenset(nodes)))
-        if new_row and (not parts or parts[-1] > 1) and (count is None or grown + 1 == count):
-            results.append((parts + (1,), frozenset(nodes + [(len(al) + 1, 1)])))
-    return results
+        if grown == count:
+            out.append(parts)
+        elif new_row and grown + 1 == count and (not parts or parts[-1] > 1):
+            out.append(parts + (1,))
+    return out
+
+
+def _largest_removal(al, eps):
+    """Rows after the largest removal (a trailing 0 kept), greedily from the
+    bottom row up: each row sheds the most it may and stays above the row
+    below, whose new end is the lowest any legal removal reaches."""
+    rows = []
+    below = -1
+    for part in reversed(al):
+        below = next(part - k for k in reversed(_spin_removal_options(part, eps))
+                     if part - k > below)
+        rows.append(below)
+    return rows[::-1]
+
+
+def _largest_addition(al, eps):
+    """Rows after the largest addition, greedily from the top row down, with
+    the new row (1) when eps = 0 and the last row ends up longer than 1."""
+    rows = []
+    for part in al:
+        rows.append(next(part + k for k in reversed(_spin_addition_options(part, eps))
+                         if not rows or part + k < rows[-1]))
+    if eps == 0 and (not rows or rows[-1] > 1):
+        rows.append(1)
+    return rows
 
 
 def spin_removable_nodes(al, eps):
-    """Nodes shed by at least one legal residue-eps removal configuration."""
-    out = set()
-    for _, nodes in spin_removals(al, eps):
-        out |= nodes
-    return out
+    """Nodes shed by at least one legal residue-eps removal: the cells of
+    the largest one."""
+    return {(i, c) for i, (old, new) in enumerate(zip(al, _largest_removal(al, eps)), 1)
+            for c in range(new + 1, old + 1)}
 
 
 def spin_addable_nodes(al, eps):
-    out = set()
-    for _, nodes in spin_additions(al, eps):
-        out |= nodes
-    return out
+    """Nodes grown by at least one legal residue-eps addition: the cells of
+    the largest one."""
+    rows = _largest_addition(al, eps)
+    return {(i, c) for i, (old, new) in enumerate(itertools.zip_longest(al, rows, fillvalue=0), 1)
+            for c in range(old + 1, new + 1)}
 
 
 def spin_n_eps(al, eps):
@@ -571,15 +564,5 @@ def spin_n_eps(al, eps):
 
 
 def remove_all_spin_removable(al, eps):
-    """Shed every spin-removable eps-node at once."""
-    nodes = spin_removable_nodes(al, eps)
-    lst = list(al)
-    for i in range(len(lst)):
-        shed = sorted(c for r, c in nodes if r == i + 1)
-        if shed:
-            if shed != list(range(al[i] - len(shed) + 1, al[i] + 1)):
-                raise ValueError(f"non-contiguous removal from row {i + 1} of {al}")
-            lst[i] -= len(shed)
-    out = tuple(p for p in lst if p)
-    check_strict(out)
-    return out
+    """Shed every spin-removable eps-node at once: the largest removal."""
+    return tuple(filter(None, _largest_removal(al, eps)))

@@ -9,9 +9,9 @@ p_nu = sum_alpha X^alpha_nu P_alpha.
 The production route to X is Morris's bar recursion in plain integers
 (Morris 1962; Macdonald, Symmetric Functions, III.8 Ex. 11): multiplying
 P_beta by p_k adds a k-bar in every possible way, with a sign, so X^alpha_nu
-is a signed sum over the k-bars of alpha for k = nu[0].  Inverting the
-transition matrix between {P_alpha} and {p_nu : nu odd} (`_p_to_P_matrix`,
-`expand_in_P`) is an independent route kept as the test oracle.
+is a signed sum over the k-bars of alpha for k = nu[0].  The tests check
+it against inverting the transition matrix between {P_alpha} and
+{p_nu : nu odd}.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from barspin.partitions import (
     bars,
     check_strict,
     conjugate,
-    odd_partitions_of,
     size,
-    strict_partitions_of,
     union_parts,
 )
 
@@ -205,52 +203,7 @@ def schur_poly(la):
 
 
 # ---------------------------------------------------------------------------
-# expansion of degree-n odd-power-sum polynomials in {P_alpha}: the matrix
-# solve is the oracle, the bar recursion is the production route
-
-@lru_cache(maxsize=None)
-def _p_to_P_matrix(n):
-    """(strict labels, odd class labels, X) with p_nu = sum_alpha X[alpha][nu] P_alpha."""
-    alphas = strict_partitions_of(n)
-    nus = odd_partitions_of(n)
-    k = len(alphas)
-    assert len(nus) == k, "Euler's identity just failed, which is bad news"
-    m = [[schur_p_poly(al).get(nu, Fraction(0)) for nu in nus] for al in alphas]
-    # solve M^T x = e_j for every j by one Gauss-Jordan pass on [M^T | I]
-    a = [
-        [m[j][i] for j in range(k)] + [Fraction(int(i == t)) for t in range(k)]
-        for i in range(k)
-    ]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    x = {
-        al: {nu: a[i][k + j] for j, nu in enumerate(nus)}
-        for i, al in enumerate(alphas)
-    }
-    return alphas, nus, x
-
-
-def expand_in_P(poly, n):
-    """Coefficients {alpha: Fraction} with poly = sum c_alpha P_alpha.
-    The polynomial must be homogeneous of degree n with odd support."""
-    alphas, nus, x = _p_to_P_matrix(n)
-    for nu in poly:
-        if size(nu) != n or any(p % 2 == 0 for p in nu):
-            raise ValueError(f"not an odd-support degree-{n} polynomial: p_{nu}")
-    out = {}
-    for al in alphas:
-        c = sum((x[al][nu] * poly.get(nu, Fraction(0)) for nu in nus), Fraction(0))
-        if c:
-            out[al] = c
-    return out
-
+# the coefficients of p_nu in {P_alpha}: Morris's bar recursion
 
 def p_in_P_coefficient(al, nu):
     """X with p_nu = sum_alpha X^alpha_nu P_alpha, an integer (nu odd)."""
@@ -344,38 +297,6 @@ def monomial_schur_q(al, xs, marked_diagonal=True):
                 filling.append(val)
                 rec(idx + 1, filling)
                 filling.pop()
-
-    rec(0, [])
-    return total
-
-
-def monomial_schur(la, xs):
-    """s_la at xs by brute force over semistandard tableaux."""
-    xs = [Fraction(v) for v in xs]
-    cs = [(i, j) for i in range(1, len(la) + 1) for j in range(1, la[i - 1] + 1)]
-    v = len(xs)
-    total = Fraction(0)
-
-    def rec(idx, filling):
-        nonlocal total
-        if idx == len(cs):
-            term = Fraction(1)
-            for w in filling:
-                term *= xs[w - 1]
-            total += term
-            return
-        i, j = cs[idx]
-        lo = 1
-        for k in range(idx):
-            a, b = cs[k]
-            if a == i and b == j - 1:
-                lo = max(lo, filling[k])
-            if b == j and a == i - 1:
-                lo = max(lo, filling[k] + 1)
-        for val in range(lo, v + 1):
-            filling.append(val)
-            rec(idx + 1, filling)
-            filling.pop()
 
     rec(0, [])
     return total

@@ -1,0 +1,206 @@
+"""Independent routes that the tests check the library against.
+
+None of these is library code: each recomputes a quantity the library has
+one production route for, by a slower or more literal construction.
+
+- Corner helpers that validate every node they move, used by the operator
+  tests to apply linear moves node by node.
+- The spin-removable and spin-addable nodes as the union of the cells moved
+  by every legal move, over every count, and what the library reads off
+  those nodes (the full removal and the runner-swap sign).
+- The P-basis transition matrix solved by Gauss-Jordan, and the expansion
+  of a polynomial in {P_alpha} through it (the oracle for Morris's bar
+  recursion).
+- Schur functions at rational points by brute force over tableaux.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from barspin.abacus import bswp
+from barspin.partitions import (
+    cells,
+    check_partition,
+    check_strict,
+    min_parts,
+    odd_partitions_of,
+    size,
+    spin_additions,
+    spin_removals,
+    strict_partitions_of,
+)
+from barspin.symfunc import schur_p_poly
+
+
+# ---------------------------------------------------------------------------
+# validating corner moves
+
+def _check_rows_distinct(la, nodes):
+    rows = [r for r, _ in nodes]
+    if len(set(rows)) != len(rows):
+        raise ValueError(f"more than one node per row in {nodes!r} for {la}")
+
+
+def remove_corner_set(la, nodes):
+    """Remove a set of removable corners (at most one per row)."""
+    _check_rows_distinct(la, nodes)
+    lst = list(la)
+    for r, c in nodes:
+        if r > len(lst) or lst[r - 1] != c:
+            raise ValueError(f"{(r, c)} is not a corner of {la}")
+        lst[r - 1] -= 1
+    out = tuple(p for p in lst if p)
+    check_partition(out)
+    return out
+
+
+def add_corner_set(la, nodes):
+    """Add a set of addable nodes (at most one per row)."""
+    _check_rows_distinct(la, nodes)
+    lst = list(la)
+    for r, c in nodes:
+        if r == len(lst) + 1:
+            if c != 1:
+                raise ValueError(f"{(r, c)} is not addable to {la}")
+            lst.append(1)
+        elif r <= len(lst) and lst[r - 1] + 1 == c:
+            lst[r - 1] += 1
+        else:
+            raise ValueError(f"{(r, c)} is not addable to {la}")
+    out = tuple(lst)
+    check_partition(out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# spin nodes from every move
+
+def spin_removable_nodes_reference(al, eps):
+    """Union of the cells shed by every residue-eps removal, every count."""
+    out = set()
+    for k in range(size(al) + 1):
+        for be in spin_removals(al, eps, k):
+            out |= set(cells(al)) - set(cells(be))
+    return out
+
+
+def spin_addable_nodes_reference(al, eps):
+    """Union of the cells grown by every residue-eps addition, every count
+    (at most two per row and one new row)."""
+    out = set()
+    for k in range(2 * len(al) + 2):
+        for be in spin_additions(al, eps, k):
+            out |= set(cells(be)) - set(cells(al))
+    return out
+
+
+def remove_all_spin_removable_reference(al, eps):
+    """Shed the reference nodes row by row; each row's shed cells must be
+    its last ones."""
+    nodes = spin_removable_nodes_reference(al, eps)
+    lst = list(al)
+    for i in range(len(lst)):
+        shed = sorted(c for r, c in nodes if r == i + 1)
+        if shed:
+            if shed != list(range(al[i] - len(shed) + 1, al[i] + 1)):
+                raise ValueError(f"non-contiguous removal from row {i + 1} of {al}")
+            lst[i] -= len(shed)
+    out = tuple(p for p in lst if p)
+    check_strict(out)
+    return out
+
+
+def spin_swap_sign_reference(al, eps):
+    """The runner-swap sign of charspace.spin_swap_sign, from the reference
+    nodes: the parity of the nodes outside bswp(al), plus the number of
+    column pairs {d, d+1} (d = 2 eps mod 4, stepping by 4) holding both a
+    removable and an addable eps-node."""
+    removed = size(al) - size(min_parts(al, bswp(al, eps)))
+    rem_cols = {c for _, c in spin_removable_nodes_reference(al, eps)}
+    add_cols = {c for _, c in spin_addable_nodes_reference(al, eps)}
+    top = (al[0] if al else 0) + 2
+    hits = sum(1 for d in range(2 * eps % 4, top + 1, 4)
+               if {d, d + 1} & rem_cols and {d, d + 1} & add_cols)
+    return -1 if (removed + hits) % 2 else 1
+
+
+# ---------------------------------------------------------------------------
+# expansion in {P_alpha} by the transition-matrix solve
+
+@lru_cache(maxsize=None)
+def p_to_P_matrix(n):
+    """(strict labels, odd class labels, X) with p_nu = sum_alpha X[alpha][nu] P_alpha."""
+    alphas = strict_partitions_of(n)
+    nus = odd_partitions_of(n)
+    k = len(alphas)
+    assert len(nus) == k, "Euler's identity just failed, which is bad news"
+    m = [[schur_p_poly(al).get(nu, Fraction(0)) for nu in nus] for al in alphas]
+    # solve M^T x = e_j for every j by one Gauss-Jordan pass on [M^T | I]
+    a = [
+        [m[j][i] for j in range(k)] + [Fraction(int(i == t)) for t in range(k)]
+        for i in range(k)
+    ]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(k):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    x = {
+        al: {nu: a[i][k + j] for j, nu in enumerate(nus)}
+        for i, al in enumerate(alphas)
+    }
+    return alphas, nus, x
+
+
+def expand_in_P(poly, n):
+    """Coefficients {alpha: Fraction} with poly = sum c_alpha P_alpha.
+    The polynomial must be homogeneous of degree n with odd support."""
+    alphas, nus, x = p_to_P_matrix(n)
+    for nu in poly:
+        if size(nu) != n or any(p % 2 == 0 for p in nu):
+            raise ValueError(f"not an odd-support degree-{n} polynomial: p_{nu}")
+    out = {}
+    for al in alphas:
+        c = sum((x[al][nu] * poly.get(nu, Fraction(0)) for nu in nus), Fraction(0))
+        if c:
+            out[al] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Schur functions by tableaux
+
+def monomial_schur(la, xs):
+    """s_la at xs by brute force over semistandard tableaux."""
+    xs = [Fraction(v) for v in xs]
+    cs = [(i, j) for i in range(1, len(la) + 1) for j in range(1, la[i - 1] + 1)]
+    v = len(xs)
+    total = Fraction(0)
+
+    def rec(idx, filling):
+        nonlocal total
+        if idx == len(cs):
+            term = Fraction(1)
+            for w in filling:
+                term *= xs[w - 1]
+            total += term
+            return
+        i, j = cs[idx]
+        lo = 1
+        for k in range(idx):
+            a, b = cs[k]
+            if a == i and b == j - 1:
+                lo = max(lo, filling[k])
+            if b == j and a == i - 1:
+                lo = max(lo, filling[k] + 1)
+        for val in range(lo, v + 1):
+            filling.append(val)
+            rec(idx + 1, filling)
+            filling.pop()
+
+    rec(0, [])
+    return total

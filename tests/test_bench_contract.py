@@ -31,15 +31,20 @@ def test_tracer_installs_and_restores_around_a_suite():
 
 
 def test_tracer_spans_the_operator_layer():
+    """partitions.spin_moves_s is charged by the spin moves that apply_e
+    and apply_f make; the node sets no longer enumerate moves."""
     tracer = _load_tracer()
     with tracer.Tracer() as t:
-        reps = [verify.run_suite(suite, 4) for suite in ("runner-swap", "quot-red")]
+        reps = [verify.run_suite(suite, 4)
+                for suite in ("runner-swap", "quot-red", "runner-swap-spin")]
     assert all(rep.ok for rep in reps)
     # (caller, callee) for every span opened inside another
     calls = {(t.spans[parent][0], name) for name, _, _, parent in t.spans if parent >= 0}
     for composite in ("runner_swap", "quot_red"):
         for op in ("apply_e", "apply_f"):
             assert (f"charspace.{composite}", f"charspace.{op}") in calls
+    assert ("charspace.apply_e", "partitions.spin_removals") in calls
+    assert ("charspace.apply_f", "partitions.spin_additions") in calls
 
 
 def test_tracer_spans_the_interm_layer():

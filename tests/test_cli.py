@@ -55,6 +55,14 @@ def test_info_rejects_garbage(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", "\uff13,1"])
+def test_info_rejects_parts_that_are_not_ascii_digits(capsys, text):
+    code, out, err = run(capsys, "info", "partition", text)
+    assert code == 2
+    assert out == ""
+    assert "bad partition text" in err
+
+
 def test_info_rejects_non_strict(capsys):
     code, _, err = run(capsys, "info", "strict", "2,2")
     assert code == 2

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from barspin import partitions as pt
+from barspin import charspace as cs, partitions as pt
+from oracles import (
+    remove_all_spin_removable_reference,
+    remove_corner_set,
+    spin_addable_nodes_reference,
+    spin_removable_nodes_reference,
+    spin_swap_sign_reference,
+)
 
 partition_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=6)
 
@@ -23,6 +30,22 @@ def test_parse_and_format():
     assert pt.parse_partition("-") == ()
     assert pt.format_partition((6, 3, 1, 1)) == "6,3,1,1"
     assert pt.parse_strict("7,5,4,1") == (7, 5, 4, 1)
+    assert pt.parse_partition(" 3 , 1 ") == (3, 1)
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "\uff13,1", "3,,1", "3,-1", "", "3.0"])
+def test_parse_partition_wants_ascii_digits(text):
+    with pytest.raises(ValueError):
+        pt.parse_partition(text)
+
+
+def test_bool_parts_are_rejected():
+    for la in [(True,), (2, True), (False,)]:
+        with pytest.raises(ValueError):
+            pt.check_partition(la)
+        with pytest.raises(ValueError):
+            cs.unit("linear", la)
+    assert not pt.is_strict((True,))
 
 
 def test_conjugate():
@@ -88,24 +111,36 @@ def test_spin_nodes():
     assert pt.spin_n_eps((6, 3, 2), 1) == -2
 
 
-def test_corner_sets():
-    assert pt.remove_corner_set((3, 1), [(1, 3), (2, 1)]) == (2,)
-    assert pt.add_corner_set((1,), [(1, 2), (2, 1)]) == (2, 1)
-    with pytest.raises(ValueError):
-        pt.remove_corner_set((3, 1), [(1, 2)])
-    with pytest.raises(ValueError):
-        pt.add_corner_set((2, 2), [(2, 3)])
-
-
-def test_corner_sets_reject_two_nodes_in_one_row():
-    with pytest.raises(ValueError):
-        pt.remove_corner_set((3,), [(1, 3), (1, 2)])
-    with pytest.raises(ValueError):
-        pt.add_corner_set((1,), [(1, 2), (1, 3)])
+def test_spin_nodes_match_the_union_over_every_move():
+    """The greedy largest move against the union of the cells of every
+    legal move, and what the library reads off those nodes."""
+    for n in range(0, 21):
+        for al in pt.strict_partitions_of(n):
+            for eps in (0, 1):
+                rem = spin_removable_nodes_reference(al, eps)
+                add = spin_addable_nodes_reference(al, eps)
+                assert pt.spin_removable_nodes(al, eps) == rem
+                assert pt.spin_addable_nodes(al, eps) == add
+                assert pt.spin_n_eps(al, eps) == len(add) - len(rem)
+                assert pt.remove_all_spin_removable(al, eps) == remove_all_spin_removable_reference(al, eps)
+                assert cs.spin_swap_sign(al, eps) == spin_swap_sign_reference(al, eps)
 
 
 def test_remove_all_spin_removable():
     assert pt.remove_all_spin_removable((6, 3, 2), 1) == (5, 2, 1)
+
+
+def test_remove_all_removable():
+    """Changing rows directly against the validating corner helper."""
+    # residue-1 corners (1,6), (2,3) and (4,1); no residue-0 corner
+    assert pt.remove_all_removable((6, 3, 1, 1), 1) == (5, 2, 1)
+    assert pt.remove_all_removable((6, 3, 1, 1), 0) == (6, 3, 1, 1)
+    for p in (2, 3):
+        for n in range(0, 11):
+            for la in pt.partitions_of(n):
+                for eps in range(p):
+                    want = remove_corner_set(la, pt.removable_nodes(la, eps, p))
+                    assert pt.remove_all_removable(la, eps, p) == want
 
 
 def test_four_bar_core():
