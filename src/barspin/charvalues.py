@@ -27,6 +27,22 @@ every class, so it compares those normalized values one class at a time,
 the classes closest to (1^n) first, and drops a pair at the first class
 where they differ.  A pair that agrees everywhere is proportional with
 ratio spin degree over linear degree.
+
+The first two classes, (3,1^{n-3}) and (5,1^{n-5}), are read in closed
+form.  The sum of a class C in the group algebra is central, so it acts on
+an irreducible module by the scalar |C| * value / degree, the central
+character.  For S_n that scalar is a polynomial in the content power sums
+p_k = sum of c^k over the cells (c = column - row) of the partition
+(Ingram 1950, Proc. AMS 1; Kerov-Olshanski 1994, C. R. Acad. Sci. Paris
+319; Corteel-Goupil-Schaeffer 2004, Adv. Math. 188).  For the spin
+characters it is a polynomial in the odd power sums P_k of the parts of
+the strict label (Ivanov 2004, J. Math. Sci. 121).  |C| depends on n
+alone, so two labels have equal values over the degree on C exactly when
+their central characters there are equal.  The scan keys both sides on 60
+times the central characters, integers by the closed forms of
+`_linear_key` and `_spin_key`, and so pairs the labels exactly as the
+values on those two classes would.  A test checks both forms against the
+recursions for every label with n <= 24.
 """
 
 from __future__ import annotations
@@ -279,19 +295,57 @@ def _table_ratio(vec, i):
     return Fraction(x.a, y.a) if y.a else Fraction(x.b, y.b)
 
 
+def _closed_key(n, k3, k5):
+    """The entries of a key for the classes (3,1^{n-3}) and (5,1^{n-5}) that
+    exist at size n."""
+    return (k3, k5) if n >= 5 else (k3,) if n >= 3 else ()
+
+
+def _linear_key(la):
+    """60*|C|*chi/degree of the partition la on (3,1^{n-3}) and on
+    (5,1^{n-5}), from the power sums p_k of its cell contents c = j - i."""
+    n = p1 = p2 = p4 = 0
+    for i, row in enumerate(la):
+        n += row
+        for c in range(-i, row - i):
+            c2 = c * c
+            p1 += c
+            p2 += c2
+            p4 += c2 * c2
+    return _closed_key(n, 60 * p2 - 30 * n * (n - 1),
+                       60 * (p4 - 2 * p1 * p1 - (3 * n - 10) * p2)
+                       + 10 * n * (n - 1) * (5 * n - 19))
+
+
+def _spin_key(al):
+    """60*|C|*value/degree of the strict label al on (3,1^{n-3}) and on
+    (5,1^{n-5}), from the power sums P_k of its parts."""
+    n = P3 = P5 = 0
+    for a in al:
+        a3 = a * a * a
+        n += a
+        P3 += a3
+        P5 += a3 * a * a
+    return _closed_key(n, -10 * (P3 - n * (3 * n - 2)),
+                       -3 * P5 + (30 * n - 55) * P3 - 50 * n ** 3 + 150 * n * n - 72 * n)
+
+
 def scan(n, cache_dir=None):
     """All (alpha, lambda, ratio) with the spin Brauer vector of alpha a
     scalar multiple of the linear Brauer vector of lambda, sorted.
 
     A pair is proportional iff its values over the degree agree on every
     odd class other than (1^n), and then the ratio is spin degree over
-    linear degree.  Those classes are visited in order of n - len(nu),
-    cheapest first.  The strict labels are grouped by their value on the
-    first class; each partition looks up its group, and the candidates are
-    dropped class by class as soon as a value differs.  With cache_dir the
-    values are read from the cached tables instead."""
+    linear degree.  The strict labels are grouped by their closed keys on
+    (3,1^{n-3}) and (5,1^{n-5}); each partition looks up its group by its
+    own key.  The candidates are then compared on the other classes in
+    order of n - len(nu), cheapest first, and dropped as soon as a value
+    differs.  With cache_dir those values are read from the cached tables
+    instead."""
     classes = odd_partitions_of(n)
-    cols = sorted(range(len(classes) - 1), key=lambda i: n - len(classes[i]))
+    keyed = {(k,) + (1,) * (n - k) for k in (3, 5) if n >= k}
+    cols = sorted((i for i, nu in enumerate(classes[:-1]) if nu not in keyed),
+                  key=lambda i: n - len(classes[i]))
     if cache_dir is None:
         one = classes[-1]
         lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
@@ -305,17 +359,13 @@ def scan(n, cache_dir=None):
         spin_at = lambda al, i: _table_ratio(spn[al], i)
         ratio = lambda al, la: spn[al][-1] / lin[la][-1]
 
-    def first(at, label):
-        # n <= 2 has no class but (1^n): then every pair is proportional
-        return at(label, cols[0]) if cols else None
-
     groups = {}
     for al in spin_labels:
-        groups.setdefault(first(spin_at, al), []).append(al)
+        groups.setdefault(_spin_key(al), []).append(al)
     out = []
     for la in lin_labels:
-        cands = groups.get(first(lin_at, la), ())
-        for i in cols[1:]:
+        cands = groups.get(_linear_key(la), ())
+        for i in cols:
             if not cands:
                 break
             v = lin_at(la, i)

@@ -44,22 +44,34 @@ class Case:
     expected: str
     actual: str
     ok: bool
+    millis: int
 
 
 @dataclass
 class Report:
+    """A suite's cases.  Each case's millis is the time since the previous
+    case was recorded, or since the report was made."""
+
     suite: str
     max_n: int
     cases: list = field(default_factory=list)
     millis: int = 0
+    _mark: float = field(default_factory=time.perf_counter, init=False, repr=False,
+                          compare=False)
 
     @property
     def ok(self):
         return all(c.ok for c in self.cases)
 
+    def _add(self, label, expected, actual, ok):
+        now = time.perf_counter()
+        millis = int(round((now - self._mark) * 1000))
+        self._mark = now
+        self.cases.append(Case(str(label), expected, actual, ok, millis))
+
     def check(self, label, expected, actual):
         e, a = str(expected), str(actual)
-        self.cases.append(Case(str(label), e, a, e == a))
+        self._add(label, e, a, e == a)
 
     def tally(self, label, total, failures):
         want = f"{total} checks pass"
@@ -67,14 +79,15 @@ class Report:
             got = f"{len(failures)} of {total} checks fail: " + "; ".join(failures[:3])
         else:
             got = want
-        self.cases.append(Case(str(label), want, got, not failures))
+        self._add(label, want, got, not failures)
 
     def to_dict(self):
         return {
             "suite": self.suite,
             "maxN": self.max_n,
             "cases": [
-                {"input": c.input, "expected": c.expected, "actual": c.actual, "pass": c.ok}
+                {"input": c.input, "expected": c.expected, "actual": c.actual, "pass": c.ok,
+                 "millis": c.millis}
                 for c in self.cases
             ],
             "pass": self.ok,

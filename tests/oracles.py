@@ -12,11 +12,15 @@ one production route for, by a slower or more literal construction.
   of a polynomial in {P_alpha} through it (the oracle for Morris's bar
   recursion).
 - Schur functions at rational points by brute force over tableaux.
+- The proportionality scan grouped on the values at its first class,
+  computed by the rim-hook recursion and Morris's formula (the oracle for
+  the closed keys of `charvalues.scan`).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from barspin import charvalues as cv
 from barspin.abacus import bswp
 from barspin.partitions import (
     cells,
@@ -24,6 +28,7 @@ from barspin.partitions import (
     check_strict,
     min_parts,
     odd_partitions_of,
+    partitions_of,
     size,
     spin_additions,
     spin_removals,
@@ -204,3 +209,45 @@ def monomial_schur(la, xs):
 
     rec(0, [])
     return total
+
+
+# ---------------------------------------------------------------------------
+# the proportionality scan grouped on its first class
+
+def scan_reference(n, cache_dir=None):
+    """charvalues.scan with the strict labels grouped by their value over
+    the degree on the first class, (3,1^{n-3}), and each partition looking
+    up its group by its own value there, in place of the closed keys.  The
+    other classes prune the candidates as in the scan."""
+    classes = odd_partitions_of(n)
+    cols = sorted(range(len(classes) - 1), key=lambda i: n - len(classes[i]))
+    if cache_dir is None:
+        one = classes[-1]
+        lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
+        lin_at = lambda la, i: Fraction(cv.chi(la, classes[i]), cv.chi(la, one))
+        spin_at = lambda al, i: cv._spin_ratio(al, classes[i])
+        ratio = lambda al, la: cv.spin_degree(al) / cv.specht_degree(la)
+    else:
+        lin, spn = cv.load_or_build_tables(n, cache_dir)
+        lin_labels, spin_labels = lin, spn
+        lin_at = lambda la, i: cv._table_ratio(lin[la], i)
+        spin_at = lambda al, i: cv._table_ratio(spn[al], i)
+        ratio = lambda al, la: spn[al][-1] / lin[la][-1]
+
+    def first(at, label):
+        # n <= 2 has no class but (1^n): then every pair is proportional
+        return at(label, cols[0]) if cols else None
+
+    groups = {}
+    for al in spin_labels:
+        groups.setdefault(first(spin_at, al), []).append(al)
+    out = []
+    for la in lin_labels:
+        cands = groups.get(first(lin_at, la), ())
+        for i in cols[1:]:
+            if not cands:
+                break
+            v = lin_at(la, i)
+            cands = [al for al in cands if spin_at(al, i) == v]
+        out.extend((al, la, ratio(al, la)) for al in cands)
+    return sorted(out, key=lambda rec: (rec[0], rec[1]))

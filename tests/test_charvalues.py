@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin import charvalues as cv
 from barspin.partitions import odd_partitions_of, partitions_of, strict_partitions_of
+from oracles import scan_reference
 
 S = lambda a, b=0: Scalar(a, b)
 
@@ -269,6 +270,34 @@ def test_scan_matches_brute_force_pairing(tmp_path):
         assert cv.scan(n) == brute
         cv.load_or_build_tables(n, cache_dir=str(tmp_path))
         assert cv.scan(n, cache_dir=str(tmp_path)) == brute
+
+
+def test_closed_keys_match_the_recursions():
+    """The scan's keys are 60*|C| times the value over the degree on
+    (3,1^{n-3}) and on (5,1^{n-5}), for the classes that exist at n: by
+    the rim-hook recursion for every partition, by Morris's formula for
+    every strict label.  A wrong closed form would drop true pairs without
+    any error."""
+    for n in range(25):
+        classes = [(k,) + (1,) * (n - k) for k in (3, 5) if n >= k]
+        sizes = [60 * math.factorial(n) // cv.z_order(nu) for nu in classes]
+        for la in partitions_of(n):
+            deg = cv.specht_degree(la)
+            want = tuple(c * Fraction(cv.chi(la, nu), deg) for c, nu in zip(sizes, classes))
+            assert cv._linear_key(la) == want, la
+        for al in strict_partitions_of(n):
+            want = tuple(c * cv._spin_ratio(al, nu) for c, nu in zip(sizes, classes))
+            assert cv._spin_key(al) == want, al
+
+
+def test_scan_matches_first_class_grouping(tmp_path):
+    """Keyed on the closed forms, the scan finds the same pairs as grouping
+    on the values at the first class, cold and on a filled table cache."""
+    for n in range(21):
+        assert cv.scan(n) == scan_reference(n), n
+    for n in range(13):
+        cv.load_or_build_tables(n, cache_dir=str(tmp_path))
+        assert cv.scan(n, cache_dir=str(tmp_path)) == scan_reference(n, str(tmp_path)), n
 
 
 def test_scan_builds_no_vectors(monkeypatch, tmp_path):

@@ -6,6 +6,11 @@ the operator tests.
 """
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,19 @@ def test_info_strict_fsas(capsys):
     assert "(a,r,s)=(4,4,2)" in out
     assert "linear partner: 12,9,6,3,3,1,1,1" in out
     assert "proportionality ratio: sqrt2^4" in out
+
+
+def test_python_dash_m_barspin(capsys):
+    """`python3 -m barspin` runs the same command line as cli.main."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "barspin", "info", "partition", "2,1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, "info", "partition", "2,1")
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_info_strict_not_fsas(capsys):
@@ -163,9 +181,24 @@ def test_verify_json_schema(capsys):
     assert blob["maxN"] == 6
     assert blob["pass"] is True
     for case in blob["cases"]:
-        assert set(case) == {"input", "expected", "actual", "pass"}
+        assert set(case) == {"input", "expected", "actual", "pass", "millis"}
         assert case["pass"] is True
+        assert type(case["millis"]) is int and case["millis"] >= 0
     assert json.dumps(blob) == out.strip()
+
+
+def test_case_millis_is_the_time_since_the_previous_case():
+    rep = verify.Report(suite="main", max_n=2)
+    time.sleep(0.03)
+    rep.check("first", "x", "x")
+    rep.tally("second", 1, [])
+    time.sleep(0.05)
+    rep.check("third", "x", "y")
+    first, second, third = rep.cases
+    assert first.millis >= 30
+    assert second.millis < first.millis
+    assert third.millis >= 50
+    assert [c["millis"] for c in rep.to_dict()["cases"]] == [c.millis for c in rep.cases]
 
 
 def test_verify_csv(capsys):
