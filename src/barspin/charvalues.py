@@ -68,17 +68,6 @@ from barspin.scalars import Scalar, sqrt2_pow
 from barspin.symfunc import p_in_P_coefficient, schur_poly
 
 
-def z_order(nu):
-    """Centralizer order of the class nu."""
-    out = 1
-    mult = {}
-    for p in nu:
-        mult[p] = mult.get(p, 0) + 1
-    for p, m in mult.items():
-        out *= p ** m * math.factorial(m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear characters via Murnaghan-Nakayama
 
@@ -109,11 +98,11 @@ def specht_degree(la):
 
 
 def chi_schur_oracle(la, nu):
-    """chi^la(nu) as z_nu times the p_nu coefficient of s_la; independent of
-    the rim-hook recursion."""
-    c = schur_poly(la).get(tuple(nu), Fraction(0)) * z_order(nu)
-    assert c.denominator == 1
-    return int(c)
+    """chi^la(nu) as the z_nu-scaled p_nu coefficient of s_la; independent
+    of the rim-hook recursion."""
+    c = schur_poly(la).get(tuple(nu), 0)
+    assert type(c) is int
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,16 @@
 """Symmetric functions in the power-sum basis, exactly.
 
-A polynomial is a dict mapping a partition (the power-sum index) to a
-Fraction.  The p-basis is multiplicative, so products just merge indices.
+A polynomial is a dict mapping a partition nu (the power-sum index) to
+z_nu times the coefficient of p_nu, where z_nu = prod_k k^(m_k) m_k! is the
+centralizer order of the class nu.  In this scaling every coefficient the
+library forms is an integer: h_r has 1 at every nu of r and q_r has
+2^len(nu) at every odd nu of r (Macdonald, Symmetric Functions and Hall
+Polynomials, I (2.14) and III.8), and the scaled coefficient of p_nu in
+s_la is the character value chi^la(nu).  A coefficient is a Fraction only
+when it is not integral.  Multiplying p_mu/z_mu by p_nu/z_nu gives
+p_(mu u nu)/z_(mu u nu) times z_(mu u nu)/(z_mu z_nu), the integer
+prod_k C(m_k(mu) + m_k(nu), m_k(mu)).
+
 Schur Q/P live in the subring generated by odd power sums, and spin
 character values are read off the coefficients X with
 p_nu = sum_alpha X^alpha_nu P_alpha.
@@ -16,6 +25,7 @@ it against inverting the transition matrix between {P_alpha} and
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,42 +33,57 @@ from barspin.partitions import (
     bars,
     check_strict,
     conjugate,
+    odd_partitions_of,
+    partitions_of,
     size,
     union_parts,
 )
 
 
-def p_mono(nu, coeff=1):
-    return {tuple(nu): Fraction(coeff)}
+@lru_cache(maxsize=None)
+def z_order(nu):
+    """Centralizer order z_nu = prod_k k^(m_k) m_k! of the class nu."""
+    out = 1
+    for p in set(nu):
+        m = nu.count(p)
+        out *= p ** m * math.factorial(m)
+    return out
+
+
+def _whole(c):
+    """c as an int when it is integral."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def poly_add(*polys):
     out = {}
     for poly in polys:
         for k, v in poly.items():
-            s = out.get(k, Fraction(0)) + v
+            s = out.get(k, 0) + v
             if s:
-                out[k] = s
+                out[k] = s if type(s) is int else _whole(s)
             elif k in out:
                 del out[k]
     return out
 
 
 def poly_scale(poly, c):
-    c = Fraction(c)
     if not c:
         return {}
-    return {k: v * c for k, v in poly.items()}
+    return {k: _whole(v * c) for k, v in poly.items()}
 
 
 def poly_mul(f, g):
     out = {}
+    gz = [(kg, vg, z_order(kg)) for kg, vg in g.items()]
     for kf, vf in f.items():
-        for kg, vg in g.items():
+        zf = z_order(kf)
+        for kg, vg, zg in gz:
             k = union_parts(kf, kg)
-            s = out.get(k, Fraction(0)) + vf * vg
+            # z(kf u kg) / (z(kf) z(kg)) = prod_k C(m_k(kf) + m_k(kg), m_k(kf))
+            s = out.get(k, 0) + vf * vg * (z_order(k) // (zf * zg))
             if s:
-                out[k] = s
+                out[k] = s if type(s) is int else _whole(s)
             elif k in out:
                 del out[k]
     return out
@@ -69,28 +94,18 @@ def poly_eq(f, g):
 
 
 # ---------------------------------------------------------------------------
-# generators: q_r (odd power sums only) and h_r
+# generators: q_r (odd power sums only) and h_r, in closed form
 
 @lru_cache(maxsize=None)
 def q_poly(r):
-    """Schur's q_r: r*q_r = 2 * sum over odd k <= r of p_k q_{r-k}."""
-    if r == 0:
-        return {(): Fraction(1)}
-    acc = {}
-    for k in range(1, r + 1, 2):
-        acc = poly_add(acc, poly_mul(p_mono((k,)), q_poly(r - k)))
-    return poly_scale(acc, Fraction(2, r))
+    """Schur's q_r = sum over odd nu of r of 2^len(nu) p_nu / z_nu."""
+    return {nu: 2 ** len(nu) for nu in odd_partitions_of(r)}
 
 
 @lru_cache(maxsize=None)
 def h_poly(r):
-    """Complete homogeneous h_r via Newton's identity."""
-    if r == 0:
-        return {(): Fraction(1)}
-    acc = {}
-    for k in range(1, r + 1):
-        acc = poly_add(acc, poly_mul(p_mono((k,)), h_poly(r - k)))
-    return poly_scale(acc, Fraction(1, r))
+    """Complete homogeneous h_r = sum over nu of r of p_nu / z_nu."""
+    return {nu: 1 for nu in partitions_of(r)}
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +132,7 @@ def _pfaffian(m):
         if rows in cache:
             return cache[rows]
         if not rows:
-            return {(): Fraction(1)}
+            return {(): 1}
         i = rows[0]
         rest = rows[1:]
         acc = {}
@@ -136,7 +151,7 @@ def schur_q_poly(al):
     with a zero part)."""
     check_strict(al)
     if not al:
-        return {(): Fraction(1)}
+        return {(): 1}
     if len(al) == 1:
         return q_poly(al[0])
     padded = al if len(al) % 2 == 0 else al + (0,)
@@ -162,8 +177,8 @@ def _det(m):
     """Determinant of a matrix of polynomials, DP over column subsets."""
     n = len(m)
     if n == 0:
-        return {(): Fraction(1)}
-    state = {frozenset(): {(): Fraction(1)}}
+        return {(): 1}
+    state = {frozenset(): {(): 1}}
     for row in range(n):
         new = {}
         for used, val in state.items():
@@ -191,7 +206,7 @@ def schur_poly(la):
     """Schur s_la in the p-basis; conjugates first when that shrinks the
     Jacobi-Trudi determinant."""
     if not la:
-        return {(): Fraction(1)}
+        return {(): 1}
     if len(la) > la[0]:
         return omega(schur_poly(conjugate(la)))
     n = len(la)
@@ -242,7 +257,7 @@ def evaluate(poly, xs):
     xs = [Fraction(v) for v in xs]
     total = Fraction(0)
     for nu, c in poly.items():
-        term = c
+        term = Fraction(c, z_order(nu))
         for k in nu:
             term *= sum(x ** k for x in xs)
         total += term
@@ -259,12 +274,15 @@ def monomial_schur_q(al, xs, marked_diagonal=True):
 
     Entries are m' < m for m = 1..len(xs), encoded 2m-1 and 2m; rows and
     columns weakly increase; each column holds at most one unprimed m and
-    each row at most one primed m.  P bans primes on the diagonal.
+    each row at most one primed m.  P bans primes on the diagonal.  The
+    fillings are tallied by content (how often each m occurs), and each
+    distinct content is evaluated once.
     """
     xs = [Fraction(v) for v in xs]
     cs = _shifted_cells(al)
     v = len(xs)
-    total = Fraction(0)
+    content = [0] * v
+    tally = {}
 
     def ok(filling, idx, val):
         i, j = cs[idx]
@@ -285,20 +303,25 @@ def monomial_schur_q(al, xs, marked_diagonal=True):
         return True
 
     def rec(idx, filling):
-        nonlocal total
         if idx == len(cs):
-            term = Fraction(1)
-            for w in filling:
-                term *= xs[(w + 1) // 2 - 1]
-            total += term
+            key = tuple(content)
+            tally[key] = tally.get(key, 0) + 1
             return
         for val in range(1, 2 * v + 1):
             if ok(filling, idx, val):
                 filling.append(val)
+                content[(val - 1) // 2] += 1
                 rec(idx + 1, filling)
+                content[(val - 1) // 2] -= 1
                 filling.pop()
 
     rec(0, [])
+    total = Fraction(0)
+    for key, count in tally.items():
+        term = Fraction(count)
+        for x, e in zip(xs, key):
+            term *= x ** e
+        total += term
     return total
 
 

@@ -558,7 +558,8 @@ def run_symfunc(max_n=None, cache_dir=None):
 
     xs = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
     fails, total = [], 0
-    for n in range(0, min(bound, 6) + 1):
+    small = min(bound, 6)
+    for n in range(0, small + 1):
         for al in pt.strict_partitions_of(n):
             total += 1
             bad = []
@@ -568,7 +569,8 @@ def run_symfunc(max_n=None, cache_dir=None):
                 bad.append("P")
             if bad:
                 fails.append(f"al={_fmt(al)}: {'/'.join(bad)}")
-    rep.tally("Pfaffian route equals tableau evaluation in four variables, size <= 6", total, fails)
+    rep.tally(f"Pfaffian route equals tableau evaluation in four variables, size <= {small}",
+              total, fails)
 
     fails, total = [], 0
     for r in range(0, 9):

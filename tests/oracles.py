@@ -8,6 +8,9 @@ one production route for, by a slower or more literal construction.
 - The spin-removable and spin-addable nodes as the union of the cells moved
   by every legal move, over every count, and what the library reads off
   those nodes (the full removal and the runner-swap sign).
+- Plain power-sum coefficients of the library's z_nu-scaled polynomials,
+  and h_r and q_r by Newton's recursions on those plain coefficients (the
+  oracles for the closed forms of `symfunc.h_poly` and `symfunc.q_poly`).
 - The P-basis transition matrix solved by Gauss-Jordan, and the expansion
   of a polynomial in {P_alpha} through it (the oracle for Morris's bar
   recursion).
@@ -34,7 +37,7 @@ from barspin.partitions import (
     spin_removals,
     strict_partitions_of,
 )
-from barspin.symfunc import schur_p_poly
+from barspin.symfunc import schur_p_poly, z_order
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,41 @@ def spin_swap_sign_reference(al, eps):
 
 
 # ---------------------------------------------------------------------------
+# plain power-sum coefficients, and the generators by Newton's recursions
+
+def plain(poly):
+    """{nu: coefficient of p_nu} for a z_nu-scaled library polynomial."""
+    return {nu: Fraction(c, z_order(nu)) for nu, c in poly.items()}
+
+
+def _newton_step(r, ks, weight, lower):
+    """weight * sum over k in ks of p_k times lower(r - k), plain coefficients."""
+    acc = {}
+    for k in ks:
+        for nu, c in lower(r - k).items():
+            key = tuple(sorted(nu + (k,), reverse=True))
+            acc[key] = acc.get(key, Fraction(0)) + c * weight
+    return {nu: c for nu, c in acc.items() if c}
+
+
+@lru_cache(maxsize=None)
+def q_poly_newton(r):
+    """Schur's q_r with plain coefficients: r q_r = 2 sum over odd k <= r
+    of p_k q_(r-k)."""
+    if r == 0:
+        return {(): Fraction(1)}
+    return _newton_step(r, range(1, r + 1, 2), Fraction(2, r), q_poly_newton)
+
+
+@lru_cache(maxsize=None)
+def h_poly_newton(r):
+    """h_r with plain coefficients: r h_r = sum over k <= r of p_k h_(r-k)."""
+    if r == 0:
+        return {(): Fraction(1)}
+    return _newton_step(r, range(1, r + 1), Fraction(1, r), h_poly_newton)
+
+
+# ---------------------------------------------------------------------------
 # expansion in {P_alpha} by the transition-matrix solve
 
 @lru_cache(maxsize=None)
@@ -139,7 +177,8 @@ def p_to_P_matrix(n):
     nus = odd_partitions_of(n)
     k = len(alphas)
     assert len(nus) == k, "Euler's identity just failed, which is bad news"
-    m = [[schur_p_poly(al).get(nu, Fraction(0)) for nu in nus] for al in alphas]
+    rows = [plain(schur_p_poly(al)) for al in alphas]
+    m = [[row.get(nu, Fraction(0)) for nu in nus] for row in rows]
     # solve M^T x = e_j for every j by one Gauss-Jordan pass on [M^T | I]
     a = [
         [m[j][i] for j in range(k)] + [Fraction(int(i == t)) for t in range(k)]
@@ -162,9 +201,11 @@ def p_to_P_matrix(n):
 
 
 def expand_in_P(poly, n):
-    """Coefficients {alpha: Fraction} with poly = sum c_alpha P_alpha.
-    The polynomial must be homogeneous of degree n with odd support."""
+    """Coefficients {alpha: Fraction} with poly = sum c_alpha P_alpha, for a
+    z_nu-scaled library polynomial.  The polynomial must be homogeneous of
+    degree n with odd support."""
     alphas, nus, x = p_to_P_matrix(n)
+    poly = plain(poly)
     for nu in poly:
         if size(nu) != n or any(p % 2 == 0 for p in nu):
             raise ValueError(f"not an odd-support degree-{n} polynomial: p_{nu}")

@@ -172,6 +172,15 @@ def test_verify_text(capsys):
     assert "symfunc: PASS" in out
 
 
+def test_verify_symfunc_labels_the_tableau_case_with_its_bound(capsys):
+    """The tableau case checks sizes up to min(bound, 6), and says so."""
+    code, out, _ = run(capsys, "verify", "symfunc", "--max-n", "3", "--format", "json")
+    assert code == 0
+    labels = [case["input"] for case in json.loads(out)["cases"]]
+    assert "Pfaffian route equals tableau evaluation in four variables, size <= 3" in labels
+    assert not any("size <= 6" in label for label in labels)
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "degrees", "--max-n", "6", "--format", "json")
     assert code == 0

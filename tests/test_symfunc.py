@@ -1,9 +1,11 @@
 """Tests for the power-sum polynomial layer.
 
-Polynomials are dicts from odd power-sum monomials to Fractions.  The
-closed-form expansions are pinned against tableau-generating-function
-evaluations at rational points, which are computed by a completely
-independent combinatorial routine.
+Polynomials are dicts from power-sum indices nu to z_nu times the
+coefficient of p_nu, integers wherever the library forms them; `plain`
+turns them back into Fraction coefficients.  The closed-form expansions are
+pinned against tableau-generating-function evaluations at rational points,
+which are computed by a completely independent combinatorial routine, and
+the closed forms of h_r and q_r against Newton's recursions.
 """
 
 from fractions import Fraction as F
@@ -14,30 +16,65 @@ from barspin import symfunc as sf
 from barspin.partitions import (
     conjugate,
     odd_partitions_of,
+    partitions_of,
     staircase,
     strict_partitions_of,
     sum_parts,
 )
-from oracles import expand_in_P, monomial_schur, p_to_P_matrix
+from oracles import (
+    expand_in_P,
+    h_poly_newton,
+    monomial_schur,
+    p_to_P_matrix,
+    plain,
+    q_poly_newton,
+)
 
 
 def test_q_poly_frozen():
-    assert sf.q_poly(0) == {(): F(1)}
-    assert sf.q_poly(1) == {(1,): F(2)}
-    assert sf.q_poly(2) == {(1, 1): F(2)}
-    assert sf.q_poly(3) == {(1, 1, 1): F(4, 3), (3,): F(2, 3)}
+    assert plain(sf.q_poly(0)) == {(): F(1)}
+    assert plain(sf.q_poly(1)) == {(1,): F(2)}
+    assert plain(sf.q_poly(2)) == {(1, 1): F(2)}
+    assert plain(sf.q_poly(3)) == {(1, 1, 1): F(4, 3), (3,): F(2, 3)}
 
 
 def test_schur_q_frozen():
-    assert sf.schur_q_poly((3, 1)) == {(1, 1, 1, 1): F(4, 3), (3, 1): F(-4, 3)}
-    assert sf.schur_p_poly((3, 1)) == {(1, 1, 1, 1): F(1, 3), (3, 1): F(-1, 3)}
+    assert plain(sf.schur_q_poly((3, 1))) == {(1, 1, 1, 1): F(4, 3), (3, 1): F(-4, 3)}
+    assert plain(sf.schur_p_poly((3, 1))) == {(1, 1, 1, 1): F(1, 3), (3, 1): F(-1, 3)}
     assert sf.schur_q_poly((1,)) == sf.q_poly(1)
 
 
 def test_schur_frozen():
-    assert sf.schur_poly((1, 1)) == {(1, 1): F(1, 2), (2,): F(-1, 2)}
-    assert sf.schur_poly((2, 1)) == {(1, 1, 1): F(1, 3), (3,): F(-1, 3)}
-    assert sf.h_poly(2) == {(1, 1): F(1, 2), (2,): F(1, 2)}
+    assert plain(sf.schur_poly((1, 1))) == {(1, 1): F(1, 2), (2,): F(-1, 2)}
+    assert plain(sf.schur_poly((2, 1))) == {(1, 1, 1): F(1, 3), (3,): F(-1, 3)}
+    assert plain(sf.h_poly(2)) == {(1, 1): F(1, 2), (2,): F(1, 2)}
+
+
+def test_closed_generators_match_newton():
+    """h_r = sum p_nu/z_nu over nu of r and q_r = sum 2^len(nu) p_nu/z_nu
+    over odd nu of r, against Newton's recursions on plain coefficients."""
+    for r in range(13):
+        assert plain(sf.h_poly(r)) == h_poly_newton(r), r
+        assert plain(sf.q_poly(r)) == q_poly_newton(r), r
+
+
+def test_scaled_coefficients_are_ints():
+    """The integer kernel rests on this: no z_nu-scaled coefficient the
+    library forms is a Fraction."""
+    polys = [sf.h_poly(r) for r in range(13)] + [sf.q_poly(r) for r in range(13)]
+    polys += [sf.schur_poly(la) for n in range(11) for la in partitions_of(n)]
+    for n in range(13):
+        for al in strict_partitions_of(n):
+            polys += [sf.schur_q_poly(al), sf.schur_p_poly(al)]
+    for poly in polys:
+        assert all(type(c) is int for c in poly.values()), poly
+
+
+def test_poly_mul_scales_by_the_multiplicities():
+    """(p_1/z_1)(p_1/z_1) = 2 p_11/z_11 and (p_2 p_1/z_21)(p_1/z_1) = 2 p_211/z_211."""
+    assert sf.poly_mul({(1,): 1}, {(1,): 1}) == {(1, 1): 2}
+    assert sf.poly_mul({(2, 1): 1}, {(1,): 1}) == {(2, 1, 1): 2}
+    assert sf.poly_mul({(2,): 3}, {(1,): 5}) == {(2, 1): 15}
 
 
 def test_two_row_matches_pfaffian():
