@@ -77,12 +77,8 @@ def from_core_quotient(core, q0, q1):
     """The partition with the given 2-core and 2-quotient."""
     if k_core(core, 2) != core:
         raise ValueError(f"{core} is not a 2-core")
-    r = len(core)
-    while True:
-        d = display(core, 2, r)
-        if all(len(d.runner(eps)) >= len(q) for eps, q in ((0, q0), (1, q1))):
-            break
-        r += 2
+    # each two more beads put one more on each runner, so both hold enough
+    d = display(core, 2, len(core) + 2 * max(len(q0), len(q1)))
     beads = []
     for eps, q in ((0, q0), (1, q1)):
         slots = d.slots(eps)

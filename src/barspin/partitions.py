@@ -75,46 +75,33 @@ def cells(la):
 
 # ---------------------------------------------------------------------------
 # enumeration (descending lexicographic everywhere, for reproducible reports)
+#
+# Size n is built from the memoized smaller sizes: a first part, then a
+# partition of the rest whose first part is at most it (below it, for strict
+# partitions).  Filtering keeps the descending order of each smaller size.
 
 @lru_cache(maxsize=None)
-def partitions_of(n, max_part=None):
-    if max_part is None or max_part > n:
-        max_part = n
+def partitions_of(n):
     if n == 0:
         return ((),)
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def strict_partitions_of(n, max_part=None):
-    if max_part is None or max_part > n:
-        max_part = n
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in strict_partitions_of(n - first, first - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(n, 0, -1)
+                 for rest in partitions_of(n - first) if not rest or rest[0] <= first)
 
 
 @lru_cache(maxsize=None)
-def odd_partitions_of(n, max_part=None):
-    if max_part is None or max_part > n:
-        max_part = n
-    if max_part % 2 == 0:
-        max_part -= 1
+def strict_partitions_of(n):
     if n == 0:
         return ((),)
-    out = []
-    for first in range(max_part, 0, -2):
-        for rest in odd_partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(n, 0, -1)
+                 for rest in strict_partitions_of(n - first) if not rest or rest[0] < first)
+
+
+@lru_cache(maxsize=None)
+def odd_partitions_of(n):
+    if n == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(n - 1 + n % 2, 0, -2)
+                 for rest in odd_partitions_of(n - first) if not rest or rest[0] <= first)
 
 
 def strict_partitions_upto(n):
@@ -385,34 +372,16 @@ def largest_odd_bar(al):
     return o + e, tuple(p for p in al if p != o and p != e)
 
 
-def four_bar_moves(al):
-    """Results of a single 4-bar-core move: drop an even part, drop two parts
-    summing to a multiple of 4, or lower an odd part > 4 by 4 if free."""
-    pset = set(al)
-    out = set()
-    for a in al:
-        if a % 2 == 0:
-            out.add(tuple(p for p in al if p != a))
-    for a, b in itertools.combinations(al, 2):
-        if (a + b) % 4 == 0:
-            out.add(tuple(p for p in al if p != a and p != b))
-    for a in al:
-        if a % 2 == 1 and a > 4 and (a - 4) not in pset:
-            out.add(tuple(sorted((set(al) - {a}) | {a - 4}, reverse=True)))
-    return sorted(out, reverse=True)
-
-
 def four_bar_core(al):
-    """(core, weight): the weight counts removed nodes in units of 2."""
-    cur = al
-    while True:
-        nxt = four_bar_moves(cur)
-        if not nxt:
-            break
-        cur = nxt[0]
-    w, rem = divmod(size(al) - size(cur), 2)
-    assert rem == 0
-    return cur, w
+    """(core, weight): the weight counts removed nodes in units of 2.
+
+    A 4-bar move drops an even part, drops two parts summing to a multiple
+    of 4, or lowers an odd part by 4, so it keeps d = #(parts = 1 mod 4) -
+    #(parts = 3 mod 4).  The 4-bar cores are the bar staircases, one for
+    each d (bars and 4-bar cores: Olsson 1993)."""
+    d = sum(1 if p % 4 == 1 else -1 for p in al if p % 2)
+    core = bar_staircase(2 * d - 1 if d > 0 else -2 * d)
+    return core, (size(al) - size(core)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -444,45 +413,37 @@ def bar_staircase_index(al):
 # spin nodes: simultaneous end-of-row removals/additions for strict partitions
 #
 # A residue-eps spin move sheds (grows) end cells of spin residue eps, up to
-# two per row, and leaves a strict partition.  The legal moves are closed
-# under taking the larger move in each row: the new parts are the row-wise
-# min (max) of two strictly decreasing sequences, which decreases strictly,
-# and each row's options {0}, {0, 1} or {0, 1, 2} are closed downwards.  So
-# there is a unique largest move, and its cells hold every cell that any
-# move sheds (grows): those are the spin-removable (addable) eps-nodes.
+# two per row, and leaves a strict partition.  Growing runs on al + (0,), so
+# the new row (1) is a zero part growing one cell, with no special case.  The
+# legal moves are closed under taking the larger move in each row: the new
+# parts are the row-wise min (max) of two strictly decreasing sequences,
+# which decreases strictly, and each row's options {0}, {0, 1} or {0, 1, 2}
+# are closed downwards.  So there is a unique largest move, and its cells
+# hold every cell that any move sheds (grows): those are the spin-removable
+# (addable) eps-nodes.
 
-def _spin_removal_options(part, eps):
-    """How many end cells (0, 1 or 2) a row of this size may shed with all
-    shed cells of spin residue eps."""
-    opts = [0]
-    if part >= 1 and spin_residue(part) == eps:
-        opts.append(1)
-        if part >= 3 and part % 2 == 1:
-            # columns part and part-1 share a spin residue only for odd parts
-            opts.append(2)
-    return opts
-
-
-def _spin_addition_options(part, eps):
-    opts = [0]
-    if spin_residue(part + 1) == eps:
-        opts.append(1)
-        if part % 2 == 1:
-            opts.append(2)
-    return opts
+def _spin_options(part, eps, sign):
+    """How many end cells (0, 1 or 2) a row of this size may shed (sign -1)
+    or grow (sign +1) with every moved cell of spin residue eps."""
+    first = part if sign < 0 else part + 1  # column of the first cell moved
+    if first < 1 or spin_residue(first) != eps:
+        return (0,)
+    # columns c and c + 1 share a spin residue only for even c
+    return (0, 1, 2) if first + sign >= 1 and spin_residue(first + sign) == eps else (0, 1)
 
 
-def _spin_moves(al, opts, sign, count, extra=0):
-    """(new parts, cells moved) for every pick of one option per row that
-    keeps the parts strictly decreasing (a trailing 0 allowed), built row
-    by row.  Picks that cannot end at count cells, counting up to extra
-    more after the last row, are dropped as early as possible."""
-    room = [extra]  # room[i]: the most cells rows i, i+1, ... can still move
+def _spin_moves(rows, eps, sign, count):
+    """Every strict partition left by moving exactly count cells, one pick
+    of options per row, keeping the rows strictly decreasing (a trailing 0
+    allowed), built row by row.  Picks that cannot end at count cells are
+    dropped as early as possible."""
+    opts = [_spin_options(part, eps, sign) for part in rows]
+    room = [0]  # room[i]: the most cells rows i, i+1, ... can still move
     for o in reversed(opts):
         room.append(room[-1] + o[-1])
     room.reverse()
     states = [((), 0)]
-    for part, row_opts, rest in zip(al, opts, room[1:]):
+    for part, row_opts, rest in zip(rows, opts, room[1:]):
         nxt = []
         for parts, moved in states:
             for k in row_opts:
@@ -493,30 +454,19 @@ def _spin_moves(al, opts, sign, count, extra=0):
                     continue
                 nxt.append((parts + (new,), moved + k))
         states = nxt
-    return states
+    return [tuple(filter(None, parts)) for parts, moved in states if moved == count]
 
 
 def spin_removals(al, eps, count):
     """Every strict partition left by shedding exactly count end cells of
     spin residue eps, up to 2 per row."""
-    opts = [_spin_removal_options(part, eps) for part in al]
-    return [tuple(filter(None, parts))
-            for parts, shed in _spin_moves(al, opts, -1, count) if shed == count]
+    return _spin_moves(al, eps, -1, count)
 
 
 def spin_additions(al, eps, count):
     """Every strict partition made by growing exactly count end cells of
-    spin residue eps, up to 2 per row, plus possibly a new final row of
-    size 1 (residue 0 only)."""
-    opts = [_spin_addition_options(part, eps) for part in al]
-    new_row = eps == 0
-    out = []
-    for parts, grown in _spin_moves(al, opts, 1, count, extra=int(new_row)):
-        if grown == count:
-            out.append(parts)
-        elif new_row and grown + 1 == count and (not parts or parts[-1] > 1):
-            out.append(parts + (1,))
-    return out
+    spin residue eps, up to 2 per row, the new row (1) included."""
+    return _spin_moves(al + (0,), eps, 1, count)
 
 
 def _largest_removal(al, eps):
@@ -526,21 +476,19 @@ def _largest_removal(al, eps):
     rows = []
     below = -1
     for part in reversed(al):
-        below = next(part - k for k in reversed(_spin_removal_options(part, eps))
+        below = next(part - k for k in reversed(_spin_options(part, eps, -1))
                      if part - k > below)
         rows.append(below)
     return rows[::-1]
 
 
 def _largest_addition(al, eps):
-    """Rows after the largest addition, greedily from the top row down, with
-    the new row (1) when eps = 0 and the last row ends up longer than 1."""
+    """Rows of al + (0,) after the largest addition, greedily from the top
+    row down."""
     rows = []
-    for part in al:
-        rows.append(next(part + k for k in reversed(_spin_addition_options(part, eps))
+    for part in al + (0,):
+        rows.append(next(part + k for k in reversed(_spin_options(part, eps, 1))
                          if not rows or part + k < rows[-1]))
-    if eps == 0 and (not rows or rows[-1] > 1):
-        rows.append(1)
     return rows
 
 
@@ -554,8 +502,7 @@ def spin_removable_nodes(al, eps):
 def spin_addable_nodes(al, eps):
     """Nodes grown by at least one legal residue-eps addition: the cells of
     the largest one."""
-    rows = _largest_addition(al, eps)
-    return {(i, c) for i, (old, new) in enumerate(itertools.zip_longest(al, rows, fillvalue=0), 1)
+    return {(i, c) for i, (old, new) in enumerate(zip(al + (0,), _largest_addition(al, eps)), 1)
             for c in range(old + 1, new + 1)}
 
 

@@ -5,9 +5,13 @@ one production route for, by a slower or more literal construction.
 
 - Corner helpers that validate every node they move, used by the operator
   tests to apply linear moves node by node.
+- Partitions, strict partitions and partitions into odd parts as a set of
+  part multisets, with no order rule.
+- The spin moves by brute force over every strict label of the right size.
 - The spin-removable and spin-addable nodes as the union of the cells moved
   by every legal move, over every count, and what the library reads off
   those nodes (the full removal and the runner-swap sign).
+- The 4-bar core by greedy 4-bar moves.
 - Plain power-sum coefficients of the library's z_nu-scaled polynomials,
   and h_r and q_r by Newton's recursions on those plain coefficients (the
   oracles for the closed forms of `symfunc.h_poly` and `symfunc.q_poly`).
@@ -20,6 +24,7 @@ one production route for, by a slower or more literal construction.
   the closed keys of `charvalues.scan`).
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +40,7 @@ from barspin.partitions import (
     size,
     spin_additions,
     spin_removals,
+    spin_residue,
     strict_partitions_of,
 )
 from barspin.symfunc import schur_p_poly, z_order
@@ -77,6 +83,53 @@ def add_corner_set(la, nodes):
             raise ValueError(f"{(r, c)} is not addable to {la}")
     out = tuple(lst)
     check_partition(out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# partitions as part multisets
+
+@lru_cache(maxsize=None)
+def partition_set(n):
+    """Every multiset of positive parts summing to n, as a weakly
+    decreasing tuple: one more part joined to each multiset of a smaller
+    sum, deduplicated."""
+    if n == 0:
+        return frozenset({()})
+    return frozenset(tuple(sorted(rest + (k,), reverse=True))
+                     for k in range(1, n + 1) for rest in partition_set(n - k))
+
+
+# ---------------------------------------------------------------------------
+# spin moves by brute force
+
+def _end_cells_ok(short, long, eps):
+    """The row long is the row short plus at most two end cells, all of
+    spin residue eps."""
+    return 0 <= long - short <= 2 and all(spin_residue(c) == eps for c in range(short + 1, long + 1))
+
+
+def spin_removals_brute(al, eps, count):
+    """Every strict label of size |al| - count with at most len(al) rows,
+    each row shorter than al's by at most two end cells of residue eps."""
+    if count > size(al):
+        return set()
+    return {be for be in strict_partitions_of(size(al) - count)
+            if len(be) <= len(al)
+            and all(_end_cells_ok(b, a, eps) for a, b in itertools.zip_longest(al, be, fillvalue=0))}
+
+
+def spin_additions_brute(al, eps, count):
+    """Every strict label of size |al| + count that grows each row of al by
+    at most two end cells of residue eps, with a new last row (1) only when
+    eps = 0."""
+    out = set()
+    for be in strict_partitions_of(size(al) + count):
+        if len(be) == len(al) + 1 and not (be[-1] == 1 and eps == 0):
+            continue
+        if len(be) in (len(al), len(al) + 1) and all(
+                _end_cells_ok(a, b, eps) for a, b in zip(al, be)):
+            out.add(be)
     return out
 
 
@@ -130,6 +183,39 @@ def spin_swap_sign_reference(al, eps):
     hits = sum(1 for d in range(2 * eps % 4, top + 1, 4)
                if {d, d + 1} & rem_cols and {d, d + 1} & add_cols)
     return -1 if (removed + hits) % 2 else 1
+
+
+# ---------------------------------------------------------------------------
+# the 4-bar core by greedy moves
+
+def four_bar_moves(al):
+    """Results of a single 4-bar-core move: drop an even part, drop two parts
+    summing to a multiple of 4, or lower an odd part > 4 by 4 if free."""
+    pset = set(al)
+    out = set()
+    for a in al:
+        if a % 2 == 0:
+            out.add(tuple(p for p in al if p != a))
+    for a, b in itertools.combinations(al, 2):
+        if (a + b) % 4 == 0:
+            out.add(tuple(p for p in al if p != a and p != b))
+    for a in al:
+        if a % 2 == 1 and a > 4 and (a - 4) not in pset:
+            out.add(tuple(sorted((set(al) - {a}) | {a - 4}, reverse=True)))
+    return sorted(out, reverse=True)
+
+
+def four_bar_core_by_moves(al):
+    """(core, weight) by taking the first 4-bar move until none is left."""
+    cur = al
+    while True:
+        nxt = four_bar_moves(cur)
+        if not nxt:
+            break
+        cur = nxt[0]
+    w, rem = divmod(size(al) - size(cur), 2)
+    assert rem == 0
+    return cur, w
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,19 @@ def test_core_quotient_roundtrip(la):
     assert pt.size(la) == pt.size(core) + 2 * (pt.size(q0) + pt.size(q1))
 
 
+def test_core_quotient_roundtrip_over_staircase_cores():
+    """from_core_quotient and back, for every 2-core (a, a-1, ..., 1) with
+    a <= 6 and every quotient pair with |q0| + |q1| <= 8."""
+    pairs = [(q0, q1) for m in range(9) for k in range(m + 1)
+             for q0 in pt.partitions_of(k) for q1 in pt.partitions_of(m - k)]
+    for a in range(7):
+        core = pt.staircase(a)
+        for q0, q1 in pairs:
+            la = abacus.from_core_quotient(core, q0, q1)
+            assert abacus.two_quotient(la) == (core, (q0, q1))
+            assert pt.size(la) == pt.size(core) + 2 * (pt.size(q0) + pt.size(q1))
+
+
 def test_swp_examples():
     assert abacus.swp((6, 3, 1, 1), 1) == (5, 2, 2)
     assert abacus.swp((2, 1), 1) == (1,)

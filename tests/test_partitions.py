@@ -3,10 +3,14 @@ from hypothesis import given, strategies as st
 
 from barspin import charspace as cs, partitions as pt
 from oracles import (
+    four_bar_core_by_moves,
+    partition_set,
     remove_all_spin_removable_reference,
     remove_corner_set,
     spin_addable_nodes_reference,
+    spin_additions_brute,
     spin_removable_nodes_reference,
+    spin_removals_brute,
     spin_swap_sign_reference,
 )
 
@@ -62,6 +66,18 @@ def test_counting():
     assert len(pt.partitions_of(8)) == 22
     assert len(pt.strict_partitions_of(8)) == 6
     assert len(pt.odd_partitions_of(8)) == 6
+
+
+def test_enumerators_match_part_multisets():
+    """Each size built from the smaller ones, against every multiset of
+    parts; descending lexicographic order is reverse tuple order."""
+    for n in range(26):
+        every = partition_set(n)
+        strict = {la for la in every if len(set(la)) == len(la)}
+        odd = {la for la in every if all(p % 2 for p in la)}
+        assert pt.partitions_of(n) == tuple(sorted(every, reverse=True))
+        assert pt.strict_partitions_of(n) == tuple(sorted(strict, reverse=True))
+        assert pt.odd_partitions_of(n) == tuple(sorted(odd, reverse=True))
 
 
 @given(st.integers(min_value=0, max_value=14))
@@ -126,6 +142,21 @@ def test_spin_nodes_match_the_union_over_every_move():
                 assert cs.spin_swap_sign(al, eps) == spin_swap_sign_reference(al, eps)
 
 
+def test_spin_moves_match_brute_force():
+    """spin_removals/spin_additions against every strict label of the right
+    size that differs from al by allowed end cells, the empty label and
+    counts past the largest move included.  Removals come in descending,
+    additions in ascending lexicographic order."""
+    for n in range(13):
+        for al in pt.strict_partitions_of(n):
+            for eps in (0, 1):
+                for count in range(2 * len(al) + 3):
+                    rem = spin_removals_brute(al, eps, count)
+                    add = spin_additions_brute(al, eps, count)
+                    assert pt.spin_removals(al, eps, count) == sorted(rem, reverse=True)
+                    assert pt.spin_additions(al, eps, count) == sorted(add)
+
+
 def test_remove_all_spin_removable():
     assert pt.remove_all_spin_removable((6, 3, 2), 1) == (5, 2, 1)
 
@@ -148,6 +179,12 @@ def test_four_bar_core():
     assert pt.four_bar_core((4, 3, 2)) == ((3,), 3)
     assert pt.four_bar_core((9, 1)) == ((5, 1), 2)
     assert pt.four_bar_core(()) == ((), 0)
+
+
+def test_four_bar_core_matches_greedy_moves():
+    for n in range(25):
+        for al in pt.strict_partitions_of(n):
+            assert pt.four_bar_core(al) == four_bar_core_by_moves(al)
 
 
 @given(strict_st)
