@@ -2,6 +2,15 @@
 
 Linear side: Murnaghan-Nakayama recursion for the ordinary irreducible
 characters; restricting to odd-part classes gives the 2-Brauer character.
+It runs on the abacus (James-Kerber 1981, The Representation Theory of the
+Symmetric Group, 2.7; Olsson 1993, Combinatorics and Representations of
+Finite Groups): a partition is its beta-set, one bead per part, held as a
+bitmask, and removing a k-rim hook moves one bead from b down to a free
+b - k, with sign (-1)^(beads strictly between b - k and b).  A bead that
+lands on 0 is shifted out, so each partition has one mask.  At (1^m) the
+value is the degree n! prod_{i<j} (b_j - b_i) / prod b_i!, memoized per
+mask and shared with `specht_degree`.  The memo keys are plain ints (see
+`partitions.memo_key`).
 Spin side: the value of the spin character of the strict label alpha on
 the odd class nu is Morris's closed form
 
@@ -26,7 +35,8 @@ proportional exactly when their values divided by the degree agree on
 every class, so it compares those normalized values one class at a time,
 the classes closest to (1^n) first, and drops a pair at the first class
 where they differ.  A pair that agrees everywhere is proportional with
-ratio spin degree over linear degree.
+ratio spin degree over linear degree.  The spin degree is read once per
+label.
 
 The first two classes, (3,1^{n-3}) and (5,1^{n-5}), are read in closed
 form.  The sum of a class C in the group algebra is central, so it acts on
@@ -42,7 +52,10 @@ their central characters there are equal.  The scan keys both sides on 60
 times the central characters, integers by the closed forms of
 `_linear_key` and `_spin_key`, and so pairs the labels exactly as the
 values on those two classes would.  A test checks both forms against the
-recursions for every label with n <= 24.
+recursions for every label with n <= 24.  The keys only prune: every pair
+that survives the other classes is still compared on these two through
+the recursions, two values per pair, so every reported pair has been
+checked on every class.
 """
 
 from __future__ import annotations
@@ -55,13 +68,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from barspin.partitions import (
+    beta_mask,
     check_partition,
     check_strict,
-    hook_lengths,
+    memo_key,
     odd_partitions_of,
     partitions_of,
-    rim_hooks,
     size,
+    split_key,
     strict_partitions_of,
 )
 from barspin.scalars import Scalar, sqrt2_pow
@@ -69,32 +83,65 @@ from barspin.symfunc import p_in_P_coefficient, schur_poly
 
 
 # ---------------------------------------------------------------------------
-# linear characters via Murnaghan-Nakayama
+# linear characters via Murnaghan-Nakayama, on beta-set bitmasks
+
+def chi(la, nu):
+    """Ordinary character value chi^la(nu) for partitions la and nu of the
+    same size."""
+    n = size(la)
+    if n != size(nu):
+        raise ValueError(f"size mismatch: {la} vs {nu}")
+    return _chi_kernel(memo_key(nu, beta_mask(la)))
+
 
 @lru_cache(maxsize=None)
-def chi(la, nu):
-    """Ordinary character value chi^la(nu), stripping the front part of nu.
-    nu is a partition, so nu[0] == 1 means the class (1^m), where the value
-    is the degree given by the hook formula."""
-    if size(la) != size(nu):
-        raise ValueError(f"size mismatch: {la} vs {nu}")
-    if not nu or nu[0] == 1:
-        return specht_degree(la)
+def _chi_kernel(key):
+    """chi at key = memo_key(nu, beta_mask(la)).
+
+    Strips the front part k of nu: each bead b >= k with b - k free moves
+    down k places, with sign (-1)^(beads strictly between b - k and b).  A
+    bead that lands on 0 is shifted out, with the beads in a run just above
+    it, so that the new mask again has no bead at 0.  At nu = (1^m) the
+    value is the degree."""
+    mask, k, rest = split_key(key)
+    if k <= 1:
+        return _degree(mask)
+    between = (1 << (k - 1)) - 1
     total = 0
-    k = nu[0]
-    for mu, leg in rim_hooks(la, k):
-        total += (-1) ** leg * chi(mu, nu[1:])
+    movable = (mask & ~(mask << k)) >> k << k
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        low = bead >> k
+        new = mask ^ bead ^ low
+        while new & 1:
+            new >>= 1
+        value = _chi_kernel(rest | new)
+        total += -value if (mask >> low.bit_length() & between).bit_count() & 1 else value
     return total
 
 
+# the per-layer benchmark reads the size of chi's memo from chi itself
+chi.cache_info = _chi_kernel.cache_info
+chi.cache_clear = _chi_kernel.cache_clear
+
+
+@lru_cache(maxsize=None)
+def _degree(mask):
+    """f^la from the beta-set b of la: n! prod_{i<j} (b_j - b_i) / prod b_i!
+    (James-Kerber 2.7)."""
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    num = math.factorial(sum(beads) - len(beads) * (len(beads) - 1) // 2)
+    den = 1
+    for j, b in enumerate(beads):
+        den *= math.factorial(b)
+        for a in beads[:j]:
+            num *= b - a
+    return num // den
+
+
 def specht_degree(la):
-    n = size(la)
-    prod = 1
-    for h in hook_lengths(la):
-        prod *= h
-    deg, rem = divmod(math.factorial(n), prod)
-    assert rem == 0
-    return deg
+    return _degree(beta_mask(la))
 
 
 def chi_schur_oracle(la, nu):
@@ -118,12 +165,12 @@ def _spin_value(al, nu):
     return sqrt2_pow(len(nu) - len(al)) * (_gauss_sign(nu) * p_in_P_coefficient(al, nu))
 
 
-def _spin_ratio(al, nu):
+def _spin_ratio(al, nu, degree):
     """Spin character value of al on the odd class nu divided by the
-    degree, an integer Fraction."""
-    n = size(al)
+    degree, an integer Fraction; degree is X^al at (1^n), the P-coefficient
+    that the degree of al is a power of sqrt2 times."""
     return Fraction(_gauss_sign(nu) * p_in_P_coefficient(al, nu),
-                    p_in_P_coefficient(al, (1,) * n) * 2 ** ((n - len(nu)) // 2))
+                    degree << (size(al) - len(nu)) // 2)
 
 
 def spin_degree(al):
@@ -292,15 +339,28 @@ def _closed_key(n, k3, k5):
 
 def _linear_key(la):
     """60*|C|*chi/degree of the partition la on (3,1^{n-3}) and on
-    (5,1^{n-5}), from the power sums p_k of its cell contents c = j - i."""
-    n = p1 = p2 = p4 = 0
+    (5,1^{n-5}), from the power sums p_k of its cell contents c = j - i.
+
+    Row i holds the contents -i .. row - i - 1.  With F_k(x) the sum of c^k
+    over 0 <= c < x, a polynomial in x (Faulhaber), the row adds
+    F_k(row - i) - F_k(-i).  With t = x(x - 1) and u = t(2x - 1),
+    F_1 = t/2, F_2 = u/6 and F_4 = u(3t - 1)/30; the F_k(-i) summed over
+    the r rows are r(r^2 - 1)/6, -r^2(r^2 - 1)/12 and
+    -r^2(r^2 - 1)(2r^2 - 3)/60."""
+    n = s1 = s2 = s4 = 0
     for i, row in enumerate(la):
         n += row
-        for c in range(-i, row - i):
-            c2 = c * c
-            p1 += c
-            p2 += c2
-            p4 += c2 * c2
+        x = row - i
+        t = x * x - x
+        u = t * (2 * x - 1)
+        s1 += t
+        s2 += u
+        s4 += u * (3 * t - 1)
+    r = len(la)
+    v = r * (r * r - 1)
+    p1 = (3 * s1 - v) // 6
+    p2 = (2 * s2 + r * v) // 12
+    p4 = (2 * s4 + r * v * (2 * r * r - 3)) // 60
     return _closed_key(n, 60 * p2 - 30 * n * (n - 1),
                        60 * (p4 - 2 * p1 * p1 - (3 * n - 10) * p2)
                        + 10 * n * (n - 1) * (5 * n - 19))
@@ -328,18 +388,21 @@ def scan(n, cache_dir=None):
     linear degree.  The strict labels are grouped by their closed keys on
     (3,1^{n-3}) and (5,1^{n-5}); each partition looks up its group by its
     own key.  The candidates are then compared on the other classes in
-    order of n - len(nu), cheapest first, and dropped as soon as a value
-    differs.  With cache_dir those values are read from the cached tables
-    instead."""
+    order of n - len(nu), cheapest first, then on the two keyed classes,
+    and dropped as soon as a value differs.  With cache_dir those values
+    are read from the cached tables instead."""
     classes = odd_partitions_of(n)
     keyed = {(k,) + (1,) * (n - k) for k in (3, 5) if n >= k}
-    cols = sorted((i for i, nu in enumerate(classes[:-1]) if nu not in keyed),
-                  key=lambda i: n - len(classes[i]))
+    # the keyed classes go last: the keys prune, and every survivor is
+    # still checked on every class
+    cols = sorted(range(len(classes) - 1),
+                  key=lambda i: (classes[i] in keyed, n - len(classes[i])))
     if cache_dir is None:
         one = classes[-1]
         lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
-        lin_at = lambda la, i: Fraction(chi(la, classes[i]), chi(la, one))
-        spin_at = lambda al, i: _spin_ratio(al, classes[i])
+        degree = {al: p_in_P_coefficient(al, one) for al in spin_labels}
+        lin_at = lambda la, i: Fraction(chi(la, classes[i]), specht_degree(la))
+        spin_at = lambda al, i: _spin_ratio(al, classes[i], degree[al])
         ratio = lambda al, la: spin_degree(al) / specht_degree(la)
     else:
         lin, spn = load_or_build_tables(n, cache_dir)

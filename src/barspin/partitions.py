@@ -315,6 +315,54 @@ def hook_lengths(la):
 
 
 # ---------------------------------------------------------------------------
+# partitions as plain ints, for the memoized recursions of charvalues and
+# symfunc
+
+def beta_mask(la):
+    """The beta-set of la with one bead per part, as a bitmask: bead
+    la[i] + len(la) - 1 - i for each row i, so no bead sits at 0."""
+    r = len(la)
+    mask = 0
+    for i, part in enumerate(la):
+        mask |= 1 << (part + r - 1 - i)
+    return mask
+
+
+def part_mask(al):
+    """The set of parts of a strict partition, as a bitmask."""
+    mask = 0
+    for a in al:
+        mask |= 1 << a
+    return mask
+
+
+def memo_key(nu, mask):
+    """One int for a class nu of size m and the mask of a label of size m.
+
+    The mask is below 2^(m + 1).  The class is m bits read from the top:
+    each part p, in order, a one followed by p - 1 zeros.  So the key
+    (class << (m + 1) | mask) has 2m + 1 bits and splits back into the
+    two."""
+    code = 0
+    for p in nu:
+        code = (code << p) | (1 << (p - 1))
+    return code << (sum(nu) + 1) | mask
+
+
+def split_key(key):
+    """(mask, k, rest) for key = memo_key(nu, mask): k is nu[0], or 0 when
+    nu is empty, and rest | mu == memo_key(nu[1:], mu) for the mask mu of
+    any label of size |nu| - k."""
+    m = key.bit_length() >> 1
+    mask = key & ((2 << m) - 1)
+    if not m:
+        return mask, 0, 0
+    rest = key >> (m + 1) ^ (1 << (m - 1))
+    k = m - rest.bit_length()
+    return mask, k, rest << (m - k + 1)
+
+
+# ---------------------------------------------------------------------------
 # bars (odd k) and the 4-bar-core
 
 def bars(al, k):

@@ -18,9 +18,15 @@ p_nu = sum_alpha X^alpha_nu P_alpha.
 The production route to X is Morris's bar recursion in plain integers
 (Morris 1962; Macdonald, Symmetric Functions, III.8 Ex. 11): multiplying
 P_beta by p_k adds a k-bar in every possible way, with a sign, so X^alpha_nu
-is a signed sum over the k-bars of alpha for k = nu[0].  The tests check
-it against inverting the transition matrix between {P_alpha} and
-{p_nu : nu odd}.
+is a signed sum over the k-bars of alpha for k = nu[0].  It runs on the
+set of parts of alpha as a bitmask (bars as in Olsson 1993, Combinatorics
+and Representations of Finite Groups): a part a >= k shrinks to a - k when
+that bit is clear, with sign (-1)^(parts strictly between a - k and a), and
+two parts a > b with a + b = k drop together, with sign
+2 (-1)^(parts strictly between b and a, plus b).  The memo keys are plain
+ints (see `partitions.memo_key`).  The tests check it against inverting
+the transition matrix between {P_alpha} and {p_nu : nu odd}, and against
+the same recursion on tuples over `partitions.bars`.
 """
 
 from __future__ import annotations
@@ -30,12 +36,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from barspin.partitions import (
-    bars,
     check_strict,
     conjugate,
+    memo_key,
     odd_partitions_of,
+    part_mask,
     partitions_of,
     size,
+    split_key,
     union_parts,
 )
 
@@ -222,31 +230,51 @@ def schur_poly(la):
 
 def p_in_P_coefficient(al, nu):
     """X with p_nu = sum_alpha X^alpha_nu P_alpha, an integer (nu odd)."""
-    return _bar_recursion(tuple(al), tuple(nu))
-
-
-def _bar_sign(al, be, k):
-    """c(al/be) in p_k P_be = sum c(al/be) P_al, for be in bars(al, k):
-    (-1)^(parts of be strictly between b and b+k) when part b grows by k,
-    (-1)^(parts of be below k) when k is a new part, and
-    2 (-1)^(parts of be strictly between b and a, plus b) when two new parts
-    a > b with a + b = k appear."""
-    grown = [a for a in al if a not in be]
-    if len(grown) == 2:
-        a, b = grown
-        return 2 * (-1) ** (sum(1 for p in be if b < p < a) + b)
-    (top,) = grown
-    low = top - k
-    return (-1) ** sum(1 for p in be if low < p < top)
+    mask = part_mask(al)
+    if mask & 1 or mask.bit_count() != len(al):
+        raise ValueError(f"not a strict partition: {al!r}")
+    m = size(al)
+    if size(nu) != m:
+        return 0
+    return _bar_kernel(memo_key(nu, mask))
 
 
 @lru_cache(maxsize=None)
-def _bar_recursion(al, nu):
-    """Morris's recursion: strip the k-bars of al for the front part k of nu."""
-    if not nu:
-        return int(not al)
-    k, rest = nu[0], nu[1:]
-    return sum(_bar_sign(al, be, k) * _bar_recursion(be, rest) for be in bars(al, k))
+def _bar_kernel(key):
+    """Morris's recursion at key = memo_key(nu, part_mask(al)): strip the
+    k-bars of al for the front part k of nu.
+
+    p_k P_be = sum c(al/be) P_al, over the al with be = al minus a k-bar:
+    a part a >= k shrinks to a - k when that bit is clear, with sign
+    (-1)^(parts strictly between a - k and a); two parts a > b with
+    a + b = k drop together, with sign 2 (-1)^(parts strictly between b
+    and a, plus b)."""
+    mask, k, rest = split_key(key)
+    if not k:
+        return 1
+    if not k & 1:
+        raise ValueError(f"bars are defined for odd lengths only, got {k}")
+    between = (1 << (k - 1)) - 1
+    total = 0
+    movable = (mask & ~(mask << k)) >> k << k
+    while movable:
+        part = movable & -movable
+        movable ^= part
+        low = part >> k
+        # a part equal to k lands on bit 0, which is no part
+        value = _bar_kernel(rest | (mask ^ part ^ low) & ~1)
+        total += -value if (mask >> low.bit_length() & between).bit_count() & 1 else value
+    small = mask & ((1 << (k + 1) // 2) - 1)
+    while small:
+        part = small & -small
+        small ^= part
+        b = part.bit_length() - 1
+        top = 1 << (k - b)
+        if mask & top:
+            value = 2 * _bar_kernel(rest | mask ^ part ^ top)
+            sign = (mask >> (b + 1) & ((1 << (k - 2 * b - 1)) - 1)).bit_count() + b
+            total += -value if sign & 1 else value
+    return total
 
 
 # ---------------------------------------------------------------------------

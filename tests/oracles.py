@@ -22,28 +22,36 @@ one production route for, by a slower or more literal construction.
 - The proportionality scan grouped on the values at its first class,
   computed by the rim-hook recursion and Morris's formula (the oracle for
   the closed keys of `charvalues.scan`).
+- The tuple recursions that the bitmask kernels replaced: Murnaghan-Nakayama
+  over `partitions.rim_hooks`, Morris's bar recursion over
+  `partitions.bars`, and the content power sums of the linear key summed
+  cell by cell.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from barspin import charvalues as cv
 from barspin.abacus import bswp
 from barspin.partitions import (
+    bars,
     cells,
     check_partition,
     check_strict,
+    hook_lengths,
     min_parts,
     odd_partitions_of,
     partitions_of,
+    rim_hooks,
     size,
     spin_additions,
     spin_removals,
     spin_residue,
     strict_partitions_of,
 )
-from barspin.symfunc import schur_p_poly, z_order
+from barspin.symfunc import p_in_P_coefficient, schur_p_poly, z_order
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +312,59 @@ def expand_in_P(poly, n):
 
 
 # ---------------------------------------------------------------------------
+# the tuple recursions behind the bitmask kernels
+
+@lru_cache(maxsize=None)
+def chi_by_rim_hooks(la, nu):
+    """chi^la(nu) by Murnaghan-Nakayama on tuples: strip the front part k of
+    nu through every k-rim hook of la; at (1^m), the hook length formula."""
+    if not nu or nu[0] == 1:
+        return math.factorial(size(la)) // math.prod(hook_lengths(la))
+    return sum((-1) ** leg * chi_by_rim_hooks(mu, nu[1:]) for mu, leg in rim_hooks(la, nu[0]))
+
+
+def _bar_sign(al, be, k):
+    """c(al/be) in p_k P_be = sum c(al/be) P_al, for be in bars(al, k):
+    (-1)^(parts of be strictly between b and b+k) when part b grows by k,
+    (-1)^(parts of be below k) when k is a new part, and
+    2 (-1)^(parts of be strictly between b and a, plus b) when two new parts
+    a > b with a + b = k appear."""
+    grown = [a for a in al if a not in be]
+    if len(grown) == 2:
+        a, b = grown
+        return 2 * (-1) ** (sum(1 for p in be if b < p < a) + b)
+    (top,) = grown
+    low = top - k
+    return (-1) ** sum(1 for p in be if low < p < top)
+
+
+@lru_cache(maxsize=None)
+def bar_recursion(al, nu):
+    """X^al_nu by Morris's recursion on tuples: strip the k-bars of al for
+    the front part k of nu."""
+    if not nu:
+        return int(not al)
+    k, rest = nu[0], nu[1:]
+    return sum(_bar_sign(al, be, k) * bar_recursion(be, rest) for be in bars(al, k))
+
+
+def linear_key_by_cells(la):
+    """charvalues._linear_key with the content power sums summed cell by
+    cell."""
+    n = p1 = p2 = p4 = 0
+    for i, row in enumerate(la):
+        n += row
+        for c in range(-i, row - i):
+            c2 = c * c
+            p1 += c
+            p2 += c2
+            p4 += c2 * c2
+    return cv._closed_key(n, 60 * p2 - 30 * n * (n - 1),
+                          60 * (p4 - 2 * p1 * p1 - (3 * n - 10) * p2)
+                          + 10 * n * (n - 1) * (5 * n - 19))
+
+
+# ---------------------------------------------------------------------------
 # Schur functions by tableaux
 
 def monomial_schur(la, xs):
@@ -352,7 +413,8 @@ def scan_reference(n, cache_dir=None):
         one = classes[-1]
         lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
         lin_at = lambda la, i: Fraction(cv.chi(la, classes[i]), cv.chi(la, one))
-        spin_at = lambda al, i: cv._spin_ratio(al, classes[i])
+        spin_at = lambda al, i: cv._spin_ratio(al, classes[i],
+                                               p_in_P_coefficient(al, one))
         ratio = lambda al, la: cv.spin_degree(al) / cv.specht_degree(la)
     else:
         lin, spn = cv.load_or_build_tables(n, cache_dir)

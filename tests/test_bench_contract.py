@@ -5,7 +5,7 @@ traced benchmark run, so this installs the tracer around a small suite."""
 import importlib.util
 from pathlib import Path
 
-from barspin import charvalues as cv, verify
+from barspin import charvalues as cv, symfunc as sf, verify
 from barspin.scalars import Scalar
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -57,3 +57,21 @@ def test_tracer_spans_the_interm_layer():
     spanned = {span[0] for span in t.spans}
     assert {"charspace.interm_signed_sum", "charspace.b_sum"} <= spanned
     assert tracer.layer_seconds(t.spans).get("charspace.interm_s", 0) > 0
+
+
+def test_memo_sizes_read_the_kernel_memos():
+    """The tracer reads chi's memo size from charvalues.chi.cache_info() and
+    symfunc's from its lru caches; chi's is its bitmask kernel's, and the
+    bar recursion's is one of symfunc's."""
+    tracer = _load_tracer()
+    cv.chi.cache_clear()
+    sf._bar_kernel.cache_clear()
+    with tracer.Tracer() as t:
+        rep = verify.run_suite("main", 8)
+    assert rep.ok
+    sizes = tracer.memo_sizes()
+    assert sizes["charvalues.chi_memo_entries"] > 0
+    assert sizes["symfunc.memo_entries"] > 0
+    grown = t.result()["memo"]
+    assert grown["charvalues.chi_memo_entries"] == sizes["charvalues.chi_memo_entries"]
+    assert grown["symfunc.memo_entries"] >= sf._bar_kernel.cache_info().currsize > 0

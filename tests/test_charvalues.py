@@ -17,8 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin import charvalues as cv, symfunc as sf
-from barspin.partitions import odd_partitions_of, partitions_of, strict_partitions_of
-from oracles import scan_reference
+from barspin.partitions import (
+    hook_lengths,
+    odd_partitions_of,
+    partitions_of,
+    strict_partitions_of,
+)
+from oracles import chi_by_rim_hooks, linear_key_by_cells, scan_reference
 
 S = lambda a, b=0: Scalar(a, b)
 
@@ -63,6 +68,16 @@ def test_chi_matches_determinant_oracle():
                 assert cv.chi(la, nu) == cv.chi_schur_oracle(la, nu)
 
 
+def test_chi_matches_rim_hook_recursion():
+    """The bead-move kernel against Murnaghan-Nakayama on tuples: every
+    class for n <= 12, every odd class (so (1^n) too) for n = 13, 14."""
+    for n in range(15):
+        classes = partitions_of(n) if n <= 12 else odd_partitions_of(n)
+        for la in partitions_of(n):
+            for nu in classes:
+                assert cv.chi(la, nu) == chi_by_rim_hooks(la, nu), (la, nu)
+
+
 def test_column_orthogonality():
     n = 6
     for nu in partitions_of(n):
@@ -78,7 +93,7 @@ def test_z_order():
 
 
 def test_hook_lengths():
-    assert sorted(cv.hook_lengths((3, 1))) == [1, 1, 2, 4]
+    assert sorted(hook_lengths((3, 1))) == [1, 1, 2, 4]
     assert cv.specht_degree((3, 2, 1)) == 16
 
 
@@ -287,8 +302,25 @@ def test_closed_keys_match_the_recursions():
             want = tuple(c * Fraction(cv.chi(la, nu), deg) for c, nu in zip(sizes, classes))
             assert cv._linear_key(la) == want, la
         for al in strict_partitions_of(n):
-            want = tuple(c * cv._spin_ratio(al, nu) for c, nu in zip(sizes, classes))
+            deg = sf.p_in_P_coefficient(al, (1,) * n)
+            want = tuple(c * cv._spin_ratio(al, nu, deg) for c, nu in zip(sizes, classes))
             assert cv._spin_key(al) == want, al
+
+
+def test_linear_key_matches_cell_loop():
+    for n in range(31):
+        for la in partitions_of(n):
+            assert cv._linear_key(la) == linear_key_by_cells(la), la
+
+
+def test_keys_only_prune(monkeypatch):
+    """With every label under one key, the scan still finds exactly the
+    pairs of the reference: each survivor is checked on the two keyed
+    classes through the recursions."""
+    monkeypatch.setattr(cv, "_linear_key", lambda la: ())
+    monkeypatch.setattr(cv, "_spin_key", lambda al: ())
+    for n in range(13):
+        assert cv.scan(n) == scan_reference(n), n
 
 
 def test_scan_matches_first_class_grouping(tmp_path):

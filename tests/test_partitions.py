@@ -226,6 +226,33 @@ def test_beta_roundtrip_any_padding(la, extra):
     assert pt.partition_from_beta(b) == la
 
 
+def test_int_encodings():
+    """The masks and memo keys of the kernels: the mask of a label of size
+    n is below 2^(n + 1), and split_key strips the front part of the class
+    from any key."""
+    assert pt.beta_mask((3, 1)) == 0b10010
+    assert pt.part_mask((4, 1)) == 0b10010
+    assert pt.memo_key((3, 1), 0b10010) == 0b1001_10010
+    assert pt.split_key(0b1001_10010) == (0b10010, 3, 0b1_00)
+    assert pt.split_key(pt.memo_key((), 0)) == (0, 0, 0)
+    for n in range(13):
+        for la in pt.partitions_of(n):
+            mask = pt.beta_mask(la)
+            assert mask < 2 ** (n + 1) and not mask & 1
+            assert pt.partition_from_beta([b for b in range(n + 1) if mask >> b & 1]) == la
+        for al in pt.strict_partitions_of(n):
+            assert pt.part_mask(al) < 2 ** (n + 1)
+            assert [b for b in range(n, 0, -1) if pt.part_mask(al) >> b & 1] == list(al)
+        masks = [pt.beta_mask(la) for la in pt.partitions_of(n)]
+        for nu in pt.partitions_of(n):
+            for mask in masks:
+                got, k, rest = pt.split_key(pt.memo_key(nu, mask))
+                assert (got, k) == (mask, nu[0] if nu else 0)
+                for mu in pt.partitions_of(n - k) if nu else ():
+                    small = pt.beta_mask(mu)
+                    assert rest | small == pt.memo_key(nu[1:], small)
+
+
 def test_k_core():
     assert pt.k_core((6, 3, 1, 1), 2) == (2, 1)
     assert pt.k_core((4, 2), 2) == ()

@@ -10,6 +10,7 @@ the closed forms of h_r and q_r against Newton's recursions.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from barspin import symfunc as sf
@@ -22,6 +23,7 @@ from barspin.partitions import (
     sum_parts,
 )
 from oracles import (
+    bar_recursion,
     expand_in_P,
     h_poly_newton,
     monomial_schur,
@@ -143,6 +145,22 @@ def test_bar_recursion_matches_P_matrix_solve():
         for al in alphas:
             for nu in nus:
                 assert sf.p_in_P_coefficient(al, nu) == x[al][nu], (al, nu)
+
+
+def test_bar_kernel_matches_tuple_recursion():
+    """The part-set kernel against Morris's recursion on tuples over
+    partitions.bars, every strict label and odd class of size <= 18."""
+    for n in range(19):
+        for al in strict_partitions_of(n):
+            for nu in odd_partitions_of(n):
+                assert sf.p_in_P_coefficient(al, nu) == bar_recursion(al, nu), (al, nu)
+
+
+def test_p_in_P_coefficient_rejects_bad_input():
+    assert sf.p_in_P_coefficient((3,), (1, 1)) == 0
+    for al, nu in (((2, 2), (3, 1)), ((3, 0), (3,)), ((2,), (2,)), ((3, 1), (2, 1, 1))):
+        with pytest.raises(ValueError):
+            sf.p_in_P_coefficient(al, nu)
 
 
 def test_bar_recursion_is_integral():
