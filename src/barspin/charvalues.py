@@ -86,12 +86,13 @@ from barspin.symfunc import p_in_P_coefficient, schur_poly
 # linear characters via Murnaghan-Nakayama, on beta-set bitmasks
 
 def chi(la, nu):
-    """Ordinary character value chi^la(nu) for partitions la and nu of the
-    same size."""
-    n = size(la)
-    if n != size(nu):
+    """Ordinary character value chi^la(nu) for a partition la and a class nu
+    of the same size.  A class is a multiset of cycle lengths, so its parts
+    may come in any order."""
+    check_partition(la)
+    if size(la) != size(nu):
         raise ValueError(f"size mismatch: {la} vs {nu}")
-    return _chi_kernel(memo_key(nu, beta_mask(la)))
+    return _chi_kernel(memo_key(sorted(nu, reverse=True), beta_mask(la)))
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +142,7 @@ def _degree(mask):
 
 
 def specht_degree(la):
+    check_partition(la)
     return _degree(beta_mask(la))
 
 
@@ -201,7 +203,8 @@ def spin_value(al, nu):
 def linear_brauer(la):
     la = tuple(la)
     check_partition(la)
-    return tuple(Scalar(chi(la, nu)) for nu in odd_partitions_of(size(la)))
+    mask = beta_mask(la)
+    return tuple(Scalar(_chi_kernel(memo_key(nu, mask))) for nu in odd_partitions_of(size(la)))
 
 
 def spin_brauer(al):
@@ -401,13 +404,18 @@ def scan(n, cache_dir=None):
         one = classes[-1]
         lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
         degree = {al: p_in_P_coefficient(al, one) for al in spin_labels}
-        lin_at = lambda la, i: Fraction(chi(la, classes[i]), specht_degree(la))
+
+        def lin_row(la):
+            """la's values over its degree, by class index, on one beta_mask."""
+            mask = beta_mask(la)
+            return lambda i: Fraction(_chi_kernel(memo_key(classes[i], mask)), _degree(mask))
+
         spin_at = lambda al, i: _spin_ratio(al, classes[i], degree[al])
         ratio = lambda al, la: spin_degree(al) / specht_degree(la)
     else:
         lin, spn = load_or_build_tables(n, cache_dir)
         lin_labels, spin_labels = lin, spn
-        lin_at = lambda la, i: _table_ratio(lin[la], i)
+        lin_row = lambda la: lambda i: _table_ratio(lin[la], i)
         spin_at = lambda al, i: _table_ratio(spn[al], i)
         ratio = lambda al, la: spn[al][-1] / lin[la][-1]
 
@@ -416,11 +424,14 @@ def scan(n, cache_dir=None):
         groups.setdefault(_spin_key(al), []).append(al)
     out = []
     for la in lin_labels:
-        cands = groups.get(_linear_key(la), ())
+        cands = groups.get(_linear_key(la))
+        if not cands:
+            continue
+        lin_at = lin_row(la)
         for i in cols:
+            v = lin_at(i)
+            cands = [al for al in cands if spin_at(al, i) == v]
             if not cands:
                 break
-            v = lin_at(la, i)
-            cands = [al for al in cands if spin_at(al, i) == v]
         out.extend((al, la, ratio(al, la)) for al in cands)
     return sorted(out, key=lambda rec: (rec[0], rec[1]))

@@ -309,11 +309,6 @@ def k_weight(la, k):
     return w
 
 
-def hook_lengths(la):
-    conj = conjugate(la)
-    return [la[r - 1] - c + conj[c - 1] - r + 1 for r, c in cells(la)]
-
-
 # ---------------------------------------------------------------------------
 # partitions as plain ints, for the memoized recursions of charvalues and
 # symfunc

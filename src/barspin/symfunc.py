@@ -6,10 +6,12 @@ centralizer order of the class nu.  In this scaling every coefficient the
 library forms is an integer: h_r has 1 at every nu of r and q_r has
 2^len(nu) at every odd nu of r (Macdonald, Symmetric Functions and Hall
 Polynomials, I (2.14) and III.8), and the scaled coefficient of p_nu in
-s_la is the character value chi^la(nu).  A coefficient is a Fraction only
-when it is not integral.  Multiplying p_mu/z_mu by p_nu/z_nu gives
-p_(mu u nu)/z_(mu u nu) times z_(mu u nu)/(z_mu z_nu), the integer
-prod_k C(m_k(mu) + m_k(nu), m_k(mu)).
+s_la is the character value chi^la(nu).  P_alpha = 2^-len(alpha) Q_alpha
+is integral too: every scaled coefficient of Q_alpha is divisible by
+2^len(alpha).  `Fraction` enters only in `evaluate` and in the tableau and
+series oracles at the end of the module.  Multiplying p_mu/z_mu by
+p_nu/z_nu gives p_(mu u nu)/z_(mu u nu) times z_(mu u nu)/(z_mu z_nu), the
+integer prod_k C(m_k(mu) + m_k(nu), m_k(mu)).
 
 Schur Q/P live in the subring generated by odd power sums, and spin
 character values are read off the coefficients X with
@@ -58,18 +60,13 @@ def z_order(nu):
     return out
 
 
-def _whole(c):
-    """c as an int when it is integral."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
 def poly_add(*polys):
     out = {}
     for poly in polys:
         for k, v in poly.items():
             s = out.get(k, 0) + v
             if s:
-                out[k] = s if type(s) is int else _whole(s)
+                out[k] = s
             elif k in out:
                 del out[k]
     return out
@@ -78,7 +75,7 @@ def poly_add(*polys):
 def poly_scale(poly, c):
     if not c:
         return {}
-    return {k: _whole(v * c) for k, v in poly.items()}
+    return {k: v * c for k, v in poly.items()}
 
 
 def poly_mul(f, g):
@@ -91,7 +88,7 @@ def poly_mul(f, g):
             # z(kf u kg) / (z(kf) z(kg)) = prod_k C(m_k(kf) + m_k(kg), m_k(kf))
             s = out.get(k, 0) + vf * vg * (z_order(k) // (zf * zg))
             if s:
-                out[k] = s if type(s) is int else _whole(s)
+                out[k] = s
             elif k in out:
                 del out[k]
     return out
@@ -175,7 +172,11 @@ def schur_q_poly(al):
 
 @lru_cache(maxsize=None)
 def schur_p_poly(al):
-    return poly_scale(schur_q_poly(al), Fraction(1, 2 ** len(al)))
+    """P_alpha = Q_alpha / 2^len(alpha), dividing each coefficient exactly."""
+    q, d = schur_q_poly(al), 1 << len(al)
+    if any(c % d for c in q.values()):
+        raise ArithmeticError(f"Q_{al} is not divisible by {d}")
+    return {nu: c // d for nu, c in q.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -302,32 +303,30 @@ def monomial_schur_q(al, xs, marked_diagonal=True):
 
     Entries are m' < m for m = 1..len(xs), encoded 2m-1 and 2m; rows and
     columns weakly increase; each column holds at most one unprimed m and
-    each row at most one primed m.  P bans primes on the diagonal.  The
-    fillings are tallied by content (how often each m occurs), and each
-    distinct content is evaluated once.
+    each row at most one primed m.  As rows and columns weakly increase, a
+    repeated unprimed m in a column, or primed m in a row, sits next to its
+    twin, so each cell is checked against its upper and left neighbours
+    only.  P bans primes on the diagonal.  The fillings are tallied by
+    content (how often each m occurs), and each distinct content is
+    evaluated once.
     """
     xs = [Fraction(v) for v in xs]
     cs = _shifted_cells(al)
+    index = {cell: k for k, cell in enumerate(cs)}
     v = len(xs)
     content = [0] * v
     tally = {}
 
     def ok(filling, idx, val):
         i, j = cs[idx]
-        if not marked_diagonal and i == j and val % 2 == 1:
+        primed = val % 2 == 1
+        if not marked_diagonal and i == j and primed:
             return False
-        for k in range(idx):
-            a, b = cs[k]
-            w = filling[k]
-            if a == i and b == j - 1 and w > val:
-                return False
-            if b == j and a == i - 1 and w > val:
-                return False
-            if w == val:
-                if val % 2 == 0 and b == j and a != i:
-                    return False
-                if val % 2 == 1 and a == i and b != j:
-                    return False
+        left, up = index.get((i, j - 1)), index.get((i - 1, j))
+        if left is not None and (filling[left] > val or filling[left] == val and primed):
+            return False
+        if up is not None and (filling[up] > val or filling[up] == val and not primed):
+            return False
         return True
 
     def rec(idx, filling):

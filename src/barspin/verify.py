@@ -1,13 +1,18 @@
 """Exhaustive finite verification sweeps for the character identities.
 
-Each suite checks one family of identities up to a size bound and returns a
-Report.  Sweeps are aggregated per size so reports stay readable; every case
-line records how many instances it covered, and failures name the first few
+Each suite checks one family of identities up to a size bound and fills a
+Report.  `run_suite` resolves the bound and builds the Report; a suite
+reads its bound from `rep.max_n`.  A `check` case compares one expected
+and one actual text.  A `tally` case is a sweep, aggregated per size so
+reports stay readable: it is fed one outcome per instance checked, a falsy
+outcome for a pass and the failure message otherwise, so its
+`N checks pass` counts the instances and a failure names the first few
 offending labels.  All comparisons are exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -73,13 +78,20 @@ class Report:
         e, a = str(expected), str(actual)
         self._add(label, e, a, e == a)
 
-    def tally(self, label, total, failures):
-        want = f"{total} checks pass"
-        if failures:
-            got = f"{len(failures)} of {total} checks fail: " + "; ".join(failures[:3])
+    def tally(self, label, outcomes):
+        """One case for a sweep.  outcomes yields one entry per instance
+        checked: a falsy entry is a pass, any other is its failure
+        message."""
+        count, fails = 0, []
+        for count, outcome in enumerate(outcomes, 1):
+            if outcome:
+                fails.append(outcome)
+        want = f"{count} checks pass"
+        if fails:
+            got = f"{len(fails)} of {count} checks fail: " + "; ".join(fails[:3])
         else:
             got = want
-        self._add(label, want, got, not failures)
+        self._add(label, want, got, not fails)
 
     def to_dict(self):
         return {
@@ -99,8 +111,9 @@ def _fmt(la):
     return pt.format_partition(la)
 
 
-def _bound(name, max_n):
-    return DEFAULT_BOUNDS[name] if max_n is None else max_n
+def _tri(k):
+    """The size of staircase(k)."""
+    return k * (k + 1) // 2
 
 
 def _signed_unit(v, label, units):
@@ -114,26 +127,29 @@ def _pairs_str(records):
     return f"{len(records)} pairs [{body}]"
 
 
+def _bipartitions(m):
+    """Every bipartition (q0, q1) of size m, by the size of q0."""
+    for k in range(0, m + 1):
+        for q0 in pt.partitions_of(k):
+            for q1 in pt.partitions_of(m - k):
+                yield q0, q1
+
+
 # ---------------------------------------------------------------------------
 # main scan and the equality refinement
 
-def run_main(max_n=None, cache_dir=None):
-    bound = _bound("main", max_n)
-    rep = Report("main", bound)
-    for n in range(1, bound + 1):
+def run_main(rep, cache_dir):
+    for n in range(1, rep.max_n + 1):
         want = sorted(
             ((al, la, sqrt2_pow(e)) for al, la, e in classify.predicted_pairs(n)),
             key=lambda rec: (rec[0], rec[1]),
         )
         got = cv.scan(n, cache_dir)
         rep.check(f"scan({n}) == predicted pairs", _pairs_str(want), _pairs_str(got))
-    return rep
 
 
-def run_equality(max_n=None, cache_dir=None):
-    bound = _bound("equality", max_n)
-    rep = Report("equality", bound)
-    for n in range(1, bound + 1):
+def run_equality(rep, cache_dir):
+    for n in range(1, rep.max_n + 1):
         got = sorted(
             (al, la)
             for al, la, c in cv.scan(n, cache_dir)
@@ -145,160 +161,139 @@ def run_equality(max_n=None, cache_dir=None):
             _pairs_str([(al, la, "") for al, la in want]),
             _pairs_str([(al, la, "") for al, la in got]),
         )
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # runner swap, linear basis
 
-def run_runner_swap(max_n=None, cache_dir=None):
-    bound = _bound("runner-swap", max_n)
-    rep = Report("runner-swap", bound)
+def _linear_swap_top(la, eps):
+    v = cs.runner_swap(cs.unit("linear", la), eps, pt.n_eps(la, eps))
+    if v != cs.scale(cs.unit("linear", swp(la, eps)), cs.linear_swap_sign(la, eps)):
+        return f"la={_fmt(la)} eps={eps} -> {cs.format_vector(v)}"
 
-    for n in range(0, bound + 1):
-        fails, total = [], 0
-        for la in pt.partitions_of(n):
-            for eps in (0, 1):
-                total += 1
-                v = cs.runner_swap(cs.unit("linear", la), eps, pt.n_eps(la, eps))
-                want = cs.scale(cs.unit("linear", swp(la, eps)), cs.linear_swap_sign(la, eps))
-                if v != want:
-                    fails.append(f"la={_fmt(la)} eps={eps} -> {cs.format_vector(v)}")
-        rep.tally(f"S^(n_eps)[la] == sign*[swp la], |la|={n}", total, fails)
 
-    big = bound + 4
-    fails, total = [], 0
-    a = 1
-    while pt.size(pt.staircase(a)) <= big:
-        eps = (a + 1) % 2
-        r = 0
-        while pt.size(pt.staircase(a)) + 2 * pt.size(pt.staircase(r)) <= big:
-            s = 0
-            while True:
-                n_tot = pt.size(pt.staircase(a)) + 2 * (
-                    pt.size(pt.staircase(r)) + pt.size(pt.staircase(s))
-                )
-                if n_tot > big:
-                    break
-                la = from_core_quotient(pt.staircase(a), pt.staircase(r), pt.staircase(s))
-                mu = from_core_quotient(pt.staircase(a - 1), pt.staircase(r), pt.staircase(s))
-                v = cs.runner_swap(cs.unit("linear", la), eps, -a)
-                total += 1
-                if not _signed_unit(v, mu, PM_ONE):
-                    fails.append(f"a={a} r={r} s={s}")
-                s += 1
-            r += 1
-        a += 1
-    rep.tally(f"S^(-a) shrinks a staircase core, size <= {big}", total, fails)
+def _staircase_cores_shrink(big):
+    """S^(-a) on each (staircase(a); staircase(r), staircase(s)), a >= 1."""
+    st = pt.staircase
+    ks = range(math.isqrt(2 * big) + 1)
+    for a, r, s in itertools.product(ks[1:], ks, ks):
+        if _tri(a) + 2 * (_tri(r) + _tri(s)) > big:
+            continue
+        la = from_core_quotient(st(a), st(r), st(s))
+        mu = from_core_quotient(st(a - 1), st(r), st(s))
+        ok = _signed_unit(cs.runner_swap(cs.unit("linear", la), (a + 1) % 2, -a), mu, PM_ONE)
+        yield None if ok else f"a={a} r={r} s={s}"
 
-    fails, total = [], 0
+
+def _core_transport():
+    """Up from each 2-core staircase(a), and down when a >= 1."""
+    st = pt.staircase
     for a in range(0, 5):
         for m in range(0, 5):
-            for k in range(0, m + 1):
-                for q0 in pt.partitions_of(k):
-                    for q1 in pt.partitions_of(m - k):
-                        la = from_core_quotient(pt.staircase(a), q0, q1)
-                        u = cs.unit("linear", la)
-                        mu = from_core_quotient(pt.staircase(a + 1), q0, q1)
-                        total += 1
-                        if not _signed_unit(cs.runner_swap(u, a % 2, a + 1), mu, PM_ONE):
-                            fails.append(f"up a={a} q=({_fmt(q0)};{_fmt(q1)})")
-                        if a >= 1:
-                            mu = from_core_quotient(pt.staircase(a - 1), q0, q1)
-                            total += 1
-                            if not _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a), mu, PM_ONE):
-                                fails.append(f"down a={a} q=({_fmt(q0)};{_fmt(q1)})")
-    rep.tally("core transport on arbitrary quotients, a <= 4, |quotient| <= 4", total, fails)
+            for q0, q1 in _bipartitions(m):
+                u = cs.unit("linear", from_core_quotient(st(a), q0, q1))
+                q = f"({_fmt(q0)};{_fmt(q1)})"
+                ok = _signed_unit(cs.runner_swap(u, a % 2, a + 1),
+                                  from_core_quotient(st(a + 1), q0, q1), PM_ONE)
+                yield None if ok else f"up a={a} q={q}"
+                if a >= 1:
+                    ok = _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a),
+                                      from_core_quotient(st(a - 1), q0, q1), PM_ONE)
+                    yield None if ok else f"down a={a} q={q}"
 
-    small = min(bound, 8)
-    fails, total = [], 0
-    for n in range(0, small + 1):
-        for la in pt.partitions_of(n):
-            for eps in (0, 1):
-                u = cs.unit("linear", la)
-                ne = pt.n_eps(la, eps)
-                r = len(pt.removable_nodes(la, eps))
-                total += 1
-                if not cs.runner_swap(u, eps, ne + 1).is_zero():
-                    fails.append(f"{_fmt(la)} eps={eps} c={ne + 1} not 0")
-                elif not cs.runner_swap(u, eps, -r - 1).is_zero():
-                    fails.append(f"{_fmt(la)} eps={eps} c={-r - 1} not 0")
-                elif not _signed_unit(
-                    cs.runner_swap(u, eps, -r), pt.remove_all_removable(la, eps), PM_ONE
-                ):
-                    fails.append(f"{_fmt(la)} eps={eps} c={-r}")
-    rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom value, |la| <= {small}", total, fails)
+
+def _linear_swap_range(la, eps):
+    u = cs.unit("linear", la)
+    ne = pt.n_eps(la, eps)
+    r = len(pt.removable_nodes(la, eps))
+    if not cs.runner_swap(u, eps, ne + 1).is_zero():
+        return f"{_fmt(la)} eps={eps} c={ne + 1} not 0"
+    if not cs.runner_swap(u, eps, -r - 1).is_zero():
+        return f"{_fmt(la)} eps={eps} c={-r - 1} not 0"
+    if not _signed_unit(cs.runner_swap(u, eps, -r), pt.remove_all_removable(la, eps), PM_ONE):
+        return f"{_fmt(la)} eps={eps} c={-r}"
+
+
+def run_runner_swap(rep, cache_dir):
+    for n in range(0, rep.max_n + 1):
+        rep.tally(f"S^(n_eps)[la] == sign*[swp la], |la|={n}",
+                  (_linear_swap_top(la, eps) for la in pt.partitions_of(n) for eps in (0, 1)))
+
+    big = rep.max_n + 4
+    rep.tally(f"S^(-a) shrinks a staircase core, size <= {big}", _staircase_cores_shrink(big))
+    rep.tally("core transport on arbitrary quotients, a <= 4, |quotient| <= 4",
+              _core_transport())
+
+    small = min(rep.max_n, 8)
+    rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom value, |la| <= {small}",
+              (_linear_swap_range(la, eps)
+               for n in range(0, small + 1) for la in pt.partitions_of(n) for eps in (0, 1)))
 
     v = cs.runner_swap(cs.unit("linear", (6, 3, 1, 1)), 1, -2)
     rep.check("S_1^(-2) [6,3,1,1]", "-[5,2,2]", cs.format_vector(v))
 
     v = cs.runner_swap(cs.unit("linear", (9, 8, 5, 1, 1, 1, 1, 1)), 2, 1, p=5)
     rep.check("S_2^(1) [9,8,5,1^5] at p=5", "-[9,9,4,1,1,1,1,1,1]", cs.format_vector(v))
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # runner swap, spin basis
 
-def run_runner_swap_spin(max_n=None, cache_dir=None):
-    bound = _bound("runner-swap-spin", max_n)
-    rep = Report("runner-swap-spin", bound)
+def _spin_swap_top(al, eps):
+    v = cs.runner_swap(cs.unit("spin", al), eps, pt.spin_n_eps(al, eps))
+    if v != cs.scale(cs.unit("spin", bswp(al, eps)), cs.spin_swap_sign(al, eps)):
+        return f"al={_fmt(al)} eps={eps} -> {cs.format_vector(v)}"
 
-    for n in range(0, bound + 1):
-        fails, total = [], 0
-        for al in pt.strict_partitions_of(n):
-            for eps in (0, 1):
-                total += 1
-                v = cs.runner_swap(cs.unit("spin", al), eps, pt.spin_n_eps(al, eps))
-                want = cs.scale(cs.unit("spin", bswp(al, eps)), cs.spin_swap_sign(al, eps))
-                if v != want:
-                    fails.append(f"al={_fmt(al)} eps={eps} -> {cs.format_vector(v)}")
-        rep.tally(f"S^(n_eps)<<al>> == sign*<<bswp al>>, |al|={n}", total, fails)
 
-    big = bound + 4
-    fails, total = [], 0
-    a = 0
-    while pt.size(pt.bar_staircase(a)) <= big:
+def _bar_staircase_transport(big):
+    """Up from each 4-bar-core bar_staircase(a), and down when a >= 1."""
+    # |bar_staircase(a)| = a(a+1)/2 <= big needs a <= isqrt(2*big); no eta pads a larger one
+    for a in range(math.isqrt(2 * big) + 1):
         base = pt.size(pt.bar_staircase(a))
         for eta in pt.strict_partitions_upto((big - base) // 2):
-            al = pt.union_parts(pt.bar_staircase(a), pt.scale_parts(eta, 2))
-            u = cs.unit("spin", al)
-            up = pt.union_parts(pt.bar_staircase(a + 1), pt.scale_parts(eta, 2))
-            total += 1
-            if not _signed_unit(cs.runner_swap(u, a % 2, a + 1), up, PM_ONE):
-                fails.append(f"up a={a} eta={_fmt(eta)}")
+            pad = pt.scale_parts(eta, 2)
+            u = cs.unit("spin", pt.union_parts(pt.bar_staircase(a), pad))
+            up = pt.union_parts(pt.bar_staircase(a + 1), pad)
+            ok = _signed_unit(cs.runner_swap(u, a % 2, a + 1), up, PM_ONE)
+            yield None if ok else f"up a={a} eta={_fmt(eta)}"
             if a >= 1:
-                down = pt.union_parts(pt.bar_staircase(a - 1), pt.scale_parts(eta, 2))
-                total += 1
-                if not _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a), down, PM_ONE):
-                    fails.append(f"down a={a} eta={_fmt(eta)}")
-        a += 1
-    rep.tally(f"bar-staircase transport with even padding, size <= {big}", total, fails)
+                down = pt.union_parts(pt.bar_staircase(a - 1), pad)
+                ok = _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a), down, PM_ONE)
+                yield None if ok else f"down a={a} eta={_fmt(eta)}"
 
-    small = min(bound, 8)
-    fails, total = [], 0
-    for n in range(0, small + 1):
-        for al in pt.strict_partitions_of(n):
-            for eps in (0, 1):
-                u = cs.unit("spin", al)
-                ne = pt.spin_n_eps(al, eps)
-                r = len(pt.spin_removable_nodes(al, eps))
-                bottom = cs.runner_swap(u, eps, -r)
-                total += 1
-                if not cs.runner_swap(u, eps, ne + 1).is_zero():
-                    fails.append(f"{_fmt(al)} eps={eps} c={ne + 1} not 0")
-                elif not cs.runner_swap(u, eps, -r - 1).is_zero():
-                    fails.append(f"{_fmt(al)} eps={eps} c={-r - 1} not 0")
-                elif set(bottom.coeffs) != {pt.remove_all_spin_removable(al, eps)}:
-                    fails.append(f"{_fmt(al)} eps={eps} c={-r}")
-    rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom label, |al| <= {small}", total, fails)
+
+def _spin_swap_range(al, eps):
+    u = cs.unit("spin", al)
+    ne = pt.spin_n_eps(al, eps)
+    r = len(pt.spin_removable_nodes(al, eps))
+    bottom = cs.runner_swap(u, eps, -r)
+    if not cs.runner_swap(u, eps, ne + 1).is_zero():
+        return f"{_fmt(al)} eps={eps} c={ne + 1} not 0"
+    if not cs.runner_swap(u, eps, -r - 1).is_zero():
+        return f"{_fmt(al)} eps={eps} c={-r - 1} not 0"
+    if set(bottom.coeffs) != {pt.remove_all_spin_removable(al, eps)}:
+        return f"{_fmt(al)} eps={eps} c={-r}"
+
+
+def run_runner_swap_spin(rep, cache_dir):
+    for n in range(0, rep.max_n + 1):
+        rep.tally(f"S^(n_eps)<<al>> == sign*<<bswp al>>, |al|={n}",
+                  (_spin_swap_top(al, eps) for al in pt.strict_partitions_of(n) for eps in (0, 1)))
+
+    big = rep.max_n + 4
+    rep.tally(f"bar-staircase transport with even padding, size <= {big}",
+              _bar_staircase_transport(big))
+
+    small = min(rep.max_n, 8)
+    rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom label, |al| <= {small}",
+              (_spin_swap_range(al, eps)
+               for al in pt.strict_partitions_upto(small) for eps in (0, 1)))
 
     v = cs.runner_swap(cs.unit("spin", (6, 3, 2)), 1, -2)
     rep.check("S_1^(-2) <<6,3,2>>", "-<<6,2,1>>", cs.format_vector(v))
 
     v = cs.runner_swap(cs.unit("spin", (2,)), 1, -1)
     rep.check("S_1^(-1) <<2>>", "-sqrt2*<<1>>", cs.format_vector(v))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -336,102 +331,84 @@ def _rock_expected(b, sigma, eta, d):
     return cs.vector("spin", n2, items)
 
 
-def run_quot_red(max_n=None, cache_dir=None):
-    bound = _bound("quot-red", max_n)
-    rep = Report("quot-red", bound)
-
-    for n in range(0, bound + 1):
-        fails, total = [], 0
-        for al in pt.strict_partitions_of(n):
-            dec = classify.spin_rock_decompose(al)
-            if dec is None:
+def _relaxed_quot_red(n):
+    """R^(d) on each spin label of size n with weights w, w + d <= b + 1."""
+    for al in pt.strict_partitions_of(n):
+        dec = classify.spin_rock_decompose(al)
+        if dec is None:
+            continue
+        b, sigma, eta = dec
+        w = 2 * pt.size(sigma) + pt.size(eta)
+        for d in range(-3, 4):
+            if max(w, w + d) > b + 1:
                 continue
-            b, sigma, eta = dec
-            w = 2 * pt.size(sigma) + pt.size(eta)
-            if w > b + 1:
+            try:
+                want = _rock_expected(b, sigma, eta, d)
+                got = cs.quot_red(cs.unit("spin", al), (b + 1) % 2, d)
+            except ValueError as exc:
+                yield f"al={_fmt(al)} d={d}: {exc}"
                 continue
-            eps = (b + 1) % 2
-            for d in range(-3, 4):
-                if max(w, w + d) > b + 1:
-                    continue
-                total += 1
-                try:
-                    want = _rock_expected(b, sigma, eta, d)
-                    got = cs.quot_red(cs.unit("spin", al), eps, d)
-                    if got != want:
-                        fails.append(
-                            f"al={_fmt(al)} d={d}: {cs.format_vector(got)}"
-                            f" != {cs.format_vector(want)}"
-                        )
-                except ValueError as exc:
-                    fails.append(f"al={_fmt(al)} d={d}: {exc}")
-        rep.tally(f"R^(d) on relaxed labels, |al|={n}, |d| <= 3", total, fails)
+            yield None if got == want else (
+                f"al={_fmt(al)} d={d}: {cs.format_vector(got)} != {cs.format_vector(want)}")
 
-    big = bound + 2
-    fails, total = [], 0
+
+def _staircase_redistribution(big):
+    """R^(r-s+1) on (staircase(a); staircase(r), staircase(s)) and its spin twin."""
+    st = pt.staircase
     for s in range(1, 6):
         for r in range(0, s):
             a = max((r * (r + 1) + s * (s + 1)) // 2 - 1, 0)
-            while True:
-                pad = 2 * (pt.size(pt.staircase(r)) + pt.size(pt.staircase(s)))
-                n_tot = pt.size(pt.staircase(a)) + pad
-                if n_tot > big:
-                    break
+            while _tri(a) + 2 * (_tri(r) + _tri(s)) <= big:
                 eps = (a + 1) % 2
                 d = r - s + 1
-                la = from_core_quotient(pt.staircase(a), pt.staircase(r), pt.staircase(s))
-                mu = from_core_quotient(pt.staircase(a), pt.staircase(r + 1), pt.staircase(s - 1))
-                total += 1
-                if not _signed_unit(cs.quot_red(cs.unit("linear", la), eps, d), mu, PM_ONE):
-                    fails.append(f"linear a={a} r={r} s={s}")
+                la = from_core_quotient(st(a), st(r), st(s))
+                mu = from_core_quotient(st(a), st(r + 1), st(s - 1))
+                ok = _signed_unit(cs.quot_red(cs.unit("linear", la), eps, d), mu, PM_ONE)
+                yield None if ok else f"linear a={a} r={r} s={s}"
                 al = pt.union_parts(
-                    pt.bar_staircase(a),
-                    pt.scale_parts(pt.sum_parts(pt.staircase(r), pt.staircase(s)), 2),
-                )
+                    pt.bar_staircase(a), pt.scale_parts(pt.sum_parts(st(r), st(s)), 2))
                 be = pt.union_parts(
-                    pt.bar_staircase(a),
-                    pt.scale_parts(pt.sum_parts(pt.staircase(r + 1), pt.staircase(s - 1)), 2),
-                )
-                total += 1
+                    pt.bar_staircase(a), pt.scale_parts(pt.sum_parts(st(r + 1), st(s - 1)), 2))
                 spin_mult = PM_ONE if d == 0 else PM_SQRT2
-                if not _signed_unit(cs.quot_red(cs.unit("spin", al), eps, d), be, spin_mult):
-                    fails.append(f"spin a={a} r={r} s={s}")
+                ok = _signed_unit(cs.quot_red(cs.unit("spin", al), eps, d), be, spin_mult)
+                yield None if ok else f"spin a={a} r={r} s={s}"
                 a += 1
-    rep.tally(f"staircase redistribution props, size <= {big}", total, fails)
 
-    lin_bound = max(bound - 2, 0)
-    fails, total = [], 0
-    for n in range(0, lin_bound + 1):
-        for la in pt.partitions_of(n):
-            core, quotient = two_quotient(la)
-            w = pt.size(quotient[0]) + pt.size(quotient[1])
-            lim = len(core) + 1
-            if w > lim:
+
+def _linear_quot_red(bound):
+    """R^(d) on each la of size <= bound with weights w, w + d <= len(core) + 1."""
+    for la in (la for n in range(0, bound + 1) for la in pt.partitions_of(n)):
+        core, quotient = two_quotient(la)
+        w = pt.size(quotient[0]) + pt.size(quotient[1])
+        for d in range(-2, 3):
+            if w + d < 0 or max(w, w + d) > len(core) + 1:
                 continue
-            eps = (len(core) + 1) % 2
-            for d in range(-2, 3):
-                if w + d < 0 or max(w, w + d) > lim:
-                    continue
-                total += 1
-                items = []
-                for k in range(0, w + d + 1):
-                    for m0 in pt.partitions_of(k):
-                        for m1 in pt.partitions_of(w + d - k):
-                            c = cs.interm_signed_sum(quotient, (m0, m1))
-                            if c:
-                                items.append((from_core_quotient(core, m0, m1), Scalar(c)))
-                want = cs.vector("linear", n + 2 * d, items)
-                got = cs.quot_red(cs.unit("linear", la), eps, d)
-                if got != want:
-                    fails.append(f"la={_fmt(la)} d={d}")
-    rep.tally(f"linear R^(d) matches the signed intermediate count, |la| <= {lin_bound}", total, fails)
+            items = []
+            for m0, m1 in _bipartitions(w + d):
+                c = cs.interm_signed_sum(quotient, (m0, m1))
+                if c:
+                    items.append((from_core_quotient(core, m0, m1), Scalar(c)))
+            want = cs.vector("linear", pt.size(la) + 2 * d, items)
+            got = cs.quot_red(cs.unit("linear", la), (len(core) + 1) % 2, d)
+            yield None if got == want else f"la={_fmt(la)} d={d}"
+
+
+def run_quot_red(rep, cache_dir):
+    for n in range(0, rep.max_n + 1):
+        rep.tally(f"R^(d) on relaxed labels, |al|={n}, |d| <= 3", _relaxed_quot_red(n))
+
+    big = rep.max_n + 2
+    rep.tally(f"staircase redistribution props, size <= {big}", _staircase_redistribution(big))
+
+    lin_max = max(rep.max_n - 2, 0)
+    rep.tally(f"linear R^(d) matches the signed intermediate count, |la| <= {lin_max}",
+              _linear_quot_red(lin_max))
 
     v = cs.quot_red(cs.unit("linear", (6, 3)), 1, -1)
     rep.check("R_1^(-1) [6,3]", "-[4,1,1,1]", cs.format_vector(v))
 
     v = cs.quot_red(cs.unit("spin", (4, 3, 2)), 1, -1)
     rep.check("R_1^(-1) <<4,3,2>>", "-sqrt2*<<4,3>>", cs.format_vector(v))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -473,35 +450,28 @@ def _stats_str(stats):
     return f"{len(stats)} terms [{body}]"
 
 
-def run_interm(max_n=None, cache_dir=None):
-    bound = _bound("interm", max_n)
-    rep = Report("interm", bound)
+def _signed_sum_collapse(r, s):
+    """The signed sum is +-1 at (staircase(r+1), staircase(s-1)), else 0."""
+    bla = (pt.staircase(r), pt.staircase(s))
+    target = (pt.staircase(r + 1), pt.staircase(s - 1))
+    hit = -1 if (r + 1) % 2 else 1
+    for m0, m1 in _bipartitions(_tri(r + 1) + _tri(s - 1)):
+        got = cs.interm_signed_sum(bla, (m0, m1))
+        want = hit if (m0, m1) == target else 0
+        yield None if got == want else f"({_fmt(m0)};{_fmt(m1)}) -> {got}"
 
+
+def run_interm(rep, cache_dir):
     for s in range(1, 5):
         for r in range(0, s):
-            bla = (pt.staircase(r), pt.staircase(s))
-            target = (pt.staircase(r + 1), pt.staircase(s - 1))
-            nn = pt.size(target[0]) + pt.size(target[1])
-            hit = -1 if (r + 1) % 2 else 1
-            fails, total = [], 0
-            for k in range(0, nn + 1):
-                for m0 in pt.partitions_of(k):
-                    for m1 in pt.partitions_of(nn - k):
-                        got = cs.interm_signed_sum(bla, (m0, m1))
-                        want = hit if (m0, m1) == target else 0
-                        total += 1
-                        if got != want:
-                            fails.append(f"({_fmt(m0)};{_fmt(m1)}) -> {got}")
-            rep.tally(f"signed sum collapse from staircase pair (r,s)=({r},{s})", total, fails)
+            rep.tally(f"signed sum collapse from staircase pair (r,s)=({r},{s})",
+                      _signed_sum_collapse(r, s))
 
-    etas = pt.strict_partitions_upto(bound)
-    fails, total = [], 0
-    for eta in etas:
-        for theta in etas:
-            total += 1
-            if cs.b_sum(eta, theta) != cs.b_closed(eta, theta):
-                fails.append(f"eta={_fmt(eta)} theta={_fmt(theta)}")
-    rep.tally(f"brute-force B equals its closed form, |eta|,|theta| <= {bound}", total, fails)
+    etas = pt.strict_partitions_upto(rep.max_n)
+    rep.tally(f"brute-force B equals its closed form, |eta|,|theta| <= {rep.max_n}",
+              (None if cs.b_sum(eta, theta) == cs.b_closed(eta, theta)
+               else f"eta={_fmt(eta)} theta={_fmt(theta)}"
+               for eta in etas for theta in etas))
 
     eta, theta = (7, 6, 2, 1), (6, 5, 3, 1)
     ceta, ctheta = (6, 5, 1), (5, 4, 2)
@@ -523,71 +493,64 @@ def run_interm(max_n=None, cache_dir=None):
     )
     rep.check("closed form agrees on both figure pairs", "0, 0",
               f"{cs.b_closed(eta, theta)}, {cs.b_closed(ceta, ctheta)}")
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # symmetric function identities
 
-def run_symfunc(max_n=None, cache_dir=None):
-    bound = _bound("symfunc", max_n)
-    rep = Report("symfunc", bound)
+def _staircase_product(r, s):
+    """P at staircase(r) + staircase(s) is s_staircase(r) * s_staircase(s)."""
+    st = pt.staircase
+    left = sf.schur_p_poly(pt.sum_parts(st(r), st(s)))
+    right = sf.poly_mul(sf.schur_poly(st(r)), sf.schur_poly(st(s)))
+    if not sf.poly_eq(left, right):
+        return f"r={r} s={s}"
 
-    fails, total = [], 0
-    r = 0
-    while pt.size(pt.staircase(r)) <= bound:
-        for s in range(0, r + 1):
-            if pt.size(pt.staircase(r)) + pt.size(pt.staircase(s)) > bound:
-                continue
-            total += 1
-            left = sf.schur_p_poly(pt.sum_parts(pt.staircase(r), pt.staircase(s)))
-            right = sf.poly_mul(sf.schur_poly(pt.staircase(r)), sf.schur_poly(pt.staircase(s)))
-            if not sf.poly_eq(left, right):
-                fails.append(f"r={r} s={s}")
-        r += 1
-    rep.tally(f"P at a sum of staircases is a product of Schur functions, size <= {bound}", total, fails)
+
+def _tableau_evaluation(al, xs):
+    """Q_al and P_al at xs agree with the sums over marked shifted tableaux."""
+    routes = (("Q", sf.schur_q_poly, True), ("P", sf.schur_p_poly, False))
+    bad = [name for name, poly, marked in routes
+           if sf.evaluate(poly(al), xs) != sf.monomial_schur_q(al, xs, marked)]
+    return bad and f"al={_fmt(al)}: {'/'.join(bad)}"
+
+
+def run_symfunc(rep, cache_dir):
+    bound = rep.max_n
+    rep.tally(f"P at a sum of staircases is a product of Schur functions, size <= {bound}",
+              (_staircase_product(r, s)
+               for r in range(bound + 1) if _tri(r) <= bound
+               for s in range(0, r + 1) if _tri(r) + _tri(s) <= bound))
 
     for n in range(1, min(bound, 10) + 1):
-        fails, total = [], 0
-        for la in pt.partitions_of(n):
-            for nu in pt.partitions_of(n):
-                total += 1
-                if cv.chi_schur_oracle(la, nu) != cv.chi(la, nu):
-                    fails.append(f"la={_fmt(la)} nu={_fmt(nu)}")
-        rep.tally(f"rim-hook recursion vs power-sum transition, n={n}", total, fails)
+        rep.tally(f"rim-hook recursion vs power-sum transition, n={n}",
+                  (None if cv.chi_schur_oracle(la, nu) == cv.chi(la, nu)
+                   else f"la={_fmt(la)} nu={_fmt(nu)}"
+                   for la in pt.partitions_of(n) for nu in pt.partitions_of(n)))
 
     xs = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
-    fails, total = [], 0
     small = min(bound, 6)
-    for n in range(0, small + 1):
-        for al in pt.strict_partitions_of(n):
-            total += 1
-            bad = []
-            if sf.evaluate(sf.schur_q_poly(al), xs) != sf.monomial_schur_q(al, xs, True):
-                bad.append("Q")
-            if sf.evaluate(sf.schur_p_poly(al), xs) != sf.monomial_schur_q(al, xs, False):
-                bad.append("P")
-            if bad:
-                fails.append(f"al={_fmt(al)}: {'/'.join(bad)}")
     rep.tally(f"Pfaffian route equals tableau evaluation in four variables, size <= {small}",
-              total, fails)
+              (_tableau_evaluation(al, xs)
+               for n in range(0, small + 1) for al in pt.strict_partitions_of(n)))
 
-    fails, total = [], 0
-    for r in range(0, 9):
-        total += 1
-        if sf.evaluate(sf.q_poly(r), xs) != sf.q_series_coefficient(r, xs):
-            fails.append(f"r={r}")
-    rep.tally("one-row generators match the generating series, r <= 8", total, fails)
-    return rep
+    rep.tally("one-row generators match the generating series, r <= 8",
+              (None if sf.evaluate(sf.q_poly(r), xs) == sf.q_series_coefficient(r, xs)
+               else f"r={r}" for r in range(0, 9)))
 
 
 # ---------------------------------------------------------------------------
 # degrees and golden data
 
-def run_degrees(max_n=None, cache_dir=None):
-    bound = _bound("degrees", max_n)
-    rep = Report("degrees", bound)
+def _integral_spin_rows(bound):
+    for al in (al for n in range(1, bound + 1) for al in pt.strict_partitions_of(n)):
+        for v in cv.spin_brauer(al):
+            plain = v.b == 0 and v.a.denominator == 1
+            radical = v.a == 0 and v.b.denominator == 1
+            yield None if plain or radical else f"al={_fmt(al)}: {v}"
 
+
+def run_degrees(rep, cache_dir):
     lb22 = cv.linear_brauer((2, 2))
     sb4 = cv.spin_brauer((4,))
     want = ", ".join(str(sqrt2_pow(1) * x) for x in lb22)
@@ -603,7 +566,7 @@ def run_degrees(max_n=None, cache_dir=None):
     rep.check("linear rows proportional to spin (3,1)", "none", ", ".join(hits) or "none")
     rep.check("degree of spin (3,1)", "4", cv.spin_degree((3, 1)))
 
-    for n in range(1, bound + 1):
+    for n in range(1, rep.max_n + 1):
         lin = sum(cv.specht_degree(la) ** 2 for la in pt.partitions_of(n))
         rep.check(f"sum of squared linear degrees, n={n}", math.factorial(n), lin)
         spin = Scalar(0)
@@ -612,18 +575,9 @@ def run_degrees(max_n=None, cache_dir=None):
             spin = spin + d * d
         rep.check(f"sum of squared spin degrees, n={n}", Scalar(math.factorial(n)), spin)
 
-    int_bound = min(bound, 12)
-    fails, total = [], 0
-    for n in range(1, int_bound + 1):
-        for al in pt.strict_partitions_of(n):
-            for v in cv.spin_brauer(al):
-                total += 1
-                plain = v.b == 0 and v.a.denominator == 1
-                radical = v.a == 0 and v.b.denominator == 1
-                if not (plain or radical):
-                    fails.append(f"al={_fmt(al)}: {v}")
-    rep.tally(f"spin table entries are integers or integer multiples of sqrt2, n <= {int_bound}", total, fails)
-    return rep
+    int_max = min(rep.max_n, 12)
+    rep.tally(f"spin table entries are integers or integer multiples of sqrt2, n <= {int_max}",
+              _integral_spin_rows(int_max))
 
 
 # ---------------------------------------------------------------------------
@@ -633,32 +587,55 @@ def _cycle_class(k, w, n):
     return (k,) * w + (1,) * (n - k * w)
 
 
-def run_invariants(max_n=None, cache_dir=None):
-    bound = _bound("invariants", max_n)
-    rep = Report("invariants", bound)
+def _support_is_weight(n):
+    """Each odd k-(bar-)weight is the largest w with a nonzero value on (k^w, 1^(n-kw))."""
+    for k in range(1, n + 1, 2):
+        top = range(n // k, -1, -1)
+        for la in pt.partitions_of(n):
+            want = pt.k_weight(la, k)
+            got = next(w for w in top if cv.chi(la, _cycle_class(k, w, n)) != 0)
+            yield None if want == got else f"la={_fmt(la)} k={k}: weight {want} support {got}"
+        for al in pt.strict_partitions_of(n):
+            want = pt.bar_weight(al, k)
+            got = next(w for w in top if not cv.spin_value(al, _cycle_class(k, w, n)).is_zero())
+            yield None if want == got else f"al={_fmt(al)} k={k}: bar weight {want} support {got}"
 
-    for n in range(1, bound + 1):
-        fails, total = [], 0
-        for k in range(1, n + 1, 2):
-            for la in pt.partitions_of(n):
-                total += 1
-                want = pt.k_weight(la, k)
-                got = max(
-                    w for w in range(0, n // k + 1)
-                    if cv.chi(la, _cycle_class(k, w, n)) != 0
-                )
-                if want != got:
-                    fails.append(f"la={_fmt(la)} k={k}: weight {want} support {got}")
-            for al in pt.strict_partitions_of(n):
-                total += 1
-                want = pt.bar_weight(al, k)
-                got = max(
-                    w for w in range(0, n // k + 1)
-                    if not cv.spin_value(al, _cycle_class(k, w, n)).is_zero()
-                )
-                if want != got:
-                    fails.append(f"al={_fmt(al)} k={k}: bar weight {want} support {got}")
-        rep.tally(f"weights equal maximal nonvanishing cycle counts, n={n}", total, fails)
+
+def _pair_consequences(al, la, c, pairs_at):
+    """What a proportional pair (al, la) with ratio c implies."""
+    n = pt.size(la)
+    errs = []
+    if c != sqrt2_pow(classify.ratio_exponent(al)):
+        errs.append("ratio")
+    if pt.regularize2(la) != pt.regularize2(pt.dbl(al)):
+        errs.append("regularization")
+    for k in range(1, n + 1, 2):
+        if pt.k_weight(la, k) != pt.bar_weight(al, k):
+            errs.append(f"{k}-weight")
+            break
+    if pt.content_counts(la) != pt.spin_content_counts(al):
+        errs.append("content")
+    if pt.k_core(la, 2) != pt.dbl(pt.four_bar_core(al)[0]):
+        errs.append("2-core")
+    if pt.odd_parts(al):
+        k, rest = pt.largest_odd_bar(al)
+        hooks = pt.rim_hooks(la, k)
+        if len(hooks) != 1:
+            errs.append("hook count")
+        elif (rest, hooks[0][0]) not in pairs_at(n - k):
+            errs.append("largest-bar descent")
+    for eps in (0, 1):
+        al2 = pt.remove_all_spin_removable(al, eps)
+        la2 = pt.remove_all_removable(la, eps)
+        if pt.size(al2) != pt.size(la2) or (al2, la2) not in pairs_at(pt.size(al2)):
+            errs.append(f"eps={eps} descent")
+    return errs and f"{_fmt(al)}~{_fmt(la)}: " + ",".join(errs)
+
+
+def run_invariants(rep, cache_dir):
+    for n in range(1, rep.max_n + 1):
+        rep.tally(f"weights equal maximal nonvanishing cycle counts, n={n}",
+                  _support_is_weight(n))
 
     # one scan per size, shared by the loop and the descent lookups
     scans = {}
@@ -669,40 +646,10 @@ def run_invariants(max_n=None, cache_dir=None):
             scans[m] = {(al, la): c for al, la, c in cv.scan(m, cache_dir)}
         return scans[m]
 
-    bound2 = min(bound + 2, 14)
-    for n in range(1, bound2 + 1):
-        fails, total = [], 0
-        for (al, la), c in pairs_at(n).items():
-            total += 1
-            errs = []
-            if c != sqrt2_pow(classify.ratio_exponent(al)):
-                errs.append("ratio")
-            if pt.regularize2(la) != pt.regularize2(pt.dbl(al)):
-                errs.append("regularization")
-            for k in range(1, n + 1, 2):
-                if pt.k_weight(la, k) != pt.bar_weight(al, k):
-                    errs.append(f"{k}-weight")
-                    break
-            if pt.content_counts(la) != pt.spin_content_counts(al):
-                errs.append("content")
-            if pt.k_core(la, 2) != pt.dbl(pt.four_bar_core(al)[0]):
-                errs.append("2-core")
-            if pt.odd_parts(al):
-                k, rest = pt.largest_odd_bar(al)
-                hooks = pt.rim_hooks(la, k)
-                if len(hooks) != 1:
-                    errs.append("hook count")
-                elif (rest, hooks[0][0]) not in pairs_at(n - k):
-                    errs.append("largest-bar descent")
-            for eps in (0, 1):
-                al2 = pt.remove_all_spin_removable(al, eps)
-                la2 = pt.remove_all_removable(la, eps)
-                if pt.size(al2) != pt.size(la2) or (al2, la2) not in pairs_at(pt.size(al2)):
-                    errs.append(f"eps={eps} descent")
-            if errs:
-                fails.append(f"{_fmt(al)}~{_fmt(la)}: " + ",".join(errs))
-        rep.tally(f"proportional-pair consequences, n={n}", total, fails)
-    return rep
+    for n in range(1, min(rep.max_n + 2, 14) + 1):
+        rep.tally(f"proportional-pair consequences, n={n}",
+                  (_pair_consequences(al, la, c, pairs_at)
+                   for (al, la), c in pairs_at(n).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +669,12 @@ SUITES = {
 
 
 def run_suite(name, max_n=None, cache_dir=None):
+    """The Report of one suite, at its default bound when max_n is None."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     t0 = time.perf_counter()
-    rep = SUITES[name](max_n=max_n, cache_dir=cache_dir)
+    rep = Report(name, DEFAULT_BOUNDS[name] if max_n is None else max_n)
+    SUITES[name](rep, cache_dir)
     rep.millis = int(round((time.perf_counter() - t0) * 1000))
     return rep
 

@@ -23,9 +23,9 @@ one production route for, by a slower or more literal construction.
   computed by the rim-hook recursion and Morris's formula (the oracle for
   the closed keys of `charvalues.scan`).
 - The tuple recursions that the bitmask kernels replaced: Murnaghan-Nakayama
-  over `partitions.rim_hooks`, Morris's bar recursion over
-  `partitions.bars`, and the content power sums of the linear key summed
-  cell by cell.
+  over `partitions.rim_hooks` with the hook length formula at (1^m),
+  Morris's bar recursion over `partitions.bars`, and the content power sums
+  of the linear key summed cell by cell.
 """
 
 import itertools
@@ -40,7 +40,7 @@ from barspin.partitions import (
     cells,
     check_partition,
     check_strict,
-    hook_lengths,
+    conjugate,
     min_parts,
     odd_partitions_of,
     partitions_of,
@@ -313,6 +313,12 @@ def expand_in_P(poly, n):
 
 # ---------------------------------------------------------------------------
 # the tuple recursions behind the bitmask kernels
+
+def hook_lengths(la):
+    """The hook length of each cell of la, in the order of `cells`."""
+    conj = conjugate(la)
+    return [la[r - 1] - c + conj[c - 1] - r + 1 for r, c in cells(la)]
+
 
 @lru_cache(maxsize=None)
 def chi_by_rim_hooks(la, nu):

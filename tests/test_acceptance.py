@@ -161,6 +161,37 @@ def test_invariants_scans_each_size_once(monkeypatch):
     assert len(sizes) == len(set(sizes)) and set(range(1, 9)) <= set(sizes)
 
 
+# suite: (cases, summed 'N checks pass' instances) at --max-n 6
+FINGERPRINTS_AT_6 = {
+    "main": (6, 0),
+    "equality": (6, 0),
+    "runner-swap": (12, 481),
+    "runner-swap-spin": (11, 98),
+    "quot-red": (11, 74),
+    "interm": (16, 8005),
+    "symfunc": (9, 239),
+    "degrees": (16, 35),
+    "invariants": (14, 124),
+}
+
+
+def test_suite_fingerprints_at_max_n_6():
+    """Each suite's case count and the instances its sweeps count, and the
+    pairs that main and equality list, at --max-n 6."""
+    reps = verify.run_all(6)
+    assert all(rep.ok for rep in reps)
+    got = {
+        rep.suite: (len(rep.cases), sum(int(c.expected.split()[0]) for c in rep.cases
+                                        if c.expected.endswith(" checks pass")))
+        for rep in reps
+    }
+    assert got == FINGERPRINTS_AT_6
+    pairs = {rep.suite: sum(int(c.actual.split()[0]) for c in rep.cases
+                            if c.actual.split()[1:2] == ["pairs"])
+             for rep in reps}
+    assert (pairs["main"], pairs["equality"]) == (13, 11)
+
+
 def test_criterion_12_odd_runner_swap_example():
     """The five-runner swap example, bit-exact."""
     rep = suite("runner-swap")

@@ -6,6 +6,7 @@ that realizes the basic spin representation on a Pauli-chain Clifford
 algebra and compares normalized traces.
 """
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -18,12 +19,11 @@ from hypothesis import given, settings, strategies as st
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin import charvalues as cv, symfunc as sf
 from barspin.partitions import (
-    hook_lengths,
     odd_partitions_of,
     partitions_of,
     strict_partitions_of,
 )
-from oracles import chi_by_rim_hooks, linear_key_by_cells, scan_reference
+from oracles import chi_by_rim_hooks, hook_lengths, linear_key_by_cells, scan_reference
 
 S = lambda a, b=0: Scalar(a, b)
 
@@ -76,6 +76,23 @@ def test_chi_matches_rim_hook_recursion():
         for la in partitions_of(n):
             for nu in classes:
                 assert cv.chi(la, nu) == chi_by_rim_hooks(la, nu), (la, nu)
+
+
+def test_chi_takes_a_class_in_any_order_and_only_partition_labels():
+    """A class is a multiset of cycle lengths, so chi is the same on every
+    ordering of it (n <= 7); a label that is not a partition raises."""
+    for n in range(8):
+        for nu in partitions_of(n):
+            orders = set(itertools.permutations(nu))
+            for la in partitions_of(n):
+                want = cv.chi(la, nu)
+                assert all(cv.chi(la, order) == want for order in orders), (la, nu)
+    assert cv.chi((2, 1), (1, 2)) == 0
+    for bad in [(1, 2), (1, 3), (2, 0), (3, -1), (True,), (2.0,)]:
+        with pytest.raises(ValueError):
+            cv.chi(bad, (1,) * int(sum(bad)))
+        with pytest.raises(ValueError):
+            cv.specht_degree(bad)
 
 
 def test_column_orthogonality():

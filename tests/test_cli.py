@@ -200,7 +200,7 @@ def test_case_millis_is_the_time_since_the_previous_case():
     rep = verify.Report(suite="main", max_n=2)
     time.sleep(0.03)
     rep.check("first", "x", "x")
-    rep.tally("second", 1, [])
+    rep.tally("second", [None])
     time.sleep(0.05)
     rep.check("third", "x", "y")
     first, second, third = rep.cases
@@ -208,6 +208,21 @@ def test_case_millis_is_the_time_since_the_previous_case():
     assert second.millis < first.millis
     assert third.millis >= 50
     assert [c["millis"] for c in rep.to_dict()["cases"]] == [c.millis for c in rep.cases]
+
+
+def test_tally_counts_one_entry_per_instance():
+    """The count is the number of entries, a falsy entry passes, and the
+    failure text names the first three messages."""
+    rep = verify.Report(suite="main", max_n=2)
+    rep.tally("all pass", [None, "", False, 0, []])
+    rep.tally("some fail", iter([None, "a", "b", None, "c", "d"]))
+    rep.tally("nothing to check", [])
+    passing, failing, empty = rep.cases
+    assert (passing.expected, passing.actual, passing.ok) == (
+        "5 checks pass", "5 checks pass", True)
+    assert (failing.expected, failing.actual, failing.ok) == (
+        "6 checks pass", "4 of 6 checks fail: a; b; c", False)
+    assert (empty.expected, empty.actual, empty.ok) == ("0 checks pass", "0 checks pass", True)
 
 
 def test_verify_csv(capsys):

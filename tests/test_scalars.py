@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import barspin
 from barspin.scalars import Scalar, sqrt2, sqrt2_pow
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -115,3 +118,26 @@ def test_immutable_and_hashable():
         raised = True
     assert raised
     assert len({Scalar(1, 1), Scalar(1, 1), Scalar(1, 2)}) == 2
+
+
+# the exact layers; verify and cli time their cases with perf_counter
+EXACT_MODULES = ("scalars", "partitions", "abacus", "symfunc", "charvalues", "charspace",
+                 "classify")
+INTEGER_MATH = {"factorial", "prod", "comb", "gcd", "isqrt"}
+
+
+def test_exact_modules_use_no_floats():
+    """No float literal, no float() or round() call, and no math function
+    other than the integer ones."""
+    root = Path(barspin.__file__).parent
+    for name in EXACT_MODULES:
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text())):
+            where = f"{name}.py:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), where
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("float", "round"), where
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert node.value.id != "math" or node.attr in INTEGER_MATH, where
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert {alias.name for alias in node.names} <= INTEGER_MATH, where

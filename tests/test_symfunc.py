@@ -92,11 +92,13 @@ def test_q_series_matches_q_poly():
 
 
 def test_schur_q_matches_shifted_tableaux():
+    """Q (primes allowed on the diagonal) and P (none there)."""
     xs = [F(1), F(1, 2), F(1, 3)]
     for n in range(1, 7):
         for al in strict_partitions_of(n):
-            closed = sf.evaluate(sf.schur_q_poly(al), xs)
-            assert closed == sf.monomial_schur_q(al, xs)
+            for poly, marked in ((sf.schur_q_poly, True), (sf.schur_p_poly, False)):
+                closed = sf.evaluate(poly(al), xs)
+                assert closed == sf.monomial_schur_q(al, xs, marked), (al, marked)
 
 
 def test_schur_matches_tableaux():
