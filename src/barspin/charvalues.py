@@ -69,17 +69,19 @@ from functools import lru_cache
 
 from barspin.partitions import (
     beta_mask,
+    check_class,
     check_partition,
     check_strict,
     memo_key,
     odd_partitions_of,
+    part_mask,
     partitions_of,
     size,
     split_key,
     strict_partitions_of,
 )
 from barspin.scalars import Scalar, sqrt2_pow
-from barspin.symfunc import p_in_P_coefficient, schur_poly
+from barspin.symfunc import _bar_kernel, p_in_P_coefficient, schur_poly
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,7 @@ def chi(la, nu):
     of the same size.  A class is a multiset of cycle lengths, so its parts
     may come in any order."""
     check_partition(la)
+    check_class(nu)
     if size(la) != size(nu):
         raise ValueError(f"size mismatch: {la} vs {nu}")
     return _chi_kernel(memo_key(sorted(nu, reverse=True), beta_mask(la)))
@@ -170,8 +173,9 @@ def _spin_value(al, nu):
 def _spin_ratio(al, nu, degree):
     """Spin character value of al on the odd class nu divided by the
     degree, an integer Fraction; degree is X^al at (1^n), the P-coefficient
-    that the degree of al is a power of sqrt2 times."""
-    return Fraction(_gauss_sign(nu) * p_in_P_coefficient(al, nu),
+    that the degree of al is a power of sqrt2 times.  The scan calls it
+    once per candidate and class, so it reads the bar kernel directly."""
+    return Fraction(_gauss_sign(nu) * _bar_kernel(memo_key(nu, part_mask(al))),
                     degree << (size(al) - len(nu)) // 2)
 
 
@@ -186,6 +190,7 @@ def spin_degree(al):
 def spin_value(al, nu):
     """Spin character value on the odd class nu."""
     check_strict(al)
+    check_class(nu)
     if size(nu) != size(al):
         raise ValueError(f"size mismatch: {al} vs {nu}")
     if any(p % 2 == 0 for p in nu):

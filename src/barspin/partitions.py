@@ -45,6 +45,12 @@ def check_partition(la):
         raise ValueError(f"parts must weakly decrease: {la!r}")
 
 
+def check_class(nu):
+    """A class is a multiset of cycle lengths: positive ints, in any order."""
+    if any(type(p) is not int or p <= 0 for p in nu):
+        raise ValueError(f"class parts must be positive integers: {nu!r}")
+
+
 def check_strict(al):
     check_partition(al)
     if any(al[i] == al[i + 1] for i in range(len(al) - 1)):
@@ -358,39 +364,19 @@ def split_key(key):
 
 
 # ---------------------------------------------------------------------------
-# bars (odd k) and the 4-bar-core
-
-def bars(al, k):
-    """Strict partitions obtained from al by removing one k-bar (k odd).
-
-    A k-bar is a part equal to k, a pair of parts summing to k, or the last
-    k nodes of a part a > k with a - k not already a part.
-    """
-    if k % 2 == 0:
-        raise ValueError("bars are defined for odd lengths only")
-    pset = set(al)
-    out = set()
-    for a in al:
-        if a >= k:
-            rest = a - k
-            if rest == 0 or rest not in pset:
-                new = [p for p in al if p != a]
-                if rest:
-                    new.append(rest)
-                out.add(tuple(sorted(new, reverse=True)))
-    for a, b in itertools.combinations(al, 2):
-        if a + b == k:
-            out.add(tuple(p for p in al if p != a and p != b))
-    return sorted(out, reverse=True)
-
+# k-bar cores (odd k) and the 4-bar-core
 
 def bar_core(al, k):
-    cur = al
-    while True:
-        nxt = bars(cur, k)
-        if not nxt:
-            return cur
-        cur = nxt[0]
+    """The k-bar core of a strict partition, k odd (Olsson 1993): on the
+    k-abacus of the parts, runner 0 empties, and of runners j and k - j the
+    one with more beads keeps the surplus, slid to the top."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"bars are defined for odd positive lengths only, got {k}")
+    beads = [0] * k
+    for a in al:
+        beads[a % k] += 1
+    return tuple(sorted((j + k * i for j in range(1, k)
+                         for i in range(beads[j] - beads[k - j])), reverse=True))
 
 
 def bar_weight(al, k):

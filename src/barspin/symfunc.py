@@ -3,32 +3,26 @@
 A polynomial is a dict mapping a partition nu (the power-sum index) to
 z_nu times the coefficient of p_nu, where z_nu = prod_k k^(m_k) m_k! is the
 centralizer order of the class nu.  In this scaling every coefficient the
-library forms is an integer: h_r has 1 at every nu of r and q_r has
-2^len(nu) at every odd nu of r (Macdonald, Symmetric Functions and Hall
-Polynomials, I (2.14) and III.8), and the scaled coefficient of p_nu in
-s_la is the character value chi^la(nu).  P_alpha = 2^-len(alpha) Q_alpha
-is integral too: every scaled coefficient of Q_alpha is divisible by
-2^len(alpha).  `Fraction` enters only in `evaluate` and in the tableau and
-series oracles at the end of the module.  Multiplying p_mu/z_mu by
-p_nu/z_nu gives p_(mu u nu)/z_(mu u nu) times z_(mu u nu)/(z_mu z_nu), the
-integer prod_k C(m_k(mu) + m_k(nu), m_k(mu)).
+library forms is an integer: h_r has 1 at every nu of r (Macdonald,
+Symmetric Functions and Hall Polynomials, I (2.14)), and the scaled
+coefficient of p_nu in s_la is the character value chi^la(nu).
+`Fraction` enters only in `evaluate` and in the tableau and series oracles
+at the end of the module.  Multiplying p_mu/z_mu by p_nu/z_nu gives
+p_(mu u nu)/z_(mu u nu) times the integer z_(mu u nu)/(z_mu z_nu) =
+prod_k C(m_k(mu) + m_k(nu), m_k(mu)).
 
-Schur Q/P live in the subring generated by odd power sums, and spin
-character values are read off the coefficients X with
-p_nu = sum_alpha X^alpha_nu P_alpha.
-
-The production route to X is Morris's bar recursion in plain integers
-(Morris 1962; Macdonald, Symmetric Functions, III.8 Ex. 11): multiplying
-P_beta by p_k adds a k-bar in every possible way, with a sign, so X^alpha_nu
-is a signed sum over the k-bars of alpha for k = nu[0].  It runs on the
-set of parts of alpha as a bitmask (bars as in Olsson 1993, Combinatorics
-and Representations of Finite Groups): a part a >= k shrinks to a - k when
-that bit is clear, with sign (-1)^(parts strictly between a - k and a), and
-two parts a > b with a + b = k drop together, with sign
-2 (-1)^(parts strictly between b and a, plus b).  The memo keys are plain
-ints (see `partitions.memo_key`).  The tests check it against inverting
-the transition matrix between {P_alpha} and {p_nu : nu odd}, and against
-the same recursion on tuples over `partitions.bars`.
+Spin character values are read off the integers X with
+p_nu = sum_alpha X^alpha_nu P_alpha, by Morris's bar recursion (Morris
+1962; Macdonald III.8 Ex. 11): multiplying P_beta by p_k adds a k-bar in
+every possible way, with a sign.  It runs on the set of parts of alpha as
+a bitmask (bars as in Olsson 1993, Combinatorics and Representations of
+Finite Groups), with int memo keys (see `partitions.memo_key`).  Schur's
+Q_alpha is read off the same integers: [P_alpha, Q_beta] = delta and
+[p_mu, p_nu] = z_nu 2^-len(nu) delta on odd classes, so the scaled
+coefficient of Q_alpha at each odd nu is 2^len(nu) X^alpha_nu.  P_alpha =
+2^-len(alpha) Q_alpha is integral too, and q_r is Q_(r).  The P-matrix
+solve, whose rows are P_alpha by the Pfaffian of two-row Q's, and that
+Pfaffian are test oracles.
 """
 
 from __future__ import annotations
@@ -38,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from barspin.partitions import (
+    check_class,
     check_strict,
     conjugate,
     memo_key,
@@ -99,88 +94,14 @@ def poly_eq(f, g):
 
 
 # ---------------------------------------------------------------------------
-# generators: q_r (odd power sums only) and h_r, in closed form
-
-@lru_cache(maxsize=None)
-def q_poly(r):
-    """Schur's q_r = sum over odd nu of r of 2^len(nu) p_nu / z_nu."""
-    return {nu: 2 ** len(nu) for nu in odd_partitions_of(r)}
-
+# Schur s via h_r in closed form, Jacobi-Trudi (subset DP determinant) and
+# omega
 
 @lru_cache(maxsize=None)
 def h_poly(r):
     """Complete homogeneous h_r = sum over nu of r of p_nu / z_nu."""
     return {nu: 1 for nu in partitions_of(r)}
 
-
-# ---------------------------------------------------------------------------
-# Schur Q and P via the Pfaffian of two-row values
-
-@lru_cache(maxsize=None)
-def q_two_row(a, b):
-    """Q_(a,b) for a > b >= 0."""
-    if b == 0:
-        return q_poly(a)
-    acc = poly_mul(q_poly(a), q_poly(b))
-    for i in range(1, b + 1):
-        term = poly_mul(q_poly(a + i), q_poly(b - i))
-        acc = poly_add(acc, poly_scale(term, 2 * (-1) ** i))
-    return acc
-
-
-def _pfaffian(m):
-    """Pfaffian of an antisymmetric matrix of polynomials (even dimension),
-    expanding along the first remaining row, memoized on the index set."""
-    cache = {}
-
-    def rec(rows):
-        if rows in cache:
-            return cache[rows]
-        if not rows:
-            return {(): 1}
-        i = rows[0]
-        rest = rows[1:]
-        acc = {}
-        for pos, j in enumerate(rest):
-            term = poly_mul(m[i][j], rec(tuple(x for x in rest if x != j)))
-            acc = poly_add(acc, poly_scale(term, (-1) ** pos))
-        cache[rows] = acc
-        return acc
-
-    return rec(tuple(range(len(m))))
-
-
-@lru_cache(maxsize=None)
-def schur_q_poly(al):
-    """Q_alpha by the Pfaffian of the two-row matrix (odd lengths padded
-    with a zero part)."""
-    check_strict(al)
-    if not al:
-        return {(): 1}
-    if len(al) == 1:
-        return q_poly(al[0])
-    padded = al if len(al) % 2 == 0 else al + (0,)
-    n = len(padded)
-    m = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = q_two_row(padded[i], padded[j])
-            m[i][j] = val
-            m[j][i] = poly_scale(val, -1)
-    return _pfaffian(m)
-
-
-@lru_cache(maxsize=None)
-def schur_p_poly(al):
-    """P_alpha = Q_alpha / 2^len(alpha), dividing each coefficient exactly."""
-    q, d = schur_q_poly(al), 1 << len(al)
-    if any(c % d for c in q.values()):
-        raise ArithmeticError(f"Q_{al} is not divisible by {d}")
-    return {nu: c // d for nu, c in q.items()}
-
-
-# ---------------------------------------------------------------------------
-# Schur s via Jacobi-Trudi (subset DP determinant) and omega
 
 def _det(m):
     """Determinant of a matrix of polynomials, DP over column subsets."""
@@ -234,8 +155,8 @@ def p_in_P_coefficient(al, nu):
     mask = part_mask(al)
     if mask & 1 or mask.bit_count() != len(al):
         raise ValueError(f"not a strict partition: {al!r}")
-    m = size(al)
-    if size(nu) != m:
+    check_class(nu)
+    if size(nu) != size(al):
         return 0
     return _bar_kernel(memo_key(nu, mask))
 
@@ -276,6 +197,36 @@ def _bar_kernel(key):
             sign = (mask >> (b + 1) & ((1 << (k - 2 * b - 1)) - 1)).bit_count() + b
             total += -value if sign & 1 else value
     return total
+
+
+# ---------------------------------------------------------------------------
+# Schur Q and P, read off the bar recursion
+
+def schur_q_poly(al):
+    """Q_alpha, whose scaled coefficient at each odd nu is 2^len(nu)
+    X^alpha_nu: [P_alpha, Q_beta] = delta and [p_mu, p_nu] = z_nu
+    2^-len(nu) delta on odd classes."""
+    check_strict(al)
+    mask = part_mask(al)
+    out = {}
+    for nu in odd_partitions_of(size(al)):
+        x = _bar_kernel(memo_key(nu, mask))
+        if x:
+            out[nu] = x << len(nu)
+    return out
+
+
+def schur_p_poly(al):
+    """P_alpha = Q_alpha / 2^len(alpha), dividing each coefficient exactly."""
+    q, d = schur_q_poly(al), 1 << len(al)
+    if any(c % d for c in q.values()):
+        raise ArithmeticError(f"Q_{al} is not divisible by {d}")
+    return {nu: c // d for nu, c in q.items()}
+
+
+def q_poly(r):
+    """Schur's q_r = Q_(r)."""
+    return schur_q_poly((r,) if r else ())
 
 
 # ---------------------------------------------------------------------------

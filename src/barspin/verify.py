@@ -530,7 +530,7 @@ def run_symfunc(rep, cache_dir):
 
     xs = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
     small = min(bound, 6)
-    rep.tally(f"Pfaffian route equals tableau evaluation in four variables, size <= {small}",
+    rep.tally(f"bar recursion equals tableau evaluation in four variables, size <= {small}",
               (_tableau_evaluation(al, xs)
                for n in range(0, small + 1) for al in pt.strict_partitions_of(n)))
 

@@ -11,21 +11,28 @@ one production route for, by a slower or more literal construction.
 - The spin-removable and spin-addable nodes as the union of the cells moved
   by every legal move, over every count, and what the library reads off
   those nodes (the full removal and the runner-swap sign).
-- The 4-bar core by greedy 4-bar moves.
+- The 4-bar core by greedy 4-bar moves, and the k-bars of a strict label
+  as tuples with the k-bar core by greedy k-bar removals (the oracles for
+  the closed forms of `partitions.four_bar_core` and `partitions.bar_core`).
 - Plain power-sum coefficients of the library's z_nu-scaled polynomials,
-  and h_r and q_r by Newton's recursions on those plain coefficients (the
-  oracles for the closed forms of `symfunc.h_poly` and `symfunc.q_poly`).
-- The P-basis transition matrix solved by Gauss-Jordan, and the expansion
-  of a polynomial in {P_alpha} through it (the oracle for Morris's bar
-  recursion).
+  and h_r and q_r by Newton's recursions on those plain coefficients.  The
+  Newton h_r checks the closed form of `symfunc.h_poly`; the Newton q_r
+  checks Morris's bar recursion on the one-row labels, since `symfunc.q_poly`
+  is Q_(r) read off it.
+- Schur's Q_alpha as the Pfaffian of the two-row Q_(a,b), built from the
+  Newton q_r, and P_alpha from it (the oracles for `symfunc.schur_q_poly`
+  and `symfunc.schur_p_poly`, which read both off the bar recursion).
+- The P-basis transition matrix, its rows P_alpha by the Pfaffian, solved
+  by Gauss-Jordan, and the expansion of a polynomial in {P_alpha} through
+  it (the oracle for Morris's bar recursion).
 - Schur functions at rational points by brute force over tableaux.
 - The proportionality scan grouped on the values at its first class,
   computed by the rim-hook recursion and Morris's formula (the oracle for
   the closed keys of `charvalues.scan`).
 - The tuple recursions that the bitmask kernels replaced: Murnaghan-Nakayama
   over `partitions.rim_hooks` with the hook length formula at (1^m),
-  Morris's bar recursion over `partitions.bars`, and the content power sums
-  of the linear key summed cell by cell.
+  Morris's bar recursion over the tuple k-bars above, and the content power
+  sums of the linear key summed cell by cell.
 """
 
 import itertools
@@ -36,7 +43,6 @@ from functools import lru_cache
 from barspin import charvalues as cv
 from barspin.abacus import bswp
 from barspin.partitions import (
-    bars,
     cells,
     check_partition,
     check_strict,
@@ -51,7 +57,7 @@ from barspin.partitions import (
     spin_residue,
     strict_partitions_of,
 )
-from barspin.symfunc import p_in_P_coefficient, schur_p_poly, z_order
+from barspin.symfunc import p_in_P_coefficient, poly_add, poly_mul, poly_scale, z_order
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +200,7 @@ def spin_swap_sign_reference(al, eps):
 
 
 # ---------------------------------------------------------------------------
-# the 4-bar core by greedy moves
+# the 4-bar core and the k-bar cores by greedy moves
 
 def four_bar_moves(al):
     """Results of a single 4-bar-core move: drop an even part, drop two parts
@@ -224,6 +230,40 @@ def four_bar_core_by_moves(al):
     w, rem = divmod(size(al) - size(cur), 2)
     assert rem == 0
     return cur, w
+
+
+def bars(al, k):
+    """Strict partitions obtained from al by removing one k-bar (k odd).
+
+    A k-bar is a part equal to k, a pair of parts summing to k, or the last
+    k nodes of a part a > k with a - k not already a part.
+    """
+    if k % 2 == 0:
+        raise ValueError("bars are defined for odd lengths only")
+    pset = set(al)
+    out = set()
+    for a in al:
+        if a >= k:
+            rest = a - k
+            if rest == 0 or rest not in pset:
+                new = [p for p in al if p != a]
+                if rest:
+                    new.append(rest)
+                out.add(tuple(sorted(new, reverse=True)))
+    for a, b in itertools.combinations(al, 2):
+        if a + b == k:
+            out.add(tuple(p for p in al if p != a and p != b))
+    return sorted(out, reverse=True)
+
+
+def bar_core_by_bars(al, k):
+    """The k-bar core by taking the first k-bar removal until none is left."""
+    cur = al
+    while True:
+        nxt = bars(cur, k)
+        if not nxt:
+            return cur
+        cur = nxt[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +302,85 @@ def h_poly_newton(r):
 
 
 # ---------------------------------------------------------------------------
+# Schur Q and P by the Pfaffian of two-row values
+
+@lru_cache(maxsize=None)
+def q_scaled(r):
+    """Schur's q_r, z_nu-scaled, from Newton's recursion."""
+    return {nu: int(c * z_order(nu)) for nu, c in q_poly_newton(r).items()}
+
+
+@lru_cache(maxsize=None)
+def q_two_row(a, b):
+    """Q_(a,b) for a > b >= 0: q_a q_b + 2 sum over 1 <= i <= b of
+    (-1)^i q_(a+i) q_(b-i)."""
+    acc = q_scaled(a)
+    if b:
+        acc = poly_mul(acc, q_scaled(b))
+    for i in range(1, b + 1):
+        term = poly_mul(q_scaled(a + i), q_scaled(b - i))
+        acc = poly_add(acc, poly_scale(term, 2 * (-1) ** i))
+    return acc
+
+
+def _pfaffian(m):
+    """Pfaffian of an antisymmetric matrix of polynomials (even dimension),
+    expanding along the first remaining row, memoized on the index set."""
+    cache = {}
+
+    def rec(rows):
+        if rows in cache:
+            return cache[rows]
+        if not rows:
+            return {(): 1}
+        i = rows[0]
+        rest = rows[1:]
+        acc = {}
+        for pos, j in enumerate(rest):
+            term = poly_mul(m[i][j], rec(tuple(x for x in rest if x != j)))
+            acc = poly_add(acc, poly_scale(term, (-1) ** pos))
+        cache[rows] = acc
+        return acc
+
+    return rec(tuple(range(len(m))))
+
+
+@lru_cache(maxsize=None)
+def schur_q_pfaffian(al):
+    """Q_alpha, z_nu-scaled, as the Pfaffian of the matrix of the Q_(a,b)
+    over the parts (an odd length padded with a zero part)."""
+    check_strict(al)
+    padded = al if len(al) % 2 == 0 else al + (0,)
+    n = len(padded)
+    m = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = q_two_row(padded[i], padded[j])
+            m[i][j] = val
+            m[j][i] = poly_scale(val, -1)
+    return _pfaffian(m)
+
+
+def schur_p_pfaffian(al):
+    """P_alpha = Q_alpha / 2^len(alpha) from the Pfaffian."""
+    d = 1 << len(al)
+    q = schur_q_pfaffian(al)
+    assert not any(c % d for c in q.values()), al
+    return {nu: c // d for nu, c in q.items()}
+
+
+# ---------------------------------------------------------------------------
 # expansion in {P_alpha} by the transition-matrix solve
 
 @lru_cache(maxsize=None)
 def p_to_P_matrix(n):
-    """(strict labels, odd class labels, X) with p_nu = sum_alpha X[alpha][nu] P_alpha."""
+    """(strict labels, odd class labels, X) with p_nu = sum_alpha X[alpha][nu] P_alpha,
+    the rows of the matrix being P_alpha by the Pfaffian."""
     alphas = strict_partitions_of(n)
     nus = odd_partitions_of(n)
     k = len(alphas)
     assert len(nus) == k, "Euler's identity just failed, which is bad news"
-    rows = [plain(schur_p_poly(al)) for al in alphas]
+    rows = [plain(schur_p_pfaffian(al)) for al in alphas]
     m = [[row.get(nu, Fraction(0)) for nu in nus] for row in rows]
     # solve M^T x = e_j for every j by one Gauss-Jordan pass on [M^T | I]
     a = [

@@ -121,7 +121,8 @@ def test_criterion_07_intermediate_combinatorics():
 def test_criterion_08_symmetric_function_identities():
     """P at a sum of staircases factors into Schur functions up to size 12;
     character recursion matches the power-sum transition matrix up to 10;
-    the Pfaffian route matches tableau generating functions up to 6."""
+    Q and P read off the bar recursion match tableau generating functions
+    up to 6."""
     rep = suite("symfunc")
     assert rep.max_n == 12
     assert rep.ok, failing(rep)

@@ -1,14 +1,23 @@
 """The benchmark's tracer binds barspin names from outside the package
 (perfbench/tracer.py).  Renaming or deleting one of them breaks only a
-traced benchmark run, so this installs the tracer around a small suite."""
+traced benchmark run, so this installs the tracer around a small suite.
 
+Those names are also the only library functions that library code need not
+call: every other module-level function of barspin is named somewhere in
+barspin outside its own body, so that no test-only route lives in the
+library."""
+
+import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from barspin import charvalues as cv, symfunc as sf, verify
 from barspin.scalars import Scalar
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+LIBRARY = ROOT / "src" / "barspin"
 
 
 def _load_tracer():
@@ -75,3 +84,28 @@ def test_memo_sizes_read_the_kernel_memos():
     grown = t.result()["memo"]
     assert grown["charvalues.chi_memo_entries"] == sizes["charvalues.chi_memo_entries"]
     assert grown["symfunc.memo_entries"] >= sf._bar_kernel.cache_info().currsize > 0
+
+
+def _names(node):
+    """How often each name is read under node, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute))
+
+
+def unreferenced_functions(library=LIBRARY):
+    """module.function for every module-level function of the library that
+    no library code names outside the function's own body."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(library.glob("*.py"))}
+    total = sum((_names(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and total[node.name] == _names(node)[node.name]]
+
+
+def test_library_has_no_test_only_functions():
+    """A function that only the tests call is an oracle and lives in
+    tests/oracles.py; the tracer's names are exempt, as the tracer reaches
+    them from outside."""
+    tracer = _load_tracer()
+    exempt = set(tracer.SPAN_METRICS) | set(tracer.COUNTED)
+    assert [name for name in unreferenced_functions() if name not in exempt] == []

@@ -9,6 +9,7 @@ algebra and compares normalized traces.
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -93,6 +94,23 @@ def test_chi_takes_a_class_in_any_order_and_only_partition_labels():
             cv.chi(bad, (1,) * int(sum(bad)))
         with pytest.raises(ValueError):
             cv.specht_degree(bad)
+
+
+def test_entry_points_reject_a_class_that_is_not_positive_ints():
+    """chi, spin_value and p_in_P_coefficient name the class when one of its
+    parts is not a positive int (a bool is not one)."""
+    calls = [
+        (cv.chi, (1,), (1, 0)),
+        (cv.chi, (2,), (3, -1)),
+        (cv.chi, (2,), (2.0,)),
+        (cv.spin_value, (2,), (3, -1)),
+        (cv.spin_value, (3,), (True, 1, 1)),
+        (sf.p_in_P_coefficient, (3,), (3, 0)),
+        (sf.p_in_P_coefficient, (3,), (1, True, 1)),
+    ]
+    for fn, label, nu in calls:
+        with pytest.raises(ValueError, match=re.escape(f"class parts must be positive integers: {nu!r}")):
+            fn(label, nu)
 
 
 def test_column_orthogonality():

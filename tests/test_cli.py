@@ -177,7 +177,7 @@ def test_verify_symfunc_labels_the_tableau_case_with_its_bound(capsys):
     code, out, _ = run(capsys, "verify", "symfunc", "--max-n", "3", "--format", "json")
     assert code == 0
     labels = [case["input"] for case in json.loads(out)["cases"]]
-    assert "Pfaffian route equals tableau evaluation in four variables, size <= 3" in labels
+    assert "bar recursion equals tableau evaluation in four variables, size <= 3" in labels
     assert not any("size <= 6" in label for label in labels)
 
 

@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from barspin import charspace as cs, partitions as pt
 from oracles import (
+    bar_core_by_bars,
+    bars,
     four_bar_core_by_moves,
     partition_set,
     remove_all_spin_removable_reference,
@@ -194,6 +196,29 @@ def test_four_bar_core_invariants(al):
     assert core == pt.bar_staircase(pt.bar_staircase_index(core))
 
 
+def test_bar_core_matches_greedy_bars():
+    """The abacus closed form of the k-bar core, and the weight read off
+    it, against greedy k-bar removals, for every strict label of size <= 20
+    and every odd k <= n + 1."""
+    for n in range(21):
+        for al in pt.strict_partitions_of(n):
+            for k in range(1, n + 2, 2):
+                core = bar_core_by_bars(al, k)
+                assert pt.bar_core(al, k) == core, (al, k)
+                assert pt.bar_weight(al, k) == (n - pt.size(core)) // k, (al, k)
+
+
+def test_bar_core_examples_and_even_lengths():
+    assert pt.bar_core((7, 5, 4, 2, 1), 3) == (1,)
+    assert pt.bar_core((8, 3), 5) == (8, 3)
+    assert pt.bar_core((6, 4, 1), 5) == (1,)
+    assert pt.bar_core((9, 5), 1) == ()
+    assert pt.bar_weight((8, 5, 2), 5) == 3
+    for k in (-1, 0, 2, 4):
+        with pytest.raises(ValueError, match="odd positive lengths only"):
+            pt.bar_core((3, 1), k)
+
+
 def test_staircases():
     assert pt.staircase(3) == (3, 2, 1)
     assert pt.staircase(0) == ()
@@ -206,7 +231,7 @@ def test_staircases():
 
 
 def test_bars():
-    assert set(pt.bars((5, 4), 3)) == {(4, 2), (5, 1)}
+    assert set(bars((5, 4), 3)) == {(4, 2), (5, 1)}
     assert pt.largest_odd_bar((12, 8, 7, 4, 3, 2)) == (19, (8, 4, 3, 2))
     assert pt.largest_odd_bar((5, 3, 1)) == (5, (3, 1))
 

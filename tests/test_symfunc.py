@@ -4,8 +4,10 @@ Polynomials are dicts from power-sum indices nu to z_nu times the
 coefficient of p_nu, integers wherever the library forms them; `plain`
 turns them back into Fraction coefficients.  The closed-form expansions are
 pinned against tableau-generating-function evaluations at rational points,
-which are computed by a completely independent combinatorial routine, and
-the closed forms of h_r and q_r against Newton's recursions.
+which are computed by a completely independent combinatorial routine, the
+closed form of h_r and the one-row labels of the bar recursion against
+Newton's recursions, and Q_alpha and P_alpha, read off the bar recursion,
+against the Pfaffian of two-row Q's.
 """
 
 from fractions import Fraction as F
@@ -30,6 +32,9 @@ from oracles import (
     p_to_P_matrix,
     plain,
     q_poly_newton,
+    q_two_row,
+    schur_p_pfaffian,
+    schur_q_pfaffian,
 )
 
 
@@ -82,7 +87,16 @@ def test_poly_mul_scales_by_the_multiplicities():
 def test_two_row_matches_pfaffian():
     for a in range(1, 6):
         for b in range(0, a):
-            assert sf.poly_eq(sf.q_two_row(a, b), sf.schur_q_poly((a, b) if b else (a,)))
+            assert sf.poly_eq(q_two_row(a, b), sf.schur_q_poly((a, b) if b else (a,)))
+
+
+def test_schur_q_and_p_match_pfaffian():
+    """Q_alpha and P_alpha read off the bar recursion against the Pfaffian
+    of two-row Q's, every strict label of size <= 12."""
+    for n in range(13):
+        for al in strict_partitions_of(n):
+            assert sf.schur_q_poly(al) == schur_q_pfaffian(al), al
+            assert sf.schur_p_poly(al) == schur_p_pfaffian(al), al
 
 
 def test_q_series_matches_q_poly():
@@ -150,8 +164,8 @@ def test_bar_recursion_matches_P_matrix_solve():
 
 
 def test_bar_kernel_matches_tuple_recursion():
-    """The part-set kernel against Morris's recursion on tuples over
-    partitions.bars, every strict label and odd class of size <= 18."""
+    """The part-set kernel against Morris's recursion on tuples over the
+    tuple k-bars, every strict label and odd class of size <= 18."""
     for n in range(19):
         for al in strict_partitions_of(n):
             for nu in odd_partitions_of(n):
