@@ -2,9 +2,13 @@
 
 A display with p runners and r beads places a bead at position b for each
 beta-number b; position b sits on runner b mod p at slot b div p.  Slot 0 is
-the top row.  Adding p*k to every part of the empty display's bead set is the
-display of the empty partition with r+... (extending r keeps the partition,
-shifts all positions).
+the top row.  Adding one bead at 0 and shifting every other bead up by one
+keeps the partition; on two runners it swaps the runners.
+
+On two runners a bead's runner is its parity and its slot its half
+(James-Kerber 1981, 2.7); the 2-quotient, its inverse and the runner swap
+read both off the bead, and count a 2-core's beads, which fill each
+runner from the top.
 """
 
 from __future__ import annotations
@@ -25,12 +29,6 @@ class AbacusDisplay:
     runner_count: int
     bead_count: int
     beads: frozenset
-
-    def runner(self, eps):
-        return sorted(b for b in self.beads if b % self.runner_count == eps)
-
-    def slots(self, eps):
-        return [(b - eps) // self.runner_count for b in self.runner(eps)]
 
 
 def display(la, p=2, r=None):
@@ -55,55 +53,58 @@ def pretty(d):
 
 def canonical_bead_count(la):
     """Smallest r >= len(la) with r = length of the 2-core mod 2."""
-    lc = len(k_core(la, 2))
-    r = len(la)
-    if r % 2 != lc % 2:
-        r += 1
-    return r
+    return len(la) + (len(la) - len(k_core(la, 2))) % 2
 
 
 def two_quotient(la):
-    """(2-core, (q0, q1)) read off the canonical 2-runner display."""
-    d = display(la, 2, canonical_bead_count(la))
-    quots = []
-    for eps in (0, 1):
-        slots = d.slots(eps)
-        parts = [s - i for i, s in enumerate(slots)]
-        quots.append(tuple(p for p in sorted(parts, reverse=True) if p))
-    return k_core(la, 2), (quots[0], quots[1])
+    """(2-core, (q0, q1)) read off the canonical 2-runner display: runner
+    eps with slots s_0 > ... > s_(m-1) gives q_eps the parts s_j - m + 1 + j."""
+    core = k_core(la, 2)
+    halves = ([], [])
+    # canonical_bead_count, with the core at hand
+    for b in beta_numbers(la, len(la) + (len(la) - len(core)) % 2):
+        halves[b & 1].append(b >> 1)
+    return core, tuple(tuple(filter(None, (s - len(h) + 1 + j for j, s in enumerate(h))))
+                       for h in halves)
 
 
 def from_core_quotient(core, q0, q1):
-    """The partition with the given 2-core and 2-quotient."""
-    if k_core(core, 2) != core:
-        raise ValueError(f"{core} is not a 2-core")
+    """The partition with the given 2-core and 2-quotient: the core fills
+    slots 0..m-1 of runner eps, and its j-th bead from the bottom moves
+    down by the j-th part of q_eps."""
+    for la in (core, q0, q1):
+        check_partition(la)
     # each two more beads put one more on each runner, so both hold enough
-    d = display(core, 2, len(core) + 2 * max(len(q0), len(q1)))
+    counts, slots = [0, 0], [0, 0]
+    for b in beta_numbers(core, len(core) + 2 * max(len(q0), len(q1))):
+        counts[b & 1] += 1
+        slots[b & 1] += b >> 1
+    # m beads fill slots 0..m-1 exactly when their slots sum to m(m-1)/2
+    if any(s != m * (m - 1) // 2 for m, s in zip(counts, slots)):
+        raise ValueError(f"{core} is not a 2-core")
     beads = []
-    for eps, q in ((0, q0), (1, q1)):
-        slots = d.slots(eps)
-        grown = sorted(q, reverse=False)
-        grown = [0] * (len(slots) - len(grown)) + grown
-        for i in range(len(slots)):
-            beads.append((i + grown[i]) * 2 + eps)
+    for eps, (m, q) in enumerate(zip(counts, (q0, q1))):
+        parts = [*q] + [0] * (m - len(q))
+        beads.extend(2 * (m - 1 - j + part) + eps for j, part in enumerate(parts))
     return partition_from_beta(beads)
 
 
 def swp(la, eps):
     """Swap the two runners of the display whose bead count r satisfies
     r = 1 - eps mod 2; realized by toggling the last bit of every position."""
-    r = len(la)
-    if r % 2 != (1 - eps) % 2:
-        r += 1
-    beads = beta_numbers(la, r)
-    return partition_from_beta([b ^ 1 for b in beads])
+    check_partition(la)
+    r = len(la) + (len(la) + eps + 1) % 2
+    return partition_from_beta([b ^ 1 for b in beta_numbers(la, r)])
 
 
 def bswp(al, eps):
     """Spin analogue of swp, as a rewriting of parts: odd parts congruent to
     2*eps - 1 mod 4 grow by 2, odd parts bigger than 1 congruent to 2*eps + 1
     shrink by 2, and for eps = 0 a part equal to 1 toggles on or off.  Even
-    parts never move.  An involution on strict partitions."""
+    parts never move.  An involution on strict partitions: it swaps odd
+    numbers in pairs, (1,3), (5,7), ... for eps = 1 and (3,5), (7,9), ...
+    for eps = 0."""
+    check_strict(al)
     up = (2 * eps - 1) % 4
     parts = []
     for a in al:
@@ -116,7 +117,5 @@ def bswp(al, eps):
         # a == 1 with eps == 0: drop (toggle off)
     if eps == 0 and 1 not in al:
         parts.append(1)
-    out = tuple(sorted(parts, reverse=True))
-    check_strict(out)
-    return out
+    return tuple(sorted(parts, reverse=True))
 

@@ -3,7 +3,7 @@
 A vector is a finite Scalar-linear combination of labels: partitions for the
 linear basis, strict partitions for the spin basis.  Labels are orthonormal.
 The branching operators apply_e/apply_f remove or add several nodes of one
-residue at a time; both run one move function (_moves) label by label.
+residue at a time; both run one function (_apply) label by label.
 Alternating composites of them swap the two runners of the abacus display
 (runner_swap) or shift weight between the two components of the 2-quotient
 (quot_red).  The intermediate-bipartition counts that control the matrix
@@ -14,29 +14,29 @@ c = a + b sqrt2, so vectors are summed as plain coordinate pairs per label
 (ints in practice, Fractions only if the input has them), with one Scalar
 built per label at the end and the labels whose sum is zero dropped.
 
-The composites work one input label at a time and stop at the first a where
-e_eps^(a) of the label vanishes.  That is exact: on one label, the counts r
-for which e_eps^(r) (or f_eps^(r)) has a term form the interval [0, m], m
-the number of removable (addable) eps-nodes.  Linear labels lose or gain
-any subset of those nodes.  A spin label's top end is its largest move
-(see the spin section of partitions), which moves every one of them.  To
-go down from an r-cell removal, take the topmost row that sheds cells and
-shed one cell fewer there: a row that may shed two cells may shed one,
-the row ends one cell longer than before, so still longer than the row
-below, and no longer than it was, so still shorter than the unchanged row
-above.  That is a legal (r-1)-cell removal.  Dually, grow one cell fewer
-in the lowest row that grows (dropping the new row (1) if it is added).
+The composites work one input label at a time and run a from max(0, -c)
+(max(0, -d) for quot_red) up to m, the label's number of removable
+eps-nodes, read once, so no e_eps^(a) call returns zero.  That is exact: on
+one label, the counts r for which e_eps^(r) (or f_eps^(r)) has a term form
+the interval [0, m], m the number of removable (addable) eps-nodes.  Linear
+labels lose or gain any subset of those nodes.  A spin label's top end is
+its largest move (see the spin section of partitions), which moves every
+one of them.  To go down from an r-cell removal, take the topmost row that
+sheds cells and shed one cell fewer there: a row that may shed two cells
+may shed one, the row ends one cell longer than before, so still longer
+than the row below, and no longer than it was, so still shorter than the
+unchanged row above.  That is a legal (r-1)-cell removal.  Dually, grow
+one cell fewer in the lowest row that grows (dropping the new row (1) if
+it is added).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ge, gt
 
-from barspin.abacus import bswp, swp
+from barspin.abacus import bswp
 from barspin.partitions import (
-    addable_nodes,
     check_partition,
     check_strict,
     min_parts,
@@ -68,21 +68,13 @@ def _as_scalar(c):
     return c if isinstance(c, Scalar) else Scalar(c)
 
 
-def _add_pair(acc, label, a, b):
-    """Add a + b*sqrt2 into the coordinate pair that acc holds for label."""
-    pair = acc.get(label)
-    if pair is None:
-        acc[label] = [a, b]
-    else:
-        pair[0] += a
-        pair[1] += b
-
-
 def _add_signed(acc, w, negate=False):
     """Add w (or -w) into the coordinate pairs of acc."""
     sign = -1 if negate else 1
     for label, x in w.coeffs.items():
-        _add_pair(acc, label, sign * x.a, sign * x.b)
+        pair = acc.setdefault(label, [0, 0])
+        pair[0] += sign * x.a
+        pair[1] += sign * x.b
 
 
 def _from_pairs(basis, n, acc):
@@ -90,25 +82,32 @@ def _from_pairs(basis, n, acc):
     return CharVector(basis, n, {label: Scalar(a, b) for label, (a, b) in acc.items() if a or b})
 
 
-def vector(basis, n, items):
+def _checked(basis, label):
+    """label as a tuple, checked against the basis."""
     if basis not in ("linear", "spin"):
         raise ValueError(f"unknown basis {basis!r}")
+    label = tuple(label)
+    (check_strict if basis == "spin" else check_partition)(label)
+    return label
+
+
+def vector(basis, n, items):
+    _checked(basis, ())  # the basis, even with no items
     acc = {}
     for label, c in items.items() if isinstance(items, dict) else items:
-        label = tuple(label)
-        if basis == "spin":
-            check_strict(label)
-        else:
-            check_partition(label)
+        label = _checked(basis, label)
         if size(label) != n:
             raise ValueError(f"label {label} has the wrong size for n = {n}")
         c = _as_scalar(c)
-        _add_pair(acc, label, c.a, c.b)
+        pair = acc.setdefault(label, [0, 0])
+        pair[0] += c.a
+        pair[1] += c.b
     return _from_pairs(basis, n, acc)
 
 
 def unit(basis, label):
-    return vector(basis, size(label), [(tuple(label), 1)])
+    label = _checked(basis, label)
+    return CharVector(basis, size(label), {label: Scalar(1)})
 
 
 def scale(v, c):
@@ -121,61 +120,67 @@ def scale(v, c):
 # ---------------------------------------------------------------------------
 # branching operators
 
-def _check_residue(eps, p):
+def _check_operator(basis, eps, p):
     if not 0 <= eps < p:
         raise ValueError(f"residue {eps} out of range for p = {p}")
-
-
-def _moves(basis, label, eps, r, p, grow):
-    """(new label, sqrt2 exponent) for every way of removing (grow=False)
-    or adding r nodes of residue eps on one label.
-
-    Linear basis: one move per r-subset of the removable (addable)
-    eps-nodes, exponent 0.  Each subset changes its rows by one cell; the
-    nodes are corners of a partition, so the result is one by construction.
-    Spin basis: one move per way of shedding (growing) r end cells of spin
-    residue eps, at most two per row, that leaves a strict partition; the
-    exponent counts the even integers that are a part of exactly one of
-    the old and new labels.  Moving no nodes is the identity.
-    """
-    if r == 0:
-        return [(label, 0)]
-    if basis == "linear":
-        nodes = addable_nodes(label, eps, p) if grow else removable_nodes(label, eps, p)
-        step = 1 if grow else -1
-        out = []
-        for sub in itertools.combinations(nodes, r):
-            rows = [*label, 0]
-            for i, _ in sub:
-                rows[i - 1] += step
-            out.append((tuple(filter(None, rows)), 0))
-        return out
-    moves = spin_additions if grow else spin_removals
-    evens = {x for x in label if x % 2 == 0}
-    return [(be, len(evens ^ {x for x in be if x % 2 == 0})) for be in moves(label, eps, r)]
+    if basis == "spin" and p != 2:
+        raise ValueError("spin operators exist only for p = 2")
 
 
 def _apply(v, eps, r, p, grow):
+    """Remove (grow=False) or add r nodes of residue eps in all legal ways.
+
+    Linear basis: one term per r-subset of the removable (addable)
+    eps-nodes, coefficient unchanged.  Each subset changes its rows by one
+    cell; the nodes are corners, so the result is a partition.  Spin basis:
+    one term per way of shedding (growing) r end cells of spin residue eps,
+    at most two per row, that leaves a strict partition, times sqrt2^k with
+    k the number of even integers that are a part of exactly one of the old
+    and new labels.  Moving no nodes is the identity."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    _check_residue(eps, p)
-    if v.basis == "spin" and p != 2:
-        raise ValueError("spin operators exist only for p = 2")
+    _check_operator(v.basis, eps, p)
+    if not r:
+        return CharVector(v.basis, v.n, {label: c for label, c in v.coeffs.items() if c.a or c.b})
+    step = 1 if grow else -1
     acc = {}
     for label, c in v.coeffs.items():
+        if v.basis == "linear":
+            # the rows (from 0) of label + (0,) that end in a removable
+            # (addable) eps-node, in one pass
+            rows = [*label, 0]
+            if grow:
+                nodes = [i for i, part in enumerate(rows)
+                         if (not i or rows[i - 1] > part) and (part - i) % p == eps]
+            else:
+                nodes = [i for i, part in enumerate(label)
+                         if part > rows[i + 1] and (part - i - 1) % p == eps]
+            a, b = c.a, c.b
+            for sub in itertools.combinations(nodes, r):
+                new = rows.copy()
+                for i in sub:
+                    new[i] += step
+                pair = acc.setdefault(tuple(filter(None, new)), [0, 0])
+                pair[0] += a
+                pair[1] += b
+            continue
         # c * sqrt2^k with c = a + b sqrt2: sqrt2^(2q) = 2^q, and
         # sqrt2 (a + b sqrt2) = 2b + a sqrt2
         even, odd = (c.a, c.b), (2 * c.b, c.a)
-        for new, k in _moves(v.basis, label, eps, r, p, grow):
+        evens = {x for x in label if x % 2 == 0}
+        for new in (spin_additions if grow else spin_removals)(label, eps, r):
+            k = len(evens ^ {x for x in new if x % 2 == 0})
             x, y = odd if k & 1 else even
             s = 1 << (k >> 1)
-            _add_pair(acc, new, x * s, y * s)
+            pair = acc.setdefault(new, [0, 0])
+            pair[0] += x * s
+            pair[1] += y * s
     return _from_pairs(v.basis, v.n + r if grow else v.n - r, acc)
 
 
 def apply_e(v, eps, r=1, p=2):
     """Remove r nodes of residue eps in all legal ways at once (p = 2 only
-    in the spin basis); see _moves for the terms and their coefficients."""
+    in the spin basis); see _apply for the terms and their coefficients."""
     return _apply(v, eps, r, p, grow=False)
 
 
@@ -187,6 +192,13 @@ def apply_f(v, eps, r=1, p=2):
 # ---------------------------------------------------------------------------
 # runner swap and quotient redistribution
 
+def _removable_count(basis, label, eps, p=2):
+    """m, the number of removable eps-nodes of one label."""
+    if basis == "linear":
+        return len(removable_nodes(label, eps, p))
+    return len(spin_removable_nodes(label, eps))
+
+
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
     (-1)^a f_eps^(a+c) e_eps^(a), rightmost factor applied first.
@@ -195,14 +207,12 @@ def runner_swap(v, eps, c, p=2):
     (-1)^c, invisible for even c; the convention here is pinned by the
     odd-p worked example S_2^(1) on (9,8,5,1^5) in the verify suite.
     """
+    _check_operator(v.basis, eps, p)
     acc = {}
     for label, coef in v.coeffs.items():
         one = CharVector(v.basis, v.n, {label: coef})
-        for a in range(max(0, -c), v.n + 1):
-            w = apply_e(one, eps, a, p)
-            if w.is_zero():
-                break
-            _add_signed(acc, apply_f(w, eps, a + c, p), a % 2)
+        for a in range(max(0, -c), _removable_count(v.basis, label, eps, p) + 1):
+            _add_signed(acc, apply_f(apply_e(one, eps, a, p), eps, a + c, p), a % 2)
     return _from_pairs(v.basis, v.n + c, acc)
 
 
@@ -210,24 +220,23 @@ def quot_red(v, eps, d):
     """The degree-d quotient redistribution: sum over a of
     (-1)^(a+d) f_eps^(a+d) f_eps'^(a+d) e_eps'^(a) e_eps^(a) with
     eps' the other residue, rightmost factor applied first."""
+    _check_operator(v.basis, eps, 2)
     ebar = 1 - eps
     acc = {}
     for label, coef in v.coeffs.items():
         one = CharVector(v.basis, v.n, {label: coef})
-        for a in range(max(0, -d), v.n + 1):
-            w = apply_e(one, eps, a)
-            if w.is_zero():
-                break
-            w = apply_f(apply_f(apply_e(w, ebar, a), ebar, a + d), eps, a + d)
+        for a in range(max(0, -d), _removable_count(v.basis, label, eps) + 1):
+            w = apply_f(apply_f(apply_e(apply_e(one, eps, a), ebar, a), ebar, a + d), eps, a + d)
             _add_signed(acc, w, (a + d) % 2)
     return _from_pairs(v.basis, v.n + 2 * d, acc)
 
 
 def linear_swap_sign(la, eps):
     """Sign carried by the extreme-degree runner swap on a single label:
-    parity of the number of removed eps-nodes."""
-    mu = swp(la, eps)
-    return -1 if (size(la) - size(min_parts(la, mu))) % 2 else 1
+    parity of the number of removed eps-nodes.  swp removes every
+    removable eps-node and adds every addable one, so that is the number
+    of removable eps-nodes."""
+    return -1 if len(removable_nodes(la, eps)) % 2 else 1
 
 
 def spin_swap_sign(al, eps):
@@ -254,14 +263,14 @@ def spin_swap_sign(al, eps):
 
 def _choices(bounds, strict=False):
     """Weakly (or strictly) decreasing picks, one from each row's interval
-    (lo, hi), with the zero rows dropped."""
-    out = []
-    for pick in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
-        if all(map(ge, pick, pick[1:])):
-            nu = tuple(filter(None, pick))
-            if not strict or all(map(gt, nu, nu[1:])):
-                out.append(nu)
-    return out
+    (lo, hi), with the zero rows dropped.  Built row by row in lexicographic
+    order: each pick carries the cap of its next row, its last value (one
+    less if strict), or 0 after a zero row."""
+    picks = [((), bounds[0][1] if bounds else 0)]
+    for lo, hi in bounds:
+        picks = [(parts + (v,), v - strict) if v else (parts, 0)
+                 for parts, cap in picks for v in range(lo, min(hi, cap) + 1)]
+    return [parts for parts, _ in picks]
 
 
 def _bounds(a, b, vertical=False):
@@ -273,17 +282,14 @@ def _bounds(a, b, vertical=False):
     if vertical:
         low = [max(x, y, 1) - 1 for x, y in rows]
     else:
-        low = [max(row) for row in rows[1:]] + [0]
-    return [(lo, min(row)) for lo, row in zip(low, rows)]
+        low = [*map(max, rows[1:]), 0]
+    return list(zip(low, map(min, rows)))
 
 
 def _under(a, b, vertical=False, strict=False):
     """Partitions (strict ones if strict) below both a and b by horizontal
     strips, or by vertical strips if vertical; see _bounds."""
-    bounds = _bounds(a, b, vertical)
-    if any(lo > hi for lo, hi in bounds):
-        return []
-    return _choices(bounds, strict)
+    return _choices(_bounds(a, b, vertical), strict)
 
 
 def interm(bla, bmu):
@@ -295,20 +301,29 @@ def interm(bla, bmu):
 def interm_signed_sum(bla, bmu):
     """Sum of (-1)^(|bmu| - |bnu|) over the intermediates below both.
 
-    The intermediates are the product of the two components' lists and the
-    sign is (-1)^|bmu| (-1)^|nu0| (-1)^|nu1|, so the sum is (-1)^|bmu| times
-    one alternating count per component.  Component 0 needs no list: its
-    row intervals interlace (row i+1 is at most min(a_{i+1}, b_{i+1}) and
-    row i at least max(a_{i+1}, b_{i+1})), so every pick is a partition,
-    and its count is the product over rows of the sum of (-1)^v over
-    lo <= v <= hi: 0 for an interval of even length, else (-1)^lo."""
-    sign = -1 if (size(bmu[0]) + size(bmu[1])) % 2 else 1
+    The sign is (-1)^|bmu| (-1)^|nu0| (-1)^|nu1|, so the sum is (-1)^|bmu|
+    times one alternating count per component, and neither needs a list.
+    Component 0's row intervals interlace (row i+1 is at most
+    min(a_{i+1}, b_{i+1}) and row i at least max(a_{i+1}, b_{i+1})), so its
+    count is the product over rows of the sum of (-1)^v over lo <= v <= hi:
+    0 for an interval of even length, else (-1)^lo.  Component 1's
+    intervals hold one or two values, so its count runs row by row, keyed
+    on the last pick (at most two keys)."""
+    sign = -1 if (sum(bmu[0]) + sum(bmu[1])) % 2 else 1
     for lo, hi in _bounds(bla[0], bmu[0]):
         if lo > hi or (hi - lo) % 2:
             return 0
         if lo % 2:
             sign = -sign
-    return sign * sum(-1 if size(nu) % 2 else 1 for nu in interm1(bla[1], bmu[1]))
+    sigma, tau = bla[1], bmu[1]
+    last = {sigma[0] if sigma else 0: sign}  # no row exceeds sigma's first
+    for lo, hi in _bounds(sigma, tau, vertical=True):
+        nxt = {}
+        for top, count in last.items():
+            for v in range(lo, min(hi, top) + 1):
+                nxt[v] = nxt.get(v, 0) + (-count if v % 2 else count)
+        last = nxt
+    return sum(last.values())
 
 
 def interm0(eta, theta):
@@ -331,13 +346,13 @@ def b_sum(eta, theta):
     (-1)^(|theta| - |ze|) sqrt2^(kom(eta, ze) + kom(theta, ze)), added up
     as integers by the parity of the sqrt2 power."""
     e, t = set(eta), set(theta)
-    st = size(theta)
+    st = sum(theta)
     acc = [0, 0]
     for ze in interm0(eta, theta):
         z = set(ze)
         k = len(e ^ z) + len(t ^ z)
         term = 1 << (k >> 1)
-        acc[k & 1] += -term if (st - size(ze)) % 2 else term
+        acc[k & 1] += -term if (st - sum(ze)) % 2 else term
     return Scalar(*acc)
 
 

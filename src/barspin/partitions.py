@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import sub
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +223,16 @@ def regularize2(la):
 # removable/addable nodes (linear side, any modulus)
 
 def removable_nodes(la, eps=None, p=2):
-    out = []
-    for i in range(1, len(la) + 1):
-        part = la[i - 1]
-        nxt = la[i] if i < len(la) else 0
-        if part > nxt:
-            if eps is None or residue(i, part, p) == eps:
-                out.append((i, part))
-    return out
+    rows = (*la, 0)
+    return [(i, part) for i, part in enumerate(la, 1)
+            if part > rows[i] and (eps is None or (part - i) % p == eps)]
 
 
 def addable_nodes(la, eps=None, p=2):
-    out = []
-    for i in range(1, len(la) + 1):
-        part = la[i - 1]
-        prev = la[i - 2] if i >= 2 else None
-        if prev is None or prev > part:
-            if eps is None or residue(i, part + 1, p) == eps:
-                out.append((i, part + 1))
-    if eps is None or residue(len(la) + 1, 1, p) == eps:
-        out.append((len(la) + 1, 1))
-    return out
+    """The new row (len(la) + 1, 1) comes last, from the trailing 0 row."""
+    rows = (*la, 0)
+    return [(i, part + 1) for i, part in enumerate(rows, 1)
+            if (i == 1 or rows[i - 2] > part) and (eps is None or (part + 1 - i) % p == eps)]
 
 
 def remove_all_removable(la, eps, p=2):
@@ -274,8 +264,7 @@ def partition_from_beta(beta):
     r = len(bs)
     if len(set(bs)) != r:
         raise ValueError(f"beta-numbers must be distinct: {beta}")
-    parts = tuple(bs[i] - (r - 1 - i) for i in range(r))
-    return tuple(p for p in parts if p)
+    return tuple(filter(None, map(sub, bs, range(r - 1, -1, -1))))
 
 
 def rim_hooks(la, k):
@@ -297,22 +286,18 @@ def rim_hooks(la, k):
 
 
 def k_core(la, k):
-    beta = beta_numbers(la)
-    r = len(beta)
-    runners = [sorted((b - j) // k for b in beta if b % k == j) for j in range(k)]
-    newbeta = []
-    for j in range(k):
-        for i in range(len(runners[j])):
-            newbeta.append(i * k + j)
-    assert len(newbeta) == r
-    return partition_from_beta(newbeta)
+    """The k-core: each runner of the k-abacus keeps its number of beads,
+    slid to the top."""
+    if k < 1:
+        raise ValueError(f"cores are defined for positive lengths only, got {k}")
+    counts = [0] * k
+    for b in beta_numbers(la):
+        counts[b % k] += 1
+    return partition_from_beta([j + k * i for j in range(k) for i in range(counts[j])])
 
 
 def k_weight(la, k):
-    core = k_core(la, k)
-    w, rem = divmod(size(la) - size(core), k)
-    assert rem == 0
-    return w
+    return (size(la) - size(k_core(la, k))) // k
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +365,7 @@ def bar_core(al, k):
 
 
 def bar_weight(al, k):
-    core = bar_core(al, k)
-    w, rem = divmod(size(al) - size(core), k)
-    assert rem == 0
-    return w
+    return (size(al) - size(bar_core(al, k))) // k
 
 
 def largest_odd_bar(al):

@@ -152,13 +152,11 @@ def schur_poly(la):
 
 def p_in_P_coefficient(al, nu):
     """X with p_nu = sum_alpha X^alpha_nu P_alpha, an integer (nu odd)."""
-    mask = part_mask(al)
-    if mask & 1 or mask.bit_count() != len(al):
-        raise ValueError(f"not a strict partition: {al!r}")
+    check_strict(al)
     check_class(nu)
     if size(nu) != size(al):
         return 0
-    return _bar_kernel(memo_key(nu, mask))
+    return _bar_kernel(memo_key(nu, part_mask(al)))
 
 
 @lru_cache(maxsize=None)

@@ -33,23 +33,33 @@ one production route for, by a slower or more literal construction.
   over `partitions.rim_hooks` with the hook length formula at (1^m),
   Morris's bar recursion over the tuple k-bars above, and the content power
   sums of the linear key summed cell by cell.
+- The operator-layer routes replaced by counting and row-by-row passes: the
+  linear node lists as row loops, the k-core from sorted runner lists, the
+  2-quotient and its inverse on the frozenset display, the linear swap sign
+  through `swp`, the intermediates as a filtered product, the signed sum
+  over the `interm1` list, and the composites that run a until e_eps^(a)
+  vanishes.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge, gt
 
-from barspin import charvalues as cv
-from barspin.abacus import bswp
+from barspin import charspace as cs, charvalues as cv
+from barspin.abacus import bswp, canonical_bead_count, display, swp
 from barspin.partitions import (
+    beta_numbers,
     cells,
     check_partition,
     check_strict,
     conjugate,
     min_parts,
     odd_partitions_of,
+    partition_from_beta,
     partitions_of,
+    residue,
     rim_hooks,
     size,
     spin_additions,
@@ -57,6 +67,7 @@ from barspin.partitions import (
     spin_residue,
     strict_partitions_of,
 )
+from barspin.scalars import Scalar
 from barspin.symfunc import p_in_P_coefficient, poly_add, poly_mul, poly_scale, z_order
 
 
@@ -555,3 +566,144 @@ def scan_reference(n, cache_dir=None):
             cands = [al for al in cands if spin_at(al, i) == v]
         out.extend((al, la, ratio(al, la)) for al in cands)
     return sorted(out, key=lambda rec: (rec[0], rec[1]))
+
+
+# ---------------------------------------------------------------------------
+# the operator-layer routes replaced by counting and row-by-row passes
+
+def removable_nodes_by_rows(la, eps=None, p=2):
+    """partitions.removable_nodes as a loop over the rows, one residue call
+    per corner."""
+    out = []
+    for i in range(1, len(la) + 1):
+        part = la[i - 1]
+        nxt = la[i] if i < len(la) else 0
+        if part > nxt and (eps is None or residue(i, part, p) == eps):
+            out.append((i, part))
+    return out
+
+
+def addable_nodes_by_rows(la, eps=None, p=2):
+    """partitions.addable_nodes as a loop over the rows, with the new row
+    (len(la) + 1, 1) handled on its own."""
+    out = []
+    for i in range(1, len(la) + 1):
+        part = la[i - 1]
+        prev = la[i - 2] if i >= 2 else None
+        if (prev is None or prev > part) and (eps is None or residue(i, part + 1, p) == eps):
+            out.append((i, part + 1))
+    if eps is None or residue(len(la) + 1, 1, p) == eps:
+        out.append((len(la) + 1, 1))
+    return out
+
+
+def k_core_by_runners(la, k):
+    """partitions.k_core with each runner's bead slots listed and sorted,
+    then slid to the top."""
+    beta = beta_numbers(la)
+    runners = [sorted((b - j) // k for b in beta if b % k == j) for j in range(k)]
+    return partition_from_beta([i * k + j for j in range(k) for i in range(len(runners[j]))])
+
+
+def _runner_slots(d, eps):
+    """The slots of the beads on runner eps of a display, top first."""
+    return sorted((b - eps) // d.runner_count for b in d.beads if b % d.runner_count == eps)
+
+
+def two_quotient_by_display(la):
+    """abacus.two_quotient read off the frozenset display: runner eps's
+    slots, minus their ranks, sorted into q_eps."""
+    d = display(la, 2, canonical_bead_count(la))
+    quots = []
+    for eps in (0, 1):
+        parts = [s - i for i, s in enumerate(_runner_slots(d, eps))]
+        quots.append(tuple(p for p in sorted(parts, reverse=True) if p))
+    return k_core_by_runners(la, 2), (quots[0], quots[1])
+
+
+def from_core_quotient_by_display(core, q0, q1):
+    """abacus.from_core_quotient on the frozenset display of the core: the
+    i-th slot of runner eps, top first, moves down by the i-th smallest
+    part of q_eps (zeros first)."""
+    if k_core_by_runners(core, 2) != core:
+        raise ValueError(f"{core} is not a 2-core")
+    d = display(core, 2, len(core) + 2 * max(len(q0), len(q1)))
+    beads = []
+    for eps, q in ((0, q0), (1, q1)):
+        slots = _runner_slots(d, eps)
+        grown = [0] * (len(slots) - len(q)) + sorted(q)
+        beads.extend((i + grown[i]) * 2 + eps for i in range(len(slots)))
+    return partition_from_beta(beads)
+
+
+def linear_swap_sign_by_swp(la, eps):
+    """charspace.linear_swap_sign as the parity of the cells of la outside
+    swp(la, eps)."""
+    mu = swp(la, eps)
+    return -1 if (size(la) - size(min_parts(la, mu))) % 2 else 1
+
+
+def choices_by_product(bounds, strict=False):
+    """charspace._choices as the product of the row intervals, keeping the
+    weakly (strictly) decreasing picks."""
+    out = []
+    for pick in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        if all(map(ge, pick, pick[1:])):
+            nu = tuple(filter(None, pick))
+            if not strict or all(map(gt, nu, nu[1:])):
+                out.append(nu)
+    return out
+
+
+def interm_signed_sum_by_list(bla, bmu):
+    """charspace.interm_signed_sum with component 1 summed over the list
+    interm1 makes; component 0 by the same product over rows."""
+    sign = -1 if (size(bmu[0]) + size(bmu[1])) % 2 else 1
+    for lo, hi in cs._bounds(bla[0], bmu[0]):
+        if lo > hi or (hi - lo) % 2:
+            return 0
+        if lo % 2:
+            sign = -sign
+    return sign * sum(-1 if size(nu) % 2 else 1 for nu in cs.interm1(bla[1], bmu[1]))
+
+
+def _summed(basis, n, terms):
+    """The vector of (label, sign, vector) terms, summed as coordinate
+    pairs per label in the order the labels first appear."""
+    acc = {}
+    for sign, w in terms:
+        for label, x in w.coeffs.items():
+            pair = acc.setdefault(label, [0, 0])
+            pair[0] += sign * x.a
+            pair[1] += sign * x.b
+    return cs.CharVector(basis, n, {label: Scalar(a, b) for label, (a, b) in acc.items()
+                                    if a or b})
+
+
+def runner_swap_by_probes(v, eps, c, p=2):
+    """charspace.runner_swap with a running up from max(0, -c) until
+    e_eps^(a) of the label vanishes, that last call a probe."""
+    terms = []
+    for label, coef in v.coeffs.items():
+        one = cs.CharVector(v.basis, v.n, {label: coef})
+        for a in range(max(0, -c), v.n + 1):
+            w = cs.apply_e(one, eps, a, p)
+            if w.is_zero():
+                break
+            terms.append((-1 if a % 2 else 1, cs.apply_f(w, eps, a + c, p)))
+    return _summed(v.basis, v.n + c, terms)
+
+
+def quot_red_by_probes(v, eps, d):
+    """charspace.quot_red with the same probe loop."""
+    ebar = 1 - eps
+    terms = []
+    for label, coef in v.coeffs.items():
+        one = cs.CharVector(v.basis, v.n, {label: coef})
+        for a in range(max(0, -d), v.n + 1):
+            w = cs.apply_e(one, eps, a)
+            if w.is_zero():
+                break
+            w = cs.apply_f(cs.apply_f(cs.apply_e(w, ebar, a), ebar, a + d), eps, a + d)
+            terms.append((-1 if (a + d) % 2 else 1, w))
+    return _summed(v.basis, v.n + 2 * d, terms)

@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from barspin import abacus, partitions as pt
+from oracles import from_core_quotient_by_display, two_quotient_by_display
 
 partition_st = st.builds(
     lambda parts: tuple(sorted(parts, reverse=True)),
@@ -50,13 +52,15 @@ def test_core_quotient_roundtrip(la):
 
 def test_core_quotient_roundtrip_over_staircase_cores():
     """from_core_quotient and back, for every 2-core (a, a-1, ..., 1) with
-    a <= 6 and every quotient pair with |q0| + |q1| <= 8."""
+    a <= 6 and every quotient pair with |q0| + |q1| <= 8; the bead counts
+    per runner give what the frozenset display gives."""
     pairs = [(q0, q1) for m in range(9) for k in range(m + 1)
              for q0 in pt.partitions_of(k) for q1 in pt.partitions_of(m - k)]
     for a in range(7):
         core = pt.staircase(a)
         for q0, q1 in pairs:
             la = abacus.from_core_quotient(core, q0, q1)
+            assert la == from_core_quotient_by_display(core, q0, q1)
             assert abacus.two_quotient(la) == (core, (q0, q1))
             assert pt.size(la) == pt.size(core) + 2 * (pt.size(q0) + pt.size(q1))
 
@@ -123,3 +127,28 @@ def test_bswp_splits_off_even_parts():
             for eps in (0, 1):
                 want = pt.union_parts(abacus.bswp(gamma, eps), pt.scale_parts(eta, 2))
                 assert abacus.bswp(al, eps) == want
+
+
+def test_two_quotient_matches_the_display_route():
+    """two_quotient reads runner and slot off each bead's parity and half;
+    the frozenset display gives the same on every label with n <= 12."""
+    for n in range(13):
+        for la in pt.partitions_of(n):
+            assert abacus.two_quotient(la) == two_quotient_by_display(la)
+
+
+def test_rewrites_check_their_input():
+    bad = [(abacus.swp, ((2, True), 0)), (abacus.swp, ((1, 2), 1)),
+           (abacus.bswp, ((3, True), 0)), (abacus.bswp, ((2, 2), 1)),
+           (abacus.from_core_quotient, ((2, 1), (1,), (True,))),
+           (abacus.from_core_quotient, ((2, 1), (0,), ())),
+           (abacus.from_core_quotient, ((True,), (), ()))]
+    for fn, args in bad:
+        with pytest.raises(ValueError, match="parts must"):
+            fn(*args)
+
+
+def test_from_core_quotient_rejects_a_core_that_is_not_one():
+    for core in ((2,), (3, 1), (2, 2), (1, 1)):
+        with pytest.raises(ValueError, match="not a 2-core"):
+            abacus.from_core_quotient(core, (), ())

@@ -3,10 +3,12 @@
 Operator images are frozen from hand computations on the abacus.  The
 adjointness of the raising and lowering operators is checked exhaustively
 in small sizes, since every branching identity used elsewhere reduces to it.
-The library sums coefficients as integer coordinate pairs and enumerates
-intermediates flat; the reference routes below do the same sums term by
-term in Scalar arithmetic, move by move through the validating corner
-helpers, and over the intermediates picked row by row.
+The library sums coefficients as integer coordinate pairs and counts the
+intermediates' signs without listing them; the reference routes below do
+the same sums term by term in Scalar arithmetic, move by move through the
+validating corner helpers, and over the intermediates picked row by row.
+The routes the library replaced (the probe loops, the filtered product,
+the sum over the interm1 list) come from tests/oracles.py.
 """
 
 import itertools
@@ -28,7 +30,15 @@ from barspin.partitions import (
     strict_partitions_of,
     strict_partitions_upto,
 )
-from oracles import add_corner_set, remove_corner_set
+from oracles import (
+    add_corner_set,
+    choices_by_product,
+    interm_signed_sum_by_list,
+    linear_swap_sign_by_swp,
+    quot_red_by_probes,
+    remove_corner_set,
+    runner_swap_by_probes,
+)
 
 S = lambda a, b=0: Scalar(a, b)
 u = cs.unit
@@ -233,10 +243,78 @@ def test_composites_match_their_defining_sums():
                     assert cs.runner_swap(v, eps, c, p=3) == runner_swap_reference(v, eps, c, p=3)
 
 
+def _bits(v):
+    """Everything a vector holds, down to the type of each coordinate and
+    the order of the labels."""
+    return v.basis, v.n, [(label, x.a, x.b, type(x.a), type(x.b)) for label, x in v.coeffs.items()]
+
+
+def test_composites_match_the_probe_loops_bit_for_bit():
+    """The composites read m once and run a up to it; the probe loops run
+    a until e_eps^(a) vanishes.  Every label with n <= 12, both residues,
+    c in [-4, 4] and d in [-3, 3], and the p = 5 swaps for n <= 10."""
+    for n in range(13):
+        units = [u("linear", la) for la in partitions_of(n)]
+        units += [u("spin", al) for al in strict_partitions_of(n)]
+        for v in units:
+            for eps in (0, 1):
+                for c in range(-4, 5):
+                    assert _bits(cs.runner_swap(v, eps, c)) == _bits(runner_swap_by_probes(v, eps, c))
+                for d in range(-3, 4):
+                    assert _bits(cs.quot_red(v, eps, d)) == _bits(quot_red_by_probes(v, eps, d))
+    for n in range(11):
+        for la in partitions_of(n):
+            v = u("linear", la)
+            for eps in range(5):
+                for c in range(-4, 5):
+                    assert (_bits(cs.runner_swap(v, eps, c, p=5))
+                            == _bits(runner_swap_by_probes(v, eps, c, p=5)))
+    for v in _mixed_vectors():
+        for eps in (0, 1):
+            assert _bits(cs.runner_swap(v, eps, 1)) == _bits(runner_swap_by_probes(v, eps, 1))
+            assert _bits(cs.quot_red(v, eps, -1)) == _bits(quot_red_by_probes(v, eps, -1))
+
+
+def test_composites_make_no_zero_probe(monkeypatch):
+    """On one label with m removable eps-nodes, runner_swap calls apply_e
+    once for each a from max(0, -c) to m, and no call returns zero;
+    quot_red calls it twice per a, e_eps^(a) first."""
+    calls = []
+    apply_e = cs.apply_e
+
+    def counted(v, *args):
+        calls.append(apply_e(v, *args))
+        return calls[-1]
+
+    monkeypatch.setattr(cs, "apply_e", counted)
+    for basis, label, eps in (("linear", (6, 3, 1, 1), 1), ("linear", (5, 3, 2, 2), 0),
+                              ("spin", (6, 3, 2), 1), ("spin", (9, 5, 4, 1), 0)):
+        nodes = removable_nodes if basis == "linear" else spin_removable_nodes
+        m = len(nodes(label, eps))
+        assert m >= 1
+        for c in range(-m - 2, 4):
+            want = max(0, m + 1 - max(0, -c))
+            calls.clear()
+            cs.runner_swap(u(basis, label), eps, c)
+            assert len(calls) == want, (label, eps, c)
+            assert all(not w.is_zero() for w in calls)
+            calls.clear()
+            cs.quot_red(u(basis, label), eps, c)
+            assert len(calls) == 2 * want, (label, eps, c)
+            assert all(not w.is_zero() for w in calls[::2])
+
+
+def test_linear_swap_sign_matches_the_swap():
+    for n in range(15):
+        for la in partitions_of(n):
+            for eps in (0, 1):
+                assert cs.linear_swap_sign(la, eps) == linear_swap_sign_by_swp(la, eps)
+
+
 def test_spin_move_counts_form_an_interval():
-    """The composites stop at the first a with e^(a) = 0; that is exact
-    because the cell counts a spin label can shed (or grow) at one residue
-    are exactly 0, 1, ..., the number of removable (addable) nodes."""
+    """The composites run a up to m, the number of removable nodes; that is
+    exact because the cell counts a spin label can shed (or grow) at one
+    residue are exactly 0, 1, ..., the number of removable (addable) nodes."""
     for n in range(0, 15):
         for al in strict_partitions_of(n):
             for eps in (0, 1):
@@ -366,21 +444,32 @@ def _bipartitions_upto(m):
 
 
 def test_interm_components_match_row_by_row_picks():
+    """Also against the filtered product of the row intervals, which
+    _choices replaced, for both strip directions."""
     labels = [la for n in range(9) for la in partitions_of(n)]
     for a in labels:
         for b in labels:
             assert cs.interm1(a, b) == under_reference(a, b, vertical=True)
+            for vertical in (False, True):
+                bounds = cs._bounds(a, b, vertical)
+                assert cs._choices(bounds) == choices_by_product(bounds)
     stricts = strict_partitions_upto(8)
     for a in stricts:
         for b in stricts:
             assert cs.interm0(a, b) == under_reference(a, b, strict=True)
+            bounds = cs._bounds(a, b)
+            assert cs._choices(bounds, strict=True) == choices_by_product(bounds, strict=True)
 
 
 def test_interm_signed_sum_matches_enumeration():
+    """Also against the sum over the interm1 list, which the signed count
+    keyed on the last pick replaced."""
     bips = _bipartitions_upto(6)
     for bla in bips:
         for bmu in bips:
-            assert cs.interm_signed_sum(bla, bmu) == interm_signed_sum_reference(bla, bmu)
+            got = cs.interm_signed_sum(bla, bmu)
+            assert got == interm_signed_sum_reference(bla, bmu)
+            assert got == interm_signed_sum_by_list(bla, bmu)
     small = _bipartitions_upto(4)
     for bla in small:
         for bmu in small:

@@ -3,9 +3,11 @@ from hypothesis import given, strategies as st
 
 from barspin import charspace as cs, partitions as pt
 from oracles import (
+    addable_nodes_by_rows,
     bar_core_by_bars,
     bars,
     four_bar_core_by_moves,
+    k_core_by_runners,
     partition_set,
     remove_all_spin_removable_reference,
     remove_corner_set,
@@ -13,6 +15,7 @@ from oracles import (
     spin_additions_brute,
     spin_removable_nodes_reference,
     spin_removals_brute,
+    removable_nodes_by_rows,
     spin_swap_sign_reference,
 )
 
@@ -283,3 +286,26 @@ def test_k_core():
     assert pt.k_core((4, 2), 2) == ()
     assert pt.k_core((9, 8, 5, 1, 1, 1, 1, 1), 5) == (2,)
     assert pt.k_core((9, 9, 4, 1, 1, 1, 1, 1, 1), 5) == (3,)
+
+
+def test_k_core_counts_beads_per_runner():
+    for n in range(13):
+        for la in pt.partitions_of(n):
+            for k in range(1, 7):
+                assert pt.k_core(la, k) == k_core_by_runners(la, k)
+
+
+def test_k_core_and_k_weight_reject_a_length_below_one():
+    with pytest.raises(ValueError, match="got 0"):
+        pt.k_core((2, 1), 0)
+    with pytest.raises(ValueError, match="got -1"):
+        pt.k_weight((2, 1), -1)
+
+
+def test_node_lists_match_the_row_loops():
+    for n in range(13):
+        for la in pt.partitions_of(n):
+            for p in (2, 3, 5):
+                for eps in (None, *range(p)):
+                    assert pt.removable_nodes(la, eps, p) == removable_nodes_by_rows(la, eps, p)
+                    assert pt.addable_nodes(la, eps, p) == addable_nodes_by_rows(la, eps, p)

@@ -179,6 +179,14 @@ def test_p_in_P_coefficient_rejects_bad_input():
             sf.p_in_P_coefficient(al, nu)
 
 
+def test_p_in_P_coefficient_checks_the_label_part_by_part():
+    """A bool is not a part, and a negative or float part gets the label's
+    message, not an error from the part mask."""
+    for al, nu in (((True,), (1,)), ((2, True), (1, 1, 1)), ((-1,), (1,)), ((1.0,), (1,))):
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            sf.p_in_P_coefficient(al, nu)
+
+
 def test_bar_recursion_is_integral():
     for al in strict_partitions_of(10):
         for nu in odd_partitions_of(10):
