@@ -219,15 +219,19 @@ def runner_swap(v, eps, c, p=2):
 def quot_red(v, eps, d):
     """The degree-d quotient redistribution: sum over a of
     (-1)^(a+d) f_eps^(a+d) f_eps'^(a+d) e_eps'^(a) e_eps^(a) with
-    eps' the other residue, rightmost factor applied first."""
+    eps' the other residue, rightmost factor applied first.  The f steps
+    are skipped once e_eps'^(a) gives zero, which no node count of the
+    label foretells."""
     _check_operator(v.basis, eps, 2)
     ebar = 1 - eps
     acc = {}
     for label, coef in v.coeffs.items():
         one = CharVector(v.basis, v.n, {label: coef})
         for a in range(max(0, -d), _removable_count(v.basis, label, eps) + 1):
-            w = apply_f(apply_f(apply_e(apply_e(one, eps, a), ebar, a), ebar, a + d), eps, a + d)
-            _add_signed(acc, w, (a + d) % 2)
+            w = apply_e(apply_e(one, eps, a), ebar, a)
+            if not w.is_zero():
+                w = apply_f(apply_f(w, ebar, a + d), eps, a + d)
+                _add_signed(acc, w, (a + d) % 2)
     return _from_pairs(v.basis, v.n + 2 * d, acc)
 
 

@@ -16,6 +16,7 @@ from barspin.abacus import from_core_quotient
 from barspin.partitions import (
     bar_staircase,
     bar_staircase_index,
+    check_size,
     check_strict,
     conjugate,
     even_parts,
@@ -39,6 +40,12 @@ class FsasDecomposition:
     def rebuild(self):
         evens = scale_parts(sum_parts(staircase(self.r), staircase(self.s)), 2)
         return union_parts(bar_staircase(self.a), evens)
+
+    def linear_labels(self):
+        """The partition with 2-core delta_a and 2-quotient (delta_s,
+        delta_r), and its conjugate."""
+        la = from_core_quotient(staircase(self.a), staircase(self.s), staircase(self.r))
+        return la, conjugate(la)
 
 
 def fsas_decompose(al):
@@ -73,8 +80,7 @@ def lambda_of(al):
     dec = fsas_decompose(al)
     if dec is None:
         raise ValueError(f"{al} is not four-stepped and semicongruent")
-    la = from_core_quotient(staircase(dec.a), staircase(dec.s), staircase(dec.r))
-    return la, conjugate(la)
+    return dec.linear_labels()
 
 
 def ratio_exponent(al):
@@ -85,12 +91,13 @@ def ratio_exponent(al):
 def predicted_pairs(n):
     """All (alpha, lambda) expected proportional at size n, with the exponent:
     a sorted list of (alpha, lambda, e)."""
+    check_size(n)
     out = []
     for al in strict_partitions_of(n):
         dec = fsas_decompose(al)
         if dec is None:
             continue
-        la, conj = lambda_of(al)
+        la, conj = dec.linear_labels()
         e = ratio_exponent(al)
         out.append((al, la, e))
         if conj != la:
@@ -100,7 +107,8 @@ def predicted_pairs(n):
 
 def equality_cases(n):
     """Predicted pairs with at most one even part (spin and linear Brauer
-    characters genuinely equal, not just proportional)."""
+    characters genuinely equal, not just proportional).  predicted_pairs
+    checks n."""
     return [rec for rec in predicted_pairs(n) if rec[2] <= 1]
 
 

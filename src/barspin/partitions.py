@@ -52,6 +52,12 @@ def check_class(nu):
         raise ValueError(f"class parts must be positive integers: {nu!r}")
 
 
+def check_size(n):
+    """A size is a non-negative int (a bool is not one)."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"sizes must be non-negative integers: {n!r}")
+
+
 def check_strict(al):
     check_partition(al)
     if any(al[i] == al[i + 1] for i in range(len(al) - 1)):

@@ -304,6 +304,32 @@ def test_composites_make_no_zero_probe(monkeypatch):
             assert all(not w.is_zero() for w in calls[::2])
 
 
+def test_quot_red_makes_no_f_step_on_an_empty_vector(monkeypatch):
+    """quot_red calls apply_f twice for each a whose e_eps'^(a) e_eps^(a)
+    of the label is not zero, and never for the others; on each label
+    below some a gives zero."""
+    calls = []
+    apply_e, apply_f = cs.apply_e, cs.apply_f
+
+    def counted(v, *args):
+        calls.append(v)
+        return apply_f(v, *args)
+
+    monkeypatch.setattr(cs, "apply_f", counted)
+    for basis, label, eps in (("linear", (4, 1), 1), ("linear", (2, 1), 1),
+                              ("spin", (5,), 0), ("spin", (3, 2), 1)):
+        nodes = removable_nodes if basis == "linear" else spin_removable_nodes
+        inner = [apply_e(apply_e(u(basis, label), eps, a), 1 - eps, a)
+                 for a in range(len(nodes(label, eps)) + 1)]
+        assert any(w.is_zero() for w in inner[1:])
+        for d in range(-3, 4):
+            live = sum(not w.is_zero() for w in inner[max(0, -d):])
+            calls.clear()
+            cs.quot_red(u(basis, label), eps, d)
+            assert len(calls) == 2 * live, (label, eps, d)
+            assert all(not w.is_zero() for w in calls[::2])
+
+
 def test_linear_swap_sign_matches_the_swap():
     for n in range(15):
         for la in partitions_of(n):

@@ -20,8 +20,13 @@ from hypothesis import given, settings, strategies as st
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin import charvalues as cv, symfunc as sf
 from barspin.partitions import (
+    beta_mask,
+    conjugate,
+    memo_key,
     odd_partitions_of,
+    part_mask,
     partitions_of,
+    split_key,
     strict_partitions_of,
 )
 from oracles import chi_by_rim_hooks, hook_lengths, linear_key_by_cells, scan_reference
@@ -388,6 +393,68 @@ def test_scan_builds_no_vectors(monkeypatch, tmp_path):
     assert cv.scan(12)
     assert cv.scan(12, cache_dir=str(tmp_path))
     assert calls == {}
+
+
+def test_conjugates_share_key_brauer_character_and_degree():
+    """chi^{la'} = sgn chi^la (James-Kerber 2.1.8) and sgn is 1 on a class
+    of odd parts, so a partition and its conjugate have the same key, the
+    same linear Brauer character and the same degree: the scan compares
+    one of the two and copies its result to the other."""
+    for n in range(15):
+        for la in partitions_of(n):
+            conj = conjugate(la)
+            assert cv._linear_key(la) == cv._linear_key(conj), la
+            assert cv.linear_brauer(la) == cv.linear_brauer(conj), la
+            assert cv.specht_degree(la) == cv.specht_degree(conj), la
+
+
+def test_scan_compares_one_partition_of_a_conjugate_pair(monkeypatch):
+    """At n = 3, (3) and (1,1,1) are conjugate and both pair with (2,1):
+    the scan reads chi on the beta mask of (3), never on that of (1,1,1),
+    and emits both pairs.  The self-conjugate (2,1) is read too."""
+    masks = set()
+    kernel = cv._chi_kernel
+
+    def counted(key):
+        masks.add(split_key(key)[0])
+        return kernel(key)
+
+    monkeypatch.setattr(cv, "_chi_kernel", counted)
+    got = cv.scan(3)
+    assert [rec for rec in got if rec[0] == (2, 1)] == [
+        ((2, 1), (1, 1, 1), S(0, 1)), ((2, 1), (3,), S(0, 1))]
+    read = {la for la in partitions_of(3) if beta_mask(la) in masks}
+    assert read == {(3,), (2, 1)}
+
+
+def test_scan_reads_spin_degrees_of_candidates_only(monkeypatch):
+    """The scan reads the bar kernel at (1^n) once for each strict label
+    that is a candidate of some partition, and for no other label; it
+    makes no validated p_in_P_coefficient call."""
+    want = {n: scan_reference(n) for n in (3, 8, 12)}
+    keys = Counter()
+    kernel = cv._bar_kernel
+
+    def counted(key):
+        keys[key] += 1
+        return kernel(key)
+
+    monkeypatch.setattr(cv, "_bar_kernel", counted)
+    monkeypatch.setattr(cv, "p_in_P_coefficient", None)
+    for n, pairs in want.items():
+        keys.clear()
+        assert cv.scan(n) == pairs
+        hit = {cv._linear_key(la) for la in partitions_of(n)}
+        cands = {al for al in strict_partitions_of(n) if cv._spin_key(al) in hit}
+        reads = {al: keys[memo_key((1,) * n, part_mask(al))] for al in strict_partitions_of(n)}
+        assert {al for al, k in reads.items() if k} == cands, n
+        assert max(reads.values()) == 1, n
+
+
+def test_scan_names_a_size_that_is_not_a_non_negative_int():
+    for n in (-1, True, 2.0, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"sizes must be non-negative integers: {n!r}")):
+            cv.scan(n)
 
 
 def test_scan_ratios_are_sqrt2_powers():

@@ -8,6 +8,9 @@ conditions, live here as oracles: the library decides membership by
 fsas_decompose and spin_rock_decompose alone.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from barspin import classify as cl
@@ -181,3 +184,29 @@ def test_rock_spin_labels_have_small_weight(n):
             continue
         b, sigma, eta = cl.spin_rock_decompose(al)
         assert 2 * size(sigma) + size(eta) <= b + 1
+
+
+def test_predicted_pairs_decomposes_each_label_once(monkeypatch):
+    """predicted_pairs builds both linear labels from its own decomposition
+    of alpha; lambda_of, which decomposes again, keeps its answer."""
+    calls = []
+    decompose = cl.fsas_decompose
+
+    def counted(al):
+        calls.append(al)
+        return decompose(al)
+
+    monkeypatch.setattr(cl, "fsas_decompose", counted)
+    for n in range(13):
+        calls.clear()
+        pairs = cl.predicted_pairs(n)
+        assert sorted(calls) == sorted(strict_partitions_of(n)), n
+        for al, la, _ in pairs:
+            assert la in cl.lambda_of(al)
+
+
+def test_size_entry_points_name_a_size_that_is_not_a_non_negative_int():
+    for fn in (cl.predicted_pairs, cl.equality_cases):
+        for n in (-1, True, 2.0):
+            with pytest.raises(ValueError, match=re.escape(f"sizes must be non-negative integers: {n!r}")):
+                fn(n)
