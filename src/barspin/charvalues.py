@@ -35,17 +35,16 @@ proportional exactly when their values divided by the degree agree on
 every class, so it compares those normalized values one class at a time,
 the classes closest to (1^n) first, and drops a pair at the first class
 where they differ.  A pair that agrees everywhere is proportional with
-ratio spin degree over linear degree.  A label's spin degree is read once,
-from the bar kernel at (1^n), the first time the label is a candidate; a
-label that never is one costs no degree.
+ratio spin degree over linear degree.  The spin degree is read once per
+label.
 
 A conjugate pair of partitions is compared once.  chi^{la'} = sgn chi^la
 (James-Kerber 1981, 2.1.8), and sgn is 1 on a class of odd parts, so la
 and la' have the same linear Brauer character.  Their degrees agree, and
 so do their keys below, which use only the content power sums p2, p4 and
 p1^2, and conjugation negates every content.  So la' pairs with exactly
-the labels that la pairs with, with the same ratios, and the scan copies
-the result of the first of the two it meets.
+the labels that la pairs with, with the same ratios, and the scan compares
+only the lexicographically greater of the two.
 
 The first two classes, (3,1^{n-3}) and (5,1^{n-5}), are read in closed
 form.  The sum of a class C in the group algebra is central, so it acts on
@@ -408,11 +407,10 @@ def scan(n, cache_dir=None):
     (3,1^{n-3}) and (5,1^{n-5}); each partition looks up its group by its
     own key.  The candidates are then compared on the other classes in
     order of n - len(nu), cheapest first, then on the two keyed classes,
-    and dropped as soon as a value differs.  A label's spin degree is read
-    the first time it is a candidate.  Of each conjugate pair of
-    partitions, only the first in descending lexicographic order is
-    compared; the other gets its result, candidates and ratios alike (see
-    the module docstring).  With cache_dir the values are read from the
+    and dropped as soon as a value differs.  Of each conjugate pair of
+    partitions only the lexicographically greater is compared, and its
+    surviving labels and ratios are emitted for the other too (see the
+    module docstring).  With cache_dir the values are read from the
     cached tables instead."""
     check_size(n)
     classes = odd_partitions_of(n)
@@ -424,21 +422,15 @@ def scan(n, cache_dir=None):
     if cache_dir is None:
         one = classes[-1]
         lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
-        degree = {}
-
-        def degree_of(al):
-            """X^al at (1^n), read from the bar kernel once per label."""
-            if al not in degree:
-                degree[al] = _bar_kernel(memo_key(one, part_mask(al)))
-            return degree[al]
+        degree = {al: p_in_P_coefficient(al, one) for al in spin_labels}
 
         def lin_row(la):
             """la's values over its degree, by class index, on one beta_mask."""
             mask = beta_mask(la)
             return lambda i: Fraction(_chi_kernel(memo_key(classes[i], mask)), _degree(mask))
 
-        spin_at = lambda al, i: _spin_ratio(al, classes[i], degree_of(al))
-        ratio = lambda al, la: sqrt2_pow(n - len(al)) * degree_of(al) / specht_degree(la)
+        spin_at = lambda al, i: _spin_ratio(al, classes[i], degree[al])
+        ratio = lambda al, la: spin_degree(al) / specht_degree(la)
     else:
         lin, spn = load_or_build_tables(n, cache_dir)
         lin_labels, spin_labels = lin, spn
@@ -449,24 +441,23 @@ def scan(n, cache_dir=None):
     groups = {}
     for al in spin_labels:
         groups.setdefault(_spin_key(al), []).append(al)
-    # (alpha, ratio) per compared partition that waits for its conjugate
-    found = {}
     out = []
     for la in lin_labels:
         cands = groups.get(_linear_key(la))
         if not cands:
             continue
         conj = conjugate(la)
-        hits = found.pop(conj, None)
-        if hits is None:
-            lin_at = lin_row(la)
-            for i in cols:
-                v = lin_at(i)
-                cands = [al for al in cands if spin_at(al, i) == v]
-                if not cands:
-                    break
-            hits = [(al, ratio(al, la)) for al in cands]
+        if conj > la:
+            continue
+        lin_at = lin_row(la)
+        for i in cols:
+            v = lin_at(i)
+            cands = [al for al in cands if spin_at(al, i) == v]
+            if not cands:
+                break
+        for al in cands:
+            c = ratio(al, la)
+            out.append((al, la, c))
             if conj != la:
-                found[la] = hits
-        out.extend((al, la, c) for al, c in hits)
+                out.append((al, conj, c))
     return sorted(out, key=lambda rec: (rec[0], rec[1]))

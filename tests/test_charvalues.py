@@ -22,9 +22,7 @@ from barspin import charvalues as cv, symfunc as sf
 from barspin.partitions import (
     beta_mask,
     conjugate,
-    memo_key,
     odd_partitions_of,
-    part_mask,
     partitions_of,
     split_key,
     strict_partitions_of,
@@ -425,30 +423,6 @@ def test_scan_compares_one_partition_of_a_conjugate_pair(monkeypatch):
         ((2, 1), (1, 1, 1), S(0, 1)), ((2, 1), (3,), S(0, 1))]
     read = {la for la in partitions_of(3) if beta_mask(la) in masks}
     assert read == {(3,), (2, 1)}
-
-
-def test_scan_reads_spin_degrees_of_candidates_only(monkeypatch):
-    """The scan reads the bar kernel at (1^n) once for each strict label
-    that is a candidate of some partition, and for no other label; it
-    makes no validated p_in_P_coefficient call."""
-    want = {n: scan_reference(n) for n in (3, 8, 12)}
-    keys = Counter()
-    kernel = cv._bar_kernel
-
-    def counted(key):
-        keys[key] += 1
-        return kernel(key)
-
-    monkeypatch.setattr(cv, "_bar_kernel", counted)
-    monkeypatch.setattr(cv, "p_in_P_coefficient", None)
-    for n, pairs in want.items():
-        keys.clear()
-        assert cv.scan(n) == pairs
-        hit = {cv._linear_key(la) for la in partitions_of(n)}
-        cands = {al for al in strict_partitions_of(n) if cv._spin_key(al) in hit}
-        reads = {al: keys[memo_key((1,) * n, part_mask(al))] for al in strict_partitions_of(n)}
-        assert {al for al, k in reads.items() if k} == cands, n
-        assert max(reads.values()) == 1, n
 
 
 def test_scan_names_a_size_that_is_not_a_non_negative_int():
