@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from barspin.abacus import bswp
 from barspin.partitions import (
+    addable_nodes,
     check_partition,
     check_strict,
     min_parts,
@@ -147,14 +148,9 @@ def _apply(v, eps, r, p, grow):
     for label, c in v.coeffs.items():
         if v.basis == "linear":
             # the rows (from 0) of label + (0,) that end in a removable
-            # (addable) eps-node, in one pass
+            # (addable) eps-node
             rows = [*label, 0]
-            if grow:
-                nodes = [i for i, part in enumerate(rows)
-                         if (not i or rows[i - 1] > part) and (part - i) % p == eps]
-            else:
-                nodes = [i for i, part in enumerate(label)
-                         if part > rows[i + 1] and (part - i - 1) % p == eps]
+            nodes = [i - 1 for i, _ in (addable_nodes if grow else removable_nodes)(label, eps, p)]
             a, b = c.a, c.b
             for sub in itertools.combinations(nodes, r):
                 new = rows.copy()

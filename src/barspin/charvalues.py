@@ -176,8 +176,10 @@ def _gauss_sign(nu):
 
 
 def _spin_value(al, nu):
-    """Spin character value of al on the odd class nu, by Morris's formula."""
-    return sqrt2_pow(len(nu) - len(al)) * (_gauss_sign(nu) * p_in_P_coefficient(al, nu))
+    """Spin character value of al on the odd class nu, by Morris's formula.
+    The public entries check al and nu, so it reads the bar kernel directly."""
+    x = _bar_kernel(memo_key(nu, part_mask(al)))
+    return sqrt2_pow(len(nu) - len(al)) * (_gauss_sign(nu) * x)
 
 
 def _spin_ratio(al, nu, degree):
@@ -228,12 +230,10 @@ def spin_brauer(al):
     return tuple(_spin_value(al, nu) for nu in odd_partitions_of(size(al)))
 
 
-@lru_cache(maxsize=None)
 def linear_brauer_table(n):
     return {la: linear_brauer(la) for la in partitions_of(n)}
 
 
-@lru_cache(maxsize=None)
 def spin_brauer_table(n):
     return {al: spin_brauer(al) for al in strict_partitions_of(n)}
 
@@ -299,12 +299,10 @@ def _write_cache(path, n, lin, spn):
             os.unlink(tmp)
 
 
-def load_or_build_tables(n, cache_dir=None):
-    """(linear table, spin table) for size n, using cache_dir if given.  An
-    unreadable cache file is a miss: one warning on stderr, then the tables
-    are rebuilt and the file rewritten."""
-    if cache_dir is None:
-        return linear_brauer_table(n), spin_brauer_table(n)
+def load_or_build_tables(n, cache_dir):
+    """(linear table, spin table) for size n, read from cache_dir or built
+    and written there.  An unreadable cache file is a miss: one warning on
+    stderr, then the tables are rebuilt and the file rewritten."""
     path = os.path.join(cache_dir, f"brauer_{n}.json")
     if os.path.exists(path):
         try:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from barspin.abacus import from_core_quotient
 from barspin.partitions import (
     bar_staircase,
-    bar_staircase_index,
     check_size,
     check_strict,
     conjugate,
@@ -51,36 +50,16 @@ class FsasDecomposition:
 def fsas_decompose(al):
     """FsasDecomposition for alpha, or None.
 
-    The even parts, halved, must consist of the consecutive evens 2..2m and
-    the consecutive odds 1..2k-1; the odd parts must form a 4-bar-core.
-    """
-    check_strict(al)
-    a = bar_staircase_index(odd_parts(al))
-    if a is None:
+    alpha is FSAS exactly when its RoCK decomposition has sigma empty and
+    eta = delta_r + delta_s with r >= s, which has r parts and first part
+    r + s; the odd parts are then bar_staircase(b), so a = b."""
+    dec = spin_rock_decompose(al)
+    if dec is None or dec[1]:
         return None
-    halved = sorted(p // 2 for p in even_parts(al))
-    hev = [p for p in halved if p % 2 == 0]
-    hodd = [p for p in halved if p % 2 == 1]
-    m = len(hev)
-    k = len(hodd)
-    if hev != list(range(2, 2 * m + 1, 2)) or hodd != list(range(1, 2 * k, 2)):
-        return None
-    if m >= k:
-        dec = FsasDecomposition(a, m + k, m - k)
-    else:
-        dec = FsasDecomposition(a, m + k, k - m - 1)
-    if dec.rebuild() != al:
-        return None
-    return dec
-
-
-def lambda_of(al):
-    """The two conjugate linear labels for an FSAS alpha; the first has the
-    smaller staircase in quotient component 0."""
-    dec = fsas_decompose(al)
-    if dec is None:
-        raise ValueError(f"{al} is not four-stepped and semicongruent")
-    return dec.linear_labels()
+    b, _, eta = dec
+    r = len(eta)
+    fsas = FsasDecomposition(b, r, eta[0] - r if eta else 0)
+    return fsas if fsas.rebuild() == al else None
 
 
 def ratio_exponent(al):
@@ -122,23 +101,12 @@ def spin_rock_decompose(al):
     odds = odd_parts(al)
     if len({p % 4 for p in odds}) > 1:
         return None
-    m = len(odds)
-    if m == 0:
-        b = 0
-    elif odds[-1] % 4 == 1:
-        b = 2 * m - 1
-    else:
-        b = 2 * m
-    base = bar_staircase(b)
-    sigma = []
-    for i in range(m):
-        diff = odds[i] - base[i]
-        if diff < 0 or diff % 4:
-            return None
-        sigma.append(diff // 4)
-    if any(sigma[i] < sigma[i + 1] for i in range(m - 1)):
-        return None
-    sigma = tuple(p for p in sigma if p)
+    b = 2 * len(odds) - (odds[-1] % 4 == 1) if odds else 0
+    # bar_staircase(b) has len(odds) parts, 4 apart, ending in the residue
+    # of odds[-1] (1 or 3).  Odd parts with one residue mod 4 are at least
+    # 4 apart too, and odds[-1] is at least that last part, so each
+    # difference is a non-negative multiple of 4 and sigma weakly decreases.
+    sigma = tuple(d // 4 for d in (p - q for p, q in zip(odds, bar_staircase(b))) if d)
     eta = tuple(p // 2 for p in even_parts(al))
     return b, sigma, eta
 

@@ -103,7 +103,7 @@ def _info_strict(al):
     if dec is None:
         lines.append("four-stepped and semicongruent: no")
     else:
-        first, second = classify.lambda_of(al)
+        first, second = dec.linear_labels()
         lines.append(
             f"four-stepped and semicongruent: yes, (a,r,s)=({dec.a},{dec.r},{dec.s})"
         )

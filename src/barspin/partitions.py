@@ -418,14 +418,6 @@ def bar_staircase(a):
     return tuple(out)
 
 
-def bar_staircase_index(al):
-    """a with al == bar_staircase(a), else None."""
-    if not al:
-        return 0
-    a = (al[0] + 1) // 2
-    return a if bar_staircase(a) == al else None
-
-
 # ---------------------------------------------------------------------------
 # spin nodes: simultaneous end-of-row removals/additions for strict partitions
 #

@@ -11,6 +11,10 @@ one production route for, by a slower or more literal construction.
 - The spin-removable and spin-addable nodes as the union of the cells moved
   by every legal move, over every count, and what the library reads off
   those nodes (the full removal and the runner-swap sign).
+- The strict-label parsers that `classify.spin_rock_decompose` replaced:
+  the index of a bar staircase, FSAS read off the halved even parts, and
+  the RoCK decomposition that checks each difference from the bar
+  staircase and the order of sigma.
 - The 4-bar core by greedy 4-bar moves, and the k-bars of a strict label
   as tuples with the k-bar core by greedy k-bar removals (the oracles for
   the closed forms of `partitions.four_bar_core` and `partitions.bar_core`).
@@ -49,14 +53,18 @@ from operator import ge, gt
 
 from barspin import charspace as cs, charvalues as cv
 from barspin.abacus import bswp, canonical_bead_count, display, swp
+from barspin.classify import FsasDecomposition
 from barspin.partitions import (
+    bar_staircase,
     beta_numbers,
     cells,
     check_partition,
     check_strict,
     conjugate,
+    even_parts,
     min_parts,
     odd_partitions_of,
+    odd_parts,
     partition_from_beta,
     partitions_of,
     residue,
@@ -275,6 +283,73 @@ def bar_core_by_bars(al, k):
         if not nxt:
             return cur
         cur = nxt[0]
+
+
+# ---------------------------------------------------------------------------
+# strict labels parsed on their own: the bar staircase index, FSAS by the
+# halved even parts, and the RoCK decomposition with every check made
+
+def bar_staircase_index(al):
+    """a with al == bar_staircase(a), else None."""
+    if not al:
+        return 0
+    a = (al[0] + 1) // 2
+    return a if bar_staircase(a) == al else None
+
+
+def fsas_decompose_by_halves(al):
+    """FsasDecomposition for alpha, or None.
+
+    The even parts, halved, must consist of the consecutive evens 2..2m and
+    the consecutive odds 1..2k-1; the odd parts must form a 4-bar-core.
+    """
+    check_strict(al)
+    a = bar_staircase_index(odd_parts(al))
+    if a is None:
+        return None
+    halved = sorted(p // 2 for p in even_parts(al))
+    hev = [p for p in halved if p % 2 == 0]
+    hodd = [p for p in halved if p % 2 == 1]
+    m = len(hev)
+    k = len(hodd)
+    if hev != list(range(2, 2 * m + 1, 2)) or hodd != list(range(1, 2 * k, 2)):
+        return None
+    if m >= k:
+        dec = FsasDecomposition(a, m + k, m - k)
+    else:
+        dec = FsasDecomposition(a, m + k, k - m - 1)
+    if dec.rebuild() != al:
+        return None
+    return dec
+
+
+def spin_rock_decompose_checked(al):
+    """(b, sigma, eta) with alpha = (bar_staircase(b) + 4*sigma) U 2*eta,
+    or None; every difference from the bar staircase is checked to be a
+    non-negative multiple of 4, and sigma to be a partition."""
+    check_strict(al)
+    odds = odd_parts(al)
+    if len({p % 4 for p in odds}) > 1:
+        return None
+    m = len(odds)
+    if m == 0:
+        b = 0
+    elif odds[-1] % 4 == 1:
+        b = 2 * m - 1
+    else:
+        b = 2 * m
+    base = bar_staircase(b)
+    sigma = []
+    for i in range(m):
+        diff = odds[i] - base[i]
+        if diff < 0 or diff % 4:
+            return None
+        sigma.append(diff // 4)
+    if any(sigma[i] < sigma[i + 1] for i in range(m - 1)):
+        return None
+    sigma = tuple(p for p in sigma if p)
+    eta = tuple(p // 2 for p in even_parts(al))
+    return b, sigma, eta
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ properties (rebuild round trips, conjugate pairs, size preservation) run
 over every strict partition up to a modest size.  The paper's literal
 definitions of four-stepped and four-semicongruent, and the RoCK
 conditions, live here as oracles: the library decides membership by
-fsas_decompose and spin_rock_decompose alone.
+fsas_decompose and spin_rock_decompose alone, and fsas_decompose reads
+its answer off spin_rock_decompose.  The parsers they replaced, in
+oracles, check both.
 """
 
 import re
@@ -27,6 +29,7 @@ from barspin.partitions import (
     sum_parts,
     union_parts,
 )
+from oracles import fsas_decompose_by_halves, spin_rock_decompose_checked
 
 
 def is_four_stepped(al):
@@ -92,12 +95,12 @@ def test_fsas_rebuild_round_trip():
 
 
 def test_lambda_of_frozen():
-    assert cl.lambda_of((4,)) == ((2, 2), (2, 2))
-    assert cl.lambda_of((12, 8, 7, 4, 3, 2)) == (
+    assert cl.fsas_decompose((4,)).linear_labels() == ((2, 2), (2, 2))
+    assert cl.fsas_decompose((12, 8, 7, 4, 3, 2)).linear_labels() == (
         (12, 9, 6, 3, 3, 1, 1, 1),
         (8, 5, 5, 3, 3, 3, 2, 2, 2, 1, 1, 1),
     )
-    assert cl.lambda_of((5, 2, 1)) == ((5, 2, 1), (3, 2, 1, 1, 1))
+    assert cl.fsas_decompose((5, 2, 1)).linear_labels() == ((5, 2, 1), (3, 2, 1, 1, 1))
 
 
 def test_lambda_of_structure():
@@ -106,7 +109,7 @@ def test_lambda_of_structure():
             dec = cl.fsas_decompose(al)
             if dec is None:
                 continue
-            la, conj = cl.lambda_of(al)
+            la, conj = dec.linear_labels()
             assert size(la) == size(al)
             core, (q0, q1) = two_quotient(la)
             assert core == staircase(dec.a)
@@ -139,9 +142,10 @@ def test_predicted_pairs_structure():
         pairs = cl.predicted_pairs(n)
         assert pairs == sorted(pairs)
         for al, la, e in pairs:
-            assert cl.fsas_decompose(al) is not None
+            dec = cl.fsas_decompose(al)
+            assert dec is not None
             assert e == cl.ratio_exponent(al)
-            assert la in cl.lambda_of(al)
+            assert la in dec.linear_labels()
         eq = cl.equality_cases(n)
         assert eq == [rec for rec in pairs if rec[2] <= 1]
 
@@ -162,6 +166,20 @@ def test_spin_rock_decompose_rebuild():
             b, sigma, eta = dec
             body = sum_parts(bar_staircase(b), scale_parts(sigma, 4))
             assert union_parts(body, scale_parts(eta, 2)) == al
+
+
+def test_decompositions_match_the_parsers_they_replaced():
+    """fsas_decompose and spin_rock_decompose against the halved-evens
+    parser and the RoCK parser that checks every difference, None
+    included, for every strict label with n <= 30."""
+    fsas = 0
+    for n in range(31):
+        for al in strict_partitions_of(n):
+            assert cl.spin_rock_decompose(al) == spin_rock_decompose_checked(al), al
+            dec = cl.fsas_decompose(al)
+            assert dec == fsas_decompose_by_halves(al), al
+            fsas += dec is not None
+    assert fsas == 77
 
 
 def test_is_rock_examples():
@@ -188,7 +206,7 @@ def test_rock_spin_labels_have_small_weight(n):
 
 def test_predicted_pairs_decomposes_each_label_once(monkeypatch):
     """predicted_pairs builds both linear labels from its own decomposition
-    of alpha; lambda_of, which decomposes again, keeps its answer."""
+    of alpha, and a fresh decomposition keeps its answer."""
     calls = []
     decompose = cl.fsas_decompose
 
@@ -202,7 +220,7 @@ def test_predicted_pairs_decomposes_each_label_once(monkeypatch):
         pairs = cl.predicted_pairs(n)
         assert sorted(calls) == sorted(strict_partitions_of(n)), n
         for al, la, _ in pairs:
-            assert la in cl.lambda_of(al)
+            assert la in cl.fsas_decompose(al).linear_labels()
 
 
 def test_size_entry_points_name_a_size_that_is_not_a_non_negative_int():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from barspin import cli, verify
+from barspin import classify, cli, verify
 
 
 def run(capsys, *argv):
@@ -52,6 +52,23 @@ def test_info_strict_not_fsas(capsys):
     code, out, _ = run(capsys, "info", "strict", "3,2,1")
     assert code == 0
     assert "four-stepped and semicongruent: no" in out
+
+
+def test_info_strict_decomposes_the_label_once(capsys, monkeypatch):
+    """`info strict` reads the FSAS answer and both linear partners off one
+    decomposition, which parses the label once."""
+    calls = {"fsas_decompose": [], "spin_rock_decompose": []}
+    for name, log in calls.items():
+        def counted(al, fn=getattr(classify, name), log=log):
+            log.append(al)
+            return fn(al)
+
+        monkeypatch.setattr(classify, name, counted)
+    code, out, _ = run(capsys, "info", "strict", "12,8,7,4,3,2")
+    assert code == 0
+    assert "linear partner: 12,9,6,3,3,1,1,1 (conjugate 8,5,5,3,3,3,2,2,2,1,1,1)" in out
+    al = (12, 8, 7, 4, 3, 2)
+    assert calls == {"fsas_decompose": [al], "spin_rock_decompose": [al]}
 
 
 def test_info_partition_empty(capsys):

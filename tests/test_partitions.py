@@ -5,6 +5,7 @@ from barspin import charspace as cs, partitions as pt
 from oracles import (
     addable_nodes_by_rows,
     bar_core_by_bars,
+    bar_staircase_index,
     bars,
     four_bar_core_by_moves,
     k_core_by_runners,
@@ -196,7 +197,7 @@ def test_four_bar_core_matches_greedy_moves():
 def test_four_bar_core_invariants(al):
     core, w = pt.four_bar_core(al)
     assert pt.size(core) + 2 * w == pt.size(al)
-    assert core == pt.bar_staircase(pt.bar_staircase_index(core))
+    assert core == pt.bar_staircase(bar_staircase_index(core))
 
 
 def test_bar_core_matches_greedy_bars():
