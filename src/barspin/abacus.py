@@ -27,7 +27,6 @@ from barspin.partitions import (
 @dataclass(frozen=True)
 class AbacusDisplay:
     runner_count: int
-    bead_count: int
     beads: frozenset
 
 
@@ -35,7 +34,7 @@ def display(la, p=2, r=None):
     check_partition(la)
     if r is None:
         r = len(la)
-    return AbacusDisplay(p, r, frozenset(beta_numbers(la, r)))
+    return AbacusDisplay(p, frozenset(beta_numbers(la, r)))
 
 
 def pretty(d):

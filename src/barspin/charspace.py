@@ -1,6 +1,6 @@
 """Formal character vectors and the operators that act on them.
 
-A vector is a finite Scalar-linear combination of labels: partitions for the
+A vector is a finite Q(sqrt2)-linear combination of labels: partitions for the
 linear basis, strict partitions for the spin basis.  Labels are orthonormal.
 The branching operators apply_e/apply_f remove or add several nodes of one
 residue at a time; both run one function (_apply) label by label.
@@ -9,10 +9,9 @@ Alternating composites of them swap the two runners of the abacus display
 (quot_red).  The intermediate-bipartition counts that control the matrix
 entries of quot_red live here too.
 
-Every term an operator produces is c * sqrt2^k for an input coefficient
-c = a + b sqrt2, so vectors are summed as plain coordinate pairs per label
-(ints in practice, Fractions only if the input has them), with one Scalar
-built per label at the end and the labels whose sum is zero dropped.
+A vector holds each nonzero coefficient a + b sqrt2 as the pair (a, b), ints
+unless the input has Fractions.  Operator terms are c * sqrt2^k for an input
+coefficient c, so operators add pairs; Scalars are built where coeffs is read.
 
 The composites work one input label at a time and run a from max(0, -c)
 (max(0, -d) for quot_red) up to m, the label's number of removable
@@ -54,33 +53,32 @@ from barspin.scalars import Scalar, sqrt2_pow
 
 @dataclass
 class CharVector:
+    """pairs maps each label with a nonzero coefficient a + b sqrt2 to (a, b)."""
+
     basis: str
     n: int
-    coeffs: dict
+    pairs: dict
+
+    @property
+    def coeffs(self):
+        """The coefficients as Scalars: a new dict on each read."""
+        return {label: Scalar(a, b) for label, (a, b) in self.pairs.items()}
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.pairs
 
     def labels(self):
-        return sorted(self.coeffs, reverse=True)
+        return sorted(self.pairs, reverse=True)
 
 
-def _as_scalar(c):
-    return c if isinstance(c, Scalar) else Scalar(c)
-
-
-def _add_signed(acc, w, negate=False):
-    """Add w (or -w) into the coordinate pairs of acc."""
-    sign = -1 if negate else 1
-    for label, x in w.coeffs.items():
+def _summed(basis, n, terms):
+    """The (label, a, b) terms summed per label, in first-seen order; zeros dropped."""
+    acc = {}
+    for label, a, b in terms:
         pair = acc.setdefault(label, [0, 0])
-        pair[0] += sign * x.a
-        pair[1] += sign * x.b
-
-
-def _from_pairs(basis, n, acc):
-    """The vector with the summed coordinate pairs; zero sums are dropped."""
-    return CharVector(basis, n, {label: Scalar(a, b) for label, (a, b) in acc.items() if a or b})
+        pair[0] += a
+        pair[1] += b
+    return CharVector(basis, n, {label: (a, b) for label, (a, b) in acc.items() if a or b})
 
 
 def _checked(basis, label):
@@ -93,29 +91,27 @@ def _checked(basis, label):
 
 
 def vector(basis, n, items):
+    """The sum of the (label, Scalar) items."""
     _checked(basis, ())  # the basis, even with no items
-    acc = {}
-    for label, c in items.items() if isinstance(items, dict) else items:
+    terms = []
+    for label, c in items:
         label = _checked(basis, label)
         if size(label) != n:
             raise ValueError(f"label {label} has the wrong size for n = {n}")
-        c = _as_scalar(c)
-        pair = acc.setdefault(label, [0, 0])
-        pair[0] += c.a
-        pair[1] += c.b
-    return _from_pairs(basis, n, acc)
+        terms.append((label, c.a, c.b))
+    return _summed(basis, n, terms)
 
 
 def unit(basis, label):
     label = _checked(basis, label)
-    return CharVector(basis, size(label), {label: Scalar(1)})
+    return CharVector(basis, size(label), {label: (1, 0)})
 
 
 def scale(v, c):
-    c = _as_scalar(c)
-    if c.is_zero():
-        return CharVector(v.basis, v.n, {})
-    return CharVector(v.basis, v.n, {label: x * c for label, x in v.coeffs.items()})
+    """c v for a Scalar c."""
+    # (a + b sqrt2)(x + y sqrt2) = ax + 2by + (ay + bx) sqrt2
+    return _summed(v.basis, v.n, ((label, a * c.a + 2 * b * c.b, a * c.b + b * c.a)
+                                  for label, (a, b) in v.pairs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -142,36 +138,34 @@ def _apply(v, eps, r, p, grow):
         raise ValueError("r must be nonnegative")
     _check_operator(v.basis, eps, p)
     if not r:
-        return CharVector(v.basis, v.n, {label: c for label, c in v.coeffs.items() if c.a or c.b})
+        return CharVector(v.basis, v.n, dict(v.pairs))
+    return _summed(v.basis, v.n + r if grow else v.n - r, _terms(v, eps, r, p, grow))
+
+
+def _terms(v, eps, r, p, grow):
+    """The (label, a, b) terms of _apply, label by label."""
     step = 1 if grow else -1
-    acc = {}
-    for label, c in v.coeffs.items():
+    for label, (a, b) in v.pairs.items():
         if v.basis == "linear":
             # the rows (from 0) of label + (0,) that end in a removable
             # (addable) eps-node
             rows = [*label, 0]
             nodes = [i - 1 for i, _ in (addable_nodes if grow else removable_nodes)(label, eps, p)]
-            a, b = c.a, c.b
             for sub in itertools.combinations(nodes, r):
                 new = rows.copy()
                 for i in sub:
                     new[i] += step
-                pair = acc.setdefault(tuple(filter(None, new)), [0, 0])
-                pair[0] += a
-                pair[1] += b
+                yield tuple(filter(None, new)), a, b
             continue
-        # c * sqrt2^k with c = a + b sqrt2: sqrt2^(2q) = 2^q, and
+        # (a + b sqrt2) sqrt2^k: sqrt2^(2q) = 2^q, and
         # sqrt2 (a + b sqrt2) = 2b + a sqrt2
-        even, odd = (c.a, c.b), (2 * c.b, c.a)
+        even, odd = (a, b), (2 * b, a)
         evens = {x for x in label if x % 2 == 0}
         for new in (spin_additions if grow else spin_removals)(label, eps, r):
             k = len(evens ^ {x for x in new if x % 2 == 0})
             x, y = odd if k & 1 else even
             s = 1 << (k >> 1)
-            pair = acc.setdefault(new, [0, 0])
-            pair[0] += x * s
-            pair[1] += y * s
-    return _from_pairs(v.basis, v.n + r if grow else v.n - r, acc)
+            yield new, x * s, y * s
 
 
 def apply_e(v, eps, r=1, p=2):
@@ -195,6 +189,11 @@ def _removable_count(basis, label, eps, p=2):
     return len(spin_removable_nodes(label, eps))
 
 
+def _signed(w, sign):
+    """The (label, a, b) terms of sign * w."""
+    return [(label, sign * a, sign * b) for label, (a, b) in w.pairs.items()]
+
+
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
     (-1)^a f_eps^(a+c) e_eps^(a), rightmost factor applied first.
@@ -204,12 +203,12 @@ def runner_swap(v, eps, c, p=2):
     odd-p worked example S_2^(1) on (9,8,5,1^5) in the verify suite.
     """
     _check_operator(v.basis, eps, p)
-    acc = {}
-    for label, coef in v.coeffs.items():
-        one = CharVector(v.basis, v.n, {label: coef})
+    terms = []
+    for label, pair in v.pairs.items():
+        one = CharVector(v.basis, v.n, {label: pair})
         for a in range(max(0, -c), _removable_count(v.basis, label, eps, p) + 1):
-            _add_signed(acc, apply_f(apply_e(one, eps, a, p), eps, a + c, p), a % 2)
-    return _from_pairs(v.basis, v.n + c, acc)
+            terms += _signed(apply_f(apply_e(one, eps, a, p), eps, a + c, p), (-1) ** a)
+    return _summed(v.basis, v.n + c, terms)
 
 
 def quot_red(v, eps, d):
@@ -220,15 +219,14 @@ def quot_red(v, eps, d):
     label foretells."""
     _check_operator(v.basis, eps, 2)
     ebar = 1 - eps
-    acc = {}
-    for label, coef in v.coeffs.items():
-        one = CharVector(v.basis, v.n, {label: coef})
+    terms = []
+    for label, pair in v.pairs.items():
+        one = CharVector(v.basis, v.n, {label: pair})
         for a in range(max(0, -d), _removable_count(v.basis, label, eps) + 1):
             w = apply_e(apply_e(one, eps, a), ebar, a)
             if not w.is_zero():
-                w = apply_f(apply_f(w, ebar, a + d), eps, a + d)
-                _add_signed(acc, w, (a + d) % 2)
-    return _from_pairs(v.basis, v.n + 2 * d, acc)
+                terms += _signed(apply_f(apply_f(w, ebar, a + d), eps, a + d), (-1) ** (a + d))
+    return _summed(v.basis, v.n + 2 * d, terms)
 
 
 def linear_swap_sign(la, eps):
@@ -385,8 +383,9 @@ def format_vector(v):
     if v.is_zero():
         return "0"
     pieces = []
+    coeffs = v.coeffs
     for label in v.labels():
-        cs = str(v.coeffs[label])
+        cs = str(coeffs[label])
         name = format_label(v.basis, label)
         if cs == "1":
             pieces.append(name)

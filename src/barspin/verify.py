@@ -118,8 +118,8 @@ def _tri(k):
 
 def _signed_unit(v, label, units):
     """v is exactly c*(that label) with c drawn from units."""
-    label = tuple(label)
-    return set(v.coeffs) == {label} and any(v.coeffs[label] == u for u in units)
+    label, coeffs = tuple(label), v.coeffs
+    return set(coeffs) == {label} and any(coeffs[label] == u for u in units)
 
 
 def _pairs_str(records):
@@ -140,10 +140,7 @@ def _bipartitions(m):
 
 def run_main(rep, cache_dir):
     for n in range(1, rep.max_n + 1):
-        want = sorted(
-            ((al, la, sqrt2_pow(e)) for al, la, e in classify.predicted_pairs(n)),
-            key=lambda rec: (rec[0], rec[1]),
-        )
+        want = [(al, la, sqrt2_pow(e)) for al, la, e in classify.predicted_pairs(n)]
         got = cv.scan(n, cache_dir)
         rep.check(f"scan({n}) == predicted pairs", _pairs_str(want), _pairs_str(got))
 
@@ -168,7 +165,7 @@ def run_equality(rep, cache_dir):
 
 def _linear_swap_top(la, eps):
     v = cs.runner_swap(cs.unit("linear", la), eps, pt.n_eps(la, eps))
-    if v != cs.scale(cs.unit("linear", swp(la, eps)), cs.linear_swap_sign(la, eps)):
+    if v != cs.scale(cs.unit("linear", swp(la, eps)), Scalar(cs.linear_swap_sign(la, eps))):
         return f"la={_fmt(la)} eps={eps} -> {cs.format_vector(v)}"
 
 
@@ -241,7 +238,7 @@ def run_runner_swap(rep, cache_dir):
 
 def _spin_swap_top(al, eps):
     v = cs.runner_swap(cs.unit("spin", al), eps, pt.spin_n_eps(al, eps))
-    if v != cs.scale(cs.unit("spin", bswp(al, eps)), cs.spin_swap_sign(al, eps)):
+    if v != cs.scale(cs.unit("spin", bswp(al, eps)), Scalar(cs.spin_swap_sign(al, eps))):
         return f"al={_fmt(al)} eps={eps} -> {cs.format_vector(v)}"
 
 
@@ -271,7 +268,7 @@ def _spin_swap_range(al, eps):
         return f"{_fmt(al)} eps={eps} c={ne + 1} not 0"
     if not cs.runner_swap(u, eps, -r - 1).is_zero():
         return f"{_fmt(al)} eps={eps} c={-r - 1} not 0"
-    if set(bottom.coeffs) != {pt.remove_all_spin_removable(al, eps)}:
+    if set(bottom.pairs) != {pt.remove_all_spin_removable(al, eps)}:
         return f"{_fmt(al)} eps={eps} c={-r}"
 
 

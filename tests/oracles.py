@@ -751,8 +751,7 @@ def _summed(basis, n, terms):
             pair = acc.setdefault(label, [0, 0])
             pair[0] += sign * x.a
             pair[1] += sign * x.b
-    return cs.CharVector(basis, n, {label: Scalar(a, b) for label, (a, b) in acc.items()
-                                    if a or b})
+    return cs.vector(basis, n, [(label, Scalar(a, b)) for label, (a, b) in acc.items()])
 
 
 def runner_swap_by_probes(v, eps, c, p=2):
@@ -760,7 +759,7 @@ def runner_swap_by_probes(v, eps, c, p=2):
     e_eps^(a) of the label vanishes, that last call a probe."""
     terms = []
     for label, coef in v.coeffs.items():
-        one = cs.CharVector(v.basis, v.n, {label: coef})
+        one = cs.vector(v.basis, v.n, [(label, coef)])
         for a in range(max(0, -c), v.n + 1):
             w = cs.apply_e(one, eps, a, p)
             if w.is_zero():
@@ -774,7 +773,7 @@ def quot_red_by_probes(v, eps, d):
     ebar = 1 - eps
     terms = []
     for label, coef in v.coeffs.items():
-        one = cs.CharVector(v.basis, v.n, {label: coef})
+        one = cs.vector(v.basis, v.n, [(label, coef)])
         for a in range(max(0, -d), v.n + 1):
             w = cs.apply_e(one, eps, a)
             if w.is_zero():

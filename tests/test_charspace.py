@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from barspin import charspace as cs
+from barspin import verify
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin.partitions import (
     addable_nodes,
@@ -141,7 +142,7 @@ def scalar_sum(basis, n, terms):
     coeffs = {}
     for label, x in terms:
         coeffs[label] = coeffs.get(label, Scalar(0)) + x
-    return cs.CharVector(basis, n, {label: x for label, x in coeffs.items() if not x.is_zero()})
+    return cs.vector(basis, n, coeffs.items())
 
 
 def apply_reference(v, eps, r, p=2, grow=False):
@@ -328,6 +329,49 @@ def test_quot_red_makes_no_f_step_on_an_empty_vector(monkeypatch):
             cs.quot_red(u(basis, label), eps, d)
             assert len(calls) == 2 * live, (label, eps, d)
             assert all(not w.is_zero() for w in calls[::2])
+
+
+def test_operators_build_no_scalar_until_coeffs_is_read(monkeypatch):
+    """The operators add coordinate pairs: on unit vectors of both bases
+    apply_e, apply_f, runner_swap and quot_red build no Scalar, and reading
+    coeffs builds one per label."""
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    units = [u("linear", la) for n in range(8) for la in partitions_of(n)]
+    units += [u("spin", al) for n in range(10) for al in strict_partitions_of(n)]
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    outs = []
+    for v in units:
+        for eps in (0, 1):
+            outs += [cs.apply_e(v, eps, r) for r in range(3)]
+            outs += [cs.apply_f(v, eps, r) for r in range(3)]
+            outs += [cs.runner_swap(v, eps, c) for c in range(-3, 4)]
+            outs += [cs.quot_red(v, eps, d) for d in range(-2, 3)]
+    assert built == []
+    assert any(len(w.pairs) > 1 for w in outs)
+    assert all(type(x) is Scalar for w in outs for x in w.coeffs.values())
+    assert len(built) == sum(len(w.pairs) for w in outs)
+
+
+def test_format_vector_and_signed_unit_read_coeffs_once(monkeypatch):
+    """Each read of coeffs builds a new dict of Scalars, so the readers
+    take it once per vector, not once per label."""
+    reads = []
+    view = cs.CharVector.coeffs
+    monkeypatch.setattr(cs.CharVector, "coeffs", property(lambda v: reads.append(v) or view.fget(v)))
+    v = cs.vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1)), ((6, 3, 1), S(-3, 2))])
+    assert cs.format_vector(v) == "2*<<9,1>> + (-3 + 2*sqrt2)*<<6,3,1>> + sqrt2*<<5,4,1>>"
+    assert reads == [v]
+    reads.clear()
+    assert not verify._signed_unit(v, (9, 1), verify.PM_ONE)
+    w = cs.scale(u("spin", (9, 1)), S(-1))
+    assert verify._signed_unit(w, (9, 1), verify.PM_ONE)
+    assert reads == [v, w]
 
 
 def test_linear_swap_sign_matches_the_swap():

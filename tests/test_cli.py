@@ -5,6 +5,7 @@ both captured.  Frozen outputs follow the worked abacus examples used in
 the operator tests.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -256,6 +257,28 @@ def test_verify_all_runs_every_suite(capsys):
     blobs = json.loads(out)
     assert {b["suite"] for b in blobs} == set(verify.SUITES)
     assert all(b["pass"] for b in blobs)
+
+
+# sha256 of `verify all --format json` at the default bounds, every millis
+# removed, keys sorted, with a final newline
+VERIFY_ALL_SHA256 = "34cdf8ae67216057460c83408b22a6a427771166e5da6615f01aef8831fc7c83"
+
+
+def _without_millis(blob):
+    if isinstance(blob, dict):
+        return {k: _without_millis(x) for k, x in blob.items() if k != "millis"}
+    if isinstance(blob, list):
+        return [_without_millis(x) for x in blob]
+    return blob
+
+
+def test_verify_all_json_matches_the_golden_digest(capsys):
+    """Every case of every suite, its input, expected and actual text
+    included, is the same as when the digest was recorded."""
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    text = json.dumps(_without_millis(json.loads(out)), sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
