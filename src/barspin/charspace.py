@@ -10,8 +10,8 @@ Alternating composites of them swap the two runners of the abacus display
 entries of quot_red live here too.
 
 A vector holds each nonzero coefficient a + b sqrt2 as the pair (a, b), ints
-unless the input has Fractions.  Operator terms are c * sqrt2^k for an input
-coefficient c, so operators add pairs; Scalars are built where coeffs is read.
+unless the input has Fractions.  Operators add terms c * sqrt2^k, for an input
+coefficient c, by the pair rules of scalars; Scalars are built where coeffs is read.
 
 The composites work one input label at a time and run a from max(0, -c)
 (max(0, -d) for quot_red) up to m, the label's number of removable
@@ -39,6 +39,7 @@ from barspin.partitions import (
     addable_nodes,
     check_partition,
     check_strict,
+    format_partition,
     min_parts,
     removable_nodes,
     size,
@@ -48,7 +49,7 @@ from barspin.partitions import (
     spin_removals,
     union_parts,
 )
-from barspin.scalars import Scalar, sqrt2_pow
+from barspin.scalars import Scalar, mul_pairs, mul_sqrt2_pow, sqrt2
 
 
 @dataclass
@@ -109,8 +110,7 @@ def unit(basis, label):
 
 def scale(v, c):
     """c v for a Scalar c."""
-    # (a + b sqrt2)(x + y sqrt2) = ax + 2by + (ay + bx) sqrt2
-    return _summed(v.basis, v.n, ((label, a * c.a + 2 * b * c.b, a * c.b + b * c.a)
+    return _summed(v.basis, v.n, ((label, *mul_pairs(a, b, c.a, c.b))
                                   for label, (a, b) in v.pairs.items()))
 
 
@@ -157,15 +157,9 @@ def _terms(v, eps, r, p, grow):
                     new[i] += step
                 yield tuple(filter(None, new)), a, b
             continue
-        # (a + b sqrt2) sqrt2^k: sqrt2^(2q) = 2^q, and
-        # sqrt2 (a + b sqrt2) = 2b + a sqrt2
-        even, odd = (a, b), (2 * b, a)
         evens = {x for x in label if x % 2 == 0}
         for new in (spin_additions if grow else spin_removals)(label, eps, r):
-            k = len(evens ^ {x for x in new if x % 2 == 0})
-            x, y = odd if k & 1 else even
-            s = 1 << (k >> 1)
-            yield new, x * s, y * s
+            yield new, *mul_sqrt2_pow(a, b, len(evens ^ {x for x in new if x % 2 == 0}))
 
 
 def apply_e(v, eps, r=1, p=2):
@@ -342,16 +336,18 @@ def kom(eta, theta):
 def b_sum(eta, theta):
     """Alternating sqrt2-weighted sum over the strict intermediates ze:
     (-1)^(|theta| - |ze|) sqrt2^(kom(eta, ze) + kom(theta, ze)), added up
-    as integers by the parity of the sqrt2 power."""
-    e, t = set(eta), set(theta)
-    st = sum(theta)
-    acc = [0, 0]
+    as integer pairs."""
+    e, t, st = set(eta), set(theta), sum(theta)
+    a = b = 0
     for ze in interm0(eta, theta):
         z = set(ze)
-        k = len(e ^ z) + len(t ^ z)
-        term = 1 << (k >> 1)
-        acc[k & 1] += -term if (st - sum(ze)) % 2 else term
-    return Scalar(*acc)
+        x, y = mul_sqrt2_pow(-1 if (st - sum(ze)) % 2 else 1, 0, len(e ^ z) + len(t ^ z))
+        a, b = a + x, b + y
+    return Scalar(a, b)
+
+
+# b_closed's values, shared (a Scalar is immutable); a pair is indexed by sign parity
+_ZERO, PM_ONE, PM_SQRT2 = Scalar(0), (Scalar(1), Scalar(-1)), (sqrt2, -sqrt2)
 
 
 def b_closed(eta, theta):
@@ -361,21 +357,19 @@ def b_closed(eta, theta):
     d = size(theta) - size(eta)
     r = sum(1 for p in eta if p > abs(d))
     if d < 0 and -d in eta and theta == tuple(p for p in eta if p != -d):
-        val, sign = sqrt2_pow(1), r
-    elif d == 0 and theta == eta:
-        val, sign = Scalar(1), r
-    elif d > 0 and d not in eta and theta == union_parts(eta, (d,)):
-        val, sign = sqrt2_pow(1), r + d
-    else:
-        return Scalar(0)
-    return -val if sign % 2 else val
+        return PM_SQRT2[r % 2]
+    if d == 0 and theta == eta:
+        return PM_ONE[r % 2]
+    if d > 0 and d not in eta and theta == union_parts(eta, (d,)):
+        return PM_SQRT2[(r + d) % 2]
+    return _ZERO
 
 
 # ---------------------------------------------------------------------------
 # printing
 
 def format_label(basis, label):
-    body = ",".join(str(p) for p in label) or "-"
+    body = format_partition(label)
     return f"[{body}]" if basis == "linear" else f"<<{body}>>"
 
 

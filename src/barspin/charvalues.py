@@ -82,6 +82,7 @@ from barspin.partitions import (
     check_size,
     check_strict,
     conjugate,
+    format_partition,
     memo_key,
     odd_partitions_of,
     part_mask,
@@ -90,7 +91,7 @@ from barspin.partitions import (
     split_key,
     strict_partitions_of,
 )
-from barspin.scalars import Scalar, sqrt2_pow
+from barspin.scalars import Scalar, mul_sqrt2_pow
 from barspin.symfunc import _bar_kernel, p_in_P_coefficient, schur_poly
 
 
@@ -178,8 +179,8 @@ def _gauss_sign(nu):
 def _spin_value(al, nu):
     """Spin character value of al on the odd class nu, by Morris's formula.
     The public entries check al and nu, so it reads the bar kernel directly."""
-    x = _bar_kernel(memo_key(nu, part_mask(al)))
-    return sqrt2_pow(len(nu) - len(al)) * (_gauss_sign(nu) * x)
+    x = _gauss_sign(nu) * _bar_kernel(memo_key(nu, part_mask(al)))
+    return Scalar(*mul_sqrt2_pow(x, 0, len(nu) - len(al)))
 
 
 def _spin_ratio(al, nu, degree):
@@ -244,12 +245,8 @@ def spin_brauer_table(n):
 CACHE_VERSION = 2
 
 
-def _label_key(label):
-    return ",".join(map(str, label)) or "-"
-
-
 def _encode_table(table):
-    return {_label_key(label): [[v.a, v.b] for v in vec] for label, vec in table.items()}
+    return {format_partition(label): [[v.a, v.b] for v in vec] for label, vec in table.items()}
 
 
 def _decode_table(rows, labels, width):
@@ -258,12 +255,13 @@ def _decode_table(rows, labels, width):
     false included), raises ValueError or TypeError."""
     table = {}
     for label in labels:
-        row = rows[_label_key(label)]
+        key = format_partition(label)
+        row = rows[key]
         if any(type(x) is not int for entry in row for x in entry):
-            raise TypeError(f"row {_label_key(label)} holds a value that is not an int")
+            raise TypeError(f"row {key} holds a value that is not an int")
         vec = tuple(Scalar(a, b) for a, b in row)
         if len(vec) != width:
-            raise ValueError(f"row {_label_key(label)} has {len(vec)} values")
+            raise ValueError(f"row {key} has {len(vec)} values")
         table[label] = vec
     return table
 

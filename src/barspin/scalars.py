@@ -4,8 +4,7 @@ A Scalar is a + b*sqrt(2) with a, b rational.  Each coordinate is an int
 when it is integral and a fractions.Fraction (in lowest terms) only when it
 is not, as for a quotient or a negative power of sqrt2.  Every character
 value we meet lies in Z + Z*sqrt(2), so in practice both coordinates are
-ints; Q(sqrt(2)) is the smallest field that holds them and their quotients.
-"""
+ints; Q(sqrt(2)) is the smallest field that holds them and their quotients."""
 
 from __future__ import annotations
 
@@ -64,11 +63,7 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # (a + b r)(c + d r) = ac + 2bd + (ad + bc) r  with r^2 = 2
-        return Scalar(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        return Scalar(*mul_pairs(self.a, self.b, other.a, other.b))
 
     __rmul__ = __mul__
 
@@ -80,8 +75,8 @@ class Scalar:
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
         # 1/(c + d r) = (c - d r)/(c^2 - 2 d^2)
-        num = self * other.conjugate()
-        return Scalar(Fraction(num.a, n), Fraction(num.b, n))
+        a, b = mul_pairs(self.a, self.b, other.a, -other.b)
+        return Scalar(Fraction(a, n), Fraction(b, n))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -137,6 +132,22 @@ class Scalar:
         return f"Scalar({self.a!r}, {self.b!r})"
 
 
+def mul_pairs(a, b, c, d):
+    """(a + b sqrt2)(c + d sqrt2) as the pair (ac + 2bd, ad + bc)."""
+    return a * c + 2 * b * d, a * d + b * c
+
+
+def mul_sqrt2_pow(a, b, k):
+    """(a + b sqrt2) sqrt2^k as a pair, for any integer k: ints stay ints
+    for k >= 0, and k < 0 gives Fractions."""
+    q, odd = divmod(k, 2)
+    if odd:
+        a, b = 2 * b, a
+    if q < 0:
+        return Fraction(a, 1 << -q), Fraction(b, 1 << -q)
+    return a * (1 << q), b * (1 << q)
+
+
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
@@ -149,15 +160,7 @@ sqrt2 = Scalar(0, 1)
 
 
 def sqrt2_pow(k):
-    """sqrt(2)**k for any integer k, exactly.
-
-    Even k gives the rational 2**(k/2); odd k gives 2**((k-1)/2) * sqrt2.
-    Negative k is fine: sqrt2_pow(-1) = sqrt2/2.
-    """
+    """sqrt(2)**k for any integer k, exactly: sqrt2_pow(-1) = sqrt2/2."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
-    q, r = divmod(k, 2)
-    rat = 2 ** q if q >= 0 else Fraction(1, 2 ** -q)
-    if r == 0:
-        return Scalar(rat)
-    return Scalar(0, rat)
+    return Scalar(*mul_sqrt2_pow(1, 0, k))

@@ -25,6 +25,7 @@ from barspin import partitions as pt
 from barspin import symfunc as sf
 from barspin.abacus import from_core_quotient, swp, two_quotient
 from barspin.abacus import bswp
+from barspin.charspace import PM_ONE, PM_SQRT2
 from barspin.scalars import Scalar, sqrt2_pow
 
 DEFAULT_BOUNDS = {
@@ -38,9 +39,6 @@ DEFAULT_BOUNDS = {
     "degrees": 14,
     "invariants": 12,
 }
-
-PM_ONE = (Scalar(1), Scalar(-1))
-PM_SQRT2 = (sqrt2_pow(1), -sqrt2_pow(1))
 
 
 @dataclass
@@ -319,7 +317,7 @@ def _rock_expected(b, sigma, eta, d):
             body = pt.sum_parts(gamma, pt.scale_parts(tau, 4))
             for theta in pt.strict_partitions_of(w + d - 2 * k):
                 coeff = cs.b_closed(eta, theta)
-                if coeff == Scalar(0):
+                if coeff.is_zero():
                     continue
                 label = pt.union_parts(body, pt.scale_parts(theta, 2))
                 if not pt.is_strict(label):
@@ -669,6 +667,8 @@ def run_suite(name, max_n=None, cache_dir=None):
     """The Report of one suite, at its default bound when max_n is None."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if max_n is not None:
+        pt.check_size(max_n)
     t0 = time.perf_counter()
     rep = Report(name, DEFAULT_BOUNDS[name] if max_n is None else max_n)
     SUITES[name](rep, cache_dir)

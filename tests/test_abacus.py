@@ -148,6 +148,13 @@ def test_rewrites_check_their_input():
             fn(*args)
 
 
+def test_runner_swaps_name_a_residue_that_is_not_0_or_1():
+    for fn, label in ((abacus.swp, (3, 1)), (abacus.bswp, (5, 2))):
+        for eps in (2, -1, 0.5, None):
+            with pytest.raises(ValueError, match=f"residue must be 0 or 1, got {eps!r}"):
+                fn(label, eps)
+
+
 def test_from_core_quotient_rejects_a_core_that_is_not_one():
     for core in ((2,), (3, 1), (2, 2), (1, 1)):
         with pytest.raises(ValueError, match="not a 2-core"):

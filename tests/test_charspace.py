@@ -584,6 +584,22 @@ def test_b_closed_frozen():
     assert cs.b_closed((), (1,)) == S(0, -1)
 
 
+def test_b_closed_builds_no_scalar(monkeypatch):
+    """b_closed returns shared values: 0, +-1 and +-sqrt2."""
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    stricts = strict_partitions_upto(8)
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    values = {id(cs.b_closed(eta, theta)) for eta in stricts for theta in stricts}
+    assert built == []
+    assert len(values) == 5
+
+
 def test_b_sum_matches_b_closed():
     for m in range(0, 5):
         for eta in strict_partitions_of(m):

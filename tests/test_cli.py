@@ -295,6 +295,15 @@ def test_verify_negative_max_n_is_usage_error(capsys, suite):
     assert "--max-n must be nonnegative" in err
 
 
+@pytest.mark.parametrize("suite", ["main", "symfunc"])
+@pytest.mark.parametrize("max_n", [-3, 2.5, True, "4"])
+def test_run_suite_names_a_bound_that_is_not_a_non_negative_int(suite, max_n):
+    with pytest.raises(ValueError, match="sizes must be non-negative integers"):
+        verify.run_suite(suite, max_n)
+    with pytest.raises(ValueError, match="sizes must be non-negative integers"):
+        verify.run_all(max_n)
+
+
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     rep = verify.Report(suite="main", max_n=2)
     rep.check("stub", "left", "right")

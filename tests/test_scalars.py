@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import barspin
-from barspin.scalars import Scalar, sqrt2, sqrt2_pow
+from barspin.scalars import Scalar, mul_pairs, mul_sqrt2_pow, sqrt2, sqrt2_pow
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -83,6 +83,23 @@ def test_coordinates_are_int_exactly_when_integral(x, y, k):
     for s in results:
         assert _is_exact(s.a) and _is_exact(s.b), repr(s)
     assert _is_exact(x.norm())
+
+
+@given(coords, coords, coords, coords, st.integers(min_value=-8, max_value=8))
+def test_pair_rules_agree_with_scalar_arithmetic(a, b, c, d, k):
+    """The product against Scalar's, and the sqrt2^k rule against |k|
+    products with (or quotients by) sqrt2 and against sqrt2_pow."""
+    assert Scalar(*mul_pairs(a, b, c, d)) == Scalar(a, b) * Scalar(c, d)
+    shifted = mul_sqrt2_pow(a, b, k)
+    x = Scalar(a, b)
+    for _ in range(abs(k)):
+        x = x * sqrt2 if k > 0 else x / sqrt2
+    assert Scalar(*shifted) == x == Scalar(a, b) * sqrt2_pow(k)
+    if type(a) is type(b) is int:
+        if type(c) is type(d) is int:
+            assert all(type(x) is int for x in mul_pairs(a, b, c, d))
+        if k >= 0:
+            assert all(type(x) is int for x in shifted)
 
 
 def test_constructor_normalizes_and_rejects():
