@@ -6,8 +6,10 @@ The branching operators apply_e/apply_f remove or add several nodes of one
 residue at a time; both run one function (_apply) label by label.
 Alternating composites of them swap the two runners of the abacus display
 (runner_swap) or shift weight between the two components of the 2-quotient
-(quot_red).  The intermediate-bipartition counts that control the matrix
-entries of quot_red live here too.
+(quot_red); at the top degree a runner swap sends a label to swap_sign
+times its swapped label, in either basis.  The intermediate-bipartition
+counts that control the matrix entries of quot_red live here too; their
+vertical strips are counted as horizontal strips of the conjugates.
 
 A vector holds each nonzero coefficient a + b sqrt2 as the pair (a, b), ints
 unless the input has Fractions.  Operators add terms c * sqrt2^k, for an input
@@ -34,22 +36,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from barspin.abacus import bswp
 from barspin.partitions import (
     addable_nodes,
     check_partition,
     check_strict,
+    conjugate,
     format_partition,
-    min_parts,
     removable_nodes,
     size,
-    spin_addable_nodes,
     spin_additions,
     spin_removable_nodes,
     spin_removals,
     union_parts,
 )
-from barspin.scalars import Scalar, mul_pairs, mul_sqrt2_pow, sqrt2
+from barspin.scalars import Scalar, mul_sqrt2_pow, sqrt2
 
 
 @dataclass
@@ -106,12 +106,6 @@ def vector(basis, n, items):
 def unit(basis, label):
     label = _checked(basis, label)
     return CharVector(basis, size(label), {label: (1, 0)})
-
-
-def scale(v, c):
-    """c v for a Scalar c."""
-    return _summed(v.basis, v.n, ((label, *mul_pairs(a, b, c.a, c.b))
-                                  for label, (a, b) in v.pairs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -223,31 +217,13 @@ def quot_red(v, eps, d):
     return _summed(v.basis, v.n + 2 * d, terms)
 
 
-def linear_swap_sign(la, eps):
-    """Sign carried by the extreme-degree runner swap on a single label:
-    parity of the number of removed eps-nodes.  swp removes every
-    removable eps-node and adds every addable one, so that is the number
-    of removable eps-nodes."""
-    return -1 if len(removable_nodes(la, eps)) % 2 else 1
-
-
-def spin_swap_sign(al, eps):
-    """Spin analogue of linear_swap_sign, read off the label alone.
-
-    Two contributions mod 2: the nodes of al outside the swapped label,
-    and the number of residue-eps column pairs {d, d+1} (d = 2 eps mod 4,
-    stepping by 4) carrying both a removable and an addable eps-node.
-    """
-    be = bswp(al, eps)
-    removed = size(al) - size(min_parts(al, be))
-    rem_cols = {c for _, c in spin_removable_nodes(al, eps)}
-    add_cols = {c for _, c in spin_addable_nodes(al, eps)}
-    hits = 0
-    top = (al[0] if al else 0) + 2
-    for d in range(2 * eps % 4, top + 1, 4):
-        if ({d, d + 1} & rem_cols) and ({d, d + 1} & add_cols):
-            hits += 1
-    return -1 if (removed + hits) % 2 else 1
+def swap_sign(basis, label, eps):
+    """Sign carried by the top-degree runner swap on one label (p = 2):
+    the parity of m, its number of removable eps-nodes.  In the linear
+    basis swp removes every removable eps-node and adds every addable one,
+    so m counts the removed nodes; the spin basis keeps the same parity
+    rule (the runner-swap-spin suite checks it label by label)."""
+    return -1 if _removable_count(basis, label, eps) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +241,20 @@ def _choices(bounds, strict=False):
     return [parts for parts, _ in picks]
 
 
-def _bounds(a, b, vertical=False):
+def _bounds(a, b):
     """Per-row intervals (lo, hi) for the partitions below both a and b by
-    horizontal strips, or by vertical strips if vertical.  Row i is at most
-    min(a_i, b_i) and at least max(a_{i+1}, b_{i+1}) (horizontal) or
-    max(a_i - 1, b_i - 1, 0) (vertical)."""
+    horizontal strips: row i is at most min(a_i, b_i) and at least
+    max(a_{i+1}, b_{i+1}).  A vertical strip la/mu is a horizontal strip
+    la'/mu' of the conjugates (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.1), so the vertical rules below conjugate first."""
     rows = list(itertools.zip_longest(a, b, fillvalue=0))
-    if vertical:
-        low = [max(x, y, 1) - 1 for x, y in rows]
-    else:
-        low = [*map(max, rows[1:]), 0]
-    return list(zip(low, map(min, rows)))
-
-
-def _under(a, b, vertical=False, strict=False):
-    """Partitions (strict ones if strict) below both a and b by horizontal
-    strips, or by vertical strips if vertical; see _bounds."""
-    return _choices(_bounds(a, b, vertical), strict)
+    return list(zip([*map(max, rows[1:]), 0], map(min, rows)))
 
 
 def interm(bla, bmu):
     """All bipartitions one layer below both bla and bmu: component 0 by
     horizontal strips, component 1 by vertical strips."""
-    return list(itertools.product(_under(bla[0], bmu[0]), interm1(bla[1], bmu[1])))
+    return list(itertools.product(_choices(_bounds(bla[0], bmu[0])), interm1(bla[1], bmu[1])))
 
 
 def interm_signed_sum(bla, bmu):
@@ -298,34 +265,29 @@ def interm_signed_sum(bla, bmu):
     Component 0's row intervals interlace (row i+1 is at most
     min(a_{i+1}, b_{i+1}) and row i at least max(a_{i+1}, b_{i+1})), so its
     count is the product over rows of the sum of (-1)^v over lo <= v <= hi:
-    0 for an interval of even length, else (-1)^lo.  Component 1's
-    intervals hold one or two values, so its count runs row by row, keyed
-    on the last pick (at most two keys)."""
+    0 for an interval of even length, else (-1)^lo.  Component 1's count is
+    the same product on the conjugates, which have the same sizes; they are
+    built only once component 0's count is nonzero."""
     sign = -1 if (sum(bmu[0]) + sum(bmu[1])) % 2 else 1
-    for lo, hi in _bounds(bla[0], bmu[0]):
-        if lo > hi or (hi - lo) % 2:
-            return 0
-        if lo % 2:
-            sign = -sign
-    sigma, tau = bla[1], bmu[1]
-    last = {sigma[0] if sigma else 0: sign}  # no row exceeds sigma's first
-    for lo, hi in _bounds(sigma, tau, vertical=True):
-        nxt = {}
-        for top, count in last.items():
-            for v in range(lo, min(hi, top) + 1):
-                nxt[v] = nxt.get(v, 0) + (-count if v % 2 else count)
-        last = nxt
-    return sum(last.values())
+    for a, b in ((bla[0], bmu[0]), map(conjugate, (bla[1], bmu[1]))):
+        for lo, hi in _bounds(a, b):
+            if lo > hi or (hi - lo) % 2:
+                return 0
+            if lo % 2:
+                sign = -sign
+    return sign
 
 
 def interm0(eta, theta):
     """Strict partitions under both eta and theta by horizontal strips."""
-    return _under(eta, theta, strict=True)
+    return _choices(_bounds(eta, theta), strict=True)
 
 
 def interm1(sigma, tau):
-    """Partitions under both sigma and tau by vertical strips."""
-    return _under(sigma, tau, vertical=True)
+    """Partitions under both sigma and tau by vertical strips, in ascending
+    order: the conjugates of those under sigma' and tau' by horizontal
+    strips."""
+    return sorted(map(conjugate, _choices(_bounds(conjugate(sigma), conjugate(tau)))))
 
 
 def kom(eta, theta):

@@ -21,7 +21,6 @@ from barspin.partitions import (
     even_parts,
     odd_parts,
     scale_parts,
-    size,
     staircase,
     strict_partitions_of,
     sum_parts,

@@ -14,14 +14,11 @@ import traceback
 
 from barspin import abacus, charspace, charvalues, classify, verify
 from barspin import partitions as pt
+from barspin.partitions import format_partition
 
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(la):
-    return pt.format_partition(la)
 
 
 def _parse(parse, text):
@@ -76,12 +73,12 @@ def _info_partition(la):
     lines = [
         f"partition: {charspace.format_label('linear', la)}",
         f"size: {pt.size(la)}",
-        f"conjugate: {_fmt(pt.conjugate(la))}",
-        f"2-core: {_fmt(core)}",
-        f"2-quotient: ({_fmt(quotient[0])};{_fmt(quotient[1])})",
+        f"conjugate: {format_partition(pt.conjugate(la))}",
+        f"2-core: {format_partition(core)}",
+        f"2-quotient: ({format_partition(quotient[0])};{format_partition(quotient[1])})",
         f"2-weight: {pt.k_weight(la, 2)}",
         f"content: {counts[0]} nodes of residue 0, {counts[1]} of residue 1",
-        f"2-regular form: {_fmt(pt.regularize2(la))}",
+        f"2-regular form: {format_partition(pt.regularize2(la))}",
         "abacus:",
         abacus.pretty(abacus.display(la, 2, abacus.canonical_bead_count(la))),
     ]
@@ -94,8 +91,8 @@ def _info_strict(al):
     lines = [
         f"strict label: {charspace.format_label('spin', al)}",
         f"size: {pt.size(al)}",
-        f"double: {_fmt(pt.dbl(al))}",
-        f"4-bar-core: {_fmt(core4)} (weight {w4})",
+        f"double: {format_partition(pt.dbl(al))}",
+        f"4-bar-core: {format_partition(core4)} (weight {w4})",
         f"spin content: {counts[0]} nodes of residue 0, {counts[1]} of residue 1",
         f"spin degree: {charvalues.spin_degree(al)}",
     ]
@@ -107,7 +104,8 @@ def _info_strict(al):
         lines.append(
             f"four-stepped and semicongruent: yes, (a,r,s)=({dec.a},{dec.r},{dec.s})"
         )
-        lines.append(f"linear partner: {_fmt(first)} (conjugate {_fmt(second)})")
+        lines.append(f"linear partner: {format_partition(first)} "
+                     f"(conjugate {format_partition(second)})")
         lines.append(f"proportionality ratio: sqrt2^{classify.ratio_exponent(al)}")
     return "\n".join(lines)
 
@@ -128,14 +126,16 @@ def cmd_value(args):
     if args.basis == "specht":
         la = _parse(pt.parse_partition, args.label)
         if pt.size(la) != pt.size(nu):
-            raise UsageError(f"size mismatch: |{_fmt(la)}| != |{_fmt(nu)}|")
+            raise UsageError(
+                f"size mismatch: |{format_partition(la)}| != |{format_partition(nu)}|")
         print(charvalues.chi(la, nu))
     else:
         al = _parse(pt.parse_strict, args.label)
         if pt.size(al) != pt.size(nu):
-            raise UsageError(f"size mismatch: |{_fmt(al)}| != |{_fmt(nu)}|")
+            raise UsageError(
+                f"size mismatch: |{format_partition(al)}| != |{format_partition(nu)}|")
         if any(q % 2 == 0 for q in nu):
-            raise UsageError(f"spin values live on odd classes, got {_fmt(nu)}")
+            raise UsageError(f"spin values live on odd classes, got {format_partition(nu)}")
         print(charvalues.spin_value(al, nu))
     return 0
 

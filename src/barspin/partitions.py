@@ -144,12 +144,6 @@ def sum_parts(la, mu):
     return tuple(p for p in out if p)
 
 
-def min_parts(la, mu):
-    """Componentwise minimum; the diagram intersection."""
-    out = tuple(min(a, b) for a, b in zip(la, mu))
-    return tuple(p for p in out if p)
-
-
 def scale_parts(la, c):
     return tuple(c * p for p in la)
 
@@ -228,17 +222,17 @@ def regularize2(la):
 # ---------------------------------------------------------------------------
 # removable/addable nodes (linear side, any modulus)
 
-def removable_nodes(la, eps=None, p=2):
+def removable_nodes(la, eps, p=2):
     rows = (*la, 0)
     return [(i, part) for i, part in enumerate(la, 1)
-            if part > rows[i] and (eps is None or (part - i) % p == eps)]
+            if part > rows[i] and (part - i) % p == eps]
 
 
-def addable_nodes(la, eps=None, p=2):
+def addable_nodes(la, eps, p=2):
     """The new row (len(la) + 1, 1) comes last, from the trailing 0 row."""
     rows = (*la, 0)
     return [(i, part + 1) for i, part in enumerate(rows, 1)
-            if (i == 1 or rows[i - 2] > part) and (eps is None or (part + 1 - i) % p == eps)]
+            if (i == 1 or rows[i - 2] > part) and (part + 1 - i) % p == eps]
 
 
 def remove_all_removable(la, eps, p=2):

@@ -26,6 +26,7 @@ from barspin import symfunc as sf
 from barspin.abacus import from_core_quotient, swp, two_quotient
 from barspin.abacus import bswp
 from barspin.charspace import PM_ONE, PM_SQRT2
+from barspin.partitions import format_partition
 from barspin.scalars import Scalar, sqrt2_pow
 
 DEFAULT_BOUNDS = {
@@ -105,10 +106,6 @@ class Report:
         }
 
 
-def _fmt(la):
-    return pt.format_partition(la)
-
-
 def _tri(k):
     """The size of staircase(k)."""
     return k * (k + 1) // 2
@@ -121,7 +118,7 @@ def _signed_unit(v, label, units):
 
 
 def _pairs_str(records):
-    body = ", ".join(f"{_fmt(al)}~{_fmt(la)}@{c}" for al, la, c in records)
+    body = ", ".join(f"{format_partition(al)}~{format_partition(la)}@{c}" for al, la, c in records)
     return f"{len(records)} pairs [{body}]"
 
 
@@ -163,8 +160,8 @@ def run_equality(rep, cache_dir):
 
 def _linear_swap_top(la, eps):
     v = cs.runner_swap(cs.unit("linear", la), eps, pt.n_eps(la, eps))
-    if v != cs.scale(cs.unit("linear", swp(la, eps)), Scalar(cs.linear_swap_sign(la, eps))):
-        return f"la={_fmt(la)} eps={eps} -> {cs.format_vector(v)}"
+    if v.pairs != {swp(la, eps): (cs.swap_sign("linear", la, eps), 0)}:
+        return f"la={format_partition(la)} eps={eps} -> {cs.format_vector(v)}"
 
 
 def _staircase_cores_shrink(big):
@@ -187,7 +184,7 @@ def _core_transport():
         for m in range(0, 5):
             for q0, q1 in _bipartitions(m):
                 u = cs.unit("linear", from_core_quotient(st(a), q0, q1))
-                q = f"({_fmt(q0)};{_fmt(q1)})"
+                q = f"({format_partition(q0)};{format_partition(q1)})"
                 ok = _signed_unit(cs.runner_swap(u, a % 2, a + 1),
                                   from_core_quotient(st(a + 1), q0, q1), PM_ONE)
                 yield None if ok else f"up a={a} q={q}"
@@ -202,11 +199,11 @@ def _linear_swap_range(la, eps):
     ne = pt.n_eps(la, eps)
     r = len(pt.removable_nodes(la, eps))
     if not cs.runner_swap(u, eps, ne + 1).is_zero():
-        return f"{_fmt(la)} eps={eps} c={ne + 1} not 0"
+        return f"{format_partition(la)} eps={eps} c={ne + 1} not 0"
     if not cs.runner_swap(u, eps, -r - 1).is_zero():
-        return f"{_fmt(la)} eps={eps} c={-r - 1} not 0"
+        return f"{format_partition(la)} eps={eps} c={-r - 1} not 0"
     if not _signed_unit(cs.runner_swap(u, eps, -r), pt.remove_all_removable(la, eps), PM_ONE):
-        return f"{_fmt(la)} eps={eps} c={-r}"
+        return f"{format_partition(la)} eps={eps} c={-r}"
 
 
 def run_runner_swap(rep, cache_dir):
@@ -236,8 +233,8 @@ def run_runner_swap(rep, cache_dir):
 
 def _spin_swap_top(al, eps):
     v = cs.runner_swap(cs.unit("spin", al), eps, pt.spin_n_eps(al, eps))
-    if v != cs.scale(cs.unit("spin", bswp(al, eps)), Scalar(cs.spin_swap_sign(al, eps))):
-        return f"al={_fmt(al)} eps={eps} -> {cs.format_vector(v)}"
+    if v.pairs != {bswp(al, eps): (cs.swap_sign("spin", al, eps), 0)}:
+        return f"al={format_partition(al)} eps={eps} -> {cs.format_vector(v)}"
 
 
 def _bar_staircase_transport(big):
@@ -250,11 +247,11 @@ def _bar_staircase_transport(big):
             u = cs.unit("spin", pt.union_parts(pt.bar_staircase(a), pad))
             up = pt.union_parts(pt.bar_staircase(a + 1), pad)
             ok = _signed_unit(cs.runner_swap(u, a % 2, a + 1), up, PM_ONE)
-            yield None if ok else f"up a={a} eta={_fmt(eta)}"
+            yield None if ok else f"up a={a} eta={format_partition(eta)}"
             if a >= 1:
                 down = pt.union_parts(pt.bar_staircase(a - 1), pad)
                 ok = _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a), down, PM_ONE)
-                yield None if ok else f"down a={a} eta={_fmt(eta)}"
+                yield None if ok else f"down a={a} eta={format_partition(eta)}"
 
 
 def _spin_swap_range(al, eps):
@@ -263,11 +260,11 @@ def _spin_swap_range(al, eps):
     r = len(pt.spin_removable_nodes(al, eps))
     bottom = cs.runner_swap(u, eps, -r)
     if not cs.runner_swap(u, eps, ne + 1).is_zero():
-        return f"{_fmt(al)} eps={eps} c={ne + 1} not 0"
+        return f"{format_partition(al)} eps={eps} c={ne + 1} not 0"
     if not cs.runner_swap(u, eps, -r - 1).is_zero():
-        return f"{_fmt(al)} eps={eps} c={-r - 1} not 0"
+        return f"{format_partition(al)} eps={eps} c={-r - 1} not 0"
     if set(bottom.pairs) != {pt.remove_all_spin_removable(al, eps)}:
-        return f"{_fmt(al)} eps={eps} c={-r}"
+        return f"{format_partition(al)} eps={eps} c={-r}"
 
 
 def run_runner_swap_spin(rep, cache_dir):
@@ -341,10 +338,11 @@ def _relaxed_quot_red(n):
                 want = _rock_expected(b, sigma, eta, d)
                 got = cs.quot_red(cs.unit("spin", al), (b + 1) % 2, d)
             except ValueError as exc:
-                yield f"al={_fmt(al)} d={d}: {exc}"
+                yield f"al={format_partition(al)} d={d}: {exc}"
                 continue
             yield None if got == want else (
-                f"al={_fmt(al)} d={d}: {cs.format_vector(got)} != {cs.format_vector(want)}")
+                f"al={format_partition(al)} d={d}: "
+                f"{cs.format_vector(got)} != {cs.format_vector(want)}")
 
 
 def _staircase_redistribution(big):
@@ -385,7 +383,7 @@ def _linear_quot_red(bound):
                     items.append((from_core_quotient(core, m0, m1), Scalar(c)))
             want = cs.vector("linear", pt.size(la) + 2 * d, items)
             got = cs.quot_red(cs.unit("linear", la), (len(core) + 1) % 2, d)
-            yield None if got == want else f"la={_fmt(la)} d={d}"
+            yield None if got == want else f"la={format_partition(la)} d={d}"
 
 
 def run_quot_red(rep, cache_dir):
@@ -440,7 +438,8 @@ def _interm0_stats(eta, theta):
 
 def _stats_str(stats):
     body = "; ".join(
-        f"{_fmt(ze)}:{t[0]},{t[1]},{t[2]}" for ze, t in sorted(stats.items(), reverse=True)
+        f"{format_partition(ze)}:{t[0]},{t[1]},{t[2]}"
+        for ze, t in sorted(stats.items(), reverse=True)
     )
     return f"{len(stats)} terms [{body}]"
 
@@ -453,7 +452,7 @@ def _signed_sum_collapse(r, s):
     for m0, m1 in _bipartitions(_tri(r + 1) + _tri(s - 1)):
         got = cs.interm_signed_sum(bla, (m0, m1))
         want = hit if (m0, m1) == target else 0
-        yield None if got == want else f"({_fmt(m0)};{_fmt(m1)}) -> {got}"
+        yield None if got == want else f"({format_partition(m0)};{format_partition(m1)}) -> {got}"
 
 
 def run_interm(rep, cache_dir):
@@ -465,7 +464,7 @@ def run_interm(rep, cache_dir):
     etas = pt.strict_partitions_upto(rep.max_n)
     rep.tally(f"brute-force B equals its closed form, |eta|,|theta| <= {rep.max_n}",
               (None if cs.b_sum(eta, theta) == cs.b_closed(eta, theta)
-               else f"eta={_fmt(eta)} theta={_fmt(theta)}"
+               else f"eta={format_partition(eta)} theta={format_partition(theta)}"
                for eta in etas for theta in etas))
 
     eta, theta = (7, 6, 2, 1), (6, 5, 3, 1)
@@ -507,7 +506,7 @@ def _tableau_evaluation(al, xs):
     routes = (("Q", sf.schur_q_poly, True), ("P", sf.schur_p_poly, False))
     bad = [name for name, poly, marked in routes
            if sf.evaluate(poly(al), xs) != sf.monomial_schur_q(al, xs, marked)]
-    return bad and f"al={_fmt(al)}: {'/'.join(bad)}"
+    return bad and f"al={format_partition(al)}: {'/'.join(bad)}"
 
 
 def run_symfunc(rep, cache_dir):
@@ -520,7 +519,7 @@ def run_symfunc(rep, cache_dir):
     for n in range(1, min(bound, 10) + 1):
         rep.tally(f"rim-hook recursion vs power-sum transition, n={n}",
                   (None if cv.chi_schur_oracle(la, nu) == cv.chi(la, nu)
-                   else f"la={_fmt(la)} nu={_fmt(nu)}"
+                   else f"la={format_partition(la)} nu={format_partition(nu)}"
                    for la in pt.partitions_of(n) for nu in pt.partitions_of(n)))
 
     xs = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
@@ -542,7 +541,7 @@ def _integral_spin_rows(bound):
         for v in cv.spin_brauer(al):
             plain = v.b == 0 and v.a.denominator == 1
             radical = v.a == 0 and v.b.denominator == 1
-            yield None if plain or radical else f"al={_fmt(al)}: {v}"
+            yield None if plain or radical else f"al={format_partition(al)}: {v}"
 
 
 def run_degrees(rep, cache_dir):
@@ -554,7 +553,7 @@ def run_degrees(rep, cache_dir):
 
     sb31 = cv.spin_brauer((3, 1))
     hits = [
-        _fmt(la)
+        format_partition(la)
         for la in pt.partitions_of(4)
         if cv.proportionality_ratio(sb31, cv.linear_brauer(la)) is not None
     ]
@@ -589,11 +588,13 @@ def _support_is_weight(n):
         for la in pt.partitions_of(n):
             want = pt.k_weight(la, k)
             got = next(w for w in top if cv.chi(la, _cycle_class(k, w, n)) != 0)
-            yield None if want == got else f"la={_fmt(la)} k={k}: weight {want} support {got}"
+            yield None if want == got else (
+                f"la={format_partition(la)} k={k}: weight {want} support {got}")
         for al in pt.strict_partitions_of(n):
             want = pt.bar_weight(al, k)
             got = next(w for w in top if not cv.spin_value(al, _cycle_class(k, w, n)).is_zero())
-            yield None if want == got else f"al={_fmt(al)} k={k}: bar weight {want} support {got}"
+            yield None if want == got else (
+                f"al={format_partition(al)} k={k}: bar weight {want} support {got}")
 
 
 def _pair_consequences(al, la, c, pairs_at):
@@ -624,7 +625,7 @@ def _pair_consequences(al, la, c, pairs_at):
         la2 = pt.remove_all_removable(la, eps)
         if pt.size(al2) != pt.size(la2) or (al2, la2) not in pairs_at(pt.size(al2)):
             errs.append(f"eps={eps} descent")
-    return errs and f"{_fmt(al)}~{_fmt(la)}: " + ",".join(errs)
+    return errs and f"{format_partition(al)}~{format_partition(la)}: " + ",".join(errs)
 
 
 def run_invariants(rep, cache_dir):

@@ -40,9 +40,12 @@ one production route for, by a slower or more literal construction.
 - The operator-layer routes replaced by counting and row-by-row passes: the
   linear node lists as row loops, the k-core from sorted runner lists, the
   2-quotient and its inverse on the frozenset display, the linear swap sign
-  through `swp`, the intermediates as a filtered product, the signed sum
-  over the `interm1` list, and the composites that run a until e_eps^(a)
-  vanishes.
+  through `swp` and the diagram intersection, the intermediates as a
+  filtered product, the vertical-strip intervals read off the rows and the
+  signed count run on them row by row (both replaced by horizontal strips
+  of the conjugates), the signed sum over the `interm1` list, the
+  composites that run a until e_eps^(a) vanishes, and a vector times a
+  Scalar.
 """
 
 import itertools
@@ -62,7 +65,6 @@ from barspin.partitions import (
     check_strict,
     conjugate,
     even_parts,
-    min_parts,
     odd_partitions_of,
     odd_parts,
     partition_from_beta,
@@ -204,11 +206,17 @@ def remove_all_spin_removable_reference(al, eps):
     return out
 
 
+def min_parts(la, mu):
+    """Componentwise minimum; the diagram intersection."""
+    return tuple(filter(None, map(min, la, mu)))
+
+
 def spin_swap_sign_reference(al, eps):
-    """The runner-swap sign of charspace.spin_swap_sign, from the reference
-    nodes: the parity of the nodes outside bswp(al), plus the number of
-    column pairs {d, d+1} (d = 2 eps mod 4, stepping by 4) holding both a
-    removable and an addable eps-node."""
+    """The runner-swap sign of charspace.swap_sign in the spin basis, from
+    the reference nodes by the column-pair rule it replaced: the parity of
+    the nodes outside bswp(al), plus the number of column pairs {d, d+1}
+    (d = 2 eps mod 4, stepping by 4) holding both a removable and an
+    addable eps-node."""
     removed = size(al) - size(min_parts(al, bswp(al, eps)))
     rem_cols = {c for _, c in spin_removable_nodes_reference(al, eps)}
     add_cols = {c for _, c in spin_addable_nodes_reference(al, eps)}
@@ -646,28 +654,28 @@ def scan_reference(n, cache_dir=None):
 # ---------------------------------------------------------------------------
 # the operator-layer routes replaced by counting and row-by-row passes
 
-def removable_nodes_by_rows(la, eps=None, p=2):
+def removable_nodes_by_rows(la, eps, p=2):
     """partitions.removable_nodes as a loop over the rows, one residue call
     per corner."""
     out = []
     for i in range(1, len(la) + 1):
         part = la[i - 1]
         nxt = la[i] if i < len(la) else 0
-        if part > nxt and (eps is None or residue(i, part, p) == eps):
+        if part > nxt and residue(i, part, p) == eps:
             out.append((i, part))
     return out
 
 
-def addable_nodes_by_rows(la, eps=None, p=2):
+def addable_nodes_by_rows(la, eps, p=2):
     """partitions.addable_nodes as a loop over the rows, with the new row
     (len(la) + 1, 1) handled on its own."""
     out = []
     for i in range(1, len(la) + 1):
         part = la[i - 1]
         prev = la[i - 2] if i >= 2 else None
-        if (prev is None or prev > part) and (eps is None or residue(i, part + 1, p) == eps):
+        if (prev is None or prev > part) and residue(i, part + 1, p) == eps:
             out.append((i, part + 1))
-    if eps is None or residue(len(la) + 1, 1, p) == eps:
+    if residue(len(la) + 1, 1, p) == eps:
         out.append((len(la) + 1, 1))
     return out
 
@@ -712,8 +720,8 @@ def from_core_quotient_by_display(core, q0, q1):
 
 
 def linear_swap_sign_by_swp(la, eps):
-    """charspace.linear_swap_sign as the parity of the cells of la outside
-    swp(la, eps)."""
+    """charspace.swap_sign in the linear basis as the parity of the cells
+    of la outside swp(la, eps)."""
     mu = swp(la, eps)
     return -1 if (size(la) - size(min_parts(la, mu))) % 2 else 1
 
@@ -730,15 +738,46 @@ def choices_by_product(bounds, strict=False):
     return out
 
 
-def interm_signed_sum_by_list(bla, bmu):
-    """charspace.interm_signed_sum with component 1 summed over the list
-    interm1 makes; component 0 by the same product over rows."""
+def vertical_bounds(a, b):
+    """Per-row intervals (lo, hi) for the partitions below both a and b by
+    vertical strips, read off the rows themselves: row i is at most
+    min(a_i, b_i) and at least max(a_i - 1, b_i - 1, 0)."""
+    rows = list(itertools.zip_longest(a, b, fillvalue=0))
+    return [(max(x, y, 1) - 1, min(x, y)) for x, y in rows]
+
+
+def _sign_and_component0(bla, bmu):
+    """(-1)^|bmu| times component 0's alternating count, by the product
+    over its rows that charspace.interm_signed_sum uses."""
     sign = -1 if (size(bmu[0]) + size(bmu[1])) % 2 else 1
     for lo, hi in cs._bounds(bla[0], bmu[0]):
         if lo > hi or (hi - lo) % 2:
             return 0
         if lo % 2:
             sign = -sign
+    return sign
+
+
+def interm_signed_sum_by_rows(bla, bmu):
+    """charspace.interm_signed_sum with component 1 counted row by row on
+    vertical_bounds, keyed on the last pick (at most two keys), instead of
+    on the conjugates."""
+    sign = _sign_and_component0(bla, bmu)
+    sigma, tau = bla[1], bmu[1]
+    last = {sigma[0] if sigma else 0: sign}  # no row exceeds sigma's first
+    for lo, hi in vertical_bounds(sigma, tau):
+        nxt = {}
+        for top, count in last.items():
+            for v in range(lo, min(hi, top) + 1):
+                nxt[v] = nxt.get(v, 0) + (-count if v % 2 else count)
+        last = nxt
+    return sum(last.values())
+
+
+def interm_signed_sum_by_list(bla, bmu):
+    """charspace.interm_signed_sum with component 1 summed over the list
+    interm1 makes; component 0 by the same product over rows."""
+    sign = _sign_and_component0(bla, bmu)
     return sign * sum(-1 if size(nu) % 2 else 1 for nu in cs.interm1(bla[1], bmu[1]))
 
 
@@ -781,3 +820,8 @@ def quot_red_by_probes(v, eps, d):
             w = cs.apply_f(cs.apply_f(cs.apply_e(w, ebar, a), ebar, a + d), eps, a + d)
             terms.append((-1 if (a + d) % 2 else 1, w))
     return _summed(v.basis, v.n + 2 * d, terms)
+
+
+def scaled(v, c):
+    """c v for a Scalar c, label by label in Scalar arithmetic."""
+    return cs.vector(v.basis, v.n, [(label, c * x) for label, x in v.coeffs.items()])

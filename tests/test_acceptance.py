@@ -14,6 +14,7 @@ from barspin import classify
 from barspin import verify
 from barspin import partitions as pt
 from barspin.scalars import Scalar, sqrt2_pow
+from oracles import scaled
 
 S = lambda a, b=0: Scalar(a, b)
 
@@ -79,7 +80,7 @@ def test_criterion_04_runner_swap_linear():
     assert rep.max_n == 12
     assert rep.ok, failing(rep)
     got = cs.runner_swap(cs.unit("linear", (6, 3, 1, 1)), 1, -2)
-    assert got == cs.scale(cs.unit("linear", (5, 2, 2)), S(-1))
+    assert got == scaled(cs.unit("linear", (5, 2, 2)), S(-1))
 
 
 def test_criterion_05_runner_swap_spin():
@@ -89,7 +90,7 @@ def test_criterion_05_runner_swap_spin():
     assert rep.max_n == 12
     assert rep.ok, failing(rep)
     got = cs.runner_swap(cs.unit("spin", (6, 3, 2)), 1, -2)
-    assert got == cs.scale(cs.unit("spin", (6, 2, 1)), S(-1))
+    assert got == scaled(cs.unit("spin", (6, 2, 1)), S(-1))
 
 
 def test_criterion_06_quotient_redistribution():
@@ -100,9 +101,9 @@ def test_criterion_06_quotient_redistribution():
     assert rep.max_n == 14
     assert rep.ok, failing(rep)
     got = cs.quot_red(cs.unit("linear", (6, 3)), 1, -1)
-    assert got == cs.scale(cs.unit("linear", (4, 1, 1, 1)), S(-1))
+    assert got == scaled(cs.unit("linear", (4, 1, 1, 1)), S(-1))
     got = cs.quot_red(cs.unit("spin", (4, 3, 2)), 1, -1)
-    assert got == cs.scale(cs.unit("spin", (4, 3)), S(0, -1))
+    assert got == scaled(cs.unit("spin", (4, 3)), S(0, -1))
 
 
 def test_criterion_07_intermediate_combinatorics():
@@ -198,5 +199,5 @@ def test_criterion_12_odd_runner_swap_example():
     rep = suite("runner-swap")
     assert rep.ok, failing(rep)
     got = cs.runner_swap(cs.unit("linear", (9, 8, 5, 1, 1, 1, 1, 1)), 2, 1, p=5)
-    want = cs.scale(cs.unit("linear", (9, 9, 4, 1, 1, 1, 1, 1, 1)), S(-1))
+    want = scaled(cs.unit("linear", (9, 9, 4, 1, 1, 1, 1, 1, 1)), S(-1))
     assert got == want

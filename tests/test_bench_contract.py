@@ -5,7 +5,8 @@ traced benchmark run, so this installs the tracer around a small suite.
 Those names are also the only library functions that library code need not
 call: every other module-level function of barspin is named somewhere in
 barspin outside its own body, so that no test-only route lives in the
-library."""
+library.  And every name a library module imports at module level is
+read in that module, so a deleted route leaves no import behind."""
 
 import ast
 import importlib.util
@@ -109,3 +110,29 @@ def test_library_has_no_test_only_functions():
     tracer = _load_tracer()
     exempt = set(tracer.SPAN_METRICS) | set(tracer.COUNTED)
     assert [name for name in unreferenced_functions() if name not in exempt] == []
+
+
+def unread_imports(library=LIBRARY):
+    """module.name for every name bound by a module-level import of the
+    library that its module never reads; __future__ imports and the names
+    in __all__ are read."""
+    out = []
+    for path in sorted(library.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out += [f"{path.stem}.{name}" for alias in node.names
+                        if (name := alias.asname or alias.name.partition(".")[0]) not in read]
+    return out
+
+
+def test_library_imports_only_what_it_reads():
+    assert unread_imports() == []

@@ -35,10 +35,13 @@ from oracles import (
     add_corner_set,
     choices_by_product,
     interm_signed_sum_by_list,
+    interm_signed_sum_by_rows,
     linear_swap_sign_by_swp,
     quot_red_by_probes,
     remove_corner_set,
     runner_swap_by_probes,
+    scaled,
+    vertical_bounds,
 )
 
 S = lambda a, b=0: Scalar(a, b)
@@ -62,7 +65,7 @@ def inner(v, w):
 
 def test_vector_accumulates_duplicate_labels():
     v = cs.vector("spin", 4, [((3, 1), S(1)), ((3, 1), S(2))])
-    assert v == cs.scale(u("spin", (3, 1)), S(3))
+    assert v == scaled(u("spin", (3, 1)), S(3))
 
 
 def test_vector_validation():
@@ -369,7 +372,7 @@ def test_format_vector_and_signed_unit_read_coeffs_once(monkeypatch):
     assert reads == [v]
     reads.clear()
     assert not verify._signed_unit(v, (9, 1), verify.PM_ONE)
-    w = cs.scale(u("spin", (9, 1)), S(-1))
+    w = cs.vector("spin", 10, [((9, 1), S(-1))])
     assert verify._signed_unit(w, (9, 1), verify.PM_ONE)
     assert reads == [v, w]
 
@@ -378,7 +381,7 @@ def test_linear_swap_sign_matches_the_swap():
     for n in range(15):
         for la in partitions_of(n):
             for eps in (0, 1):
-                assert cs.linear_swap_sign(la, eps) == linear_swap_sign_by_swp(la, eps)
+                assert cs.swap_sign("linear", la, eps) == linear_swap_sign_by_swp(la, eps)
 
 
 def test_spin_move_counts_form_an_interval():
@@ -399,9 +402,9 @@ def test_spin_move_counts_form_an_interval():
 # runner swaps
 
 def test_runner_swap_frozen_spin():
-    assert cs.runner_swap(u("spin", (2,)), 1, -1) == cs.scale(u("spin", (1,)), S(0, -1))
-    assert cs.runner_swap(u("spin", (1,)), 1, 1) == cs.scale(u("spin", (2,)), S(0, 1))
-    assert cs.runner_swap(u("spin", (6, 3, 2)), 1, -2) == cs.scale(
+    assert cs.runner_swap(u("spin", (2,)), 1, -1) == scaled(u("spin", (1,)), S(0, -1))
+    assert cs.runner_swap(u("spin", (1,)), 1, 1) == scaled(u("spin", (2,)), S(0, 1))
+    assert cs.runner_swap(u("spin", (6, 3, 2)), 1, -2) == scaled(
         u("spin", (6, 2, 1)), S(-1)
     )
     assert cs.runner_swap(u("spin", (2,)), 0, 1) == u("spin", (2, 1))
@@ -409,7 +412,7 @@ def test_runner_swap_frozen_spin():
 
 
 def test_runner_swap_frozen_linear():
-    assert cs.runner_swap(u("linear", (6, 3, 1, 1)), 1, -2) == cs.scale(
+    assert cs.runner_swap(u("linear", (6, 3, 1, 1)), 1, -2) == scaled(
         u("linear", (5, 2, 2)), S(-1)
     )
     rt = cs.runner_swap(cs.runner_swap(u("linear", (6, 3, 1, 1)), 1, -2), 1, 2)
@@ -420,10 +423,10 @@ def test_runner_swap_frozen_linear():
 # quotient redistribution
 
 def test_quot_red_frozen():
-    assert cs.quot_red(u("linear", (6, 3)), 1, -1) == cs.scale(
+    assert cs.quot_red(u("linear", (6, 3)), 1, -1) == scaled(
         u("linear", (4, 1, 1, 1)), S(-1)
     )
-    assert cs.quot_red(u("spin", (4, 3, 2)), 1, -1) == cs.scale(
+    assert cs.quot_red(u("spin", (4, 3, 2)), 1, -1) == scaled(
         u("spin", (4, 3)), S(0, -1)
     )
     assert cs.quot_red(u("spin", (9, 1)), 0, -2) == u("spin", (5, 1))
@@ -441,7 +444,7 @@ def test_quot_red_is_linear():
     v = cs.vector("spin", 10, [((9, 1), S(1)), ((5, 4, 1), S(0, 1))])
     got = cs.quot_red(v, 0, -2)
     one = cs.quot_red(u("spin", (9, 1)), 0, -2)
-    two = cs.scale(cs.quot_red(u("spin", (5, 4, 1)), 0, -2), S(0, 1))
+    two = scaled(cs.quot_red(u("spin", (5, 4, 1)), 0, -2), S(0, 1))
     want = cs.vector("spin", 6, [*one.coeffs.items(), *two.coeffs.items()])
     assert got == want
 
@@ -515,13 +518,15 @@ def _bipartitions_upto(m):
 
 def test_interm_components_match_row_by_row_picks():
     """Also against the filtered product of the row intervals, which
-    _choices replaced, for both strip directions."""
+    _choices replaced, for both strip directions, and interm1 against the
+    vertical-strip intervals read off the rows, which the conjugates
+    replaced."""
     labels = [la for n in range(9) for la in partitions_of(n)]
     for a in labels:
         for b in labels:
             assert cs.interm1(a, b) == under_reference(a, b, vertical=True)
-            for vertical in (False, True):
-                bounds = cs._bounds(a, b, vertical)
+            assert cs.interm1(a, b) == cs._choices(vertical_bounds(a, b))
+            for bounds in (cs._bounds(a, b), vertical_bounds(a, b)):
                 assert cs._choices(bounds) == choices_by_product(bounds)
     stricts = strict_partitions_upto(8)
     for a in stricts:
@@ -533,13 +538,15 @@ def test_interm_components_match_row_by_row_picks():
 
 def test_interm_signed_sum_matches_enumeration():
     """Also against the sum over the interm1 list, which the signed count
-    keyed on the last pick replaced."""
+    keyed on the last pick replaced, and against that count, which the
+    product over the conjugates' rows replaced."""
     bips = _bipartitions_upto(6)
     for bla in bips:
         for bmu in bips:
             got = cs.interm_signed_sum(bla, bmu)
             assert got == interm_signed_sum_reference(bla, bmu)
             assert got == interm_signed_sum_by_list(bla, bmu)
+            assert got == interm_signed_sum_by_rows(bla, bmu)
     small = _bipartitions_upto(4)
     for bla in small:
         for bmu in small:
@@ -621,5 +628,5 @@ def test_format_vector():
     assert cs.format_vector(u("spin", (3, 1))) == "<<3,1>>"
     v = cs.vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1))])
     assert cs.format_vector(v) == "2*<<9,1>> + sqrt2*<<5,4,1>>"
-    w = cs.scale(u("linear", (4, 1, 1, 1)), S(-1))
+    w = scaled(u("linear", (4, 1, 1, 1)), S(-1))
     assert cs.format_vector(w) == "-[4,1,1,1]"

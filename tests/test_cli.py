@@ -281,6 +281,26 @@ def test_verify_all_json_matches_the_golden_digest(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
+# sha256 of each operators suite's JSON report past its default bound, made
+# as VERIFY_ALL_SHA256 is
+OPERATOR_REPORT_SHA256 = {
+    ("runner-swap", 16): "628e9216a1dde9e4673e53829c1a34f40f2749b6a647e0647874f09f0fe311e6",
+    ("runner-swap-spin", 18): "07e61202b328fcf03ee946e2e3439c5d7d420e87fb10dd2c0cdff8439217cebf",
+    ("quot-red", 18): "63c6acc24963c3efc84338d494ef864227acedce8249bab341a22eb93326de19",
+    ("interm", 12): "6b9bebab94b124c7b3ee5ea031d884c4bfd5de2fbdde0fb0ee593eba26562652",
+}
+
+
+@pytest.mark.parametrize(("suite", "max_n"), sorted(OPERATOR_REPORT_SHA256))
+def test_operator_reports_match_the_golden_digests(suite, max_n):
+    """The operators suites past their default bounds, every case's text
+    included, are the same as when the digests were recorded."""
+    rep = verify.run_suite(suite, max_n)
+    assert rep.ok
+    text = json.dumps(_without_millis(rep.to_dict()), sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_REPORT_SHA256[suite, max_n]
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
