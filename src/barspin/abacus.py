@@ -1,19 +1,14 @@
-"""Abacus displays: beta-numbers laid out on runners.
+"""Two-runner abacus displays: beta-numbers laid out on runners 0 and 1.
 
-A display with p runners and r beads places a bead at position b for each
-beta-number b; position b sits on runner b mod p at slot b div p.  Slot 0 is
-the top row.  Adding one bead at 0 and shifting every other bead up by one
-keeps the partition; on two runners it swaps the runners.
-
-On two runners a bead's runner is its parity and its slot its half
-(James-Kerber 1981, 2.7); the 2-quotient, its inverse and the runner swap
-read both off the bead, and count a 2-core's beads, which fill each
-runner from the top.
+With r beads, position b holds a bead for each beta-number b; it sits on
+runner b mod 2 (its parity) at slot b div 2 (its half), slot 0 the top row
+(James-Kerber 1981, 2.7).  Adding one bead at 0 and shifting every other
+bead up by one keeps the partition and swaps the runners.  The 2-quotient,
+its inverse and the runner swap read runner and slot off each bead, and
+count a 2-core's beads, which fill each runner from the top.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from barspin.partitions import (
     beta_numbers,
@@ -24,29 +19,14 @@ from barspin.partitions import (
 )
 
 
-@dataclass(frozen=True)
-class AbacusDisplay:
-    runner_count: int
-    beads: frozenset
-
-
-def display(la, p=2, r=None):
+def pretty(la):
+    """ASCII picture of the canonical display of la, one slot per line,
+    'X' bead / '-' gap."""
     check_partition(la)
-    if r is None:
-        r = len(la)
-    return AbacusDisplay(p, frozenset(beta_numbers(la, r)))
-
-
-def pretty(d):
-    """ASCII picture, one slot per line, 'X' bead / '-' gap."""
-    top = max(d.beads, default=-1) // d.runner_count
-    lines = ["runners " + " ".join(str(j) for j in range(d.runner_count))]
-    for slot in range(top + 1):
-        row = " ".join(
-            "X" if slot * d.runner_count + j in d.beads else "-"
-            for j in range(d.runner_count)
-        )
-        lines.append("        " + row)
+    beads = set(beta_numbers(la, canonical_bead_count(la)))
+    lines = ["runners 0 1"]
+    for slot in range(max(beads, default=-1) // 2 + 1):
+        lines.append("        " + " ".join("X" if 2 * slot + j in beads else "-" for j in (0, 1)))
     return "\n".join(lines)
 
 

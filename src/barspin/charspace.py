@@ -43,9 +43,9 @@ from barspin.partitions import (
     conjugate,
     format_partition,
     removable_nodes,
+    remove_all_spin_removable,
     size,
     spin_additions,
-    spin_removable_nodes,
     spin_removals,
     union_parts,
 )
@@ -174,7 +174,7 @@ def _removable_count(basis, label, eps, p=2):
     """m, the number of removable eps-nodes of one label."""
     if basis == "linear":
         return len(removable_nodes(label, eps, p))
-    return len(spin_removable_nodes(label, eps))
+    return size(label) - size(remove_all_spin_removable(label, eps))
 
 
 def _signed(w, sign):

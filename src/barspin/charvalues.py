@@ -92,7 +92,7 @@ from barspin.partitions import (
     strict_partitions_of,
 )
 from barspin.scalars import Scalar, mul_sqrt2_pow
-from barspin.symfunc import _bar_kernel, p_in_P_coefficient, schur_poly
+from barspin.symfunc import _bar_kernel, p_in_P_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +158,6 @@ def _degree(mask):
 def specht_degree(la):
     check_partition(la)
     return _degree(beta_mask(la))
-
-
-def chi_schur_oracle(la, nu):
-    """chi^la(nu) as the z_nu-scaled p_nu coefficient of s_la; independent
-    of the rim-hook recursion."""
-    c = schur_poly(la).get(tuple(nu), 0)
-    assert type(c) is int
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ class FsasDecomposition:
     s: int
 
     def rebuild(self):
-        evens = scale_parts(sum_parts(staircase(self.r), staircase(self.s)), 2)
-        return union_parts(bar_staircase(self.a), evens)
+        return rock_label(self.a, (), sum_parts(staircase(self.r), staircase(self.s)))
 
     def linear_labels(self):
         """The partition with 2-core delta_a and 2-quotient (delta_s,
@@ -109,3 +108,9 @@ def spin_rock_decompose(al):
     eta = tuple(p // 2 for p in even_parts(al))
     return b, sigma, eta
 
+
+def rock_label(b, sigma, eta):
+    """(bar_staircase(b) + 4*sigma) U 2*eta, the inverse of
+    spin_rock_decompose.  A sigma longer than bar_staircase(b) adds its
+    extra parts times 4 as even parts; callers check the label is strict."""
+    return union_parts(sum_parts(bar_staircase(b), scale_parts(sigma, 4)), scale_parts(eta, 2))

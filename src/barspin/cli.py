@@ -80,7 +80,7 @@ def _info_partition(la):
         f"content: {counts[0]} nodes of residue 0, {counts[1]} of residue 1",
         f"2-regular form: {format_partition(pt.regularize2(la))}",
         "abacus:",
-        abacus.pretty(abacus.display(la, 2, abacus.canonical_bead_count(la))),
+        abacus.pretty(la),
     ]
     return "\n".join(lines)
 

@@ -77,9 +77,10 @@ def size(la):
 
 
 def conjugate(la):
-    if not la:
-        return ()
-    return tuple(sum(1 for p in la if p >= c) for c in range(1, la[0] + 1))
+    """One pass up the rows: the conjugate has la_i - la_(i+1) parts equal
+    to i."""
+    rows = (*la, 0)
+    return tuple(i for i in range(len(la), 0, -1) for _ in range(rows[i - 1] - rows[i]))
 
 
 def cells(la):
@@ -495,22 +496,10 @@ def _largest_addition(al, eps):
     return rows
 
 
-def spin_removable_nodes(al, eps):
-    """Nodes shed by at least one legal residue-eps removal: the cells of
-    the largest one."""
-    return {(i, c) for i, (old, new) in enumerate(zip(al, _largest_removal(al, eps)), 1)
-            for c in range(new + 1, old + 1)}
-
-
-def spin_addable_nodes(al, eps):
-    """Nodes grown by at least one legal residue-eps addition: the cells of
-    the largest one."""
-    return {(i, c) for i, (old, new) in enumerate(zip(al + (0,), _largest_addition(al, eps)), 1)
-            for c in range(old + 1, new + 1)}
-
-
 def spin_n_eps(al, eps):
-    return len(spin_addable_nodes(al, eps)) - len(spin_removable_nodes(al, eps))
+    """Spin-addable minus spin-removable eps-nodes: the cells the largest
+    addition grows minus the cells the largest removal sheds."""
+    return sum(_largest_addition(al, eps)) + sum(_largest_removal(al, eps)) - 2 * size(al)
 
 
 def remove_all_spin_removable(al, eps):

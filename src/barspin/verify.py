@@ -243,13 +243,12 @@ def _bar_staircase_transport(big):
     for a in range(math.isqrt(2 * big) + 1):
         base = pt.size(pt.bar_staircase(a))
         for eta in pt.strict_partitions_upto((big - base) // 2):
-            pad = pt.scale_parts(eta, 2)
-            u = cs.unit("spin", pt.union_parts(pt.bar_staircase(a), pad))
-            up = pt.union_parts(pt.bar_staircase(a + 1), pad)
+            u = cs.unit("spin", classify.rock_label(a, (), eta))
+            up = classify.rock_label(a + 1, (), eta)
             ok = _signed_unit(cs.runner_swap(u, a % 2, a + 1), up, PM_ONE)
             yield None if ok else f"up a={a} eta={format_partition(eta)}"
             if a >= 1:
-                down = pt.union_parts(pt.bar_staircase(a - 1), pad)
+                down = classify.rock_label(a - 1, (), eta)
                 ok = _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a), down, PM_ONE)
                 yield None if ok else f"down a={a} eta={format_partition(eta)}"
 
@@ -257,13 +256,14 @@ def _bar_staircase_transport(big):
 def _spin_swap_range(al, eps):
     u = cs.unit("spin", al)
     ne = pt.spin_n_eps(al, eps)
-    r = len(pt.spin_removable_nodes(al, eps))
+    low = pt.remove_all_spin_removable(al, eps)
+    r = pt.size(al) - pt.size(low)
     bottom = cs.runner_swap(u, eps, -r)
     if not cs.runner_swap(u, eps, ne + 1).is_zero():
         return f"{format_partition(al)} eps={eps} c={ne + 1} not 0"
     if not cs.runner_swap(u, eps, -r - 1).is_zero():
         return f"{format_partition(al)} eps={eps} c={-r - 1} not 0"
-    if set(bottom.pairs) != {pt.remove_all_spin_removable(al, eps)}:
+    if set(bottom.pairs) != {low}:
         return f"{format_partition(al)} eps={eps} c={-r}"
 
 
@@ -302,21 +302,19 @@ def _rock_expected(b, sigma, eta, d):
     equal d when |tau| differs from |sigma|; collapsing the sum to the
     single stratum |tau| = |sigma| drops real terms (visible already for
     (9,1) with d = -2 and for (1) with d = 2)."""
-    gamma = pt.bar_staircase(b)
     w = 2 * pt.size(sigma) + pt.size(eta)
-    n2 = pt.size(gamma) + 2 * (w + d)
+    n2 = pt.size(pt.bar_staircase(b)) + 2 * (w + d)
     items = []
     for k in range(0, max(w + d, 0) // 2 + 1):
         for tau in pt.partitions_of(k):
             count = len(cs.interm1(sigma, tau))
             if count == 0:
                 continue
-            body = pt.sum_parts(gamma, pt.scale_parts(tau, 4))
             for theta in pt.strict_partitions_of(w + d - 2 * k):
                 coeff = cs.b_closed(eta, theta)
                 if coeff.is_zero():
                     continue
-                label = pt.union_parts(body, pt.scale_parts(theta, 2))
+                label = classify.rock_label(b, tau, theta)
                 if not pt.is_strict(label):
                     continue
                 items.append((label, Scalar(count) * coeff))
@@ -358,10 +356,8 @@ def _staircase_redistribution(big):
                 mu = from_core_quotient(st(a), st(r + 1), st(s - 1))
                 ok = _signed_unit(cs.quot_red(cs.unit("linear", la), eps, d), mu, PM_ONE)
                 yield None if ok else f"linear a={a} r={r} s={s}"
-                al = pt.union_parts(
-                    pt.bar_staircase(a), pt.scale_parts(pt.sum_parts(st(r), st(s)), 2))
-                be = pt.union_parts(
-                    pt.bar_staircase(a), pt.scale_parts(pt.sum_parts(st(r + 1), st(s - 1)), 2))
+                al = classify.FsasDecomposition(a, r, s).rebuild()
+                be = classify.FsasDecomposition(a, r + 1, s - 1).rebuild()
                 spin_mult = PM_ONE if d == 0 else PM_SQRT2
                 ok = _signed_unit(cs.quot_red(cs.unit("spin", al), eps, d), be, spin_mult)
                 yield None if ok else f"spin a={a} r={r} s={s}"
@@ -518,7 +514,7 @@ def run_symfunc(rep, cache_dir):
 
     for n in range(1, min(bound, 10) + 1):
         rep.tally(f"rim-hook recursion vs power-sum transition, n={n}",
-                  (None if cv.chi_schur_oracle(la, nu) == cv.chi(la, nu)
+                  (None if sf.schur_poly(la).get(nu, 0) == cv.chi(la, nu)
                    else f"la={format_partition(la)} nu={format_partition(nu)}"
                    for la in pt.partitions_of(n) for nu in pt.partitions_of(n)))
 

@@ -6,11 +6,12 @@ one production route for, by a slower or more literal construction.
 - Corner helpers that validate every node they move, used by the operator
   tests to apply linear moves node by node.
 - Partitions, strict partitions and partitions into odd parts as a set of
-  part multisets, with no order rule.
+  part multisets, with no order rule, and the conjugate by counting the
+  rows that reach each column.
 - The spin moves by brute force over every strict label of the right size.
 - The spin-removable and spin-addable nodes as the union of the cells moved
   by every legal move, over every count, and what the library reads off
-  those nodes (the full removal and the runner-swap sign).
+  those nodes (their counts, the full removal and the runner-swap sign).
 - The strict-label parsers that `classify.spin_rock_decompose` replaced:
   the index of a bar staircase, FSAS read off the halved even parts, and
   the RoCK decomposition that checks each difference from the bar
@@ -39,7 +40,7 @@ one production route for, by a slower or more literal construction.
   sums of the linear key summed cell by cell.
 - The operator-layer routes replaced by counting and row-by-row passes: the
   linear node lists as row loops, the k-core from sorted runner lists, the
-  2-quotient and its inverse on the frozenset display, the linear swap sign
+  2-quotient and its inverse on the display's bead set, the linear swap sign
   through `swp` and the diagram intersection, the intermediates as a
   filtered product, the vertical-strip intervals read off the rows and the
   signed count run on them row by row (both replaced by horizontal strips
@@ -55,7 +56,7 @@ from functools import lru_cache
 from operator import ge, gt
 
 from barspin import charspace as cs, charvalues as cv
-from barspin.abacus import bswp, canonical_bead_count, display, swp
+from barspin.abacus import bswp, canonical_bead_count, swp
 from barspin.classify import FsasDecomposition
 from barspin.partitions import (
     bar_staircase,
@@ -133,6 +134,12 @@ def partition_set(n):
         return frozenset({()})
     return frozenset(tuple(sorted(rest + (k,), reverse=True))
                      for k in range(1, n + 1) for rest in partition_set(n - k))
+
+
+def conjugate_by_columns(la):
+    """partitions.conjugate by the column-count rule: part c of the
+    conjugate counts the rows of la that reach column c."""
+    return tuple(sum(1 for p in la if p >= c) for c in range(1, (la[0] if la else 0) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -688,32 +695,33 @@ def k_core_by_runners(la, k):
     return partition_from_beta([i * k + j for j in range(k) for i in range(len(runners[j]))])
 
 
-def _runner_slots(d, eps):
-    """The slots of the beads on runner eps of a display, top first."""
-    return sorted((b - eps) // d.runner_count for b in d.beads if b % d.runner_count == eps)
+def _runner_slots(beads, eps):
+    """The slots of the beads on runner eps of a two-runner display, top
+    first."""
+    return sorted((b - eps) // 2 for b in beads if b % 2 == eps)
 
 
 def two_quotient_by_display(la):
-    """abacus.two_quotient read off the frozenset display: runner eps's
-    slots, minus their ranks, sorted into q_eps."""
-    d = display(la, 2, canonical_bead_count(la))
+    """abacus.two_quotient read off the bead set of the canonical display:
+    runner eps's slots, minus their ranks, sorted into q_eps."""
+    beads = set(beta_numbers(la, canonical_bead_count(la)))
     quots = []
     for eps in (0, 1):
-        parts = [s - i for i, s in enumerate(_runner_slots(d, eps))]
+        parts = [s - i for i, s in enumerate(_runner_slots(beads, eps))]
         quots.append(tuple(p for p in sorted(parts, reverse=True) if p))
     return k_core_by_runners(la, 2), (quots[0], quots[1])
 
 
 def from_core_quotient_by_display(core, q0, q1):
-    """abacus.from_core_quotient on the frozenset display of the core: the
-    i-th slot of runner eps, top first, moves down by the i-th smallest
-    part of q_eps (zeros first)."""
+    """abacus.from_core_quotient on the bead set of the core: the i-th slot
+    of runner eps, top first, moves down by the i-th smallest part of q_eps
+    (zeros first)."""
     if k_core_by_runners(core, 2) != core:
         raise ValueError(f"{core} is not a 2-core")
-    d = display(core, 2, len(core) + 2 * max(len(q0), len(q1)))
+    core_beads = set(beta_numbers(core, len(core) + 2 * max(len(q0), len(q1))))
     beads = []
     for eps, q in ((0, q0), (1, q1)):
-        slots = _runner_slots(d, eps)
+        slots = _runner_slots(core_beads, eps)
         grown = [0] * (len(slots) - len(q)) + sorted(q)
         beads.extend((i + grown[i]) * 2 + eps for i in range(len(slots)))
     return partition_from_beta(beads)

@@ -15,12 +15,12 @@ strict_st = st.builds(
 
 
 def test_display_and_pretty():
-    d = abacus.display((3, 1), 2, 4)
-    assert d.runner_count == 2
-    assert d.beads == frozenset(pt.beta_numbers((3, 1), 4))
-    out = abacus.pretty(d)
-    assert out.splitlines()[0] == "runners 0 1"
-    assert all(set(line.split()) <= {"X", "-"} for line in out.splitlines()[1:])
+    """(3,1) has 2-core () and so two beads, at 4 and 1: slot 0 holds the
+    bead on runner 1, slot 2 the one on runner 0."""
+    assert abacus.canonical_bead_count((3, 1)) == 2
+    assert abacus.pretty((3, 1)).splitlines() == [
+        "runners 0 1", "        - X", "        - -", "        X -"]
+    assert abacus.pretty(()) == "runners 0 1"
 
 
 def test_two_quotient_examples():

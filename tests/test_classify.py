@@ -168,6 +168,32 @@ def test_spin_rock_decompose_rebuild():
             assert union_parts(body, scale_parts(eta, 2)) == al
 
 
+def test_rock_label_inverts_spin_rock_decompose():
+    """rock_label rebuilds every semicongruent strict label with n <= 30
+    from its decomposition, and decomposing rock_label(b, sigma, eta) gives
+    back each triple of size <= 30 with sigma no longer than
+    bar_staircase(b) and eta strict; the two sets have one size."""
+    labels = 0
+    for n in range(31):
+        for al in strict_partitions_of(n):
+            dec = cl.spin_rock_decompose(al)
+            if dec is not None:
+                assert cl.rock_label(*dec) == al
+                labels += 1
+    triples = 0
+    for b in range(8):
+        core = size(bar_staircase(b))
+        for k in range((30 - core) // 4 + 1):
+            for sigma in partitions_of(k):
+                if len(sigma) > len(bar_staircase(b)):
+                    continue
+                for m in range((30 - core - 4 * k) // 2 + 1):
+                    for eta in strict_partitions_of(m):
+                        assert cl.spin_rock_decompose(cl.rock_label(b, sigma, eta)) == (b, sigma, eta)
+                        triples += 1
+    assert triples == labels
+
+
 def test_decompositions_match_the_parsers_they_replaced():
     """fsas_decompose and spin_rock_decompose against the halved-evens
     parser and the RoCK parser that checks every difference, None

@@ -6,6 +6,7 @@ the operator tests.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -179,6 +180,39 @@ def test_apply_bad_eps_is_usage_error(capsys):
     code, _, err = run(capsys, "apply", "e", "--eps", "2", "--basis", "linear", "2,1")
     assert code == 2
     assert "error: --eps must be 0 or 1" in err
+
+
+# ---------------------------------------------------------------------------
+# README
+
+def readme_examples():
+    """(argv, expected lines) for each `$ barspin info|value|apply` line in
+    README; the expected lines run to the next `$` line or the end of the
+    code block."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        argv = line.split()[2:]
+        if line.startswith("$ barspin ") and argv[0] in ("info", "value", "apply"):
+            want = itertools.takewhile(lambda w: not w.startswith(("$", "```")), lines[i + 1:])
+            out.append((argv, list(want)))
+    return out
+
+
+def test_readme_examples_match_the_cli(capsys):
+    """Each example prints its lines exactly; a `...` line stands for the
+    lines it elides, so the shown ones keep their order, first and last."""
+    examples = readme_examples()
+    assert len(examples) == 5
+    for argv, want in examples:
+        code, out, _ = run(capsys, *argv)
+        got = out.splitlines()
+        assert code == 0, argv
+        shown = [w for w in want if w != "..."]
+        rest = iter(got)
+        assert all(w in rest for w in shown), argv
+        assert (got[0], got[-1]) == (want[0], want[-1]), argv
+        assert len(got) == len(want) or "..." in want, argv
 
 
 # ---------------------------------------------------------------------------

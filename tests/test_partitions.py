@@ -7,6 +7,7 @@ from oracles import (
     bar_core_by_bars,
     bar_staircase_index,
     bars,
+    conjugate_by_columns,
     four_bar_core_by_moves,
     k_core_by_runners,
     partition_set,
@@ -61,6 +62,12 @@ def test_bool_parts_are_rejected():
 def test_conjugate():
     assert pt.conjugate((4, 2, 1)) == (3, 2, 1, 1)
     assert pt.conjugate(()) == ()
+
+
+def test_conjugate_matches_the_column_counts():
+    for n in range(21):
+        for la in pt.partitions_of(n):
+            assert pt.conjugate(la) == conjugate_by_columns(la)
 
 
 @given(partition_st)
@@ -128,22 +135,24 @@ def test_spin_content_matches_double():
 
 
 def test_spin_nodes():
-    assert pt.spin_removable_nodes((7, 5, 4, 1), 0) == {(2, 5), (3, 4), (4, 1)}
-    assert pt.spin_addable_nodes((7, 5, 4, 1), 0) == {(1, 8), (1, 9)}
+    assert spin_removable_nodes_reference((7, 5, 4, 1), 0) == {(2, 5), (3, 4), (4, 1)}
+    assert spin_addable_nodes_reference((7, 5, 4, 1), 0) == {(1, 8), (1, 9)}
+    assert pt.spin_n_eps((7, 5, 4, 1), 0) == -1
+    assert cs._removable_count("spin", (7, 5, 4, 1), 0) == 3
     assert pt.spin_n_eps((6, 3, 2), 1) == -2
 
 
 def test_spin_nodes_match_the_union_over_every_move():
-    """The greedy largest move against the union of the cells of every
-    legal move, and what the library reads off those nodes."""
+    """The counts read off the greedy largest moves against the union of
+    the cells of every legal move, and what the library reads off those
+    nodes."""
     for n in range(0, 21):
         for al in pt.strict_partitions_of(n):
             for eps in (0, 1):
                 rem = spin_removable_nodes_reference(al, eps)
                 add = spin_addable_nodes_reference(al, eps)
-                assert pt.spin_removable_nodes(al, eps) == rem
-                assert pt.spin_addable_nodes(al, eps) == add
                 assert pt.spin_n_eps(al, eps) == len(add) - len(rem)
+                assert cs._removable_count("spin", al, eps) == len(rem)
                 assert pt.remove_all_spin_removable(al, eps) == remove_all_spin_removable_reference(al, eps)
                 assert cs.swap_sign("spin", al, eps) == spin_swap_sign_reference(al, eps)
 
