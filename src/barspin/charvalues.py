@@ -36,7 +36,11 @@ every class, so it compares those normalized values one class at a time,
 the classes closest to (1^n) first, and drops a pair at the first class
 where they differ.  A pair that agrees everywhere is proportional with
 ratio spin degree over linear degree.  The spin degree is read once per
-label.
+label.  The comparison runs on plain ints: la's value over its degree D
+is chi/D, alpha's is sign * X / (X_alpha * 2^((n - len(nu))/2)), and both
+denominators are positive, so the two agree exactly when the
+cross-products do.  Per class, the scan fixes once the memo-key prefix
+that every label's mask is or-ed into, the Gauss sign and the shift.
 
 A conjugate pair of partitions is compared once.  chi^{la'} = sgn chi^la
 (James-Kerber 1981, 2.1.8), and sgn is 1 on a class of odd parts, so la
@@ -64,6 +68,18 @@ recursions for every label with n <= 24.  The keys only prune: every pair
 that survives the other classes is still compared on these two through
 the recursions, two values per pair, so every reported pair has been
 checked on every class.
+
+Cold, the scan reads no list of all partitions of n.  It walks them depth
+first, row by row in descending lexicographic order, carrying the
+content power sums, and builds a partition only when its key hits.  Two
+exact prunes cut the walk.  One is la_1 >= len(la), which every partition
+not below its conjugate meets.  The other is on p2, which the first key
+entry fixes: a branch is cut when no key's p2 lies between the least and
+the most p2 that the rows still to come can add, read from a memo over
+(row index, cells left, largest row allowed, rows left) that lives for
+one scan.  At n = 44 a loop over every partition reads 75,175 of them for
+22 hits; the walk makes 40,694 calls and builds the 11 hits not below
+their conjugates.
 """
 
 from __future__ import annotations
@@ -72,6 +88,7 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -173,15 +190,6 @@ def _spin_value(al, nu):
     The public entries check al and nu, so it reads the bar kernel directly."""
     x = _gauss_sign(nu) * _bar_kernel(memo_key(nu, part_mask(al)))
     return Scalar(*mul_sqrt2_pow(x, 0, len(nu) - len(al)))
-
-
-def _spin_ratio(al, nu, degree):
-    """Spin character value of al on the odd class nu divided by the
-    degree, an integer Fraction; degree is X^al at (1^n), the P-coefficient
-    that the degree of al is a power of sqrt2 times.  The scan calls it
-    once per candidate and class, so it reads the bar kernel directly."""
-    return Fraction(_gauss_sign(nu) * _bar_kernel(memo_key(nu, part_mask(al))),
-                    degree << (size(al) - len(nu)) // 2)
 
 
 def spin_degree(al):
@@ -343,33 +351,37 @@ def _closed_key(n, k3, k5):
     return (k3, k5) if n >= 5 else (k3,) if n >= 3 else ()
 
 
-def _linear_key(la):
-    """60*|C|*chi/degree of the partition la on (3,1^{n-3}) and on
-    (5,1^{n-5}), from the power sums p_k of its cell contents c = j - i.
+def _row_sums(i, row):
+    """(p1, p2, p4) of row i (from 0) of a partition: the sums of c, c^2 and
+    c^4 over its contents c = -i .. row - i - 1.
 
-    Row i holds the contents -i .. row - i - 1.  With F_k(x) the sum of c^k
-    over 0 <= c < x, a polynomial in x (Faulhaber), the row adds
-    F_k(row - i) - F_k(-i).  With t = x(x - 1) and u = t(2x - 1),
-    F_1 = t/2, F_2 = u/6 and F_4 = u(3t - 1)/30; the F_k(-i) summed over
-    the r rows are r(r^2 - 1)/6, -r^2(r^2 - 1)/12 and
-    -r^2(r^2 - 1)(2r^2 - 3)/60."""
-    n = s1 = s2 = s4 = 0
-    for i, row in enumerate(la):
-        n += row
-        x = row - i
-        t = x * x - x
-        u = t * (2 * x - 1)
-        s1 += t
-        s2 += u
-        s4 += u * (3 * t - 1)
-    r = len(la)
-    v = r * (r * r - 1)
-    p1 = (3 * s1 - v) // 6
-    p2 = (2 * s2 + r * v) // 12
-    p4 = (2 * s4 + r * v * (2 * r * r - 3)) // 60
+    With F_k(x) the sum of c^k over 0 <= c < x, a polynomial in x
+    (Faulhaber), the row holds F_k(row - i) - F_k(-i).  With t = x(x - 1)
+    and u = t(2x - 1), F_1 = t/2, F_2 = u/6 and F_4 = u(3t - 1)/30."""
+    x, y = row - i, -i
+    t, s = x * x - x, y * y - y
+    u, v = t * (2 * x - 1), s * (2 * y - 1)
+    return (t - s) // 2, (u - v) // 6, (u * (3 * t - 1) - v * (3 * s - 1)) // 30
+
+
+def _content_key(n, p1, p2, p4):
+    """60*|C|*chi/degree of a partition of n on (3,1^{n-3}) and on
+    (5,1^{n-5}), from the power sums p_k of its cell contents."""
     return _closed_key(n, 60 * p2 - 30 * n * (n - 1),
                        60 * (p4 - 2 * p1 * p1 - (3 * n - 10) * p2)
                        + 10 * n * (n - 1) * (5 * n - 19))
+
+
+def _linear_key(la):
+    """The key of the partition la, from its content power sums summed row
+    by row."""
+    p1 = p2 = p4 = 0
+    for i, row in enumerate(la):
+        q1, q2, q4 = _row_sums(i, row)
+        p1 += q1
+        p2 += q2
+        p4 += q4
+    return _content_key(sum(la), p1, p2, p4)
 
 
 def _spin_key(al):
@@ -385,6 +397,80 @@ def _spin_key(al):
                        -3 * P5 + (30 * n - 55) * P3 - 50 * n ** 3 + 150 * n * n - 72 * n)
 
 
+def _spin_groups(labels):
+    """{key: the strict labels with that key}, in the order of labels."""
+    groups = {}
+    for al in labels:
+        groups.setdefault(_spin_key(al), []).append(al)
+    return groups
+
+
+def _key_hits(n, groups):
+    """(la, conjugate(la), groups[key of la]) for every partition la of n
+    whose key is in groups and that is not below its conjugate, in
+    descending lexicographic order.
+
+    The walk and its two prunes are described in the module docstring.
+    conjugate(la) <= la needs la_1 >= len(la), so at most la_1 rows are
+    placed.  The first key entry is 60 p2 - 30 n(n - 1), so each key names
+    a p2; keys with no entry (n < 3) name none, and then only the row-count
+    prune runs."""
+    if () in groups:
+        targets = None
+    else:
+        base = 30 * n * (n - 1)
+        targets = sorted({(k[0] + base) // 60 for k in groups if (k[0] + base) % 60 == 0})
+    spans = {}
+
+    def span(i, m, a, left):
+        """(least, most) p2 of rows i, i + 1, ... holding m cells in at most
+        `left` rows of at most a cells; the callers keep m <= a * left."""
+        if not m:
+            return 0, 0
+        # m cells fill no row past m cells and no more than m rows
+        key = (i, m, min(a, m), min(left, m))
+        got = spans.get(key)
+        if got is None:
+            los, his = [], []
+            for b in range(min(a, m), -(-m // left) - 1, -1):
+                q2 = _row_sums(i, b)[1]
+                lo, hi = span(i + 1, m - b, b, left - 1)
+                los.append(q2 + lo)
+                his.append(q2 + hi)
+            got = spans[key] = min(los), max(his)
+        return got
+
+    rows = [0] * n
+    hits = []
+
+    def walk(i, m, a, left, p1, p2, p4):
+        """Place row i with m cells left, at most a cells in it and at most
+        `left` rows from it on; row 0 sets `left`."""
+        if not m:
+            cands = groups.get(_content_key(n, p1, p2, p4))
+            if cands:
+                la = tuple(rows[:i])
+                conj = conjugate(la)
+                if conj <= la:
+                    hits.append((la, conj, cands))
+            return
+        # the rows below hold the other m - b cells: at most b - 1 rows
+        # under row 0, so b * b >= m, and `left` - 1 rows later on
+        for b in range(min(a, m), (math.isqrt(m - 1) if i == 0 else -(-m // left) - 1), -1):
+            q1, q2, q4 = _row_sums(i, b)
+            after = (b if i == 0 else left) - 1
+            if targets is not None:
+                lo, hi = span(i + 1, m - b, b, after)
+                j = bisect_left(targets, p2 + q2 + lo)
+                if j == len(targets) or targets[j] > p2 + q2 + hi:
+                    continue
+            rows[i] = b
+            walk(i + 1, m - b, b, after, p1 + q1, p2 + q2, p4 + q4)
+
+    walk(0, n, n, n, 0, 0, 0)
+    return hits
+
+
 def scan(n, cache_dir=None):
     """All (alpha, lambda, ratio) with the spin Brauer vector of alpha a
     scalar multiple of the linear Brauer vector of lambda, sorted.
@@ -398,8 +484,16 @@ def scan(n, cache_dir=None):
     and dropped as soon as a value differs.  Of each conjugate pair of
     partitions only the lexicographically greater is compared, and its
     surviving labels and ratios are emitted for the other too (see the
-    module docstring).  With cache_dir the values are read from the
-    cached tables instead."""
+    module docstring).
+
+    Cold, the partitions come from a depth-first walk that cuts a branch
+    when its first row is shorter than its row count, or when no key's p2
+    lies in the range the remaining rows can reach.  The values compare as
+    ints: alpha survives class nu when chi * (X_alpha << shift) ==
+    sign * X * D, with chi/D la's value over its degree and
+    sign * X / (X_alpha << shift) alpha's, shift = (n - len(nu))/2.  With
+    cache_dir the values are read from the cached tables instead, as
+    Fractions."""
     check_size(n)
     classes = odd_partitions_of(n)
     keyed = {(k,) + (1,) * (n - k) for k in (3, 5) if n >= k}
@@ -408,42 +502,54 @@ def scan(n, cache_dir=None):
     cols = sorted(range(len(classes) - 1),
                   key=lambda i: (classes[i] in keyed, n - len(classes[i])))
     if cache_dir is None:
+        spin_labels = strict_partitions_of(n)
+        groups = _spin_groups(spin_labels)
+        hits = _key_hits(n, groups)
         one = classes[-1]
-        lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
         degree = {al: p_in_P_coefficient(al, one) for al in spin_labels}
+        # per class: its memo key prefix (a label's key is prefix | mask),
+        # its Gauss sign and its power of sqrt2
+        fronts = [(memo_key(classes[i], 0), _gauss_sign(classes[i]),
+                   (n - len(classes[i])) // 2) for i in cols]
 
-        def lin_row(la):
-            """la's values over its degree, by class index, on one beta_mask."""
+        def survivors(la, cands):
             mask = beta_mask(la)
-            return lambda i: Fraction(_chi_kernel(memo_key(classes[i], mask)), _degree(mask))
+            d = _degree(mask)
+            cands = [(al, part_mask(al), degree[al]) for al in cands]
+            for prefix, sign, shift in fronts:
+                chi_i = _chi_kernel(prefix | mask)
+                cands = [c for c in cands
+                         if chi_i * (c[2] << shift) == sign * _bar_kernel(prefix | c[1]) * d]
+                if not cands:
+                    break
+            return [c[0] for c in cands]
 
-        spin_at = lambda al, i: _spin_ratio(al, classes[i], degree[al])
         ratio = lambda al, la: spin_degree(al) / specht_degree(la)
     else:
         lin, spn = load_or_build_tables(n, cache_dir)
-        lin_labels, spin_labels = lin, spn
-        lin_row = lambda la: lambda i: _table_ratio(lin[la], i)
-        spin_at = lambda al, i: _table_ratio(spn[al], i)
+        groups = _spin_groups(spn)
+        hits = []
+        for la in lin:
+            cands = groups.get(_linear_key(la))
+            if cands:
+                conj = conjugate(la)
+                if conj <= la:
+                    hits.append((la, conj, cands))
+
+        def survivors(la, cands):
+            row = lin[la]
+            for i in cols:
+                v = _table_ratio(row, i)
+                cands = [al for al in cands if _table_ratio(spn[al], i) == v]
+                if not cands:
+                    break
+            return cands
+
         ratio = lambda al, la: spn[al][-1] / lin[la][-1]
 
-    groups = {}
-    for al in spin_labels:
-        groups.setdefault(_spin_key(al), []).append(al)
     out = []
-    for la in lin_labels:
-        cands = groups.get(_linear_key(la))
-        if not cands:
-            continue
-        conj = conjugate(la)
-        if conj > la:
-            continue
-        lin_at = lin_row(la)
-        for i in cols:
-            v = lin_at(i)
-            cands = [al for al in cands if spin_at(al, i) == v]
-            if not cands:
-                break
-        for al in cands:
+    for la, conj, cands in hits:
+        for al in survivors(la, cands):
             c = ratio(al, la)
             out.append((al, la, c))
             if conj != la:

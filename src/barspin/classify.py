@@ -56,8 +56,8 @@ def fsas_decompose(al):
         return None
     b, _, eta = dec
     r = len(eta)
-    fsas = FsasDecomposition(b, r, eta[0] - r if eta else 0)
-    return fsas if fsas.rebuild() == al else None
+    s = eta[0] - r if eta else 0
+    return FsasDecomposition(b, r, s) if eta == sum_parts(staircase(r), staircase(s)) else None
 
 
 def ratio_exponent(al):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import sub
+from operator import ge, gt, sub
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +39,21 @@ def format_partition(la):
     return "-" if not la else ",".join(str(p) for p in la)
 
 
-def check_partition(la):
-    if any(type(p) is not int or p <= 0 for p in la):
+def _check_parts(la, order):
+    """Whether every two neighbouring parts of the sequence la are in
+    `order` (ge or gt), read in one type pass and one order pass.  A part
+    that is not a positive int (a bool is not one) raises first; in order,
+    the last part is the least."""
+    if len({*map(type, la), int}) > 1:
         raise ValueError(f"parts must be positive integers: {la!r}")
-    if any(la[i] < la[i + 1] for i in range(len(la) - 1)):
+    ordered = all(map(order, la, la[1:]))
+    if la and (la[-1] if ordered else min(la)) <= 0:
+        raise ValueError(f"parts must be positive integers: {la!r}")
+    return ordered
+
+
+def check_partition(la):
+    if not _check_parts(la, ge):
         raise ValueError(f"parts must weakly decrease: {la!r}")
 
 
@@ -59,8 +70,8 @@ def check_size(n):
 
 
 def check_strict(al):
-    check_partition(al)
-    if any(al[i] == al[i + 1] for i in range(len(al) - 1)):
+    if not _check_parts(al, gt):
+        check_partition(al)  # a rise is named before a repeat
         raise ValueError(f"parts must strictly decrease: {al!r}")
 
 

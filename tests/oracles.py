@@ -8,6 +8,9 @@ one production route for, by a slower or more literal construction.
 - Partitions, strict partitions and partitions into odd parts as a set of
   part multisets, with no order rule, and the conjugate by counting the
   rows that reach each column.
+- The label checks as two `any` passes, one over the parts and one over
+  the neighbouring pairs (the reference for the single-pass checks of
+  `partitions`).
 - The spin moves by brute force over every strict label of the right size.
 - The spin-removable and spin-addable nodes as the union of the cells moved
   by every legal move, over every count, and what the library reads off
@@ -33,7 +36,10 @@ one production route for, by a slower or more literal construction.
 - Schur functions at rational points by brute force over tableaux.
 - The proportionality scan grouped on the values at its first class,
   computed by the rim-hook recursion and Morris's formula (the oracle for
-  the closed keys of `charvalues.scan`).
+  the closed keys of `charvalues.scan`), with the spin values over the
+  degree as Fractions (the route that the scan's cross-multiplied ints
+  replaced), and the scan's key hits as a filter over every partition of
+  n (the oracle for its pruned walk).
 - The tuple recursions that the bitmask kernels replaced: Murnaghan-Nakayama
   over `partitions.rim_hooks` with the hook length formula at (1^m),
   Morris's bar recursion over the tuple k-bars above, and the content power
@@ -66,8 +72,10 @@ from barspin.partitions import (
     check_strict,
     conjugate,
     even_parts,
+    memo_key,
     odd_partitions_of,
     odd_parts,
+    part_mask,
     partition_from_beta,
     partitions_of,
     residue,
@@ -140,6 +148,23 @@ def conjugate_by_columns(la):
     """partitions.conjugate by the column-count rule: part c of the
     conjugate counts the rows of la that reach column c."""
     return tuple(sum(1 for p in la if p >= c) for c in range(1, (la[0] if la else 0) + 1))
+
+
+def check_partition_by_any(la):
+    """partitions.check_partition as two `any` passes over the parts and
+    the neighbouring pairs."""
+    if any(type(p) is not int or p <= 0 for p in la):
+        raise ValueError(f"parts must be positive integers: {la!r}")
+    if any(la[i] < la[i + 1] for i in range(len(la) - 1)):
+        raise ValueError(f"parts must weakly decrease: {la!r}")
+
+
+def check_strict_by_any(al):
+    """partitions.check_strict as check_partition_by_any, then one more
+    `any` pass for a repeat."""
+    check_partition_by_any(al)
+    if any(al[i] == al[i + 1] for i in range(len(al) - 1)):
+        raise ValueError(f"parts must strictly decrease: {al!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +600,7 @@ def linear_key_by_cells(la):
             p1 += c
             p2 += c2
             p4 += c2 * c2
-    return cv._closed_key(n, 60 * p2 - 30 * n * (n - 1),
-                          60 * (p4 - 2 * p1 * p1 - (3 * n - 10) * p2)
-                          + 10 * n * (n - 1) * (5 * n - 19))
+    return cv._content_key(n, p1, p2, p4)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +641,29 @@ def monomial_schur(la, xs):
 # ---------------------------------------------------------------------------
 # the proportionality scan grouped on its first class
 
+def spin_ratio(al, nu, degree):
+    """Spin character value of al on the odd class nu divided by the
+    degree, as a Fraction; degree is X^al at (1^n), the P-coefficient that
+    the degree of al is a power of sqrt2 times."""
+    return Fraction(cv._gauss_sign(nu) * cv._bar_kernel(memo_key(nu, part_mask(al))),
+                    degree << (size(al) - len(nu)) // 2)
+
+
+def key_hits_by_enumeration(n, groups):
+    """charvalues._key_hits as a filter over every partition of n: the
+    loop over the partitions_of memo that the pruned walk replaced."""
+    hits = []
+    for la in partitions_of(n):
+        cands = groups.get(cv._linear_key(la))
+        if not cands:
+            continue
+        conj = conjugate(la)
+        if conj > la:
+            continue
+        hits.append((la, conj, cands))
+    return hits
+
+
 def scan_reference(n, cache_dir=None):
     """charvalues.scan with the strict labels grouped by their value over
     the degree on the first class, (3,1^{n-3}), and each partition looking
@@ -629,8 +675,7 @@ def scan_reference(n, cache_dir=None):
         one = classes[-1]
         lin_labels, spin_labels = partitions_of(n), strict_partitions_of(n)
         lin_at = lambda la, i: Fraction(cv.chi(la, classes[i]), cv.chi(la, one))
-        spin_at = lambda al, i: cv._spin_ratio(al, classes[i],
-                                               p_in_P_coefficient(al, one))
+        spin_at = lambda al, i: spin_ratio(al, classes[i], p_in_P_coefficient(al, one))
         ratio = lambda al, la: cv.spin_degree(al) / cv.specht_degree(la)
     else:
         lin, spn = cv.load_or_build_tables(n, cache_dir)

@@ -27,7 +27,14 @@ from barspin.partitions import (
     split_key,
     strict_partitions_of,
 )
-from oracles import chi_by_rim_hooks, hook_lengths, linear_key_by_cells, scan_reference
+from oracles import (
+    chi_by_rim_hooks,
+    hook_lengths,
+    key_hits_by_enumeration,
+    linear_key_by_cells,
+    scan_reference,
+    spin_ratio,
+)
 
 S = lambda a, b=0: Scalar(a, b)
 
@@ -341,7 +348,7 @@ def test_closed_keys_match_the_recursions():
             assert cv._linear_key(la) == want, la
         for al in strict_partitions_of(n):
             deg = sf.p_in_P_coefficient(al, (1,) * n)
-            want = tuple(c * cv._spin_ratio(al, nu, deg) for c, nu in zip(sizes, classes))
+            want = tuple(c * spin_ratio(al, nu, deg) for c, nu in zip(sizes, classes))
             assert cv._spin_key(al) == want, al
 
 
@@ -354,11 +361,41 @@ def test_linear_key_matches_cell_loop():
 def test_keys_only_prune(monkeypatch):
     """With every label under one key, the scan still finds exactly the
     pairs of the reference: each survivor is checked on the two keyed
-    classes through the recursions."""
-    monkeypatch.setattr(cv, "_linear_key", lambda la: ())
-    monkeypatch.setattr(cv, "_spin_key", lambda al: ())
+    classes through the recursions.  The key with no entry names no p2, so
+    the walk runs without its p2 prune and hits every partition not below
+    its conjugate."""
+    monkeypatch.setattr(cv, "_closed_key", lambda n, k3, k5: ())
     for n in range(13):
         assert cv.scan(n) == scan_reference(n), n
+        groups = cv._spin_groups(strict_partitions_of(n))
+        hits = cv._key_hits(n, groups)
+        assert hits == key_hits_by_enumeration(n, groups), n
+        assert len(hits) == sum(conjugate(la) <= la for la in partitions_of(n)), n
+
+
+def test_walk_hits_match_the_enumeration():
+    """The pruned walk hits exactly the partitions that the filtered loop
+    over partitions_of(n) compares, in the same order, for every n <= 30:
+    no prune cuts a hit, n < 3 (keys with no entry) included, and the
+    self-conjugate partitions that hit are kept."""
+    self_conjugate = 0
+    for n in range(31):
+        groups = cv._spin_groups(strict_partitions_of(n))
+        hits = cv._key_hits(n, groups)
+        assert hits == key_hits_by_enumeration(n, groups), n
+        self_conjugate += sum(la == conj for la, conj, _ in hits)
+    assert self_conjugate > 0
+
+
+def test_cold_scan_enumerates_no_partitions(monkeypatch):
+    """The uncached scan walks the partitions itself: it never reads the
+    partitions_of memo."""
+    def refuse(n):
+        raise AssertionError(f"partitions_of({n}) called")
+
+    monkeypatch.setattr(cv, "partitions_of", refuse)
+    for n in range(21):
+        cv.scan(n)
 
 
 def test_scan_matches_first_class_grouping(tmp_path):

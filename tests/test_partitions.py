@@ -7,6 +7,8 @@ from oracles import (
     bar_core_by_bars,
     bar_staircase_index,
     bars,
+    check_partition_by_any,
+    check_strict_by_any,
     conjugate_by_columns,
     four_bar_core_by_moves,
     k_core_by_runners,
@@ -57,6 +59,38 @@ def test_bool_parts_are_rejected():
         with pytest.raises(ValueError):
             cs.unit("linear", la)
     assert not pt.is_strict((True,))
+
+
+def _outcome(check, la):
+    try:
+        check(la)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+BAD_LABELS = [
+    (True,), (3, True), (False,), (2, 0), (0,), (3, -1), (-2,), (2.0,), (3, 1.0),
+    (1, 2), (3, 1, 2), (2, 2), (3, 3, 1), (4, 2, 2, 2), (2, 2, 3), (1, 1, 2),
+    (2, 3, 0), (0, 1), (3, 3, True), [3, 1, 2], [2, 2], "21", ("3", 1), (3, None),
+    None, 3,
+]
+GOOD_LABELS = [(), (1,), (3, 1), (2, 2), (5, 3, 3, 1, 1), [4, 2, 1], (7, 5, 4, 1)]
+
+
+def test_single_pass_checks_match_the_any_passes():
+    """For bad and good labels, the single-pass checks raise exactly what
+    the two-`any` checks raise: the same exception, the same message, and
+    the same message when two of them apply (a bad part before a rise,
+    a rise before a repeat)."""
+    for la in BAD_LABELS + GOOD_LABELS:
+        assert _outcome(pt.check_partition, la) == _outcome(check_partition_by_any, la), la
+        assert _outcome(pt.check_strict, la) == _outcome(check_strict_by_any, la), la
+    for n in range(13):
+        for la in pt.partitions_of(n):
+            assert _outcome(pt.check_strict, la) == _outcome(check_strict_by_any, la), la
+    assert _outcome(pt.check_strict, (2, 2, 3))[1] == "parts must weakly decrease: (2, 2, 3)"
+    assert _outcome(pt.check_strict, (3, True))[1] == "parts must be positive integers: (3, True)"
 
 
 def test_conjugate():
