@@ -62,24 +62,23 @@ the strict label (Ivanov 2004, J. Math. Sci. 121).  |C| depends on n
 alone, so two labels have equal values over the degree on C exactly when
 their central characters there are equal.  The scan keys both sides on 60
 times the central characters, integers by the closed forms of
-`_linear_key` and `_spin_key`, and so pairs the labels exactly as the
+`_content_key` and `_spin_key`, and so pairs the labels exactly as the
 values on those two classes would.  A test checks both forms against the
 recursions for every label with n <= 24.  The keys only prune: every pair
 that survives the other classes is still compared on these two through
 the recursions, two values per pair, so every reported pair has been
 checked on every class.
 
-Cold, the scan reads no list of all partitions of n.  It walks them depth
-first, row by row in descending lexicographic order, carrying the
-content power sums, and builds a partition only when its key hits.  Two
-exact prunes cut the walk.  One is la_1 >= len(la), which every partition
-not below its conjugate meets.  The other is on p2, which the first key
-entry fixes: a branch is cut when no key's p2 lies between the least and
-the most p2 that the rows still to come can add, read from a memo over
-(row index, cells left, largest row allowed, rows left) that lives for
-one scan.  At n = 44 a loop over every partition reads 75,175 of them for
-22 hits; the walk makes 40,694 calls and builds the 11 hits not below
-their conjugates.
+The scan reads no list of all partitions of n.  It walks them depth
+first, row by row in descending lexicographic order, carrying the content
+power sums, and builds a partition only when its key hits.  Two exact
+prunes cut the walk.  One is la_1 >= len(la), which every partition not
+below its conjugate meets.  The other is on p2: the first key entry is
+60 p2 - 30 n(n - 1), so each key names a p2, and a branch is cut when no
+key's p2 lies between the least and the most p2 that the rows still to
+come can add, read from a memo over (row index, cells left, largest row
+allowed, rows left) that lives for one scan.  Keys with no entry (n < 3)
+name no p2, and then only the first prune runs.
 """
 
 from __future__ import annotations
@@ -372,18 +371,6 @@ def _content_key(n, p1, p2, p4):
                        + 10 * n * (n - 1) * (5 * n - 19))
 
 
-def _linear_key(la):
-    """The key of the partition la, from its content power sums summed row
-    by row."""
-    p1 = p2 = p4 = 0
-    for i, row in enumerate(la):
-        q1, q2, q4 = _row_sums(i, row)
-        p1 += q1
-        p2 += q2
-        p4 += q4
-    return _content_key(sum(la), p1, p2, p4)
-
-
 def _spin_key(al):
     """60*|C|*value/degree of the strict label al on (3,1^{n-3}) and on
     (5,1^{n-5}), from the power sums P_k of its parts."""
@@ -397,24 +384,14 @@ def _spin_key(al):
                        -3 * P5 + (30 * n - 55) * P3 - 50 * n ** 3 + 150 * n * n - 72 * n)
 
 
-def _spin_groups(labels):
-    """{key: the strict labels with that key}, in the order of labels."""
+def _key_hits(n):
+    """(la, conjugate(la), labels) for every partition la of n not below its
+    conjugate whose key some strict labels share, la in descending
+    lexicographic order, the labels in the order of strict_partitions_of(n).
+    The walk and its prunes are in the module docstring."""
     groups = {}
-    for al in labels:
+    for al in strict_partitions_of(n):
         groups.setdefault(_spin_key(al), []).append(al)
-    return groups
-
-
-def _key_hits(n, groups):
-    """(la, conjugate(la), groups[key of la]) for every partition la of n
-    whose key is in groups and that is not below its conjugate, in
-    descending lexicographic order.
-
-    The walk and its two prunes are described in the module docstring.
-    conjugate(la) <= la needs la_1 >= len(la), so at most la_1 rows are
-    placed.  The first key entry is 60 p2 - 30 n(n - 1), so each key names
-    a p2; keys with no entry (n < 3) name none, and then only the row-count
-    prune runs."""
     if () in groups:
         targets = None
     else:
@@ -486,14 +463,9 @@ def scan(n, cache_dir=None):
     surviving labels and ratios are emitted for the other too (see the
     module docstring).
 
-    Cold, the partitions come from a depth-first walk that cuts a branch
-    when its first row is shorter than its row count, or when no key's p2
-    lies in the range the remaining rows can reach.  The values compare as
-    ints: alpha survives class nu when chi * (X_alpha << shift) ==
-    sign * X * D, with chi/D la's value over its degree and
-    sign * X / (X_alpha << shift) alpha's, shift = (n - len(nu))/2.  With
-    cache_dir the values are read from the cached tables instead, as
-    Fractions."""
+    The partitions come from the walk of the module docstring, and cold
+    the values compare as ints, by cross-multiplication; with cache_dir
+    they are read from the cached tables instead, as Fractions."""
     check_size(n)
     classes = odd_partitions_of(n)
     keyed = {(k,) + (1,) * (n - k) for k in (3, 5) if n >= k}
@@ -501,12 +473,10 @@ def scan(n, cache_dir=None):
     # still checked on every class
     cols = sorted(range(len(classes) - 1),
                   key=lambda i: (classes[i] in keyed, n - len(classes[i])))
+    hits = _key_hits(n)
     if cache_dir is None:
-        spin_labels = strict_partitions_of(n)
-        groups = _spin_groups(spin_labels)
-        hits = _key_hits(n, groups)
         one = classes[-1]
-        degree = {al: p_in_P_coefficient(al, one) for al in spin_labels}
+        degree = {al: p_in_P_coefficient(al, one) for al in strict_partitions_of(n)}
         # per class: its memo key prefix (a label's key is prefix | mask),
         # its Gauss sign and its power of sqrt2
         fronts = [(memo_key(classes[i], 0), _gauss_sign(classes[i]),
@@ -527,14 +497,6 @@ def scan(n, cache_dir=None):
         ratio = lambda al, la: spin_degree(al) / specht_degree(la)
     else:
         lin, spn = load_or_build_tables(n, cache_dir)
-        groups = _spin_groups(spn)
-        hits = []
-        for la in lin:
-            cands = groups.get(_linear_key(la))
-            if cands:
-                conj = conjugate(la)
-                if conj <= la:
-                    hits.append((la, conj, cands))
 
         def survivors(la, cands):
             row = lin[la]

@@ -589,9 +589,21 @@ def bar_recursion(al, nu):
     return sum(_bar_sign(al, be, k) * bar_recursion(be, rest) for be in bars(al, k))
 
 
+def linear_key(la):
+    """The scan's key of the partition la, from its content power sums
+    summed row by row with charvalues._row_sums, as the scan's walk sums
+    them."""
+    p1 = p2 = p4 = 0
+    for i, row in enumerate(la):
+        q1, q2, q4 = cv._row_sums(i, row)
+        p1 += q1
+        p2 += q2
+        p4 += q4
+    return cv._content_key(sum(la), p1, p2, p4)
+
+
 def linear_key_by_cells(la):
-    """charvalues._linear_key with the content power sums summed cell by
-    cell."""
+    """linear_key with the content power sums summed cell by cell."""
     n = p1 = p2 = p4 = 0
     for i, row in enumerate(la):
         n += row
@@ -649,12 +661,15 @@ def spin_ratio(al, nu, degree):
                     degree << (size(al) - len(nu)) // 2)
 
 
-def key_hits_by_enumeration(n, groups):
+def key_hits_by_enumeration(n):
     """charvalues._key_hits as a filter over every partition of n: the
     loop over the partitions_of memo that the pruned walk replaced."""
+    groups = {}
+    for al in strict_partitions_of(n):
+        groups.setdefault(cv._spin_key(al), []).append(al)
     hits = []
     for la in partitions_of(n):
-        cands = groups.get(cv._linear_key(la))
+        cands = groups.get(linear_key(la))
         if not cands:
             continue
         conj = conjugate(la)

@@ -31,6 +31,7 @@ from oracles import (
     chi_by_rim_hooks,
     hook_lengths,
     key_hits_by_enumeration,
+    linear_key,
     linear_key_by_cells,
     scan_reference,
     spin_ratio,
@@ -345,7 +346,7 @@ def test_closed_keys_match_the_recursions():
         for la in partitions_of(n):
             deg = cv.specht_degree(la)
             want = tuple(c * Fraction(cv.chi(la, nu), deg) for c, nu in zip(sizes, classes))
-            assert cv._linear_key(la) == want, la
+            assert linear_key(la) == want, la
         for al in strict_partitions_of(n):
             deg = sf.p_in_P_coefficient(al, (1,) * n)
             want = tuple(c * spin_ratio(al, nu, deg) for c, nu in zip(sizes, classes))
@@ -355,7 +356,7 @@ def test_closed_keys_match_the_recursions():
 def test_linear_key_matches_cell_loop():
     for n in range(31):
         for la in partitions_of(n):
-            assert cv._linear_key(la) == linear_key_by_cells(la), la
+            assert linear_key(la) == linear_key_by_cells(la), la
 
 
 def test_keys_only_prune(monkeypatch):
@@ -367,9 +368,8 @@ def test_keys_only_prune(monkeypatch):
     monkeypatch.setattr(cv, "_closed_key", lambda n, k3, k5: ())
     for n in range(13):
         assert cv.scan(n) == scan_reference(n), n
-        groups = cv._spin_groups(strict_partitions_of(n))
-        hits = cv._key_hits(n, groups)
-        assert hits == key_hits_by_enumeration(n, groups), n
+        hits = cv._key_hits(n)
+        assert hits == key_hits_by_enumeration(n), n
         assert len(hits) == sum(conjugate(la) <= la for la in partitions_of(n)), n
 
 
@@ -380,9 +380,8 @@ def test_walk_hits_match_the_enumeration():
     self-conjugate partitions that hit are kept."""
     self_conjugate = 0
     for n in range(31):
-        groups = cv._spin_groups(strict_partitions_of(n))
-        hits = cv._key_hits(n, groups)
-        assert hits == key_hits_by_enumeration(n, groups), n
+        hits = cv._key_hits(n)
+        assert hits == key_hits_by_enumeration(n), n
         self_conjugate += sum(la == conj for la, conj, _ in hits)
     assert self_conjugate > 0
 
@@ -438,7 +437,7 @@ def test_conjugates_share_key_brauer_character_and_degree():
     for n in range(15):
         for la in partitions_of(n):
             conj = conjugate(la)
-            assert cv._linear_key(la) == cv._linear_key(conj), la
+            assert linear_key(la) == linear_key(conj), la
             assert cv.linear_brauer(la) == cv.linear_brauer(conj), la
             assert cv.specht_degree(la) == cv.specht_degree(conj), la
 
