@@ -35,12 +35,13 @@ proportional exactly when their values divided by the degree agree on
 every class, so it compares those normalized values one class at a time,
 the classes closest to (1^n) first, and drops a pair at the first class
 where they differ.  A pair that agrees everywhere is proportional with
-ratio spin degree over linear degree.  The spin degree is read once per
-label.  The comparison runs on plain ints: la's value over its degree D
-is chi/D, alpha's is sign * X / (X_alpha * 2^((n - len(nu))/2)), and both
-denominators are positive, so the two agree exactly when the
-cross-products do.  Per class, the scan fixes once the memo-key prefix
-that every label's mask is or-ed into, the Gauss sign and the shift.
+ratio spin degree over linear degree.  The spin degree is read only for
+the labels that hit some partition's key.  The comparison runs on plain
+ints: la's value over its degree D is chi/D, alpha's is
+sign * X / (X_alpha * 2^((n - len(nu))/2)), and both denominators are
+positive, so the two agree exactly when the cross-products do.  Per
+class, the scan fixes once the memo-key prefix that every label's mask is
+or-ed into, the Gauss sign and the shift.
 
 A conjugate pair of partitions is compared once.  chi^{la'} = sgn chi^la
 (James-Kerber 1981, 2.1.8), and sgn is 1 on a class of odd parts, so la
@@ -476,7 +477,6 @@ def scan(n, cache_dir=None):
     hits = _key_hits(n)
     if cache_dir is None:
         one = classes[-1]
-        degree = {al: p_in_P_coefficient(al, one) for al in strict_partitions_of(n)}
         # per class: its memo key prefix (a label's key is prefix | mask),
         # its Gauss sign and its power of sqrt2
         fronts = [(memo_key(classes[i], 0), _gauss_sign(classes[i]),
@@ -485,7 +485,7 @@ def scan(n, cache_dir=None):
         def survivors(la, cands):
             mask = beta_mask(la)
             d = _degree(mask)
-            cands = [(al, part_mask(al), degree[al]) for al in cands]
+            cands = [(al, part_mask(al), p_in_P_coefficient(al, one)) for al in cands]
             for prefix, sign, shift in fronts:
                 chi_i = _chi_kernel(prefix | mask)
                 cands = [c for c in cands

@@ -5,9 +5,11 @@ z_nu times the coefficient of p_nu, where z_nu = prod_k k^(m_k) m_k! is the
 centralizer order of the class nu.  In this scaling every coefficient the
 library forms is an integer: h_r has 1 at every nu of r (Macdonald,
 Symmetric Functions and Hall Polynomials, I (2.14)), and the scaled
-coefficient of p_nu in s_la is the character value chi^la(nu).
-`Fraction` enters only in `evaluate` and in the tableau and series oracles
-at the end of the module.  Multiplying p_mu/z_mu by p_nu/z_nu gives
+coefficient of p_nu in s_la is the character value chi^la(nu); s_la is
+Jacobi-Trudi expanded along its first column.  `Fraction` enters only in
+`evaluate` and in the tableau and series oracles at the end of the module,
+where Q_alpha and P_alpha at given points are summed over marked shifted
+tableaux by their largest letter.  Multiplying p_mu/z_mu by p_nu/z_nu gives
 p_(mu u nu)/z_(mu u nu) times the integer z_(mu u nu)/(z_mu z_nu) =
 prod_k C(m_k(mu) + m_k(nu), m_k(mu)).
 
@@ -27,6 +29,7 @@ Pfaffian are test oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +37,6 @@ from functools import lru_cache
 from barspin.partitions import (
     check_class,
     check_strict,
-    conjugate,
     memo_key,
     odd_partitions_of,
     part_mask,
@@ -94,8 +96,7 @@ def poly_eq(f, g):
 
 
 # ---------------------------------------------------------------------------
-# Schur s via h_r in closed form, Jacobi-Trudi (subset DP determinant) and
-# omega
+# Schur s via h_r in closed form and Jacobi-Trudi along its first column
 
 @lru_cache(maxsize=None)
 def h_poly(r):
@@ -103,48 +104,21 @@ def h_poly(r):
     return {nu: 1 for nu in partitions_of(r)}
 
 
-def _det(m):
-    """Determinant of a matrix of polynomials, DP over column subsets."""
-    n = len(m)
-    if n == 0:
-        return {(): 1}
-    state = {frozenset(): {(): 1}}
-    for row in range(n):
-        new = {}
-        for used, val in state.items():
-            for col in range(n):
-                if col in used:
-                    continue
-                entry = m[row][col]
-                if not entry:
-                    continue
-                sign = (-1) ** sum(1 for c in used if c > col)
-                term = poly_scale(poly_mul(val, entry), sign)
-                key = used | {col}
-                new[key] = poly_add(new.get(key, {}), term)
-        state = new
-    return state.get(frozenset(range(n)), {})
-
-
-def omega(poly):
-    """The involution sending each p_k to (-1)^(k-1) p_k; swaps s_la, s_la'."""
-    return {nu: v * (-1) ** (size(nu) - len(nu)) for nu, v in poly.items()}
-
-
 @lru_cache(maxsize=None)
 def schur_poly(la):
-    """Schur s_la in the p-basis; conjugates first when that shrinks the
-    Jacobi-Trudi determinant."""
+    """Schur s_la in the p-basis: det(h_(la_i - i + j)) expanded along its
+    first column (Macdonald I (3.4)).  With rows counted from 0, s_la is
+    the sum over r with la_r >= r of (-1)^r h_(la_r - r) s_mu, where
+    mu = (la_0 + 1, ..., la_(r-1) + 1, la_(r+1), ...) and s_() = 1."""
     if not la:
         return {(): 1}
-    if len(la) > la[0]:
-        return omega(schur_poly(conjugate(la)))
-    n = len(la)
-    m = [
-        [h_poly(la[i] - i + j) if la[i] - i + j >= 0 else {} for j in range(n)]
-        for i in range(n)
-    ]
-    return _det(m)
+    terms = []
+    for r, a in enumerate(la):
+        if a < r:
+            break
+        mu = tuple(b + 1 for b in la[:r]) + la[r + 1:]
+        terms.append(poly_scale(poly_mul(h_poly(a - r), schur_poly(mu)), (-1) ** r))
+    return poly_add(*terms)
 
 
 # ---------------------------------------------------------------------------
@@ -242,63 +216,40 @@ def evaluate(poly, xs):
     return total
 
 
-def _shifted_cells(al):
-    return [(i, j) for i in range(1, len(al) + 1) for j in range(i, i + al[i - 1])]
-
-
 def monomial_schur_q(al, xs, marked_diagonal=True):
-    """Q_alpha (or P_alpha when marked_diagonal=False) at xs by brute force
-    over marked shifted tableaux.
+    """Q_alpha (or P_alpha when marked_diagonal=False) at xs, summed over
+    marked shifted tableaux by their largest letter (Macdonald III.8).
 
-    Entries are m' < m for m = 1..len(xs), encoded 2m-1 and 2m; rows and
-    columns weakly increase; each column holds at most one unprimed m and
-    each row at most one primed m.  As rows and columns weakly increase, a
-    repeated unprimed m in a column, or primed m in a row, sits next to its
-    twin, so each cell is checked against its upper and left neighbours
-    only.  P bans primes on the diagonal.  The fillings are tallied by
-    content (how often each m occurs), and each distinct content is
-    evaluated once.
+    The cells that hold the last letter, primed or not, are la/mu for a
+    strict mu with la_(i+1) <= mu_i <= la_i.  One letter fills la/mu in
+    2^c ways, c its edge-connected pieces: row i is a piece when
+    mu_i < la_i, and it joins the piece of row i - 1 when mu_(i-1) = la_i
+    (both rows are then pieces, as la and mu are strict).  P bans primes
+    on the diagonal, which fixes one cell of the piece that meets it; that
+    piece exists exactly when mu is shorter than la.  The sums are
+    memoized on (mu, letters left) for this call only.
     """
     xs = [Fraction(v) for v in xs]
-    cs = _shifted_cells(al)
-    index = {cell: k for k, cell in enumerate(cs)}
-    v = len(xs)
-    content = [0] * v
-    tally = {}
+    memo = {}
 
-    def ok(filling, idx, val):
-        i, j = cs[idx]
-        primed = val % 2 == 1
-        if not marked_diagonal and i == j and primed:
-            return False
-        left, up = index.get((i, j - 1)), index.get((i - 1, j))
-        if left is not None and (filling[left] > val or filling[left] == val and primed):
-            return False
-        if up is not None and (filling[up] > val or filling[up] == val and not primed):
-            return False
-        return True
+    def q(la, k):
+        if not la or not k:
+            return Fraction(not la)
+        if (la, k) not in memo:
+            total = Fraction(0)
+            for mu in itertools.product(*map(range, la[1:] + (0,), [a + 1 for a in la])):
+                if any(a == b > 0 for a, b in zip(mu, mu[1:])):
+                    continue
+                c = sum(b < a for a, b in zip(la, mu)) - sum(
+                    m == a for a, m in zip(la[1:], mu))
+                if not mu[-1]:
+                    mu = mu[:-1]
+                    c -= not marked_diagonal
+                total += q(mu, k - 1) * (1 << c) * xs[k - 1] ** (size(la) - size(mu))
+            memo[la, k] = total
+        return memo[la, k]
 
-    def rec(idx, filling):
-        if idx == len(cs):
-            key = tuple(content)
-            tally[key] = tally.get(key, 0) + 1
-            return
-        for val in range(1, 2 * v + 1):
-            if ok(filling, idx, val):
-                filling.append(val)
-                content[(val - 1) // 2] += 1
-                rec(idx + 1, filling)
-                content[(val - 1) // 2] -= 1
-                filling.pop()
-
-    rec(0, [])
-    total = Fraction(0)
-    for key, count in tally.items():
-        term = Fraction(count)
-        for x, e in zip(xs, key):
-            term *= x ** e
-        total += term
-    return total
+    return q(tuple(al), len(xs))
 
 
 def q_series_coefficient(r, xs):

@@ -33,7 +33,11 @@ one production route for, by a slower or more literal construction.
 - The P-basis transition matrix, its rows P_alpha by the Pfaffian, solved
   by Gauss-Jordan, and the expansion of a polynomial in {P_alpha} through
   it (the oracle for Morris's bar recursion).
-- Schur functions at rational points by brute force over tableaux.
+- Schur s_la at rational points by brute force over tableaux, and Q_alpha
+  and P_alpha over marked shifted tableaux filled cell by cell (the
+  oracle for the last-letter recursion of `symfunc.monomial_schur_q`).
+- The involution omega on the power sums, with which the tests check
+  s_la' = omega s_la and omega Q_alpha = Q_alpha.
 - The proportionality scan grouped on the values at its first class,
   computed by the rim-hook recursion and Morris's formula (the oracle for
   the closed keys of `charvalues.scan`), with the spin values over the
@@ -616,7 +620,7 @@ def linear_key_by_cells(la):
 
 
 # ---------------------------------------------------------------------------
-# Schur functions by tableaux
+# Schur s, Q and P at points by tableaux, and omega
 
 def monomial_schur(la, xs):
     """s_la at xs by brute force over semistandard tableaux."""
@@ -648,6 +652,70 @@ def monomial_schur(la, xs):
 
     rec(0, [])
     return total
+
+
+def _shifted_cells(al):
+    return [(i, j) for i in range(1, len(al) + 1) for j in range(i, i + al[i - 1])]
+
+
+def monomial_schur_q_by_cells(al, xs, marked_diagonal=True):
+    """Q_alpha (or P_alpha when marked_diagonal=False) at xs by brute force
+    over marked shifted tableaux, filled one cell at a time.
+
+    Entries are m' < m for m = 1..len(xs), encoded 2m-1 and 2m; rows and
+    columns weakly increase; each column holds at most one unprimed m and
+    each row at most one primed m.  As rows and columns weakly increase, a
+    repeated unprimed m in a column, or primed m in a row, sits next to its
+    twin, so each cell is checked against its upper and left neighbours
+    only.  P bans primes on the diagonal.  The fillings are tallied by
+    content (how often each m occurs), and each distinct content is
+    evaluated once.
+    """
+    xs = [Fraction(v) for v in xs]
+    cs = _shifted_cells(al)
+    index = {cell: k for k, cell in enumerate(cs)}
+    v = len(xs)
+    content = [0] * v
+    tally = {}
+
+    def ok(filling, idx, val):
+        i, j = cs[idx]
+        primed = val % 2 == 1
+        if not marked_diagonal and i == j and primed:
+            return False
+        left, up = index.get((i, j - 1)), index.get((i - 1, j))
+        if left is not None and (filling[left] > val or filling[left] == val and primed):
+            return False
+        if up is not None and (filling[up] > val or filling[up] == val and not primed):
+            return False
+        return True
+
+    def rec(idx, filling):
+        if idx == len(cs):
+            key = tuple(content)
+            tally[key] = tally.get(key, 0) + 1
+            return
+        for val in range(1, 2 * v + 1):
+            if ok(filling, idx, val):
+                filling.append(val)
+                content[(val - 1) // 2] += 1
+                rec(idx + 1, filling)
+                content[(val - 1) // 2] -= 1
+                filling.pop()
+
+    rec(0, [])
+    total = Fraction(0)
+    for key, count in tally.items():
+        term = Fraction(count)
+        for x, e in zip(xs, key):
+            term *= x ** e
+        total += term
+    return total
+
+
+def omega(poly):
+    """The involution sending each p_k to (-1)^(k-1) p_k; swaps s_la, s_la'."""
+    return {nu: v * (-1) ** (sum(nu) - len(nu)) for nu, v in poly.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Polynomials are dicts from power-sum indices nu to z_nu times the
 coefficient of p_nu, integers wherever the library forms them; `plain`
 turns them back into Fraction coefficients.  The closed-form expansions are
 pinned against tableau-generating-function evaluations at rational points,
-which are computed by a completely independent combinatorial routine, the
-closed form of h_r and the one-row labels of the bar recursion against
-Newton's recursions, and Q_alpha and P_alpha, read off the bar recursion,
-against the Pfaffian of two-row Q's.
+which the oracles compute cell by cell, the closed form of h_r and the
+one-row labels of the bar recursion against Newton's recursions, and
+Q_alpha and P_alpha, read off the bar recursion, against the Pfaffian of
+two-row Q's.  The library's own tableau sum, by the largest letter, is
+checked against the cell-by-cell enumeration, and Jacobi-Trudi along the
+first column against omega on the conjugate.
 """
 
 from fractions import Fraction as F
@@ -29,6 +31,8 @@ from oracles import (
     expand_in_P,
     h_poly_newton,
     monomial_schur,
+    monomial_schur_q_by_cells,
+    omega,
     p_to_P_matrix,
     plain,
     q_poly_newton,
@@ -106,13 +110,28 @@ def test_q_series_matches_q_poly():
 
 
 def test_schur_q_matches_shifted_tableaux():
-    """Q (primes allowed on the diagonal) and P (none there)."""
+    """Q (primes allowed on the diagonal) and P (none there), read off the
+    bar recursion, against marked shifted tableaux filled cell by cell."""
     xs = [F(1), F(1, 2), F(1, 3)]
     for n in range(1, 7):
         for al in strict_partitions_of(n):
             for poly, marked in ((sf.schur_q_poly, True), (sf.schur_p_poly, False)):
                 closed = sf.evaluate(poly(al), xs)
-                assert closed == sf.monomial_schur_q(al, xs, marked), (al, marked)
+                assert closed == monomial_schur_q_by_cells(al, xs, marked), (al, marked)
+
+
+def test_last_letter_recursion_matches_cell_by_cell_tableaux():
+    """The library's sum over marked shifted tableaux by their largest
+    letter against the cell-by-cell enumeration: every strict label of
+    size <= 8, both markings, zero to five variables, ints and Fractions."""
+    points = [[], [2], [1, F(1, 2)], [F(-1, 3), 2, 1], [1, F(1, 2), F(1, 3), 3],
+              [F(2, 3), -1, 1, F(1, 5), 2]]
+    for n in range(9):
+        for al in strict_partitions_of(n):
+            for xs in points:
+                for marked in (True, False):
+                    want = monomial_schur_q_by_cells(al, xs, marked)
+                    assert sf.monomial_schur_q(al, xs, marked) == want, (al, xs, marked)
 
 
 def test_schur_matches_tableaux():
@@ -123,10 +142,14 @@ def test_schur_matches_tableaux():
 
 
 def test_omega_fixes_schur_q_and_conjugates_schur():
-    for al in [(2, 1), (3, 2), (4, 1)]:
-        assert sf.poly_eq(sf.omega(sf.schur_q_poly(al)), sf.schur_q_poly(al))
-    for la in [(2, 1), (3, 1), (2, 2), (4, 2)]:
-        assert sf.poly_eq(sf.omega(sf.schur_poly(la)), sf.schur_poly(conjugate(la)))
+    """omega Q_alpha = Q_alpha for every strict label of size <= 10, and
+    s_la' = omega s_la for every partition of size <= 10; schur_poly
+    expands Jacobi-Trudi for la and la' separately, with no omega."""
+    for n in range(11):
+        for al in strict_partitions_of(n):
+            assert omega(sf.schur_q_poly(al)) == sf.schur_q_poly(al), al
+        for la in partitions_of(n):
+            assert omega(sf.schur_poly(la)) == sf.schur_poly(conjugate(la)), la
 
 
 def test_p_of_double_staircase_is_schur_product():
