@@ -3,13 +3,14 @@
 A vector is a finite Q(sqrt2)-linear combination of labels: partitions for the
 linear basis, strict partitions for the spin basis.  Labels are orthonormal.
 The branching operators apply_e/apply_f remove or add several nodes of one
-residue at a time; both run one function (_apply) label by label.
+residue at a time; both run one function (_apply) into one dict of pairs.
 Alternating composites of them swap the two runners of the abacus display
 (runner_swap) or shift weight between the two components of the 2-quotient
 (quot_red); at the top degree a runner swap sends a label to swap_sign
 times its swapped label, in either basis.  The intermediate-bipartition
 counts that control the matrix entries of quot_red live here too; their
-vertical strips are counted as horizontal strips of the conjugates.
+vertical strips are counted as horizontal strips of the conjugates, and
+b_sum sums over strict intermediates in one pass down their rows.
 
 A vector holds each nonzero coefficient a + b sqrt2 as the pair (a, b), ints
 unless the input has Fractions.  Operators add terms c * sqrt2^k, for an input
@@ -72,14 +73,16 @@ class CharVector:
         return sorted(self.pairs, reverse=True)
 
 
-def _summed(basis, n, terms):
-    """The (label, a, b) terms summed per label, in first-seen order; zeros dropped."""
-    acc = {}
-    for label, a, b in terms:
-        pair = acc.setdefault(label, [0, 0])
-        pair[0] += a
-        pair[1] += b
-    return CharVector(basis, n, {label: (a, b) for label, (a, b) in acc.items() if a or b})
+def _add(acc, w, sign):
+    """Add sign * w into acc, a dict of (a, b) pairs, in first-seen order."""
+    for label, (a, b) in w.pairs.items():
+        x, y = acc.get(label, (0, 0))
+        acc[label] = (x + sign * a, y + sign * b)
+
+
+def _nonzero(basis, n, acc):
+    """The vector of the pairs in acc, zeros dropped."""
+    return CharVector(basis, n, {label: ab for label, ab in acc.items() if ab[0] or ab[1]})
 
 
 def _checked(basis, label):
@@ -94,13 +97,14 @@ def _checked(basis, label):
 def vector(basis, n, items):
     """The sum of the (label, Scalar) items."""
     _checked(basis, ())  # the basis, even with no items
-    terms = []
+    acc = {}
     for label, c in items:
         label = _checked(basis, label)
         if size(label) != n:
             raise ValueError(f"label {label} has the wrong size for n = {n}")
-        terms.append((label, c.a, c.b))
-    return _summed(basis, n, terms)
+        x, y = acc.get(label, (0, 0))
+        acc[label] = (x + c.a, y + c.b)
+    return _nonzero(basis, n, acc)
 
 
 def unit(basis, label):
@@ -133,12 +137,7 @@ def _apply(v, eps, r, p, grow):
     _check_operator(v.basis, eps, p)
     if not r:
         return CharVector(v.basis, v.n, dict(v.pairs))
-    return _summed(v.basis, v.n + r if grow else v.n - r, _terms(v, eps, r, p, grow))
-
-
-def _terms(v, eps, r, p, grow):
-    """The (label, a, b) terms of _apply, label by label."""
-    step = 1 if grow else -1
+    step, acc = (1 if grow else -1), {}
     for label, (a, b) in v.pairs.items():
         if v.basis == "linear":
             # the rows (from 0) of label + (0,) that end in a removable
@@ -149,11 +148,16 @@ def _terms(v, eps, r, p, grow):
                 new = rows.copy()
                 for i in sub:
                     new[i] += step
-                yield tuple(filter(None, new)), a, b
+                new = tuple(filter(None, new))
+                x, y = acc.get(new, (0, 0))
+                acc[new] = (x + a, y + b)
             continue
         evens = {x for x in label if x % 2 == 0}
         for new in (spin_additions if grow else spin_removals)(label, eps, r):
-            yield new, *mul_sqrt2_pow(a, b, len(evens ^ {x for x in new if x % 2 == 0}))
+            c, d = mul_sqrt2_pow(a, b, len(evens ^ {x for x in new if x % 2 == 0}))
+            x, y = acc.get(new, (0, 0))
+            acc[new] = (x + c, y + d)
+    return _nonzero(v.basis, v.n + step * r, acc)
 
 
 def apply_e(v, eps, r=1, p=2):
@@ -177,11 +181,6 @@ def _removable_count(basis, label, eps, p=2):
     return size(label) - size(remove_all_spin_removable(label, eps))
 
 
-def _signed(w, sign):
-    """The (label, a, b) terms of sign * w."""
-    return [(label, sign * a, sign * b) for label, (a, b) in w.pairs.items()]
-
-
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
     (-1)^a f_eps^(a+c) e_eps^(a), rightmost factor applied first.
@@ -191,12 +190,12 @@ def runner_swap(v, eps, c, p=2):
     odd-p worked example S_2^(1) on (9,8,5,1^5) in the verify suite.
     """
     _check_operator(v.basis, eps, p)
-    terms = []
+    acc = {}
     for label, pair in v.pairs.items():
         one = CharVector(v.basis, v.n, {label: pair})
         for a in range(max(0, -c), _removable_count(v.basis, label, eps, p) + 1):
-            terms += _signed(apply_f(apply_e(one, eps, a, p), eps, a + c, p), (-1) ** a)
-    return _summed(v.basis, v.n + c, terms)
+            _add(acc, apply_f(apply_e(one, eps, a, p), eps, a + c, p), -1 if a % 2 else 1)
+    return _nonzero(v.basis, v.n + c, acc)
 
 
 def quot_red(v, eps, d):
@@ -207,14 +206,14 @@ def quot_red(v, eps, d):
     label foretells."""
     _check_operator(v.basis, eps, 2)
     ebar = 1 - eps
-    terms = []
+    acc = {}
     for label, pair in v.pairs.items():
         one = CharVector(v.basis, v.n, {label: pair})
         for a in range(max(0, -d), _removable_count(v.basis, label, eps) + 1):
             w = apply_e(apply_e(one, eps, a), ebar, a)
             if not w.is_zero():
-                terms += _signed(apply_f(apply_f(w, ebar, a + d), eps, a + d), (-1) ** (a + d))
-    return _summed(v.basis, v.n + 2 * d, terms)
+                _add(acc, apply_f(apply_f(w, ebar, a + d), eps, a + d), -1 if (a + d) % 2 else 1)
+    return _nonzero(v.basis, v.n + 2 * d, acc)
 
 
 def swap_sign(basis, label, eps):
@@ -247,8 +246,13 @@ def _bounds(a, b):
     max(a_{i+1}, b_{i+1}).  A vertical strip la/mu is a horizontal strip
     la'/mu' of the conjugates (Macdonald, Symmetric Functions and Hall
     Polynomials, I.1), so the vertical rules below conjugate first."""
-    rows = list(itertools.zip_longest(a, b, fillvalue=0))
-    return list(zip([*map(max, rows[1:]), 0], map(min, rows)))
+    if len(a) < len(b):
+        a, b = b, a
+    out, lo = [], 0
+    for x, y in zip(reversed(a), reversed((*b, *(0,) * (len(a) - len(b))))):  # bottom row first
+        out.append((lo, x if x < y else y))
+        lo = x if x > y else y
+    return out[::-1]
 
 
 def interm(bla, bmu):
@@ -296,16 +300,27 @@ def kom(eta, theta):
 
 
 def b_sum(eta, theta):
-    """Alternating sqrt2-weighted sum over the strict intermediates ze:
-    (-1)^(|theta| - |ze|) sqrt2^(kom(eta, ze) + kom(theta, ze)), added up
-    as integer pairs."""
-    e, t, st = set(eta), set(theta), sum(theta)
-    a = b = 0
-    for ze in interm0(eta, theta):
-        z = set(ze)
-        x, y = mul_sqrt2_pow(-1 if (st - sum(ze)) % 2 else 1, 0, len(e ^ z) + len(t ^ z))
-        a, b = a + x, b + y
-    return Scalar(a, b)
+    """Sum over the strict intermediates ze of strict eta and theta of
+    (-1)^(|theta| - |ze|) sqrt2^(kom(eta, ze) + kom(theta, ze)): (-1)^|theta|
+    sqrt2^(len eta + len theta) times a sum over picks, one per row of
+    _bounds, of the product of w(v)/2, w(v) = (-1)^v 2^(2 - [v in eta] -
+    [v in theta]) (+-4 strictly inside a row), w(0) = 2, rows with hi = 0
+    left out.  One pass carries the sums over all picks and over those at
+    their row's lower end: rows interlace, so only a pick lo = hi' of one row
+    and the next is not strict, and then eta_i = theta_i = hi' > lo'."""
+    e, t = set(eta), set(theta)
+    w = lambda v: (-4 if v % 2 else 4) >> ((v in e) + (v in t)) if v else 2
+    total, at_lo, above = 1, 0, 0
+    for lo, hi in _bounds(eta, theta):
+        if lo > hi:
+            return _ZERO
+        if not hi:
+            break
+        top, bottom = w(hi), w(lo)
+        row = top + (bottom + (hi - lo - 1) % 2 * (4 if lo % 2 else -4) if hi > lo else 0)
+        total, at_lo, above = total * row - (at_lo * top if hi == above else 0), bottom * total, lo
+    sign = -1 if sum(theta) % 2 else 1
+    return Scalar(*mul_sqrt2_pow(sign * total, 0, abs(len(eta) - len(theta))))
 
 
 # b_closed's values, shared (a Scalar is immutable); a pair is indexed by sign parity

@@ -284,13 +284,13 @@ def _read_cache(path, n):
 
 def _write_cache(path, n, lin, spn):
     """Write the tables through a temporary file in the same directory, so a
-    reader never sees a partial file."""
+    reader never sees a partial file.  json.dumps runs the C encoder; json.dump does not."""
     blob = {"version": CACHE_VERSION, "n": n,
             "linear": _encode_table(lin), "spin": _encode_table(spn)}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(blob, fh)
+            fh.write(json.dumps(blob))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -54,9 +54,10 @@ one production route for, by a slower or more literal construction.
   through `swp` and the diagram intersection, the intermediates as a
   filtered product, the vertical-strip intervals read off the rows and the
   signed count run on them row by row (both replaced by horizontal strips
-  of the conjugates), the signed sum over the `interm1` list, the
-  composites that run a until e_eps^(a) vanishes, and a vector times a
-  Scalar.
+  of the conjugates), the signed sum over the `interm1` list, B(eta,
+  theta) summed over the `interm0` list (the route the row pass of
+  `charspace.b_sum` replaced), the composites that run a until e_eps^(a)
+  vanishes, and a vector times a Scalar.
 """
 
 import itertools
@@ -90,7 +91,7 @@ from barspin.partitions import (
     spin_residue,
     strict_partitions_of,
 )
-from barspin.scalars import Scalar
+from barspin.scalars import Scalar, mul_sqrt2_pow
 from barspin.symfunc import p_in_P_coefficient, poly_add, poly_mul, poly_scale, z_order
 
 
@@ -915,6 +916,19 @@ def interm_signed_sum_by_list(bla, bmu):
     interm1 makes; component 0 by the same product over rows."""
     sign = _sign_and_component0(bla, bmu)
     return sign * sum(-1 if size(nu) % 2 else 1 for nu in cs.interm1(bla[1], bmu[1]))
+
+
+def b_sum_by_intermediates(eta, theta):
+    """charspace.b_sum as the sum over the interm0 list, one term per strict
+    intermediate ze, (-1)^(|theta| - |ze|) sqrt2^(kom(eta, ze) + kom(theta, ze)),
+    added up as integer pairs."""
+    e, t, st = set(eta), set(theta), size(theta)
+    a = b = 0
+    for ze in cs.interm0(eta, theta):
+        z = set(ze)
+        x, y = mul_sqrt2_pow(-1 if (st - size(ze)) % 2 else 1, 0, len(e ^ z) + len(t ^ z))
+        a, b = a + x, b + y
+    return Scalar(a, b)
 
 
 def _summed(basis, n, terms):

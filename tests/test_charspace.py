@@ -8,7 +8,7 @@ intermediates' signs without listing them; the reference routes below do
 the same sums term by term in Scalar arithmetic, move by move through the
 validating corner helpers, and over the intermediates picked row by row.
 The routes the library replaced (the probe loops, the filtered product,
-the sum over the interm1 list) come from tests/oracles.py.
+the sums over the interm1 and interm0 lists) come from tests/oracles.py.
 """
 
 import itertools
@@ -31,6 +31,7 @@ from barspin.partitions import (
 )
 from oracles import (
     add_corner_set,
+    b_sum_by_intermediates,
     choices_by_product,
     interm_signed_sum_by_list,
     interm_signed_sum_by_rows,
@@ -75,6 +76,17 @@ def test_vector_validation():
         cs.vector("linear", 4, [((3, 2), S(1))])
     with pytest.raises(ValueError):
         inner(u("spin", (3, 1)), u("linear", (2, 2)))
+
+
+def test_apply_sums_terms_into_one_vector():
+    """Terms that meet on one label merge, a label whose terms cancel leaves
+    pairs, and the rest keep the order they are first reached in."""
+    assert cs.apply_e(cs.vector("linear", 2, [((2,), S(1)), ((1, 1), S(-1))]), 1).is_zero()
+    # [2,2] -> [3,2] + [2,2,1], -[3,1] -> -[3,2] - [3,1,1],
+    # 2[2,1,1] -> 2[3,1,1] + 2[2,2,1]
+    v = cs.vector("linear", 4, [((2, 2), S(1)), ((3, 1), S(-1)), ((2, 1, 1), S(2))])
+    got = cs.apply_f(v, 0)
+    assert list(got.pairs.items()) == [((2, 2, 1), (3, 0)), ((3, 1, 1), (1, 0))]
 
 
 def test_add_scale_inner():
@@ -554,12 +566,23 @@ def test_interm_signed_sum_matches_enumeration():
 
 
 def test_b_sum_matches_scalar_reference():
-    stricts = strict_partitions_upto(10)
+    """Every pair of strict labels of size <= 12 (4,900 pairs), also against
+    the sum over the interm0 list, which the row pass replaced."""
+    stricts = strict_partitions_upto(12)
     for eta in stricts:
         for theta in stricts:
             got = cs.b_sum(eta, theta)
             assert got == b_sum_reference(eta, theta)
+            assert got == b_sum_by_intermediates(eta, theta)
             assert type(got.a) is int and type(got.b) is int
+
+
+def test_b_sum_frozen():
+    """Both pairs reach the clash of adjacent rows: (2,1) picks 1 as the
+    lower end of row 0 and the upper end of row 1, and the pick (1, 1) is
+    not strict."""
+    assert cs.b_sum((2, 1), (2, 1)) == S(1)
+    assert cs.b_sum((2, 1), (3, 1)) == S(0)
 
 
 def test_interm_frozen():
