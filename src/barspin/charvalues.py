@@ -39,9 +39,9 @@ ratio spin degree over linear degree.  The spin degree is read only for
 the labels that hit some partition's key.  The comparison runs on plain
 ints: la's value over its degree D is chi/D, alpha's is
 sign * X / (X_alpha * 2^((n - len(nu))/2)), and both denominators are
-positive, so the two agree exactly when the cross-products do.  Per
-class, the scan fixes once the memo-key prefix that every label's mask is
-or-ed into, the Gauss sign and the shift.
+positive, so the two agree exactly when the cross-products do.  Cold, the
+kernels give these ints through per-class memo-key prefixes and signs;
+with a cache directory they are read from the cached rows, one per label.
 
 A conjugate pair of partitions is compared once.  chi^{la'} = sgn chi^la
 (James-Kerber 1981, 2.1.8), and sgn is 1 on a class of odd parts, so la
@@ -89,7 +89,6 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 
 from barspin.partitions import (
@@ -185,11 +184,16 @@ def _gauss_sign(nu):
     return -1 if sum((q * q - 1) // 8 for q in nu) % 2 else 1
 
 
+def _spin_int(mask, nu):
+    """The Gauss sign times X^al_nu, al the strict label of part mask `mask`:
+    the spin value of al on nu over sqrt2^(len(nu) - len(al))."""
+    return _gauss_sign(nu) * _bar_kernel(memo_key(nu, mask))
+
+
 def _spin_value(al, nu):
     """Spin character value of al on the odd class nu, by Morris's formula.
     The public entries check al and nu, so it reads the bar kernel directly."""
-    x = _gauss_sign(nu) * _bar_kernel(memo_key(nu, part_mask(al)))
-    return Scalar(*mul_sqrt2_pow(x, 0, len(nu) - len(al)))
+    return Scalar(*mul_sqrt2_pow(_spin_int(part_mask(al), nu), 0, len(nu) - len(al)))
 
 
 def spin_degree(al):
@@ -212,23 +216,34 @@ def spin_value(al, nu):
 
 
 # ---------------------------------------------------------------------------
-# Brauer vectors and tables
+# rows, Brauer vectors and tables
 #
-# A Brauer vector is the tuple of a character's values, as Scalars, on the
-# odd classes odd_partitions_of(n): descending lexicographic order, so the
-# last entry is the value at (1^n), the degree, which is positive.
+# Both list a label's values on odd_partitions_of(n), in descending
+# lexicographic order, so the last entry is at (1^n), the positive degree.
+# A row holds ints: chi, or the Gauss sign times X^al_nu (`_spin_int`).  A
+# Brauer vector holds the character values as Scalars.
+
+def _linear_row(la):
+    mask = beta_mask(la)
+    return [_chi_kernel(memo_key(nu, mask)) for nu in odd_partitions_of(size(la))]
+
+
+def _spin_row(al):
+    mask = part_mask(al)
+    return [_spin_int(mask, nu) for nu in odd_partitions_of(size(al))]
+
 
 def linear_brauer(la):
     la = tuple(la)
     check_partition(la)
-    mask = beta_mask(la)
-    return tuple(Scalar(_chi_kernel(memo_key(nu, mask))) for nu in odd_partitions_of(size(la)))
+    return tuple(Scalar(x) for x in _linear_row(la))
 
 
 def spin_brauer(al):
     al = tuple(al)
     check_strict(al)
-    return tuple(_spin_value(al, nu) for nu in odd_partitions_of(size(al)))
+    return tuple(Scalar(*mul_sqrt2_pow(x, 0, len(nu) - len(al)))
+                 for x, nu in zip(_spin_row(al), odd_partitions_of(size(al))))
 
 
 def linear_brauer_table(n):
@@ -239,37 +254,29 @@ def spin_brauer_table(n):
     return {al: spin_brauer(al) for al in strict_partitions_of(n)}
 
 
-# optional disk cache for the tables, purely a speed feature; each value is
-# stored as its integer coordinates [a, b]
+# optional disk cache of the rows of size n, purely a speed feature
 
-CACHE_VERSION = 2
-
-
-def _encode_table(table):
-    return {format_partition(label): [[v.a, v.b] for v in vec] for label, vec in table.items()}
+CACHE_VERSION = 3
 
 
-def _decode_table(rows, labels, width):
-    """{label: Brauer vector} from rows of [a, b] integer pairs.  A row of
-    another width, or an entry that is not a pair of ints (a JSON true or
-    false included), raises ValueError or TypeError."""
+def _decode_rows(rows, labels, width):
+    """{label: row} from the cached rows.  Unless each row is `width` ints (a
+    JSON true or false, a float or a list is not one) ending in a positive
+    degree, raises ValueError, or TypeError for a row with no length."""
     table = {}
     for label in labels:
         key = format_partition(label)
         row = rows[key]
-        if any(type(x) is not int for entry in row for x in entry):
-            raise TypeError(f"row {key} holds a value that is not an int")
-        vec = tuple(Scalar(a, b) for a, b in row)
-        if len(vec) != width:
-            raise ValueError(f"row {key} has {len(vec)} values")
-        table[label] = vec
+        if len(row) != width or any(type(x) is not int for x in row) or row[-1] <= 0:
+            raise ValueError(f"row {key} is not {width} ints ending in a positive degree")
+        table[label] = row
     return table
 
 
 def _read_cache(path, n):
-    """(linear, spin) tables from a cache file; raises ValueError, KeyError
-    or TypeError when the file is truncated, incomplete, of another format
-    version or for another n."""
+    """(linear rows, spin rows) from a cache file; raises ValueError,
+    KeyError or TypeError when the file is truncated, incomplete, of another
+    format version or for another n."""
     with open(path) as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("version") != CACHE_VERSION:
@@ -277,16 +284,17 @@ def _read_cache(path, n):
     if blob["n"] != n:
         raise ValueError(f"file is for n={blob['n']}")
     width = len(odd_partitions_of(n))
-    lin = _decode_table(blob["linear"], partitions_of(n), width)
-    spn = _decode_table(blob["spin"], strict_partitions_of(n), width)
+    lin = _decode_rows(blob["linear"], partitions_of(n), width)
+    spn = _decode_rows(blob["spin"], strict_partitions_of(n), width)
     return lin, spn
 
 
 def _write_cache(path, n, lin, spn):
-    """Write the tables through a temporary file in the same directory, so a
+    """Write the rows through a temporary file in the same directory, so a
     reader never sees a partial file.  json.dumps runs the C encoder; json.dump does not."""
     blob = {"version": CACHE_VERSION, "n": n,
-            "linear": _encode_table(lin), "spin": _encode_table(spn)}
+            "linear": {format_partition(la): row for la, row in lin.items()},
+            "spin": {format_partition(al): row for al, row in spn.items()}}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -298,9 +306,10 @@ def _write_cache(path, n, lin, spn):
 
 
 def load_or_build_tables(n, cache_dir):
-    """(linear table, spin table) for size n, read from cache_dir or built
-    and written there.  An unreadable cache file is a miss: one warning on
-    stderr, then the tables are rebuilt and the file rewritten."""
+    """({partition: row}, {strict label: row}) for size n, read from
+    cache_dir or built and written there.  An unreadable cache file is a
+    miss: one warning on stderr, then the rows are rebuilt and the file
+    rewritten."""
     path = os.path.join(cache_dir, f"brauer_{n}.json")
     if os.path.exists(path):
         try:
@@ -308,7 +317,8 @@ def load_or_build_tables(n, cache_dir):
         except (ValueError, KeyError, TypeError) as exc:
             print(f"warning: ignoring bad table cache {path}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
-    lin, spn = linear_brauer_table(n), spin_brauer_table(n)
+    lin = {la: _linear_row(la) for la in partitions_of(n)}
+    spn = {al: _spin_row(al) for al in strict_partitions_of(n)}
     os.makedirs(cache_dir, exist_ok=True)
     _write_cache(path, n, lin, spn)
     return lin, spn
@@ -335,14 +345,6 @@ def proportionality_ratio(u, v):
         elif c != r:
             return None
     return c
-
-
-def _table_ratio(vec, i):
-    """Value of a table vector on its i-th class over its value at (1^n),
-    the last class.  A row lies wholly in Z or wholly in sqrt2*Z (on an odd
-    class len(nu) = n mod 2), so one coordinate carries the quotient."""
-    x, y = vec[i], vec[-1]
-    return Fraction(x.a, y.a) if y.a else Fraction(x.b, y.b)
 
 
 def _closed_key(n, k3, k5):
@@ -464,9 +466,9 @@ def scan(n, cache_dir=None):
     surviving labels and ratios are emitted for the other too (see the
     module docstring).
 
-    The partitions come from the walk of the module docstring, and cold
-    the values compare as ints, by cross-multiplication; with cache_dir
-    they are read from the cached tables instead, as Fractions."""
+    The partitions come from the walk of the module docstring, and the
+    values compare as ints, by cross-multiplication.  Cold they are read
+    from the kernels; with cache_dir, from the cached rows."""
     check_size(n)
     classes = odd_partitions_of(n)
     keyed = {(k,) + (1,) * (n - k) for k in (3, 5) if n >= k}
@@ -474,45 +476,42 @@ def scan(n, cache_dir=None):
     # still checked on every class
     cols = sorted(range(len(classes) - 1),
                   key=lambda i: (classes[i] in keyed, n - len(classes[i])))
+    shifts = [(n - len(classes[i])) // 2 for i in cols]
     hits = _key_hits(n)
+    # linear(la) is (degree, chi over cols); spin(al) is (X^al at (1^n), the
+    # Gauss sign times X^al_nu over cols); the values are read lazily
     if cache_dir is None:
         one = classes[-1]
-        # per class: its memo key prefix (a label's key is prefix | mask),
-        # its Gauss sign and its power of sqrt2
-        fronts = [(memo_key(classes[i], 0), _gauss_sign(classes[i]),
-                   (n - len(classes[i])) // 2) for i in cols]
+        # per class: its memo key prefix (a label's key is prefix | mask), its sign
+        fronts = [(memo_key(classes[i], 0), _gauss_sign(classes[i])) for i in cols]
 
-        def survivors(la, cands):
+        def linear(la):
             mask = beta_mask(la)
-            d = _degree(mask)
-            cands = [(al, part_mask(al), p_in_P_coefficient(al, one)) for al in cands]
-            for prefix, sign, shift in fronts:
-                chi_i = _chi_kernel(prefix | mask)
-                cands = [c for c in cands
-                         if chi_i * (c[2] << shift) == sign * _bar_kernel(prefix | c[1]) * d]
-                if not cands:
-                    break
-            return [c[0] for c in cands]
+            return _degree(mask), (_chi_kernel(prefix | mask) for prefix, _ in fronts)
 
-        ratio = lambda al, la: spin_degree(al) / specht_degree(la)
+        def spin(al):
+            mask = part_mask(al)
+            return (p_in_P_coefficient(al, one),
+                    (sign * _bar_kernel(prefix | mask) for prefix, sign in fronts))
     else:
         lin, spn = load_or_build_tables(n, cache_dir)
+        linear = lambda la: (lin[la][-1], map(lin[la].__getitem__, cols))
+        spin = lambda al: (spn[al][-1], map(spn[al].__getitem__, cols))
 
-        def survivors(la, cands):
-            row = lin[la]
-            for i in cols:
-                v = _table_ratio(row, i)
-                cands = [al for al in cands if _table_ratio(spn[al], i) == v]
-                if not cands:
-                    break
-            return cands
-
-        ratio = lambda al, la: spn[al][-1] / lin[la][-1]
+    def survivors(la, cands):
+        """(al, spin degree over linear degree) for each al of cands whose
+        values over the degree, cross-multiplied, equal la's on cols."""
+        d, chis = linear(la)
+        cands = [(al, *spin(al)) for al in cands]
+        for shift, chi_i in zip(shifts, chis):
+            cands = [c for c in cands if chi_i * (c[1] << shift) == next(c[2]) * d]
+            if not cands:
+                break
+        return [(al, Scalar(*mul_sqrt2_pow(x, 0, n - len(al))) / d) for al, x, _ in cands]
 
     out = []
     for la, conj, cands in hits:
-        for al in survivors(la, cands):
-            c = ratio(al, la)
+        for al, c in survivors(la, cands):
             out.append((al, la, c))
             if conj != la:
                 out.append((al, conj, c))

@@ -39,10 +39,10 @@ one production route for, by a slower or more literal construction.
 - The involution omega on the power sums, with which the tests check
   s_la' = omega s_la and omega Q_alpha = Q_alpha.
 - The proportionality scan grouped on the values at its first class,
-  computed by the rim-hook recursion and Morris's formula (the oracle for
-  the closed keys of `charvalues.scan`), with the spin values over the
-  degree as Fractions (the route that the scan's cross-multiplied ints
-  replaced), and the scan's key hits as a filter over every partition of
+  computed by the rim-hook recursion and Morris's formula or read from the
+  cached int rows (the oracle for the closed keys of `charvalues.scan`),
+  with the values over the degree as Fractions (the route that the scan's
+  cross-multiplied ints replaced, cold and cached), and the scan's key hits as a filter over every partition of
   n (the oracle for its pruned walk).
 - The tuple recursions that the bitmask kernels replaced: Murnaghan-Nakayama
   over `partitions.rim_hooks` with the hook length formula at (1^m),
@@ -762,11 +762,13 @@ def scan_reference(n, cache_dir=None):
         spin_at = lambda al, i: spin_ratio(al, classes[i], p_in_P_coefficient(al, one))
         ratio = lambda al, la: cv.spin_degree(al) / cv.specht_degree(la)
     else:
+        # int rows, the degree last; a spin entry is its value over
+        # sqrt2^(len(nu) - len(al))
         lin, spn = cv.load_or_build_tables(n, cache_dir)
         lin_labels, spin_labels = lin, spn
-        lin_at = lambda la, i: cv._table_ratio(lin[la], i)
-        spin_at = lambda al, i: cv._table_ratio(spn[al], i)
-        ratio = lambda al, la: spn[al][-1] / lin[la][-1]
+        lin_at = lambda la, i: Fraction(lin[la][i], lin[la][-1])
+        spin_at = lambda al, i: Fraction(spn[al][i], spn[al][-1] << (n - len(classes[i])) // 2)
+        ratio = lambda al, la: Scalar(*mul_sqrt2_pow(spn[al][-1], 0, n - len(al))) / lin[la][-1]
 
     def first(at, label):
         # n <= 2 has no class but (1^n): then every pair is proportional

@@ -187,7 +187,7 @@ def test_spin_degree_matches_schur_product_formula():
 
 def test_spin_rows_lie_in_z_or_sqrt2_z():
     """A row is integral when n - len(al) is even and sqrt2 times integral
-    when it is odd; the cache-backed scan divides one coordinate by it."""
+    when it is odd."""
     for n in range(1, 15):
         for al, vec in cv.spin_brauer_table(n).items():
             radical = (n - len(al)) % 2 == 1
@@ -488,6 +488,40 @@ def test_table_cache_round_trip(tmp_path):
     assert cv.scan(4, cache_dir=str(tmp_path)) == cv.scan(4)
 
 
+def test_cached_rows_are_the_character_values(tmp_path):
+    """Read back from the file, a linear row is chi on the odd classes, and
+    a spin entry times sqrt2^(len(nu) - len(al)) is the spin Brauer vector's
+    entry, for every label with n <= 10; the degree is last."""
+    for n in range(11):
+        classes = odd_partitions_of(n)
+        cv.load_or_build_tables(n, cache_dir=str(tmp_path))
+        lin, spn = cv._read_cache(str(tmp_path / f"brauer_{n}.json"), n)
+        assert list(lin) == list(partitions_of(n))
+        assert list(spn) == list(strict_partitions_of(n))
+        for la, row in lin.items():
+            assert row == [cv.chi(la, nu) for nu in classes], la
+        for al, row in spn.items():
+            got = tuple(x * sqrt2_pow(len(nu) - len(al)) for x, nu in zip(row, classes))
+            assert got == cv.spin_brauer(al), al
+            assert got[-1] == cv.spin_degree(al)
+
+
+def test_cached_scan_reads_only_rows_and_equals_cold(monkeypatch, tmp_path):
+    """The scan that fills the cache, and the scan that reads it with every
+    kernel refused, print the cold scan's records for every n <= 16."""
+    cold = [repr(cv.scan(n)) for n in range(17)]
+    for n in range(17):
+        assert repr(cv.scan(n, cache_dir=str(tmp_path))) == cold[n], n
+
+    def refuse(*args):
+        raise AssertionError("a cached scan read a kernel")
+
+    for name in ("_chi_kernel", "_degree", "_bar_kernel", "p_in_P_coefficient"):
+        monkeypatch.setattr(cv, name, refuse)
+    for n in range(17):
+        assert repr(cv.scan(n, cache_dir=str(tmp_path))) == cold[n], n
+
+
 def _edit_blob(edit):
     def corrupt(path):
         blob = json.loads(path.read_text())
@@ -496,17 +530,29 @@ def _edit_blob(edit):
     return corrupt
 
 
+def _as_pairs(blob):
+    """Format version 2 stored each value as the int pair [a, b] of a + b sqrt2."""
+    for side in ("linear", "spin"):
+        blob[side] = {key: [[x, 0] for x in row] for key, row in blob[side].items()}
+    blob["version"] = 2
+
+
 BAD_CACHE_FILES = {
     "truncated": lambda path: path.write_text(path.read_text()[:100]),
     "no version": _edit_blob(lambda blob: blob.pop("version")),
     "other version": _edit_blob(lambda blob: blob.update(version=cv.CACHE_VERSION + 1)),
     # format version 1 stored each value as exact-rational strings
     "version 1 file": _edit_blob(lambda blob: blob.update(version=1, spin={
-        key: [{"a": str(a), "b": str(b)} for a, b in row] for key, row in blob["spin"].items()})),
+        key: [{"a": str(x), "b": "0"} for x in row] for key, row in blob["spin"].items()})),
+    "version 2 file": _edit_blob(_as_pairs),
     "v1 string entry": _edit_blob(lambda blob: blob["spin"]["5"].__setitem__(0, {"a": "1", "b": "0"})),
-    "float entry": _edit_blob(lambda blob: blob["linear"]["5"].__setitem__(0, [1.0, 0])),
+    "float entry": _edit_blob(lambda blob: blob["linear"]["5"].__setitem__(0, 1.0)),
     # JSON true/false would otherwise read as the ints 1/0
-    "bool entry": _edit_blob(lambda blob: blob["linear"]["5"].__setitem__(0, [True, False])),
+    "bool entry": _edit_blob(lambda blob: blob["linear"]["5"].__setitem__(0, True)),
+    "nested entry": _edit_blob(lambda blob: blob["linear"]["5"].__setitem__(0, [1, 0])),
+    # a cached scan divides by the degree, the last entry
+    "zero degree": _edit_blob(lambda blob: blob["linear"]["3,2"].__setitem__(-1, 0)),
+    "negative degree": _edit_blob(lambda blob: blob["spin"]["4,1"].__setitem__(-1, -blob["spin"]["4,1"][-1])),
     "missing key": _edit_blob(lambda blob: blob["spin"].pop("4,1")),
     "short row": _edit_blob(lambda blob: blob["linear"]["5"].pop()),
     "wrong n": _edit_blob(lambda blob: blob.update(n=4)),
@@ -518,13 +564,15 @@ def test_bad_cache_file_is_a_miss(tmp_path, capsys, corrupt):
     cv.load_or_build_tables(5, cache_dir=str(tmp_path))
     path = tmp_path / "brauer_5.json"
     corrupt(path)
-    lin, spn = cv.load_or_build_tables(5, cache_dir=str(tmp_path))
-    assert lin == cv.linear_brauer_table(5) and spn == cv.spin_brauer_table(5)
+    rows = cv.load_or_build_tables(5, cache_dir=str(tmp_path))
     assert capsys.readouterr().err.count("warning: ignoring bad table cache") == 1
+    assert rows == cv.load_or_build_tables(5, cache_dir=str(tmp_path / "fresh"))
     # the rebuilt file was rewritten and now reads cleanly
     blob = json.loads(path.read_text())
     assert (blob["version"], blob["n"]) == (cv.CACHE_VERSION, 5)
-    assert all(type(x) is int for row in blob["spin"].values() for v in row for x in v)
+    for side in ("linear", "spin"):
+        assert all(type(x) is int for row in blob[side].values() for x in row)
+        assert all(row[-1] > 0 for row in blob[side].values())
     cv.load_or_build_tables(5, cache_dir=str(tmp_path))
     assert capsys.readouterr().err == ""
 
