@@ -122,7 +122,7 @@ def cmd_info(args):
 # value
 
 def cmd_value(args):
-    nu = _parse(pt.parse_partition, args.cls)
+    nu = _parse(pt.parse_class, args.cls)
     if args.basis == "specht":
         la = _parse(pt.parse_partition, args.label)
         if pt.size(la) != pt.size(nu):

@@ -15,8 +15,8 @@ from operator import ge, gt, sub
 # ---------------------------------------------------------------------------
 # parsing, validation, basic structure
 
-def parse_partition(text):
-    """Parse 'INT(,INT)*' into a partition tuple; '-' is the empty partition.
+def _parse_parts(text):
+    """Parse 'INT(,INT)*' into a tuple of ints; '-' is the empty tuple.
     Each part is ASCII digits, with spaces allowed around it."""
     text = text.strip()
     if text == "-":
@@ -24,7 +24,20 @@ def parse_partition(text):
     parts = [p.strip() for p in text.split(",")]
     if not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"bad partition text {text!r}")
-    parts = tuple(map(int, parts))
+    return tuple(map(int, parts))
+
+
+def parse_partition(text):
+    """A partition: parts as `_parse_parts` reads them, weakly decreasing."""
+    parts = _parse_parts(text)
+    check_partition(parts)
+    return parts
+
+
+def parse_class(text):
+    """A class is a multiset of cycle lengths, typed in any order; its
+    parts come back sorted down."""
+    parts = tuple(sorted(_parse_parts(text), reverse=True))
     check_partition(parts)
     return parts
 

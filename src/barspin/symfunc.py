@@ -6,12 +6,12 @@ centralizer order of the class nu.  In this scaling every coefficient the
 library forms is an integer: h_r has 1 at every nu of r (Macdonald,
 Symmetric Functions and Hall Polynomials, I (2.14)), and the scaled
 coefficient of p_nu in s_la is the character value chi^la(nu); s_la is
-Jacobi-Trudi expanded along its first column.  `Fraction` enters only in
-`evaluate` and in the tableau and series oracles at the end of the module,
-where Q_alpha and P_alpha at given points are summed over marked shifted
-tableaux by their largest letter.  Multiplying p_mu/z_mu by p_nu/z_nu gives
-p_(mu u nu)/z_(mu u nu) times the integer z_(mu u nu)/(z_mu z_nu) =
-prod_k C(m_k(mu) + m_k(nu), m_k(mu)).
+Jacobi-Trudi expanded along its first column.  Multiplying p_mu/z_mu by
+p_nu/z_nu gives p_(mu u nu)/z_(mu u nu) times the integer
+z_(mu u nu)/(z_mu z_nu) = prod_k C(m_k(mu) + m_k(nu), m_k(mu)).  No
+polynomial holds a zero coefficient (`poly_add` and `poly_mul` drop zeros,
+`schur_q_poly` skips X = 0), so `==` compares them.  The one `Fraction` is
+c/z_nu in `evaluate`.
 
 Spin character values are read off the integers X with
 p_nu = sum_alpha X^alpha_nu P_alpha, by Morris's bar recursion (Morris
@@ -89,10 +89,6 @@ def poly_mul(f, g):
             elif k in out:
                 del out[k]
     return out
-
-
-def poly_eq(f, g):
-    return poly_add(f, poly_scale(g, -1)) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +201,9 @@ def q_poly(r):
 # evaluation and monomial-expansion oracles (deliberately independent routes)
 
 def evaluate(poly, xs):
-    """Evaluate at finitely many variable values, exactly."""
-    xs = [Fraction(v) for v in xs]
-    total = Fraction(0)
+    """Evaluate at finitely many variable values: exact at int and Fraction
+    points (c/z_nu is a Fraction); a float point is not converted."""
+    total = 0
     for nu, c in poly.items():
         term = Fraction(c, z_order(nu))
         for k in nu:
@@ -218,7 +214,8 @@ def evaluate(poly, xs):
 
 def monomial_schur_q(al, xs, marked_diagonal=True):
     """Q_alpha (or P_alpha when marked_diagonal=False) at xs, summed over
-    marked shifted tableaux by their largest letter (Macdonald III.8).
+    marked shifted tableaux by their largest letter (Macdonald III.8):
+    exact, an int at int points, and a float point is not converted.
 
     The cells that hold the last letter, primed or not, are la/mu for a
     strict mu with la_(i+1) <= mu_i <= la_i.  One letter fills la/mu in
@@ -229,14 +226,13 @@ def monomial_schur_q(al, xs, marked_diagonal=True):
     piece exists exactly when mu is shorter than la.  The sums are
     memoized on (mu, letters left) for this call only.
     """
-    xs = [Fraction(v) for v in xs]
     memo = {}
 
     def q(la, k):
         if not la or not k:
-            return Fraction(not la)
+            return int(not la)
         if (la, k) not in memo:
-            total = Fraction(0)
+            total = 0
             for mu in itertools.product(*map(range, la[1:] + (0,), [a + 1 for a in la])):
                 if any(a == b > 0 for a, b in zip(mu, mu[1:])):
                     continue
@@ -253,12 +249,12 @@ def monomial_schur_q(al, xs, marked_diagonal=True):
 
 
 def q_series_coefficient(r, xs):
-    """Coefficient of t^r in prod (1 + x t)/(1 - x t), by truncated series."""
-    xs = [Fraction(v) for v in xs]
-    series = [Fraction(1)] + [Fraction(0)] * r
+    """Coefficient of t^r in prod (1 + x t)/(1 - x t), by truncated series:
+    exact, an int at int points, and a float point is not converted."""
+    series = [1] + [0] * r
     for x in xs:
-        factor = [Fraction(1)] + [2 * x ** k for k in range(1, r + 1)]
-        new = [Fraction(0)] * (r + 1)
+        factor = [1] + [2 * x ** k for k in range(1, r + 1)]
+        new = [0] * (r + 1)
         for i in range(r + 1):
             if not series[i]:
                 continue

@@ -130,9 +130,23 @@ def test_value_size_mismatch(capsys):
 
 
 def test_value_spin_even_class(capsys):
-    code, _, err = run(capsys, "value", "spin", "4", "2,2")
-    assert code == 2
-    assert "odd classes" in err
+    for cls in ("2,2", "2,1,1", "1,2,1", "1,1,2"):
+        code, _, err = run(capsys, "value", "spin", "4", cls)
+        assert code == 2, cls
+        assert "odd classes" in err, cls
+
+
+def test_value_takes_the_class_in_any_order(capsys):
+    """A class is a multiset, as in `chi` and `spin_value`: `1,3` prints
+    what `3,1` prints, in both bases."""
+    for basis, label in (("specht", "2,2"), ("spin", "4"), ("spin", "3,1")):
+        want = run(capsys, "value", basis, label, "3,1")
+        assert want[0] == 0
+        assert run(capsys, "value", basis, label, "1,3") == want, (basis, label)
+    for cls in ("1,3,0", "0,1,3"):
+        code, _, err = run(capsys, "value", "specht", "2,2", cls)
+        assert code == 2
+        assert "positive integers" in err
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,16 @@ def test_parse_and_format():
     assert pt.format_partition((6, 3, 1, 1)) == "6,3,1,1"
     assert pt.parse_strict("7,5,4,1") == (7, 5, 4, 1)
     assert pt.parse_partition(" 3 , 1 ") == (3, 1)
+    assert pt.parse_class("1, 3,1") == (3, 1, 1)
+    assert pt.parse_class("-") == ()
 
 
 @pytest.mark.parametrize("text", ["1_0", "+3", "\uff13,1", "3,,1", "3,-1", "", "3.0"])
 def test_parse_partition_wants_ascii_digits(text):
     with pytest.raises(ValueError):
         pt.parse_partition(text)
+    with pytest.raises(ValueError):
+        pt.parse_class(text)
 
 
 def test_bool_parts_are_rejected():

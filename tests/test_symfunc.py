@@ -22,6 +22,7 @@ from barspin.partitions import (
     conjugate,
     odd_partitions_of,
     partitions_of,
+    size,
     staircase,
     strict_partitions_of,
     sum_parts,
@@ -81,6 +82,21 @@ def test_scaled_coefficients_are_ints():
         assert all(type(c) is int for c in poly.values()), poly
 
 
+def test_polys_hold_no_zero_coefficient():
+    """The staircase check compares polynomials with `==`, which rests on
+    this: Schur polynomials, their products, Q_alpha and P_alpha hold no
+    zero coefficient."""
+    schurs = {la: sf.schur_poly(la) for n in range(11) for la in partitions_of(n)}
+    polys = list(schurs.values())
+    polys += [sf.poly_mul(schurs[la], schurs[mu]) for la in schurs for mu in schurs
+              if size(la) + size(mu) <= 10]
+    for n in range(13):
+        for al in strict_partitions_of(n):
+            polys += [sf.schur_q_poly(al), sf.schur_p_poly(al)]
+    for poly in polys:
+        assert all(poly.values()), poly
+
+
 def test_poly_mul_scales_by_the_multiplicities():
     """(p_1/z_1)(p_1/z_1) = 2 p_11/z_11 and (p_2 p_1/z_21)(p_1/z_1) = 2 p_211/z_211."""
     assert sf.poly_mul({(1,): 1}, {(1,): 1}) == {(1, 1): 2}
@@ -91,7 +107,7 @@ def test_poly_mul_scales_by_the_multiplicities():
 def test_two_row_matches_pfaffian():
     for a in range(1, 6):
         for b in range(0, a):
-            assert sf.poly_eq(q_two_row(a, b), sf.schur_q_poly((a, b) if b else (a,)))
+            assert q_two_row(a, b) == sf.schur_q_poly((a, b) if b else (a,))
 
 
 def test_schur_q_and_p_match_pfaffian():
@@ -125,13 +141,33 @@ def test_last_letter_recursion_matches_cell_by_cell_tableaux():
     letter against the cell-by-cell enumeration: every strict label of
     size <= 8, both markings, zero to five variables, ints and Fractions."""
     points = [[], [2], [1, F(1, 2)], [F(-1, 3), 2, 1], [1, F(1, 2), F(1, 3), 3],
-              [F(2, 3), -1, 1, F(1, 5), 2]]
+              [F(2, 3), -1, 1, F(1, 5), 2], [12, 6, 4, 3]]
     for n in range(9):
         for al in strict_partitions_of(n):
             for xs in points:
                 for marked in (True, False):
                     want = monomial_schur_q_by_cells(al, xs, marked)
                     assert sf.monomial_schur_q(al, xs, marked) == want, (al, xs, marked)
+
+
+def test_twelve_times_the_point_scales_by_twelve_to_the_degree():
+    """The symfunc suite evaluates at (12, 6, 4, 3) = 12 (1, 1/2, 1/3, 1/4).
+    Q_alpha, P_alpha, their tableau sums, q_r and the series coefficient
+    are homogeneous, so each value there is 12^degree times the value at
+    (1, 1/2, 1/3, 1/4), and the tableau and series sums stay ints."""
+    ints, fracs = (12, 6, 4, 3), (F(1), F(1, 2), F(1, 3), F(1, 4))
+    for n in range(7):
+        for al in strict_partitions_of(n):
+            for poly, marked in ((sf.schur_q_poly, True), (sf.schur_p_poly, False)):
+                scaled = sf.monomial_schur_q(al, ints, marked)
+                assert type(scaled) is int, (al, marked)
+                assert scaled == 12 ** n * sf.monomial_schur_q(al, fracs, marked), (al, marked)
+                assert sf.evaluate(poly(al), ints) == 12 ** n * sf.evaluate(poly(al), fracs)
+    for r in range(9):
+        scaled = sf.q_series_coefficient(r, ints)
+        assert type(scaled) is int, r
+        assert scaled == 12 ** r * sf.q_series_coefficient(r, fracs), r
+        assert sf.evaluate(sf.q_poly(r), ints) == 12 ** r * sf.evaluate(sf.q_poly(r), fracs)
 
 
 def test_schur_matches_tableaux():
@@ -157,7 +193,7 @@ def test_p_of_double_staircase_is_schur_product():
         for s in range(0, r + 1):
             lhs = sf.schur_p_poly(sum_parts(staircase(r), staircase(s)))
             rhs = sf.poly_mul(sf.schur_poly(staircase(r)), sf.schur_poly(staircase(s)))
-            assert sf.poly_eq(lhs, rhs)
+            assert lhs == rhs
 
 
 def test_expand_in_P_round_trip():
