@@ -8,8 +8,9 @@ Finite Groups): a partition is its beta-set, one bead per part, held as a
 bitmask, and removing a k-rim hook moves one bead from b down to a free
 b - k, with sign (-1)^(beads strictly between b - k and b).  A bead that
 lands on 0 is shifted out, so each partition has one mask.  At (1^m) the
-value is the degree n! prod_{i<j} (b_j - b_i) / prod b_i!, memoized per
-mask and shared with `specht_degree`.  The memo keys are plain ints (see
+value is the degree n! prod_{i<j} (b_j - b_i) / prod b_i!, which
+`specht_degree` shares; it is not memoized itself, since the kernel's memo
+holds it at each mask's (1^m) key.  The memo keys are plain ints (see
 `partitions.memo_key`).
 Spin side: the value of the spin character of the strict label alpha on
 the odd class nu is Morris's closed form
@@ -78,8 +79,9 @@ below its conjugate meets.  The other is on p2: the first key entry is
 60 p2 - 30 n(n - 1), so each key names a p2, and a branch is cut when no
 key's p2 lies between the least and the most p2 that the rows still to
 come can add, read from a memo over (row index, cells left, largest row
-allowed, rows left) that lives for one scan.  Keys with no entry (n < 3)
-name no p2, and then only the first prune runs.
+allowed, rows left) that every scan shares, as none of these bounds
+depends on n.  Keys with no entry (n < 3) name no p2, and then only the
+first prune runs.
 """
 
 from __future__ import annotations
@@ -157,7 +159,6 @@ chi.cache_info = _chi_kernel.cache_info
 chi.cache_clear = _chi_kernel.cache_clear
 
 
-@lru_cache(maxsize=None)
 def _degree(mask):
     """f^la from the beta-set b of la: n! prod_{i<j} (b_j - b_i) / prod b_i!
     (James-Kerber 2.7)."""
@@ -387,6 +388,27 @@ def _spin_key(al):
                        -3 * P5 + (30 * n - 55) * P3 - 50 * n ** 3 + 150 * n * n - 72 * n)
 
 
+def _p2_span(i, m, a, left):
+    """(least, most) p2 of rows i, i + 1, ... holding m cells in at most
+    `left` rows of at most a cells; the callers keep m <= a * left."""
+    if not m:
+        return 0, 0
+    # m cells fill no row past m cells and no more than m rows
+    return _p2_span_memo(i, m, min(a, m), min(left, m))
+
+
+@lru_cache(maxsize=None)
+def _p2_span_memo(i, m, a, left):
+    """`_p2_span` for 0 < m, a <= m and left <= m, so no two keys name one span."""
+    los, his = [], []
+    for b in range(a, -(-m // left) - 1, -1):
+        q2 = _row_sums(i, b)[1]
+        lo, hi = _p2_span(i + 1, m - b, b, left - 1)
+        los.append(q2 + lo)
+        his.append(q2 + hi)
+    return min(los), max(his)
+
+
 def _key_hits(n):
     """(la, conjugate(la), labels) for every partition la of n not below its
     conjugate whose key some strict labels share, la in descending
@@ -400,25 +422,6 @@ def _key_hits(n):
     else:
         base = 30 * n * (n - 1)
         targets = sorted({(k[0] + base) // 60 for k in groups if (k[0] + base) % 60 == 0})
-    spans = {}
-
-    def span(i, m, a, left):
-        """(least, most) p2 of rows i, i + 1, ... holding m cells in at most
-        `left` rows of at most a cells; the callers keep m <= a * left."""
-        if not m:
-            return 0, 0
-        # m cells fill no row past m cells and no more than m rows
-        key = (i, m, min(a, m), min(left, m))
-        got = spans.get(key)
-        if got is None:
-            los, his = [], []
-            for b in range(min(a, m), -(-m // left) - 1, -1):
-                q2 = _row_sums(i, b)[1]
-                lo, hi = span(i + 1, m - b, b, left - 1)
-                los.append(q2 + lo)
-                his.append(q2 + hi)
-            got = spans[key] = min(los), max(his)
-        return got
 
     rows = [0] * n
     hits = []
@@ -440,7 +443,7 @@ def _key_hits(n):
             q1, q2, q4 = _row_sums(i, b)
             after = (b if i == 0 else left) - 1
             if targets is not None:
-                lo, hi = span(i + 1, m - b, b, after)
+                lo, hi = _p2_span(i + 1, m - b, b, after)
                 j = bisect_left(targets, p2 + q2 + lo)
                 if j == len(targets) or targets[j] > p2 + q2 + hi:
                     continue

@@ -289,6 +289,8 @@ def partition_from_beta(beta):
     r = len(bs)
     if len(set(bs)) != r:
         raise ValueError(f"beta-numbers must be distinct: {beta}")
+    if r and bs[-1] < 0:
+        raise ValueError(f"beta-numbers must not be negative: {beta}")
     return tuple(filter(None, map(sub, bs, range(r - 1, -1, -1))))
 
 
@@ -298,6 +300,8 @@ def rim_hooks(la, k):
     A removal is a beta-number move b -> b-k with b-k free; the leg is the
     number of beta-numbers strictly between them.
     """
+    if k < 1:
+        raise ValueError(f"rim hooks have positive lengths only, got {k}")
     beta = beta_numbers(la)
     bset = set(beta)
     out = []

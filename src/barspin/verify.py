@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from barspin import charspace as cs
@@ -22,8 +23,7 @@ from barspin import charvalues as cv
 from barspin import classify
 from barspin import partitions as pt
 from barspin import symfunc as sf
-from barspin.abacus import from_core_quotient, swp, two_quotient
-from barspin.abacus import bswp
+from barspin.abacus import bswp, from_core_quotient, swp, two_quotient
 from barspin.charspace import PM_ONE, PM_SQRT2
 from barspin.partitions import format_partition
 from barspin.scalars import Scalar, sqrt2_pow
@@ -155,12 +155,55 @@ def run_equality(rep, cache_dir):
 
 
 # ---------------------------------------------------------------------------
-# runner swap, linear basis
+# the checks run in both bases: the runner swap, the weights, the degrees
 
-def _linear_swap_top(la, eps):
-    v = cs.runner_swap(cs.unit("linear", la), eps, pt.n_eps(la, eps))
-    if v.pairs != {swp(la, eps): (cs.swap_sign("linear", la, eps), 0)}:
-        return f"la={format_partition(la)} eps={eps} -> {cs.format_vector(v)}"
+# One row per basis holds what the checks read of it: name and weight_word are
+# what a message calls a label and its weight, lowest is the largest removal.
+_Basis = namedtuple("_Basis", "basis name weight_word labels n_eps swapped lowest "
+                              "is_bottom degree weight value")
+
+
+def _bases():
+    """The rows by basis, built at each call, so that a check runs the library
+    functions as bound then.  S^(-r) takes a spin label to its largest
+    removal times +-1, +-sqrt2 or +-2 (all occur for n <= 14), so its bottom
+    test, unlike the linear +-1, pins only the support."""
+    return {
+        "linear": _Basis("linear", "la", "weight", pt.partitions_of, pt.n_eps, swp,
+                         pt.remove_all_removable, lambda v, low: _signed_unit(v, low, PM_ONE),
+                         cv.specht_degree, pt.k_weight, cv.chi),
+        "spin": _Basis("spin", "al", "bar weight", pt.strict_partitions_of, pt.spin_n_eps, bswp,
+                       pt.remove_all_spin_removable, lambda v, low: set(v.pairs) == {low},
+                       cv.spin_degree, pt.bar_weight, cv.spin_value),
+    }
+
+
+def _swap_top(b, label, eps):
+    v = cs.runner_swap(cs.unit(b.basis, label), eps, b.n_eps(label, eps))
+    if v.pairs != {b.swapped(label, eps): (cs.swap_sign(b.basis, label, eps), 0)}:
+        return f"{b.name}={format_partition(label)} eps={eps} -> {cs.format_vector(v)}"
+
+
+def _swap_range(b, label, eps):
+    """S^(c) is 0 for c > n_eps and for c < -r, and S^(-r) passes the bottom test."""
+    u = cs.unit(b.basis, label)
+    low = b.lowest(label, eps)
+    r = pt.size(label) - pt.size(low)
+    for c in (b.n_eps(label, eps) + 1, -r - 1):
+        if not cs.runner_swap(u, eps, c).is_zero():
+            return f"{format_partition(label)} eps={eps} c={c} not 0"
+    if not b.is_bottom(cs.runner_swap(u, eps, -r), low):
+        return f"{format_partition(label)} eps={eps} c={-r}"
+
+
+def _transport(basis, a, label_at, tag):
+    """S^(a+1) takes label_at(a) to +-label_at(a + 1), S^(-a) to +-label_at(a - 1)."""
+    u = cs.unit(basis, label_at(a))
+    ok = _signed_unit(cs.runner_swap(u, a % 2, a + 1), label_at(a + 1), PM_ONE)
+    yield None if ok else f"up a={a} {tag}"
+    if a >= 1:
+        ok = _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a), label_at(a - 1), PM_ONE)
+        yield None if ok else f"down a={a} {tag}"
 
 
 def _staircase_cores_shrink(big):
@@ -179,36 +222,17 @@ def _staircase_cores_shrink(big):
 def _core_transport():
     """Up from each 2-core staircase(a), and down when a >= 1."""
     st = pt.staircase
-    for a in range(0, 5):
-        for m in range(0, 5):
-            for q0, q1 in _bipartitions(m):
-                u = cs.unit("linear", from_core_quotient(st(a), q0, q1))
-                q = f"({format_partition(q0)};{format_partition(q1)})"
-                ok = _signed_unit(cs.runner_swap(u, a % 2, a + 1),
-                                  from_core_quotient(st(a + 1), q0, q1), PM_ONE)
-                yield None if ok else f"up a={a} q={q}"
-                if a >= 1:
-                    ok = _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a),
-                                      from_core_quotient(st(a - 1), q0, q1), PM_ONE)
-                    yield None if ok else f"down a={a} q={q}"
-
-
-def _linear_swap_range(la, eps):
-    u = cs.unit("linear", la)
-    ne = pt.n_eps(la, eps)
-    r = len(pt.removable_nodes(la, eps))
-    if not cs.runner_swap(u, eps, ne + 1).is_zero():
-        return f"{format_partition(la)} eps={eps} c={ne + 1} not 0"
-    if not cs.runner_swap(u, eps, -r - 1).is_zero():
-        return f"{format_partition(la)} eps={eps} c={-r - 1} not 0"
-    if not _signed_unit(cs.runner_swap(u, eps, -r), pt.remove_all_removable(la, eps), PM_ONE):
-        return f"{format_partition(la)} eps={eps} c={-r}"
+    for a, m in itertools.product(range(5), range(5)):
+        for q0, q1 in _bipartitions(m):
+            yield from _transport("linear", a, lambda k: from_core_quotient(st(k), q0, q1),
+                                  f"q=({format_partition(q0)};{format_partition(q1)})")
 
 
 def run_runner_swap(rep, cache_dir):
+    lin = _bases()["linear"]
     for n in range(0, rep.max_n + 1):
         rep.tally(f"S^(n_eps)[la] == sign*[swp la], |la|={n}",
-                  (_linear_swap_top(la, eps) for la in pt.partitions_of(n) for eps in (0, 1)))
+                  (_swap_top(lin, la, eps) for la in lin.labels(n) for eps in (0, 1)))
 
     big = rep.max_n + 4
     rep.tally(f"S^(-a) shrinks a staircase core, size <= {big}", _staircase_cores_shrink(big))
@@ -217,8 +241,8 @@ def run_runner_swap(rep, cache_dir):
 
     small = min(rep.max_n, 8)
     rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom value, |la| <= {small}",
-              (_linear_swap_range(la, eps)
-               for n in range(0, small + 1) for la in pt.partitions_of(n) for eps in (0, 1)))
+              (_swap_range(lin, la, eps)
+               for n in range(0, small + 1) for la in lin.labels(n) for eps in (0, 1)))
 
     v = cs.runner_swap(cs.unit("linear", (6, 3, 1, 1)), 1, -2)
     rep.check("S_1^(-2) [6,3,1,1]", "-[5,2,2]", cs.format_vector(v))
@@ -227,49 +251,21 @@ def run_runner_swap(rep, cache_dir):
     rep.check("S_2^(1) [9,8,5,1^5] at p=5", "-[9,9,4,1,1,1,1,1,1]", cs.format_vector(v))
 
 
-# ---------------------------------------------------------------------------
-# runner swap, spin basis
-
-def _spin_swap_top(al, eps):
-    v = cs.runner_swap(cs.unit("spin", al), eps, pt.spin_n_eps(al, eps))
-    if v.pairs != {bswp(al, eps): (cs.swap_sign("spin", al, eps), 0)}:
-        return f"al={format_partition(al)} eps={eps} -> {cs.format_vector(v)}"
-
-
 def _bar_staircase_transport(big):
     """Up from each 4-bar-core bar_staircase(a), and down when a >= 1."""
     # |bar_staircase(a)| = a(a+1)/2 <= big needs a <= isqrt(2*big); no eta pads a larger one
     for a in range(math.isqrt(2 * big) + 1):
         base = pt.size(pt.bar_staircase(a))
         for eta in pt.strict_partitions_upto((big - base) // 2):
-            u = cs.unit("spin", classify.rock_label(a, (), eta))
-            up = classify.rock_label(a + 1, (), eta)
-            ok = _signed_unit(cs.runner_swap(u, a % 2, a + 1), up, PM_ONE)
-            yield None if ok else f"up a={a} eta={format_partition(eta)}"
-            if a >= 1:
-                down = classify.rock_label(a - 1, (), eta)
-                ok = _signed_unit(cs.runner_swap(u, (a + 1) % 2, -a), down, PM_ONE)
-                yield None if ok else f"down a={a} eta={format_partition(eta)}"
-
-
-def _spin_swap_range(al, eps):
-    u = cs.unit("spin", al)
-    ne = pt.spin_n_eps(al, eps)
-    low = pt.remove_all_spin_removable(al, eps)
-    r = pt.size(al) - pt.size(low)
-    bottom = cs.runner_swap(u, eps, -r)
-    if not cs.runner_swap(u, eps, ne + 1).is_zero():
-        return f"{format_partition(al)} eps={eps} c={ne + 1} not 0"
-    if not cs.runner_swap(u, eps, -r - 1).is_zero():
-        return f"{format_partition(al)} eps={eps} c={-r - 1} not 0"
-    if set(bottom.pairs) != {low}:
-        return f"{format_partition(al)} eps={eps} c={-r}"
+            yield from _transport("spin", a, lambda k: classify.rock_label(k, (), eta),
+                                  f"eta={format_partition(eta)}")
 
 
 def run_runner_swap_spin(rep, cache_dir):
+    spin = _bases()["spin"]
     for n in range(0, rep.max_n + 1):
         rep.tally(f"S^(n_eps)<<al>> == sign*<<bswp al>>, |al|={n}",
-                  (_spin_swap_top(al, eps) for al in pt.strict_partitions_of(n) for eps in (0, 1)))
+                  (_swap_top(spin, al, eps) for al in spin.labels(n) for eps in (0, 1)))
 
     big = rep.max_n + 4
     rep.tally(f"bar-staircase transport with even padding, size <= {big}",
@@ -277,7 +273,7 @@ def run_runner_swap_spin(rep, cache_dir):
 
     small = min(rep.max_n, 8)
     rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom label, |al| <= {small}",
-              (_spin_swap_range(al, eps)
+              (_swap_range(spin, al, eps)
                for al in pt.strict_partitions_upto(small) for eps in (0, 1)))
 
     v = cs.runner_swap(cs.unit("spin", (6, 3, 2)), 1, -2)
@@ -558,13 +554,9 @@ def run_degrees(rep, cache_dir):
     rep.check("degree of spin (3,1)", "4", cv.spin_degree((3, 1)))
 
     for n in range(1, rep.max_n + 1):
-        lin = sum(cv.specht_degree(la) ** 2 for la in pt.partitions_of(n))
-        rep.check(f"sum of squared linear degrees, n={n}", math.factorial(n), lin)
-        spin = Scalar(0)
-        for al in pt.strict_partitions_of(n):
-            d = cv.spin_degree(al)
-            spin = spin + d * d
-        rep.check(f"sum of squared spin degrees, n={n}", Scalar(math.factorial(n)), spin)
+        for b in _bases().values():
+            total = sum(d * d for d in map(b.degree, b.labels(n)))
+            rep.check(f"sum of squared {b.basis} degrees, n={n}", math.factorial(n), total)
 
     int_max = min(rep.max_n, 12)
     rep.tally(f"spin table entries are integers or integer multiples of sqrt2, n <= {int_max}",
@@ -582,16 +574,12 @@ def _support_is_weight(n):
     """Each odd k-(bar-)weight is the largest w with a nonzero value on (k^w, 1^(n-kw))."""
     for k in range(1, n + 1, 2):
         top = range(n // k, -1, -1)
-        for la in pt.partitions_of(n):
-            want = pt.k_weight(la, k)
-            got = next(w for w in top if cv.chi(la, _cycle_class(k, w, n)) != 0)
-            yield None if want == got else (
-                f"la={format_partition(la)} k={k}: weight {want} support {got}")
-        for al in pt.strict_partitions_of(n):
-            want = pt.bar_weight(al, k)
-            got = next(w for w in top if not cv.spin_value(al, _cycle_class(k, w, n)).is_zero())
-            yield None if want == got else (
-                f"al={format_partition(al)} k={k}: bar weight {want} support {got}")
+        for b in _bases().values():
+            for label in b.labels(n):
+                want = b.weight(label, k)
+                got = next(w for w in top if b.value(label, _cycle_class(k, w, n)))
+                yield None if want == got else (f"{b.name}={format_partition(label)} k={k}: "
+                                                f"{b.weight_word} {want} support {got}")
 
 
 def _pair_consequences(al, la, c, pairs_at):

@@ -329,6 +329,20 @@ def test_int_encodings():
                     assert rest | small == pt.memo_key(nu[1:], small)
 
 
+def test_partition_from_beta_rejects_a_negative_bead():
+    with pytest.raises(ValueError, match="negative"):
+        pt.partition_from_beta([-1, 2])
+    assert pt.partition_from_beta([]) == ()
+    assert pt.partition_from_beta([0, 2]) == (1,)
+
+
+def test_rim_hooks_reject_a_length_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"got {k}"):
+            pt.rim_hooks((2, 1), k)
+    assert pt.rim_hooks((2, 1), 1) == [((1, 1), 0), ((2,), 0)]
+
+
 def test_k_core():
     assert pt.k_core((6, 3, 1, 1), 2) == (2, 1)
     assert pt.k_core((4, 2), 2) == ()

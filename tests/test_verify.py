@@ -1,0 +1,75 @@
+"""The failure messages of the checks that run in both bases.
+
+Each test breaks the library on purpose and reads the messages that the
+suite's failing cases print, so a check that names the wrong basis, or
+runs the other basis's test, fails here.
+"""
+
+from barspin import charspace as cs
+from barspin import charvalues as cv
+from barspin import verify
+from barspin.scalars import Scalar
+
+
+def failures(suite, max_n):
+    """{case input: actual text} over the failing cases of a suite."""
+    return {c.input: c.actual for c in verify.run_suite(suite, max_n).cases if not c.ok}
+
+
+def case(fails, prefix):
+    """The one failing case whose input starts with prefix."""
+    (got,) = [actual for label, actual in fails.items() if label.startswith(prefix)]
+    return got
+
+
+def test_runner_swap_failures_name_the_label_in_each_basis(monkeypatch):
+    """With every runner swap the zero vector, each check of both suites
+    fails and names its first label."""
+    monkeypatch.setattr(cs, "runner_swap",
+                        lambda v, eps, c, p=2: cs.vector(v.basis, v.n + c, []))
+    lin = failures("runner-swap", 2)
+    assert "la=- eps=0 -> 0; la=- eps=1 -> 0" in case(lin, "S^(n_eps)[la] == sign*[swp la], |la|=0")
+    assert "up a=0 q=(-;-); " in case(lin, "core transport")
+    assert "- eps=0 c=0; - eps=1 c=0; " in case(lin, "vanishing outside")
+    spin = failures("runner-swap-spin", 2)
+    assert "al=- eps=0 -> 0; al=- eps=1 -> 0" in case(spin, "S^(n_eps)<<al>> == sign*<<bswp al>>, |al|=0")
+    assert "up a=0 eta=-; " in case(spin, "bar-staircase transport")
+    assert "- eps=0 c=0; - eps=1 c=0; " in case(spin, "vanishing outside")
+
+
+def test_bottom_value_is_a_unit_in_the_linear_basis_and_a_support_in_the_spin_basis(monkeypatch):
+    """Doubling every runner swap breaks the linear bottom value, which must
+    be +-1, and leaves the spin bottom label, whose coefficient may be
+    +-1, +-sqrt2 or +-2, passing."""
+    swap = cs.runner_swap
+
+    def doubled(v, eps, c, p=2):
+        w = swap(v, eps, c, p)
+        return cs.vector(w.basis, w.n, [(label, 2 * x) for label, x in w.coeffs.items()])
+
+    monkeypatch.setattr(cs, "runner_swap", doubled)
+    assert "- eps=0 c=0; - eps=1 c=0; " in case(failures("runner-swap", 2), "vanishing outside")
+    assert not [label for label in failures("runner-swap-spin", 2)
+                if label.startswith("vanishing outside")]
+
+
+def test_invariants_failures_name_the_weight_of_each_basis(monkeypatch):
+    """With every value 1, the support reaches the top cycle count, past
+    a label's weight."""
+    monkeypatch.setattr(cv, "chi", lambda la, nu: 1)
+    monkeypatch.setattr(cv, "spin_value", lambda al, nu: Scalar(1))
+    fails = failures("invariants", 5)
+    got = fails["weights equal maximal nonvanishing cycle counts, n=5"]
+    assert got == ("4 of 30 checks fail: la=3,1,1 k=3: weight 0 support 1; "
+                   "al=4,1 k=3: bar weight 0 support 1; la=3,2 k=5: weight 0 support 1")
+
+
+def test_degrees_failures_name_each_sum_of_squares(monkeypatch):
+    """With every degree 1, the sums of squares count the labels."""
+    monkeypatch.setattr(cv, "specht_degree", lambda la: 1)
+    monkeypatch.setattr(cv, "spin_degree", lambda al: Scalar(1))
+    fails = failures("degrees", 3)
+    assert fails["sum of squared linear degrees, n=3"] == "3"
+    assert fails["sum of squared spin degrees, n=2"] == "1"
+    assert fails["sum of squared spin degrees, n=3"] == "2"
+    assert "sum of squared linear degrees, n=2" not in fails
