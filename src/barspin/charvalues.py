@@ -206,14 +206,14 @@ def spin_degree(al):
 
 
 def spin_value(al, nu):
-    """Spin character value on the odd class nu."""
+    """Spin character value on the odd class nu, its parts in any order."""
     check_strict(al)
     check_class(nu)
     if size(nu) != size(al):
         raise ValueError(f"size mismatch: {al} vs {nu}")
     if any(p % 2 == 0 for p in nu):
         raise ValueError(f"spin values live on odd classes, got {nu}")
-    return _spin_value(tuple(al), tuple(nu))
+    return _spin_value(tuple(al), tuple(sorted(nu, reverse=True)))
 
 
 # ---------------------------------------------------------------------------

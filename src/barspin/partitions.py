@@ -452,7 +452,7 @@ def bar_staircase(a):
 # which decreases strictly, and each row's options {0}, {0, 1} or {0, 1, 2}
 # are closed downwards.  So there is a unique largest move, and its cells
 # hold every cell that any move sheds (grows): those are the spin-removable
-# (addable) eps-nodes.
+# (addable) eps-nodes.  The greedy `_largest_move` finds it.
 
 def _spin_options(part, eps, sign):
     """How many end cells (0, 1 or 2) a row of this size may shed (sign -1)
@@ -501,35 +501,24 @@ def spin_additions(al, eps, count):
     return _spin_moves(al + (0,), eps, 1, count)
 
 
-def _largest_removal(al, eps):
-    """Rows after the largest removal (a trailing 0 kept), greedily from the
-    bottom row up: each row sheds the most it may and stays above the row
-    below, whose new end is the lowest any legal removal reaches."""
-    rows = []
-    below = -1
-    for part in reversed(al):
-        below = next(part - k for k in reversed(_spin_options(part, eps, -1))
-                     if part - k > below)
-        rows.append(below)
-    return rows[::-1]
-
-
-def _largest_addition(al, eps):
-    """Rows of al + (0,) after the largest addition, greedily from the top
-    row down."""
-    rows = []
-    for part in al + (0,):
-        rows.append(next(part + k for k in reversed(_spin_options(part, eps, 1))
-                         if not rows or part + k < rows[-1]))
-    return rows
+def _largest_move(rows, eps, sign):
+    """Rows after the largest move (sign as in `_spin_moves`, a trailing 0
+    kept), greedily from the bottom row up for a removal and the top row
+    down for an addition: each row moves the most it may and stays strictly
+    beyond the new end of the row before it, the furthest any move takes it."""
+    moved = []
+    for part in rows if sign > 0 else reversed(rows):
+        moved.append(next(part + sign * k for k in reversed(_spin_options(part, eps, sign))
+                          if not moved or sign * (moved[-1] - part - sign * k) > 0))
+    return moved if sign > 0 else moved[::-1]
 
 
 def spin_n_eps(al, eps):
     """Spin-addable minus spin-removable eps-nodes: the cells the largest
     addition grows minus the cells the largest removal sheds."""
-    return sum(_largest_addition(al, eps)) + sum(_largest_removal(al, eps)) - 2 * size(al)
+    return sum(_largest_move(al + (0,), eps, 1)) + sum(_largest_move(al, eps, -1)) - 2 * size(al)
 
 
 def remove_all_spin_removable(al, eps):
     """Shed every spin-removable eps-node at once: the largest removal."""
-    return tuple(filter(None, _largest_removal(al, eps)))
+    return tuple(filter(None, _largest_move(al, eps, -1)))

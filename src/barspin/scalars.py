@@ -4,11 +4,14 @@ A Scalar is a + b*sqrt(2) with a, b rational.  Each coordinate is an int
 when it is integral and a fractions.Fraction (in lowest terms) only when it
 is not, as for a quotient or a negative power of sqrt2.  Every character
 value we meet lies in Z + Z*sqrt(2), so in practice both coordinates are
-ints; Q(sqrt(2)) is the smallest field that holds them and their quotients."""
+ints; Q(sqrt(2)) is the smallest field that holds them and their quotients.
+Binary operations take an int, bool or Fraction operand as a Scalar and no
+other type (`_scalar_operand`); a Scalar with b = 0 hashes as its a."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 
 
 def _exact(x):
@@ -20,6 +23,19 @@ def _exact(x):
     if isinstance(x, int):
         return int(x)  # a bool or another int subclass
     raise TypeError(f"cannot build an exact rational from {x!r}")
+
+
+def _scalar_operand(op):
+    """op(self, other) for a Scalar other, with an int, bool or Fraction
+    operand read as the Scalar it names and any other type NotImplemented."""
+    @wraps(op)
+    def coerced(self, other):
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        return op(self, other)
+    return coerced
 
 
 class Scalar:
@@ -36,10 +52,8 @@ class Scalar:
 
     # -- ring structure -------------------------------------------------
 
+    @_scalar_operand
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return Scalar(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
@@ -47,30 +61,22 @@ class Scalar:
     def __neg__(self):
         return Scalar(-self.a, -self.b)
 
+    @_scalar_operand
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return Scalar(self.a - other.a, self.b - other.b)
 
+    @_scalar_operand
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_scalar_operand
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return Scalar(*mul_pairs(self.a, self.b, other.a, other.b))
 
     __rmul__ = __mul__
 
+    @_scalar_operand
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         n = other.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
@@ -78,10 +84,8 @@ class Scalar:
         a, b = mul_pairs(self.a, self.b, other.a, -other.b)
         return Scalar(Fraction(a, n), Fraction(b, n))
 
+    @_scalar_operand
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     # -- field automorphism and norm ------------------------------------
@@ -102,14 +106,12 @@ class Scalar:
     def __bool__(self):
         return not self.is_zero()
 
+    @_scalar_operand
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     # -- display ----------------------------------------------------------
 
@@ -146,14 +148,6 @@ def mul_sqrt2_pow(a, b, k):
     if q < 0:
         return Fraction(a, 1 << -q), Fraction(b, 1 << -q)
     return a * (1 << q), b * (1 << q)
-
-
-def _coerce(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
-    return NotImplemented
 
 
 sqrt2 = Scalar(0, 1)

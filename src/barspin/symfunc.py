@@ -9,9 +9,9 @@ coefficient of p_nu in s_la is the character value chi^la(nu); s_la is
 Jacobi-Trudi expanded along its first column.  Multiplying p_mu/z_mu by
 p_nu/z_nu gives p_(mu u nu)/z_(mu u nu) times the integer
 z_(mu u nu)/(z_mu z_nu) = prod_k C(m_k(mu) + m_k(nu), m_k(mu)).  No
-polynomial holds a zero coefficient (`poly_add` and `poly_mul` drop zeros,
-`schur_q_poly` skips X = 0), so `==` compares them.  The one `Fraction` is
-c/z_nu in `evaluate`.
+polynomial holds a zero coefficient (`poly_mul` and the signed sum of
+`schur_poly` drop zeros, `schur_q_poly` skips X = 0), so `==` compares
+them.  The one `Fraction` is c/z_nu in `evaluate`.
 
 Spin character values are read off the integers X with
 p_nu = sum_alpha X^alpha_nu P_alpha, by Morris's bar recursion (Morris
@@ -57,24 +57,6 @@ def z_order(nu):
     return out
 
 
-def poly_add(*polys):
-    out = {}
-    for poly in polys:
-        for k, v in poly.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-    return out
-
-
-def poly_scale(poly, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in poly.items()}
-
-
 def poly_mul(f, g):
     out = {}
     gz = [(kg, vg, z_order(kg)) for kg, vg in g.items()]
@@ -108,25 +90,30 @@ def schur_poly(la):
     mu = (la_0 + 1, ..., la_(r-1) + 1, la_(r+1), ...) and s_() = 1."""
     if not la:
         return {(): 1}
-    terms = []
+    out = {}
     for r, a in enumerate(la):
         if a < r:
             break
         mu = tuple(b + 1 for b in la[:r]) + la[r + 1:]
-        terms.append(poly_scale(poly_mul(h_poly(a - r), schur_poly(mu)), (-1) ** r))
-    return poly_add(*terms)
+        for k, v in poly_mul(h_poly(a - r), schur_poly(mu)).items():
+            s = out.get(k, 0) + (-v if r % 2 else v)
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the coefficients of p_nu in {P_alpha}: Morris's bar recursion
 
 def p_in_P_coefficient(al, nu):
-    """X with p_nu = sum_alpha X^alpha_nu P_alpha, an integer (nu odd)."""
+    """X with p_nu = sum_alpha X^alpha_nu P_alpha, an integer (nu odd, any order)."""
     check_strict(al)
     check_class(nu)
     if size(nu) != size(al):
         return 0
-    return _bar_kernel(memo_key(nu, part_mask(al)))
+    return _bar_kernel(memo_key(sorted(nu, reverse=True), part_mask(al)))
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,8 @@ one production route for, by a slower or more literal construction.
 - The 4-bar core by greedy 4-bar moves, and the k-bars of a strict label
   as tuples with the k-bar core by greedy k-bar removals (the oracles for
   the closed forms of `partitions.four_bar_core` and `partitions.bar_core`).
+- The sum and the scalar multiple of z_nu-scaled polynomials, dropping
+  zero coefficients as `symfunc.poly_mul` does.
 - Plain power-sum coefficients of the library's z_nu-scaled polynomials,
   and h_r and q_r by Newton's recursions on those plain coefficients.  The
   Newton h_r checks the closed form of `symfunc.h_poly`; the Newton q_r
@@ -92,7 +94,7 @@ from barspin.partitions import (
     strict_partitions_of,
 )
 from barspin.scalars import Scalar, mul_sqrt2_pow
-from barspin.symfunc import p_in_P_coefficient, poly_add, poly_mul, poly_scale, z_order
+from barspin.symfunc import p_in_P_coefficient, poly_mul, z_order
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +397,29 @@ def spin_rock_decompose_checked(al):
     sigma = tuple(p for p in sigma if p)
     eta = tuple(p // 2 for p in even_parts(al))
     return b, sigma, eta
+
+
+# ---------------------------------------------------------------------------
+# the sum and the scalar multiple of z_nu-scaled polynomials, for the
+# Pfaffian oracles and the polynomial algebra test (`symfunc.schur_poly`
+# adds its signed terms into one dict)
+
+def poly_add(*polys):
+    out = {}
+    for poly in polys:
+        for k, v in poly.items():
+            s = out.get(k, 0) + v
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
+    return out
+
+
+def poly_scale(poly, c):
+    if not c:
+        return {}
+    return {k: v * c for k, v in poly.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,32 @@ def test_chi_takes_a_class_in_any_order_and_only_partition_labels():
             cv.specht_degree(bad)
 
 
+def test_spin_value_takes_a_class_in_any_order_and_only_strict_labels():
+    """The spin twin of the test above: spin_value and p_in_P_coefficient
+    are the same on every ordering of an odd class (n <= 9), and key the bar
+    memo on the class sorted down, so a reordered call adds no entry; a
+    label that is not strict raises."""
+    for n in range(10):
+        for nu in odd_partitions_of(n):
+            for al in strict_partitions_of(n):
+                cv.spin_value(al, nu)
+                sf.p_in_P_coefficient(al, nu)
+    entries = sf._bar_kernel.cache_info().currsize
+    for n in range(10):
+        for nu in odd_partitions_of(n):
+            orders = set(itertools.permutations(nu))
+            for al in strict_partitions_of(n):
+                want, x = cv.spin_value(al, nu), sf.p_in_P_coefficient(al, nu)
+                assert all(cv.spin_value(al, order) == want for order in orders), (al, nu)
+                assert all(sf.p_in_P_coefficient(al, order) == x for order in orders), (al, nu)
+    assert sf._bar_kernel.cache_info().currsize == entries
+    for bad in [(1, 2), (2, 2), (2, 0), (True,), (2.0,)]:
+        with pytest.raises(ValueError):
+            cv.spin_value(bad, (1,) * int(sum(bad)))
+        with pytest.raises(ValueError):
+            cv.spin_degree(bad)
+
+
 def test_entry_points_reject_a_class_that_is_not_positive_ints():
     """chi, spin_value and p_in_P_coefficient name the class when one of its
     parts is not a positive int (a bool is not one)."""

@@ -1,5 +1,6 @@
 import ast
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,44 @@ def test_immutable_and_hashable():
         raised = True
     assert raised
     assert len({Scalar(1, 1), Scalar(1, 1), Scalar(1, 2)}) == 2
+
+
+def test_int_bool_and_fraction_operands_are_read_as_scalars_on_either_side():
+    """An int, a bool or a Fraction operand of + - * / and == is the Scalar
+    it names, on the left or on the right."""
+    x = Scalar(Fraction(1, 3), -2)
+    for q in (3, -4, True, Fraction(3, 2), Fraction(-5, 7)):
+        s = Scalar(q)
+        pairs = [(x + q, x + s), (q + x, s + x), (x - q, x - s), (q - x, s - x),
+                 (x * q, x * s), (q * x, s * x), (x / q, x / s), (q / x, s / x)]
+        for got, want in pairs:
+            assert type(got) is Scalar and repr(got) == repr(want), (q, got, want)
+        assert s == q and q == s and not s != q and not q != s
+        assert not x == q and not q == x and x != q and q != x
+
+
+def test_other_operands_raise_in_arithmetic_and_are_unequal():
+    """A float or a str operand is no Scalar: arithmetic with it raises
+    TypeError on either side, and == gives False."""
+    x = Scalar(2)
+    for q in (2.0, 0.5, "2"):
+        for op in (add, sub, mul, truediv):
+            with pytest.raises(TypeError):
+                op(x, q)
+            with pytest.raises(TypeError):
+                op(q, x)
+        assert not x == q and not q == x and x != q and q != x
+
+
+def test_hash_agrees_with_equality():
+    """A Scalar equal to an int or a Fraction hashes as it, so it finds it
+    in a set or a dict."""
+    for q in (0, 2, -7, True, Fraction(1, 2), Fraction(-5, 3)):
+        assert Scalar(q) == q and hash(Scalar(q)) == hash(q), q
+    assert len({Scalar(2), 2}) == 1
+    assert {2: "x"}.get(Scalar(2)) == "x"
+    assert {Fraction(1, 2): "h"}.get(Scalar(Fraction(1, 2))) == "h"
+    assert Scalar(Fraction(1, 2)) in {Fraction(1, 2)}
 
 
 # the exact layers; verify and cli time their cases with perf_counter
