@@ -6,11 +6,12 @@ It runs on the abacus (James-Kerber 1981, The Representation Theory of the
 Symmetric Group, 2.7; Olsson 1993, Combinatorics and Representations of
 Finite Groups): a partition is its beta-set, one bead per part, held as a
 bitmask, and removing a k-rim hook moves one bead from b down to a free
-b - k, with sign (-1)^(beads strictly between b - k and b).  A bead that
-lands on 0 is shifted out, so each partition has one mask.  At (1^m) the
-value is the degree n! prod_{i<j} (b_j - b_i) / prod b_i!, which
-`specht_degree` shares; it is not memoized itself, since the kernel's memo
-holds it at each mask's (1^m) key.  The memo keys are plain ints (see
+b - k, with sign (-1)^(beads strictly between b - k and b), the move of
+`partitions.strips` that the bar recursion shares.  A bead that lands on 0
+is shifted out, so each partition has one mask.  Both kernels read (1^m)
+in closed form, here the degree n! prod_{i<j} (b_j - b_i) / prod b_i!,
+which `specht_degree` shares; it is not memoized itself, since the kernel's
+memo holds it at each mask's (1^m) key.  The memo keys are plain ints (see
 `partitions.memo_key`).
 Spin side: the value of the spin character of the strict label alpha on
 the odd class nu is Morris's closed form
@@ -19,9 +20,10 @@ the odd class nu is Morris's closed form
 
 with X^alpha_nu the integer coefficient of P_alpha in p_nu, from Morris's
 bar recursion (`symfunc.p_in_P_coefficient`).  At nu = (1^n) this is the
-degree; Schur's product formula for it and the P-matrix solve for X are
-test oracles only.  Since len(nu) = n mod 2 on odd classes, every spin row
-lies wholly in Z or wholly in sqrt2*Z.
+degree, and X is Schur's product formula, which `spin_degree` reads
+directly; the bar recursion on tuples at (1^n) and the P-matrix solve for
+X are test oracles only.  Since len(nu) = n mod 2 on odd classes, every
+spin row lies wholly in Z or wholly in sqrt2*Z.
 
 The Gauss sign (-1)^((nu_i^2 - 1)/8) per part matches evaluating on the
 odd-order preimage of the class in the double cover; it is pinned by an
@@ -108,9 +110,10 @@ from barspin.partitions import (
     size,
     split_key,
     strict_partitions_of,
+    strips,
 )
 from barspin.scalars import Scalar, mul_sqrt2_pow
-from barspin.symfunc import _bar_kernel, p_in_P_coefficient
+from barspin.symfunc import _bar_kernel, _schur_degree, p_in_P_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +134,21 @@ def chi(la, nu):
 def _chi_kernel(key):
     """chi at key = memo_key(nu, beta_mask(la)).
 
-    Strips the front part k of nu: each bead b >= k with b - k free moves
-    down k places, with sign (-1)^(beads strictly between b - k and b).  A
-    bead that lands on 0 is shifted out, with the beads in a run just above
-    it, so that the new mask again has no bead at 0.  At nu = (1^m) the
-    value is the degree."""
+    Strips the front part k of nu (`partitions.strips`): each bead b >= k
+    with b - k free moves down k places, with sign (-1)^(beads strictly
+    between b - k and b).  A bead that lands on 0 is shifted out, with the
+    beads in a run just above it, so that the new mask again has no bead at
+    0.  At a front part <= 1 the class is (1^m), as every key's class is
+    sorted down, and the value is the degree."""
     mask, k, rest = split_key(key)
     if k <= 1:
         return _degree(mask)
-    between = (1 << (k - 1)) - 1
     total = 0
-    movable = (mask & ~(mask << k)) >> k << k
-    while movable:
-        bead = movable & -movable
-        movable ^= bead
-        low = bead >> k
-        new = mask ^ bead ^ low
+    for new, leg in strips(mask, k):
         while new & 1:
             new >>= 1
         value = _chi_kernel(rest | new)
-        total += -value if (mask >> low.bit_length() & between).bit_count() & 1 else value
+        total += -value if leg & 1 else value
     return total
 
 
@@ -191,18 +189,12 @@ def _spin_int(mask, nu):
     return _gauss_sign(nu) * _bar_kernel(memo_key(nu, mask))
 
 
-def _spin_value(al, nu):
-    """Spin character value of al on the odd class nu, by Morris's formula.
-    The public entries check al and nu, so it reads the bar kernel directly."""
-    return Scalar(*mul_sqrt2_pow(_spin_int(part_mask(al), nu), 0, len(nu) - len(al)))
-
-
 def spin_degree(al):
     """Degree of the spin character, normalized so the squares over strict
     labels sum to n factorial; a Scalar, an integer or an integer times
-    sqrt2."""
+    sqrt2.  X^al at (1^n) is Schur's closed form, and the Gauss sign there is 1."""
     check_strict(al)
-    return _spin_value(tuple(al), (1,) * size(al))
+    return Scalar(*mul_sqrt2_pow(_schur_degree(part_mask(al)), 0, size(al) - len(al)))
 
 
 def spin_value(al, nu):
@@ -213,7 +205,8 @@ def spin_value(al, nu):
         raise ValueError(f"size mismatch: {al} vs {nu}")
     if any(p % 2 == 0 for p in nu):
         raise ValueError(f"spin values live on odd classes, got {nu}")
-    return _spin_value(tuple(al), tuple(sorted(nu, reverse=True)))
+    nu = tuple(sorted(nu, reverse=True))
+    return Scalar(*mul_sqrt2_pow(_spin_int(part_mask(al), nu), 0, len(nu) - len(al)))
 
 
 # ---------------------------------------------------------------------------

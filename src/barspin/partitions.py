@@ -295,23 +295,13 @@ def partition_from_beta(beta):
 
 
 def rim_hooks(la, k):
-    """All k-rim-hook removals as (smaller partition, leg length) pairs.
-
-    A removal is a beta-number move b -> b-k with b-k free; the leg is the
-    number of beta-numbers strictly between them.
-    """
+    """All k-rim-hook removals as (smaller partition, leg length) pairs,
+    highest bead first: each strip of k places on the beta-set (`strips`),
+    the leg being the number of beads it passes."""
     if k < 1:
         raise ValueError(f"rim hooks have positive lengths only, got {k}")
-    beta = beta_numbers(la)
-    bset = set(beta)
-    out = []
-    for b in sorted(bset, reverse=True):
-        nb = b - k
-        if nb >= 0 and nb not in bset:
-            leg = sum(1 for x in bset if nb < x < b)
-            mu = partition_from_beta((bset - {b}) | {nb})
-            out.append((mu, leg))
-    return out
+    return [(partition_from_beta([b for b in range(new.bit_length()) if new >> b & 1]), leg)
+            for new, leg in strips(beta_mask(la), k)]
 
 
 def k_core(la, k):
@@ -331,7 +321,8 @@ def k_weight(la, k):
 
 # ---------------------------------------------------------------------------
 # partitions as plain ints, for the memoized recursions of charvalues and
-# symfunc
+# symfunc; both strip a part k of the class by one move (`strips`): a set
+# bit moves down k places to a clear one, its sign read off the bits passed.
 
 def beta_mask(la):
     """The beta-set of la with one bead per part, as a bitmask: bead
@@ -375,6 +366,18 @@ def split_key(key):
     rest = key >> (m + 1) ^ (1 << (m - 1))
     k = m - rest.bit_length()
     return mask, k, rest << (m - k + 1)
+
+
+def strips(mask, k):
+    """(mask with bit b moved to b - k, the number of set bits strictly
+    between b - k and b) for each set bit b >= k of mask with bit b - k
+    clear, highest b first; k >= 1."""
+    between = (1 << (k - 1)) - 1
+    movable = (mask & ~(mask << k)) >> k << k
+    while movable:
+        b = movable.bit_length() - 1
+        movable ^= 1 << b
+        yield mask ^ (1 << b) ^ (1 << (b - k)), (mask >> (b - k + 1) & between).bit_count()
 
 
 # ---------------------------------------------------------------------------

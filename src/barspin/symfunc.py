@@ -18,7 +18,10 @@ p_nu = sum_alpha X^alpha_nu P_alpha, by Morris's bar recursion (Morris
 1962; Macdonald III.8 Ex. 11): multiplying P_beta by p_k adds a k-bar in
 every possible way, with a sign.  It runs on the set of parts of alpha as
 a bitmask (bars as in Olsson 1993, Combinatorics and Representations of
-Finite Groups), with int memo keys (see `partitions.memo_key`).  Schur's
+Finite Groups), with int memo keys (see `partitions.memo_key`); a part
+shrinks by the move of `partitions.strips`, which the Murnaghan-Nakayama
+kernel of charvalues shares, and at (1^m) X is Schur's closed form for
+the degree, with no recursion (Schur 1911).  Schur's
 Q_alpha is read off the same integers: [P_alpha, Q_beta] = delta and
 [p_mu, p_nu] = z_nu 2^-len(nu) delta on odd classes, so the scaled
 coefficient of Q_alpha at each odd nu is 2^len(nu) X^alpha_nu.  P_alpha =
@@ -43,6 +46,7 @@ from barspin.partitions import (
     partitions_of,
     size,
     split_key,
+    strips,
     union_parts,
 )
 
@@ -123,24 +127,20 @@ def _bar_kernel(key):
 
     p_k P_be = sum c(al/be) P_al, over the al with be = al minus a k-bar:
     a part a >= k shrinks to a - k when that bit is clear, with sign
-    (-1)^(parts strictly between a - k and a); two parts a > b with
-    a + b = k drop together, with sign 2 (-1)^(parts strictly between b
-    and a, plus b)."""
+    (-1)^(parts strictly between a - k and a) (`partitions.strips`); two
+    parts a > b with a + b = k drop together, with sign 2 (-1)^(parts
+    strictly between b and a, plus b).  At a front part <= 1 the class is
+    (1^m), as every key's class is sorted down, and X is `_schur_degree`."""
     mask, k, rest = split_key(key)
-    if not k:
-        return 1
+    if k <= 1:
+        return _schur_degree(mask)
     if not k & 1:
         raise ValueError(f"bars are defined for odd lengths only, got {k}")
-    between = (1 << (k - 1)) - 1
     total = 0
-    movable = (mask & ~(mask << k)) >> k << k
-    while movable:
-        part = movable & -movable
-        movable ^= part
-        low = part >> k
+    for new, leg in strips(mask, k):
         # a part equal to k lands on bit 0, which is no part
-        value = _bar_kernel(rest | (mask ^ part ^ low) & ~1)
-        total += -value if (mask >> low.bit_length() & between).bit_count() & 1 else value
+        value = _bar_kernel(rest | new & ~1)
+        total += -value if leg & 1 else value
     small = mask & ((1 << (k + 1) // 2) - 1)
     while small:
         part = small & -small
@@ -152,6 +152,19 @@ def _bar_kernel(key):
             sign = (mask >> (b + 1) & ((1 << (k - 2 * b - 1)) - 1)).bit_count() + b
             total += -value if sign & 1 else value
     return total
+
+
+def _schur_degree(mask):
+    """X^al at (1^n) for the strict al with part mask `mask`, by Schur's
+    closed form n!/prod a_i! * prod_{i<j} (a_i - a_j)/(a_i + a_j)."""
+    parts = [a for a in range(mask.bit_length()) if mask >> a & 1]
+    num, den = math.factorial(sum(parts)), 1
+    for j, b in enumerate(parts):
+        den *= math.factorial(b)
+        for a in parts[:j]:
+            num *= b - a
+            den *= b + a
+    return num // den
 
 
 # ---------------------------------------------------------------------------

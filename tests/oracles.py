@@ -46,10 +46,13 @@ one production route for, by a slower or more literal construction.
   with the values over the degree as Fractions (the route that the scan's
   cross-multiplied ints replaced, cold and cached), and the scan's key hits as a filter over every partition of
   n (the oracle for its pruned walk).
-- The tuple recursions that the bitmask kernels replaced: Murnaghan-Nakayama
-  over `partitions.rim_hooks` with the hook length formula at (1^m),
-  Morris's bar recursion over the tuple k-bars above, and the content power
-  sums of the linear key summed cell by cell.
+- The tuple recursions that the bitmask kernels replaced: the k-rim hooks
+  as moves on a list of beta-numbers (the oracle for `partitions.rim_hooks`,
+  which reads the kernels' bitmask strips), Murnaghan-Nakayama over them
+  with the hook length formula at (1^m), Morris's bar recursion over the
+  tuple k-bars above (also the oracle for Schur's closed form of the spin
+  degree, which the bar kernel reads at (1^m)), and the content power sums
+  of the linear key summed cell by cell.
 - The operator-layer routes replaced by counting and row-by-row passes: the
   linear node lists as row loops, the k-core from sorted runner lists, the
   2-quotient and its inverse on the display's bead set, the linear swap sign
@@ -86,7 +89,6 @@ from barspin.partitions import (
     partition_from_beta,
     partitions_of,
     residue,
-    rim_hooks,
     size,
     spin_additions,
     spin_removals,
@@ -585,13 +587,30 @@ def hook_lengths(la):
     return [la[r - 1] - c + conj[c - 1] - r + 1 for r, c in cells(la)]
 
 
+def rim_hooks_by_beta(la, k):
+    """All k-rim-hook removals as (smaller partition, leg length) pairs, on
+    the beta-numbers as a list: a removal is a move b -> b-k with b-k free,
+    highest b first, and the leg is the number of beta-numbers strictly
+    between them (the oracle for the bitmask strips of
+    `partitions.rim_hooks`)."""
+    bset = set(beta_numbers(la))
+    out = []
+    for b in sorted(bset, reverse=True):
+        nb = b - k
+        if nb >= 0 and nb not in bset:
+            leg = sum(1 for x in bset if nb < x < b)
+            out.append((partition_from_beta((bset - {b}) | {nb}), leg))
+    return out
+
+
 @lru_cache(maxsize=None)
 def chi_by_rim_hooks(la, nu):
     """chi^la(nu) by Murnaghan-Nakayama on tuples: strip the front part k of
     nu through every k-rim hook of la; at (1^m), the hook length formula."""
     if not nu or nu[0] == 1:
         return math.factorial(size(la)) // math.prod(hook_lengths(la))
-    return sum((-1) ** leg * chi_by_rim_hooks(mu, nu[1:]) for mu, leg in rim_hooks(la, nu[0]))
+    return sum((-1) ** leg * chi_by_rim_hooks(mu, nu[1:])
+               for mu, leg in rim_hooks_by_beta(la, nu[0]))
 
 
 def _bar_sign(al, be, k):

@@ -25,6 +25,7 @@ from barspin.partitions import (
     odd_partitions_of,
     partitions_of,
     split_key,
+    staircase,
     strict_partitions_of,
 )
 from oracles import (
@@ -209,6 +210,14 @@ def test_spin_degree_matches_schur_product_formula():
     for n in range(17):
         for al in strict_partitions_of(n):
             assert cv.spin_degree(al) == _schur_spin_degree(al)
+
+
+def test_spin_degree_reads_no_bar_memo():
+    """The degree is Schur's closed form, read without the bar kernel: at
+    staircase(16) (n = 136) the bar recursion would fill 65,536 entries."""
+    sf._bar_kernel.cache_clear()
+    assert cv.spin_degree(staircase(16)) == _schur_spin_degree(staircase(16))
+    assert sf._bar_kernel.cache_info().currsize == 0
 
 
 def test_spin_rows_lie_in_z_or_sqrt2_z():

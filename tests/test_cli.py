@@ -37,6 +37,15 @@ def test_info_strict_fsas(capsys):
     assert "proportionality ratio: sqrt2^4" in out
 
 
+def test_info_strict_reads_a_long_label(capsys):
+    """One part of 500 and the staircase of 24 rows (n = 300): the spin
+    degree is a closed form, so neither recurses through sub-labels."""
+    for label in ("500", ",".join(map(str, range(24, 0, -1)))):
+        code, out, _ = run(capsys, "info", "strict", label)
+        assert code == 0, label
+        assert "spin degree: " in out
+
+
 def test_python_dash_m_barspin(capsys):
     """`python3 -m barspin` runs the same command line as cli.main."""
     src = str(Path(__file__).resolve().parents[1] / "src")

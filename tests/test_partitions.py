@@ -20,6 +20,7 @@ from oracles import (
     spin_removable_nodes_reference,
     spin_removals_brute,
     removable_nodes_by_rows,
+    rim_hooks_by_beta,
     spin_swap_sign_reference,
 )
 
@@ -341,6 +342,16 @@ def test_rim_hooks_reject_a_length_below_one():
         with pytest.raises(ValueError, match=f"got {k}"):
             pt.rim_hooks((2, 1), k)
     assert pt.rim_hooks((2, 1), 1) == [((1, 1), 0), ((2,), 0)]
+
+
+def test_rim_hooks_match_the_beta_list_moves():
+    """The bitmask strips against the moves on a list of beta-numbers: the
+    same removals in the same order (highest bead first) with the same legs,
+    every partition of size <= 12 and every 1 <= k <= |la| + 1."""
+    for n in range(13):
+        for la in pt.partitions_of(n):
+            for k in range(1, n + 2):
+                assert pt.rim_hooks(la, k) == rim_hooks_by_beta(la, k), (la, k)
 
 
 def test_k_core():

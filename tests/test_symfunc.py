@@ -20,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 from barspin import symfunc as sf
 from barspin.partitions import (
     conjugate,
+    memo_key,
     odd_partitions_of,
+    part_mask,
     partitions_of,
     size,
     staircase,
@@ -231,6 +233,18 @@ def test_bar_kernel_matches_tuple_recursion():
         for al in strict_partitions_of(n):
             for nu in odd_partitions_of(n):
                 assert sf.p_in_P_coefficient(al, nu) == bar_recursion(al, nu), (al, nu)
+
+
+def test_bar_kernel_reads_the_degree_in_closed_form():
+    """At (1^n) the kernel returns Schur's closed form with no recursive
+    call, one memo entry per label, and equals Morris's recursion on tuples,
+    every strict label of size <= 12."""
+    for n in range(13):
+        for al in strict_partitions_of(n):
+            sf._bar_kernel.cache_clear()
+            got = sf._bar_kernel(memo_key((1,) * n, part_mask(al)))
+            assert sf._bar_kernel.cache_info().currsize == 1, al
+            assert got == bar_recursion(al, (1,) * n), al
 
 
 def test_p_in_P_coefficient_rejects_bad_input():
