@@ -222,6 +222,8 @@ def swap_sign(basis, label, eps):
     basis swp removes every removable eps-node and adds every addable one,
     so m counts the removed nodes; the spin basis keeps the same parity
     rule (the runner-swap-spin suite checks it label by label)."""
+    label = _checked(basis, label)
+    _check_operator(basis, eps, 2)
     return -1 if _removable_count(basis, label, eps) % 2 else 1
 
 

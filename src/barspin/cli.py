@@ -123,20 +123,13 @@ def cmd_info(args):
 
 def cmd_value(args):
     nu = _parse(pt.parse_class, args.cls)
-    if args.basis == "specht":
-        la = _parse(pt.parse_partition, args.label)
-        if pt.size(la) != pt.size(nu):
-            raise UsageError(
-                f"size mismatch: |{format_partition(la)}| != |{format_partition(nu)}|")
-        print(charvalues.chi(la, nu))
-    else:
-        al = _parse(pt.parse_strict, args.label)
-        if pt.size(al) != pt.size(nu):
-            raise UsageError(
-                f"size mismatch: |{format_partition(al)}| != |{format_partition(nu)}|")
-        if any(q % 2 == 0 for q in nu):
-            raise UsageError(f"spin values live on odd classes, got {format_partition(nu)}")
-        print(charvalues.spin_value(al, nu))
+    spin = args.basis == "spin"
+    label = _parse(pt.parse_strict if spin else pt.parse_partition, args.label)
+    if pt.size(label) != pt.size(nu):
+        raise UsageError(f"size mismatch: |{format_partition(label)}| != |{format_partition(nu)}|")
+    if spin and any(q % 2 == 0 for q in nu):
+        raise UsageError(f"spin values live on odd classes, got {format_partition(nu)}")
+    print((charvalues.spin_value if spin else charvalues.chi)(label, nu))
     return 0
 
 

@@ -157,23 +157,26 @@ def run_equality(rep, cache_dir):
 # ---------------------------------------------------------------------------
 # the checks run in both bases: the runner swap, the weights, the degrees
 
-# One row per basis holds what the checks read of it: name and weight_word are
-# what a message calls a label and its weight, lowest is the largest removal.
-_Basis = namedtuple("_Basis", "basis name weight_word labels n_eps swapped lowest "
-                              "is_bottom degree weight value")
+# One row per basis holds what the checks read of it: name, weight_word,
+# top_rule and bottom_word are what a message calls a label, its weight, the
+# top-degree swap and what the bottom test pins; lowest is the largest removal.
+_Basis = namedtuple("_Basis", "basis name weight_word top_rule bottom_word labels n_eps "
+                              "swapped lowest is_bottom degree weight value")
 
 
 def _bases():
     """The rows by basis, built at each call, so that a check runs the library
     functions as bound then.  S^(-r) takes a spin label to its largest
     removal times +-1, +-sqrt2 or +-2 (all occur for n <= 14), so its bottom
-    test, unlike the linear +-1, pins only the support."""
+    test, unlike the linear +-1 on the value, pins only the support label."""
     return {
-        "linear": _Basis("linear", "la", "weight", pt.partitions_of, pt.n_eps, swp,
-                         pt.remove_all_removable, lambda v, low: _signed_unit(v, low, PM_ONE),
+        "linear": _Basis("linear", "la", "weight", "[la] == sign*[swp la]", "value",
+                         pt.partitions_of, pt.n_eps, swp, pt.remove_all_removable,
+                         lambda v, low: _signed_unit(v, low, PM_ONE),
                          cv.specht_degree, pt.k_weight, cv.chi),
-        "spin": _Basis("spin", "al", "bar weight", pt.strict_partitions_of, pt.spin_n_eps, bswp,
-                       pt.remove_all_spin_removable, lambda v, low: set(v.pairs) == {low},
+        "spin": _Basis("spin", "al", "bar weight", "<<al>> == sign*<<bswp al>>", "label",
+                       pt.strict_partitions_of, pt.spin_n_eps, bswp, pt.remove_all_spin_removable,
+                       lambda v, low: set(v.pairs) == {low},
                        cv.spin_degree, pt.bar_weight, cv.spin_value),
     }
 
@@ -228,27 +231,31 @@ def _core_transport():
                                   f"q=({format_partition(q0)};{format_partition(q1)})")
 
 
-def run_runner_swap(rep, cache_dir):
-    lin = _bases()["linear"]
+def _run_runner_swap(rep, b, transports, examples):
+    """One basis's runner-swap suite: the top degree at each size, the
+    transports (case, sweep), where the swap vanishes and its bottom, and the
+    worked examples (case, label, eps, c, p, expected)."""
     for n in range(0, rep.max_n + 1):
-        rep.tally(f"S^(n_eps)[la] == sign*[swp la], |la|={n}",
-                  (_swap_top(lin, la, eps) for la in lin.labels(n) for eps in (0, 1)))
-
-    big = rep.max_n + 4
-    rep.tally(f"S^(-a) shrinks a staircase core, size <= {big}", _staircase_cores_shrink(big))
-    rep.tally("core transport on arbitrary quotients, a <= 4, |quotient| <= 4",
-              _core_transport())
-
+        rep.tally(f"S^(n_eps){b.top_rule}, |{b.name}|={n}",
+                  (_swap_top(b, label, eps) for label in b.labels(n) for eps in (0, 1)))
+    for case, sweep in transports:
+        rep.tally(case, sweep)
     small = min(rep.max_n, 8)
-    rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom value, |la| <= {small}",
-              (_swap_range(lin, la, eps)
-               for n in range(0, small + 1) for la in lin.labels(n) for eps in (0, 1)))
+    rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom {b.bottom_word}, "
+              f"|{b.name}| <= {small}",
+              (_swap_range(b, label, eps)
+               for n in range(0, small + 1) for label in b.labels(n) for eps in (0, 1)))
+    for case, label, eps, c, p, want in examples:
+        rep.check(case, want, cs.format_vector(cs.runner_swap(cs.unit(b.basis, label), eps, c, p)))
 
-    v = cs.runner_swap(cs.unit("linear", (6, 3, 1, 1)), 1, -2)
-    rep.check("S_1^(-2) [6,3,1,1]", "-[5,2,2]", cs.format_vector(v))
 
-    v = cs.runner_swap(cs.unit("linear", (9, 8, 5, 1, 1, 1, 1, 1)), 2, 1, p=5)
-    rep.check("S_2^(1) [9,8,5,1^5] at p=5", "-[9,9,4,1,1,1,1,1,1]", cs.format_vector(v))
+def run_runner_swap(rep, cache_dir):
+    big = rep.max_n + 4
+    _run_runner_swap(rep, _bases()["linear"], [
+        (f"S^(-a) shrinks a staircase core, size <= {big}", _staircase_cores_shrink(big)),
+        ("core transport on arbitrary quotients, a <= 4, |quotient| <= 4", _core_transport())], [
+        ("S_1^(-2) [6,3,1,1]", (6, 3, 1, 1), 1, -2, 2, "-[5,2,2]"),
+        ("S_2^(1) [9,8,5,1^5] at p=5", (9, 8, 5, 1, 1, 1, 1, 1), 2, 1, 5, "-[9,9,4,1,1,1,1,1,1]")])
 
 
 def _bar_staircase_transport(big):
@@ -262,25 +269,12 @@ def _bar_staircase_transport(big):
 
 
 def run_runner_swap_spin(rep, cache_dir):
-    spin = _bases()["spin"]
-    for n in range(0, rep.max_n + 1):
-        rep.tally(f"S^(n_eps)<<al>> == sign*<<bswp al>>, |al|={n}",
-                  (_swap_top(spin, al, eps) for al in spin.labels(n) for eps in (0, 1)))
-
     big = rep.max_n + 4
-    rep.tally(f"bar-staircase transport with even padding, size <= {big}",
-              _bar_staircase_transport(big))
-
-    small = min(rep.max_n, 8)
-    rep.tally(f"vanishing outside [-r_eps, n_eps] and the bottom label, |al| <= {small}",
-              (_swap_range(spin, al, eps)
-               for al in pt.strict_partitions_upto(small) for eps in (0, 1)))
-
-    v = cs.runner_swap(cs.unit("spin", (6, 3, 2)), 1, -2)
-    rep.check("S_1^(-2) <<6,3,2>>", "-<<6,2,1>>", cs.format_vector(v))
-
-    v = cs.runner_swap(cs.unit("spin", (2,)), 1, -1)
-    rep.check("S_1^(-1) <<2>>", "-sqrt2*<<1>>", cs.format_vector(v))
+    _run_runner_swap(rep, _bases()["spin"], [
+        (f"bar-staircase transport with even padding, size <= {big}",
+         _bar_staircase_transport(big))], [
+        ("S_1^(-2) <<6,3,2>>", (6, 3, 2), 1, -2, 2, "-<<6,2,1>>"),
+        ("S_1^(-1) <<2>>", (2,), 1, -1, 2, "-sqrt2*<<1>>")])
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +538,7 @@ def run_degrees(rep, cache_dir):
     got = ", ".join(str(x) for x in sb4)
     rep.check("spin (4) == sqrt2 * linear (2,2) on odd classes", want, got)
 
-    sb31 = cv.spin_brauer((3, 1))
-    hits = [
-        format_partition(la)
-        for la in pt.partitions_of(4)
-        if cv.proportionality_ratio(sb31, cv.linear_brauer(la)) is not None
-    ]
+    hits = [format_partition(la) for al, la, _ in cv.scan(4, cache_dir) if al == (3, 1)]
     rep.check("linear rows proportional to spin (3,1)", "none", ", ".join(hits) or "none")
     rep.check("degree of spin (3,1)", "4", cv.spin_degree((3, 1)))
 

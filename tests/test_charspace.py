@@ -396,6 +396,17 @@ def test_linear_swap_sign_matches_the_swap():
                 assert cs.swap_sign("linear", la, eps) == linear_swap_sign_by_swp(la, eps)
 
 
+@pytest.mark.parametrize("basis, label, eps", [
+    ("foo", (3, 1), 0), ("spin", (3, 3), 0), ("linear", (1, 2), 0),
+    ("linear", (3, 1), 7), ("spin", (3, 1), 7),
+])
+def test_swap_sign_checks_its_input(basis, label, eps):
+    """An unknown basis, a label that is not one of the basis, and a residue
+    other than 0 or 1 are each a ValueError, as in every other entry."""
+    with pytest.raises(ValueError):
+        cs.swap_sign(basis, label, eps)
+
+
 def test_spin_move_counts_form_an_interval():
     """The composites run a up to m, the number of removable nodes; that is
     exact because the cell counts a spin label can shed (or grow) at one

@@ -73,3 +73,19 @@ def test_degrees_failures_name_each_sum_of_squares(monkeypatch):
     assert fails["sum of squared spin degrees, n=2"] == "1"
     assert fails["sum of squared spin degrees, n=3"] == "2"
     assert "sum of squared linear degrees, n=2" not in fails
+
+
+def test_degrees_reads_the_partners_of_spin_3_1_off_the_scan(monkeypatch):
+    """The proportionality case lists the labels that scan(4) pairs with
+    (3,1), and runs no ratio test of its own."""
+    scan = cv.scan
+
+    def planted(n, cache_dir=None):
+        return scan(n, cache_dir) + ([((3, 1), (2, 2), Scalar(1))] if n == 4 else [])
+
+    def no_ratio(u, v):
+        raise AssertionError("the degrees suite tests a ratio")
+
+    monkeypatch.setattr(cv, "scan", planted)
+    monkeypatch.setattr(cv, "proportionality_ratio", no_ratio)
+    assert failures("degrees", 4) == {"linear rows proportional to spin (3,1)": "2,2"}
