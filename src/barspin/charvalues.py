@@ -33,18 +33,24 @@ taken on trust.  The naive sign (-1)^((n - len(nu))/2) agrees whenever all
 parts are 1 or 3 mod 8 but is wrong on parts 5 or 7 mod 8, first visible
 at the class (5).
 
-The proportionality scan never builds a Brauer vector.  Two characters are
+The proportionality scan never builds a Brauer vector.  It runs in two
+stages: the walk, `_key_hits`, finds each partition with the strict
+labels that share its key (the last two paragraphs below), and
+`_confirm` takes each such pair on its own.  Two characters are
 proportional exactly when their values divided by the degree agree on
 every class, so it compares those normalized values one class at a time,
-the classes closest to (1^n) first, and drops a pair at the first class
+the classes closest to (1^n) first, and drops the pair at the first class
 where they differ.  A pair that agrees everywhere is proportional with
-ratio spin degree over linear degree.  The spin degree is read only for
-the labels that hit some partition's key.  The comparison runs on plain
-ints: la's value over its degree D is chi/D, alpha's is
-sign * X / (X_alpha * 2^((n - len(nu))/2)), and both denominators are
-positive, so the two agree exactly when the cross-products do.  Cold, the
-kernels give these ints through per-class memo-key prefixes and signs;
-with a cache directory they are read from the cached rows, one per label.
+ratio spin degree over linear degree.  A partition's labels are not
+compared in lockstep, since a hit almost never has two: each of the 810
+hits with n <= 50 has one, and 20 of the 1,628 at n = 51-60 have two,
+none more.  The spin degree is read only for the labels that hit some
+partition's key.  The comparison runs on plain ints: la's value over its
+degree D is chi/D, alpha's is sign * X / (X_alpha * 2^((n - len(nu))/2)),
+and both denominators are positive, so the two agree exactly when the
+cross-products do.  Cold, the kernels give these ints through per-class
+memo-key prefixes and signs; with a cache directory they are read from
+the cached rows, one per label.
 
 A conjugate pair of partitions is compared once.  chi^{la'} = sgn chi^la
 (James-Kerber 1981, 2.1.8), and sgn is 1 on a class of odd parts, so la
@@ -447,6 +453,14 @@ def _key_hits(n):
     return hits
 
 
+def _confirm(d, chis, x, spins, shifts):
+    """Whether chi / d == spin / (x << shift) on every class, cross-multiplied,
+    for a partition of degree d and values chis and a strict label with X^al
+    at (1^n) equal to x and ints spins (`_spin_int`); stops at the first
+    class where they differ."""
+    return all(c * (x << s) == v * d for c, v, s in zip(chis, spins, shifts))
+
+
 def scan(n, cache_dir=None):
     """All (alpha, lambda, ratio) with the spin Brauer vector of alpha a
     scalar multiple of the linear Brauer vector of lambda, sorted.
@@ -455,27 +469,31 @@ def scan(n, cache_dir=None):
     odd class other than (1^n), and then the ratio is spin degree over
     linear degree.  The strict labels are grouped by their closed keys on
     (3,1^{n-3}) and (5,1^{n-5}); each partition looks up its group by its
-    own key.  The candidates are then compared on the other classes in
-    order of n - len(nu), cheapest first, then on the two keyed classes,
-    and dropped as soon as a value differs.  Of each conjugate pair of
-    partitions only the lexicographically greater is compared, and its
-    surviving labels and ratios are emitted for the other too (see the
-    module docstring).
+    own key.  So the scan has two stages: the walk, `_key_hits`, yields
+    each partition with its candidates, and `_confirm` takes each
+    candidate pair on its own through the other classes in order of
+    n - len(nu), cheapest first, then the two keyed classes, and drops it
+    as soon as a value differs.  A hit almost never has two candidates
+    (see the module docstring), so none are compared in lockstep.  Of each
+    conjugate pair of partitions only the lexicographically greater is
+    compared, and its confirmed labels and ratios are emitted for the
+    other too.
 
-    The partitions come from the walk of the module docstring, and the
-    values compare as ints, by cross-multiplication.  Cold they are read
-    from the kernels; with cache_dir, from the cached rows."""
+    The values compare as ints, by cross-multiplication.  Cold they are
+    read from the kernels; with cache_dir, from the cached rows; both
+    feed `_confirm`."""
     check_size(n)
     classes = odd_partitions_of(n)
     keyed = {(k,) + (1,) * (n - k) for k in (3, 5) if n >= k}
-    # the keyed classes go last: the keys prune, and every survivor is
-    # still checked on every class
+    # the keyed classes go last: the keys prune, and every candidate pair
+    # is still checked on every class
     cols = sorted(range(len(classes) - 1),
                   key=lambda i: (classes[i] in keyed, n - len(classes[i])))
     shifts = [(n - len(classes[i])) // 2 for i in cols]
     hits = _key_hits(n)
     # linear(la) is (degree, chi over cols); spin(al) is (X^al at (1^n), the
-    # Gauss sign times X^al_nu over cols); the values are read lazily
+    # Gauss sign times X^al_nu over cols); the values are read lazily, and
+    # each call starts a fresh read
     if cache_dir is None:
         one = classes[-1]
         # per class: its memo key prefix (a label's key is prefix | mask), its sign
@@ -494,21 +512,14 @@ def scan(n, cache_dir=None):
         linear = lambda la: (lin[la][-1], map(lin[la].__getitem__, cols))
         spin = lambda al: (spn[al][-1], map(spn[al].__getitem__, cols))
 
-    def survivors(la, cands):
-        """(al, spin degree over linear degree) for each al of cands whose
-        values over the degree, cross-multiplied, equal la's on cols."""
-        d, chis = linear(la)
-        cands = [(al, *spin(al)) for al in cands]
-        for shift, chi_i in zip(shifts, chis):
-            cands = [c for c in cands if chi_i * (c[1] << shift) == next(c[2]) * d]
-            if not cands:
-                break
-        return [(al, Scalar(*mul_sqrt2_pow(x, 0, n - len(al))) / d) for al, x, _ in cands]
-
     out = []
     for la, conj, cands in hits:
-        for al, c in survivors(la, cands):
-            out.append((al, la, c))
-            if conj != la:
-                out.append((al, conj, c))
+        for al in cands:
+            d, chis = linear(la)
+            x, spins = spin(al)
+            if _confirm(d, chis, x, spins, shifts):
+                c = Scalar(*mul_sqrt2_pow(x, 0, n - len(al))) / d
+                out.append((al, la, c))
+                if conj != la:
+                    out.append((al, conj, c))
     return sorted(out, key=lambda rec: (rec[0], rec[1]))

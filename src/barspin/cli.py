@@ -194,8 +194,12 @@ def _print_csv(reports):
 def cmd_verify(args):
     if args.max_n is not None and args.max_n < 0:
         raise UsageError("--max-n must be nonnegative")
-    if args.cache is not None and os.path.exists(args.cache) and not os.path.isdir(args.cache):
-        raise UsageError(f"--cache {args.cache} is not a directory")
+    if args.cache is not None:
+        try:
+            os.makedirs(args.cache, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"--cache {args.cache} is not a directory and cannot be made one"
+                             f" ({exc.strerror})") from None
     if args.suite == "all":
         reports = verify.run_all(args.max_n, args.cache)
     else:

@@ -796,7 +796,9 @@ def scan_reference(n, cache_dir=None):
     """charvalues.scan with the strict labels grouped by their value over
     the degree on the first class, (3,1^{n-3}), and each partition looking
     up its group by its own value there, in place of the closed keys.  The
-    other classes prune the candidates as in the scan."""
+    other classes then prune a partition's whole candidate list in
+    lockstep, class by class, where the scan confirms one pair at a
+    time."""
     classes = odd_partitions_of(n)
     cols = sorted(range(len(classes) - 1), key=lambda i: n - len(classes[i]))
     if cache_dir is None:

@@ -399,15 +399,19 @@ def test_linear_key_matches_cell_loop():
             assert linear_key(la) == linear_key_by_cells(la), la
 
 
-def test_keys_only_prune(monkeypatch):
+def test_keys_only_prune(monkeypatch, tmp_path):
     """With every label under one key, the scan still finds exactly the
-    pairs of the reference: each survivor is checked on the two keyed
-    classes through the recursions.  The key with no entry names no p2, so
-    the walk runs without its p2 prune and hits every partition not below
-    its conjugate."""
+    pairs of the reference, cold and on a filled table cache: each
+    candidate pair is checked on the two keyed classes, and every strict
+    label is a candidate of every partition compared, so each hit confirms
+    many pairs.  The key with no entry names no p2, so the walk runs
+    without its p2 prune and hits every partition not below its
+    conjugate."""
     monkeypatch.setattr(cv, "_closed_key", lambda n, k3, k5: ())
     for n in range(13):
         assert cv.scan(n) == scan_reference(n), n
+        cv.load_or_build_tables(n, tmp_path)
+        assert cv.scan(n, tmp_path) == scan_reference(n, tmp_path), n
         hits = cv._key_hits(n)
         assert hits == key_hits_by_enumeration(n), n
         assert len(hits) == sum(conjugate(la) <= la for la in partitions_of(n)), n

@@ -398,6 +398,17 @@ def test_verify_cache_on_a_file_is_usage_error(capsys, tmp_path):
     assert "is not a directory" in err
 
 
+def test_verify_cache_under_a_file_is_usage_error(capsys, tmp_path):
+    """A cache path that cannot be made a directory, as one under a regular
+    file, is a usage error: exit 2, one line naming the path."""
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    code, _, err = run(capsys, "verify", "main", "--max-n", "3", "--cache", str(path / "sub"))
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith(f"error: --cache {path / 'sub'} is not a directory")
+
+
 def test_verify_internal_error_exits_3(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")
