@@ -6,11 +6,12 @@ The branching operators apply_e/apply_f remove or add several nodes of one
 residue at a time; both run one function (_apply) into one dict of pairs.
 Alternating composites of them swap the two runners of the abacus display
 (runner_swap) or shift weight between the two components of the 2-quotient
-(quot_red); at the top degree a runner swap sends a label to swap_sign
-times its swapped label, in either basis.  The intermediate-bipartition
-counts that control the matrix entries of quot_red live here too; their
-vertical strips are counted as horizontal strips of the conjugates, and
-b_sum sums over strict intermediates in one pass down their rows.
+(quot_red for one degree, quot_reds for several); at the top degree a
+runner swap sends a label to swap_sign times its swapped label, in either
+basis.  The intermediate-bipartition counts that control the matrix
+entries of quot_red live here too; their vertical strips are counted as
+horizontal strips of the conjugates, and b_sum sums over strict
+intermediates in one pass down their rows.
 
 A vector holds each nonzero coefficient a + b sqrt2 as the pair (a, b), ints
 unless the input has Fractions.  Operators add terms c * sqrt2^k, for an input
@@ -30,6 +31,13 @@ than the row below, and no longer than it was, so still shorter than the
 unchanged row above.  That is a legal (r-1)-cell removal.  Dually, grow
 one cell fewer in the lowest row that grows (dropping the new row (1) if
 it is added).
+
+quot_reds takes a family of degrees d and makes each label's lowering
+e_eps'^(a) e_eps^(a) once per a, from the least max(0, -d) up to m, for
+all of them; each degree raises it for its own a >= max(0, -d).  Sharing is
+exact because the lowering does not depend on d: every degree sums the same
+terms in the same order as it would alone, and quot_red is the family of
+one degree.
 """
 
 from __future__ import annotations
@@ -198,22 +206,41 @@ def runner_swap(v, eps, c, p=2):
     return _nonzero(v.basis, v.n + c, acc)
 
 
-def quot_red(v, eps, d):
-    """The degree-d quotient redistribution: sum over a of
-    (-1)^(a+d) f_eps^(a+d) f_eps'^(a+d) e_eps'^(a) e_eps^(a) with
-    eps' the other residue, rightmost factor applied first.  The f steps
-    are skipped once e_eps'^(a) gives zero, which no node count of the
-    label foretells."""
+def quot_reds(v, eps, ds):
+    """The quotient redistributions of v for each degree d in ds, one
+    vector per degree in the order given: sum over a of (-1)^(a+d)
+    f_eps^(a+d) f_eps'^(a+d) e_eps'^(a) e_eps^(a) with eps' the other
+    residue, rightmost factor applied first.
+
+    The lowering e_eps'^(a) e_eps^(a) of a label does not depend on d, so
+    it is made once per a, from the least max(0, -d) up to m, and raised
+    for each d with a + d >= 0; each degree sums the same terms in the same
+    order as it would alone.  The f steps are skipped when the lowering
+    gives zero, which no node count of the label foretells."""
     _check_operator(v.basis, eps, 2)
-    ebar = 1 - eps
-    acc = {}
+    ds = tuple(ds)
+    if not ds:
+        return []
+    ebar, accs = 1 - eps, [{} for _ in ds]
+    start = min(max(0, -d) for d in ds)
     for label, pair in v.pairs.items():
         one = CharVector(v.basis, v.n, {label: pair})
-        for a in range(max(0, -d), _removable_count(v.basis, label, eps) + 1):
+        for a in range(start, _removable_count(v.basis, label, eps) + 1):
             w = apply_e(apply_e(one, eps, a), ebar, a)
-            if not w.is_zero():
-                _add(acc, apply_f(apply_f(w, ebar, a + d), eps, a + d), -1 if (a + d) % 2 else 1)
-    return _nonzero(v.basis, v.n + 2 * d, acc)
+            if w.is_zero():
+                continue
+            for acc, d in zip(accs, ds):
+                k = a + d
+                if k >= 0:
+                    _add(acc, apply_f(apply_f(w, ebar, k), eps, k), -1 if k % 2 else 1)
+    return [_nonzero(v.basis, v.n + 2 * d, acc) for acc, d in zip(accs, ds)]
+
+
+def quot_red(v, eps, d):
+    """The degree-d quotient redistribution: the family of d alone in
+    quot_reds, so a runs from max(0, -d) and the lowering, which does not
+    depend on d, is shared with no other degree."""
+    return quot_reds(v, eps, (d,))[0]
 
 
 def swap_sign(basis, label, eps):
@@ -245,16 +272,19 @@ def _choices(bounds, strict=False):
 def _bounds(a, b):
     """Per-row intervals (lo, hi) for the partitions below both a and b by
     horizontal strips: row i is at most min(a_i, b_i) and at least
-    max(a_{i+1}, b_{i+1}).  A vertical strip la/mu is a horizontal strip
-    la'/mu' of the conjugates (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.1), so the vertical rules below conjugate first."""
-    if len(a) < len(b):
-        a, b = b, a
-    out, lo = [], 0
-    for x, y in zip(reversed(a), reversed((*b, *(0,) * (len(a) - len(b))))):  # bottom row first
-        out.append((lo, x if x < y else y))
-        lo = x if x > y else y
-    return out[::-1]
+    max(a_{i+1}, b_{i+1}), one row per row of the longer.  One pass down
+    the rows: each row closes the interval of the row above.  A vertical
+    strip la/mu is a horizontal strip la'/mu' of the conjugates (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.1), so the vertical rules
+    below conjugate first."""
+    out, hi = [], None
+    for x, y in itertools.zip_longest(a, b, fillvalue=0):
+        if hi is not None:
+            out.append((x if x > y else y, hi))
+        hi = x if x < y else y
+    if hi is not None:
+        out.append((0, hi))
+    return out
 
 
 def interm(bla, bmu):
@@ -273,14 +303,21 @@ def interm_signed_sum(bla, bmu):
     count is the product over rows of the sum of (-1)^v over lo <= v <= hi:
     0 for an interval of even length, else (-1)^lo.  Component 1's count is
     the same product on the conjugates, which have the same sizes; they are
-    built only once component 0's count is nonzero."""
+    built only once component 0's count is nonzero.  Each product is taken
+    in the one pass down the rows that _bounds makes, with no list."""
     sign = -1 if (sum(bmu[0]) + sum(bmu[1])) % 2 else 1
     for a, b in ((bla[0], bmu[0]), map(conjugate, (bla[1], bmu[1]))):
-        for lo, hi in _bounds(a, b):
-            if lo > hi or (hi - lo) % 2:
-                return 0
-            if lo % 2:
-                sign = -sign
+        hi = None
+        for x, y in itertools.zip_longest(a, b, fillvalue=0):
+            if hi is not None:
+                lo = x if x > y else y
+                if lo > hi or (hi - lo) % 2:
+                    return 0
+                if lo % 2:
+                    sign = -sign
+            hi = x if x < y else y
+        if hi is not None and hi % 2:  # the last row, lo = 0
+            return 0
     return sign
 
 

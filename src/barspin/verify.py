@@ -318,12 +318,15 @@ def _relaxed_quot_red(n):
             continue
         b, sigma, eta = dec
         w = 2 * pt.size(sigma) + pt.size(eta)
-        for d in range(-3, 4):
-            if max(w, w + d) > b + 1:
-                continue
+        ds = [d for d in range(-3, 4) if max(w, w + d) <= b + 1]
+        try:
+            gots = cs.quot_reds(cs.unit("spin", al), (b + 1) % 2, ds)
+        except ValueError as exc:
+            yield from (f"al={format_partition(al)} d={d}: {exc}" for d in ds)
+            continue
+        for d, got in zip(ds, gots):
             try:
                 want = _rock_expected(b, sigma, eta, d)
-                got = cs.quot_red(cs.unit("spin", al), (b + 1) % 2, d)
             except ValueError as exc:
                 yield f"al={format_partition(al)} d={d}: {exc}"
                 continue
@@ -358,16 +361,14 @@ def _linear_quot_red(bound):
     for la in (la for n in range(0, bound + 1) for la in pt.partitions_of(n)):
         core, quotient = two_quotient(la)
         w = pt.size(quotient[0]) + pt.size(quotient[1])
-        for d in range(-2, 3):
-            if w + d < 0 or max(w, w + d) > len(core) + 1:
-                continue
+        ds = [d for d in range(-2, 3) if w + d >= 0 and max(w, w + d) <= len(core) + 1]
+        for d, got in zip(ds, cs.quot_reds(cs.unit("linear", la), (len(core) + 1) % 2, ds)):
             items = []
             for m0, m1 in _bipartitions(w + d):
                 c = cs.interm_signed_sum(quotient, (m0, m1))
                 if c:
                     items.append((from_core_quotient(core, m0, m1), Scalar(c)))
             want = cs.vector("linear", pt.size(la) + 2 * d, items)
-            got = cs.quot_red(cs.unit("linear", la), (len(core) + 1) % 2, d)
             yield None if got == want else f"la={format_partition(la)} d={d}"
 
 

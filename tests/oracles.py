@@ -59,7 +59,9 @@ one production route for, by a slower or more literal construction.
   through `swp` and the diagram intersection, the intermediates as a
   filtered product, the vertical-strip intervals read off the rows and the
   signed count run on them row by row (both replaced by horizontal strips
-  of the conjugates), the signed sum over the `interm1` list, B(eta,
+  of the conjugates), the signed sum over the `interm1` list, the row
+  intervals on padded, reversed copies and the signed sum over their list
+  (both replaced by one pass down the rows), B(eta,
   theta) summed over the `interm0` list (the route the row pass of
   `charspace.b_sum` replaced), the composites that run a until e_eps^(a)
   vanishes, and a vector times a Scalar.
@@ -929,6 +931,32 @@ def vertical_bounds(a, b):
     min(a_i, b_i) and at least max(a_i - 1, b_i - 1, 0)."""
     rows = list(itertools.zip_longest(a, b, fillvalue=0))
     return [(max(x, y, 1) - 1, min(x, y)) for x, y in rows]
+
+
+def bounds_by_padding(a, b):
+    """charspace._bounds on copies: the shorter label padded with zeros to
+    the longer one's length, both read bottom row first, and the intervals
+    reversed at the end."""
+    if len(a) < len(b):
+        a, b = b, a
+    out, lo = [], 0
+    for x, y in zip(reversed(a), reversed((*b, *(0,) * (len(a) - len(b))))):
+        out.append((lo, x if x < y else y))
+        lo = x if x > y else y
+    return out[::-1]
+
+
+def interm_signed_sum_by_bounds(bla, bmu):
+    """charspace.interm_signed_sum with each component's product taken over
+    the interval list bounds_by_padding makes, not in a pass down the rows."""
+    sign = -1 if (size(bmu[0]) + size(bmu[1])) % 2 else 1
+    for a, b in ((bla[0], bmu[0]), map(conjugate, (bla[1], bmu[1]))):
+        for lo, hi in bounds_by_padding(a, b):
+            if lo > hi or (hi - lo) % 2:
+                return 0
+            if lo % 2:
+                sign = -sign
+    return sign
 
 
 def _sign_and_component0(bla, bmu):

@@ -32,7 +32,9 @@ from barspin.partitions import (
 from oracles import (
     add_corner_set,
     b_sum_by_intermediates,
+    bounds_by_padding,
     choices_by_product,
+    interm_signed_sum_by_bounds,
     interm_signed_sum_by_list,
     interm_signed_sum_by_rows,
     linear_swap_sign_by_swp,
@@ -320,6 +322,56 @@ def test_composites_make_no_zero_probe(monkeypatch):
             assert all(not w.is_zero() for w in calls[::2])
 
 
+def _pair_bits(v):
+    """Everything a vector's pairs hold, in their order, with the type of
+    each coordinate."""
+    return v.basis, v.n, [(label, a, b, type(a), type(b)) for label, (a, b) in v.pairs.items()]
+
+
+def test_quot_reds_match_quot_red_bit_for_bit():
+    """One family call equals one quot_red call per degree, in the order
+    given: every linear label with n <= 12, every spin label with n <= 14,
+    both residues and d in [-3, 3] both ways round, and the mixed vectors."""
+    units = [u("linear", la) for n in range(13) for la in partitions_of(n)]
+    units += [u("spin", al) for n in range(15) for al in strict_partitions_of(n)]
+    for v in [*units, *_mixed_vectors()]:
+        for eps in (0, 1):
+            for ds in (range(-3, 4), range(3, -4, -1)):
+                got = list(map(_pair_bits, cs.quot_reds(v, eps, ds)))
+                assert got == [_pair_bits(cs.quot_red(v, eps, d)) for d in ds]
+
+
+def test_quot_reds_lower_each_label_once(monkeypatch):
+    """On one label with m removable eps-nodes, a family call makes the
+    lowering e_eps'^(a) e_eps^(a) once for each a from the least
+    max(0, -d) over its degrees up to m, however many degrees it holds,
+    and no e_eps^(a) call returns zero; no degree, no call."""
+    calls = []
+    apply_e = cs.apply_e
+
+    def counted(v, *args):
+        calls.append(apply_e(v, *args))
+        return calls[-1]
+
+    monkeypatch.setattr(cs, "apply_e", counted)
+    for basis, label, eps in (("linear", (6, 3, 1, 1), 1), ("linear", (5, 3, 2, 2), 0),
+                              ("spin", (6, 3, 2), 1), ("spin", (9, 5, 4, 1), 0)):
+        nodes = removable_nodes if basis == "linear" else spin_removable_nodes_reference
+        m = len(nodes(label, eps))
+        degrees = range(-m - 2, 4)
+        families = [degrees[i:j] for i in range(len(degrees)) for j in range(i + 1, len(degrees) + 1)]
+        families += [ds[::-1] for ds in families] + [(3, -m), (-m - 1, 2, -1, 2)]
+        for ds in families:
+            start = min(max(0, -d) for d in ds)
+            calls.clear()
+            assert len(cs.quot_reds(u(basis, label), eps, ds)) == len(ds)
+            assert len(calls) == 2 * max(0, m + 1 - start), (label, eps, ds)
+            assert all(not w.is_zero() for w in calls[::2])
+        calls.clear()
+        assert cs.quot_reds(u(basis, label), eps, ()) == []
+        assert calls == []
+
+
 def test_quot_red_makes_no_f_step_on_an_empty_vector(monkeypatch):
     """quot_red calls apply_f twice for each a whose e_eps'^(a) e_eps^(a)
     of the label is not zero, and never for the others; on each label
@@ -559,10 +611,20 @@ def test_interm_components_match_row_by_row_picks():
             assert cs._choices(bounds, strict=True) == choices_by_product(bounds, strict=True)
 
 
+def test_bounds_match_the_padded_reversed_rows():
+    """The one pass down the rows gives the intervals that the padded,
+    reversed copies gave, on every pair of partitions of size <= 8."""
+    labels = [la for n in range(9) for la in partitions_of(n)]
+    for a in labels:
+        for b in labels:
+            assert cs._bounds(a, b) == bounds_by_padding(a, b)
+
+
 def test_interm_signed_sum_matches_enumeration():
     """Also against the sum over the interm1 list, which the signed count
-    keyed on the last pick replaced, and against that count, which the
-    product over the conjugates' rows replaced."""
+    keyed on the last pick replaced, against that count, which the
+    product over the conjugates' rows replaced, and against that product
+    over the interval list, which the one pass down the rows replaced."""
     bips = _bipartitions_upto(6)
     for bla in bips:
         for bmu in bips:
@@ -570,6 +632,7 @@ def test_interm_signed_sum_matches_enumeration():
             assert got == interm_signed_sum_reference(bla, bmu)
             assert got == interm_signed_sum_by_list(bla, bmu)
             assert got == interm_signed_sum_by_rows(bla, bmu)
+            assert got == interm_signed_sum_by_bounds(bla, bmu)
     small = _bipartitions_upto(4)
     for bla in small:
         for bmu in small:

@@ -5,6 +5,10 @@ suite's failing cases print, so a check that names the wrong basis, or
 runs the other basis's test, fails here.
 """
 
+from collections import Counter
+
+import pytest
+
 from barspin import charspace as cs
 from barspin import charvalues as cv
 from barspin import verify
@@ -89,3 +93,44 @@ def test_degrees_reads_the_partners_of_spin_3_1_off_the_scan(monkeypatch):
     monkeypatch.setattr(cv, "scan", planted)
     monkeypatch.setattr(cv, "proportionality_ratio", no_ratio)
     assert failures("degrees", 4) == {"linear rows proportional to spin (3,1)": "2,2"}
+
+
+def test_quot_red_counts_at_the_operators_bound():
+    """The relaxed labels' degree families leave the suite's cases and
+    instances where one call per degree had them."""
+    rep = verify.run_suite("quot-red", 18)
+    assert rep.ok and len(rep.cases) == 23
+    assert sum(int(c.expected.split()[0]) for c in rep.cases
+               if c.expected.endswith(" checks pass")) == 547
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_relaxed_quot_red_fails_each_degree_on_its_own(monkeypatch, n):
+    """A label's degrees come from one quot_reds call; when it raises,
+    each of those degrees still fails with its own message, and when one
+    degree's prediction raises, only that degree fails."""
+    clean = list(verify._relaxed_quot_red(n))
+    assert clean and not any(clean)
+
+    def broken(v, eps, ds):
+        raise ValueError("planted")
+
+    with monkeypatch.context() as m:
+        m.setattr(cs, "quot_reds", broken)
+        got = list(verify._relaxed_quot_red(n))
+    assert len(got) == len(set(got)) == len(clean)
+    assert all(msg.startswith("al=") and msg.endswith(": planted") for msg in got)
+    assert max(Counter(msg.split()[0] for msg in got).values()) > 1
+
+    expected = verify._rock_expected
+
+    def one_bad(b, sigma, eta, d):
+        if d == -1:
+            raise ValueError("planted")
+        return expected(b, sigma, eta, d)
+
+    monkeypatch.setattr(verify, "_rock_expected", one_bad)
+    got = list(verify._relaxed_quot_red(n))
+    fails = [msg for msg in got if msg]
+    assert len(got) == len(clean) and fails
+    assert all(msg.endswith(" d=-1: planted") for msg in fails)
