@@ -32,6 +32,16 @@ unchanged row above.  That is a legal (r-1)-cell removal.  Dually, grow
 one cell fewer in the lowest row that grows (dropping the new row (1) if
 it is added).
 
+runner_swap reads a linear label's removable and addable eps-nodes once and
+makes no apply_e or apply_f call: removing a set A of removable eps-nodes
+leaves every other eps-node as it was and makes the nodes of A addable, so
+the addable eps-nodes of the lowered label are those of the label together
+with A.  That is exact for p >= 2: a removal changes whether a node is
+addable only at its own place and at its two neighbours, whose residues
+eps - 1 and eps + 1 are not eps mod p.  No such rule holds for spin labels,
+where a removal can block a growth in the row below, so they take the two
+steps.
+
 quot_reds takes a family of degrees d and makes each label's lowering
 e_eps'^(a) e_eps^(a) once per a, from the least max(0, -d) up to m, for
 all of them; each degree raises it for its own a >= max(0, -d).  Sharing is
@@ -124,6 +134,8 @@ def unit(basis, label):
 # branching operators
 
 def _check_operator(basis, eps, p):
+    if p < 2:
+        raise ValueError(f"p = {p} is not at least 2")
     if not 0 <= eps < p:
         raise ValueError(f"residue {eps} out of range for p = {p}")
     if basis == "spin" and p != 2:
@@ -182,16 +194,49 @@ def apply_f(v, eps, r=1, p=2):
 # ---------------------------------------------------------------------------
 # runner swap and quotient redistribution
 
-def _removable_count(basis, label, eps, p=2):
-    """m, the number of removable eps-nodes of one label."""
+def _removable_count(basis, label, eps):
+    """m, the number of removable eps-nodes of one label (p = 2)."""
     if basis == "linear":
-        return len(removable_nodes(label, eps, p))
+        return len(removable_nodes(label, eps))
     return size(label) - size(remove_all_spin_removable(label, eps))
+
+
+def _linear_runner_swap(acc, label, pair, eps, c, p):
+    """Add the degree-c runner swap of one linear label, times pair, into
+    acc, from one scan of its eps-nodes: lower the rows of each a-subset A
+    of the removable ones, then raise each (a + c)-subset of the addable
+    ones of the lowered label, which are those of the label and the rows
+    of A (see runner_swap)."""
+    rows = [*label, 0]
+    removable = [i - 1 for i, _ in removable_nodes(label, eps, p)]
+    addable = [i - 1 for i, _ in addable_nodes(label, eps, p)]
+    for a in range(max(0, -c), len(removable) + 1):
+        x0, y0 = (-pair[0], -pair[1]) if a % 2 else pair
+        for sub in itertools.combinations(removable, a):
+            low = rows.copy()
+            for i in sub:
+                low[i] -= 1
+            for up in itertools.combinations(sorted(addable + list(sub)), a + c):
+                new = low.copy()
+                for i in up:
+                    new[i] += 1
+                new = tuple(filter(None, new))
+                x, y = acc.get(new, (0, 0))
+                acc[new] = (x + x0, y + y0)
 
 
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
     (-1)^a f_eps^(a+c) e_eps^(a), rightmost factor applied first.
+
+    A linear label is done in one scan of its eps-nodes.  Removing an
+    eps-node changes whether a node is addable only at its own place and
+    at its two neighbours, whose residues eps - 1 and eps + 1 are not eps
+    mod p for p >= 2; so the addable eps-nodes of the label less a set A
+    of removable ones are those of the label together with A.  Raising
+    over the sorted union gives the terms of e_eps^(a) then f_eps^(a+c) in
+    the same order with the same coefficients.  A spin label takes the two
+    steps: there a removal can block a growth in the row below.
 
     The alternative global sign (-1)^(a+c) differs only by the factor
     (-1)^c, invisible for even c; the convention here is pinned by the
@@ -200,8 +245,11 @@ def runner_swap(v, eps, c, p=2):
     _check_operator(v.basis, eps, p)
     acc = {}
     for label, pair in v.pairs.items():
+        if v.basis == "linear":
+            _linear_runner_swap(acc, label, pair, eps, c, p)
+            continue
         one = CharVector(v.basis, v.n, {label: pair})
-        for a in range(max(0, -c), _removable_count(v.basis, label, eps, p) + 1):
+        for a in range(max(0, -c), _removable_count(v.basis, label, eps) + 1):
             _add(acc, apply_f(apply_e(one, eps, a, p), eps, a + c, p), -1 if a % 2 else 1)
     return _nonzero(v.basis, v.n + c, acc)
 

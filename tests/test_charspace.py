@@ -21,10 +21,12 @@ from barspin import verify
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin.partitions import (
     addable_nodes,
+    n_eps,
     partitions_of,
     removable_nodes,
     size,
     spin_additions,
+    spin_n_eps,
     spin_removals,
     strict_partitions_of,
     strict_partitions_upto,
@@ -124,6 +126,14 @@ def test_apply_f_frozen():
 def test_apply_e_rejects_bad_residue():
     with pytest.raises(ValueError):
         cs.apply_e(u("spin", (3, 1)), 2)
+
+
+@pytest.mark.parametrize("op", [cs.apply_e, cs.apply_f, cs.runner_swap])
+def test_operators_reject_p_below_2(op):
+    """p = 1 makes every node residue 0, so the operators would mix nodes
+    of all residues; each refuses it rather than answer."""
+    with pytest.raises(ValueError, match="at least 2"):
+        op(u("linear", (2, 1, 1)), 0, 0 if op is cs.runner_swap else 1, p=1)
 
 
 def test_e_f_adjoint_spin():
@@ -267,16 +277,28 @@ def _bits(v):
     return v.basis, v.n, [(label, x.a, x.b, type(x.a), type(x.b)) for label, x in v.coeffs.items()]
 
 
+def _edge_degrees(basis, label, eps, p=2):
+    """A label's top degree n_eps and its bottom -m, m its number of
+    removable eps-nodes, and one past each."""
+    if basis == "linear":
+        top, m = n_eps(label, eps, p), len(removable_nodes(label, eps, p))
+    else:
+        top, m = spin_n_eps(label, eps), len(spin_removable_nodes_reference(label, eps))
+    return top, top + 1, -m, -m - 1
+
+
 def test_composites_match_the_probe_loops_bit_for_bit():
     """The composites read m once and run a up to it; the probe loops run
     a until e_eps^(a) vanishes.  Every label with n <= 12, both residues,
-    c in [-4, 4] and d in [-3, 3], and the p = 5 swaps for n <= 10."""
+    c in [-4, 4] and at each label's own top and bottom degrees and one
+    past each, d in [-3, 3], and the p = 5 swaps for n <= 10."""
     for n in range(13):
         units = [u("linear", la) for la in partitions_of(n)]
         units += [u("spin", al) for al in strict_partitions_of(n)]
         for v in units:
+            (label,) = v.pairs
             for eps in (0, 1):
-                for c in range(-4, 5):
+                for c in (*range(-4, 5), *_edge_degrees(v.basis, label, eps)):
                     assert _bits(cs.runner_swap(v, eps, c)) == _bits(runner_swap_by_probes(v, eps, c))
                 for d in range(-3, 4):
                     assert _bits(cs.quot_red(v, eps, d)) == _bits(quot_red_by_probes(v, eps, d))
@@ -284,7 +306,7 @@ def test_composites_match_the_probe_loops_bit_for_bit():
         for la in partitions_of(n):
             v = u("linear", la)
             for eps in range(5):
-                for c in range(-4, 5):
+                for c in (*range(-4, 5), *_edge_degrees("linear", la, eps, 5)):
                     assert (_bits(cs.runner_swap(v, eps, c, p=5))
                             == _bits(runner_swap_by_probes(v, eps, c, p=5)))
     for v in _mixed_vectors():
@@ -294,9 +316,10 @@ def test_composites_match_the_probe_loops_bit_for_bit():
 
 
 def test_composites_make_no_zero_probe(monkeypatch):
-    """On one label with m removable eps-nodes, runner_swap calls apply_e
-    once for each a from max(0, -c) to m, and no call returns zero;
-    quot_red calls it twice per a, e_eps^(a) first."""
+    """On one spin label with m removable eps-nodes, runner_swap calls
+    apply_e once for each a from max(0, -c) to m, and no call returns
+    zero; on a linear label it makes no call, reading the lowerings off
+    one node scan.  quot_red calls it twice per a, e_eps^(a) first."""
     calls = []
     apply_e = cs.apply_e
 
@@ -314,12 +337,49 @@ def test_composites_make_no_zero_probe(monkeypatch):
             want = max(0, m + 1 - max(0, -c))
             calls.clear()
             cs.runner_swap(u(basis, label), eps, c)
-            assert len(calls) == want, (label, eps, c)
+            assert len(calls) == (want if basis == "spin" else 0), (label, eps, c)
             assert all(not w.is_zero() for w in calls)
             calls.clear()
             cs.quot_red(u(basis, label), eps, c)
             assert len(calls) == 2 * want, (label, eps, c)
             assert all(not w.is_zero() for w in calls[::2])
+
+
+class _TermLog(dict):
+    """A dict of pairs that records each term added to it, in order, as
+    (label, first coordinate added)."""
+
+    def __init__(self):
+        super().__init__()
+        self.terms = []
+
+    def __setitem__(self, label, pair):
+        self.terms.append((label, pair[0] - self.get(label, (0, 0))[0]))
+        super().__setitem__(label, pair)
+
+
+def test_linear_runner_swap_adds_the_two_step_terms_in_order():
+    """One node scan per linear label makes the terms of e_eps^(a) then
+    f_eps^(a+c) one by one, in the order the two steps reach them: each
+    a-subset of the removable nodes of the label, then each
+    (a + c)-subset of the addable nodes of the lowered label, moved by
+    the validating corner helpers.  Every label with n <= 11, p = 2 and 3,
+    every residue and c from one below the bottom to one past the top."""
+    for n in range(12):
+        for la in partitions_of(n):
+            for p in (2, 3):
+                for eps in range(p):
+                    nodes = removable_nodes(la, eps, p)
+                    for c in range(-len(nodes) - 1, n_eps(la, eps, p) + 2):
+                        want = []
+                        for a in range(max(0, -c), len(nodes) + 1):
+                            for low in itertools.combinations(nodes, a):
+                                mu = remove_corner_set(la, low)
+                                for up in itertools.combinations(addable_nodes(mu, eps, p), a + c):
+                                    want.append((add_corner_set(mu, up), -1 if a % 2 else 1))
+                        acc = _TermLog()
+                        cs._linear_runner_swap(acc, la, (1, 0), eps, c, p)
+                        assert acc.terms == want, (la, p, eps, c)
 
 
 def _pair_bits(v):

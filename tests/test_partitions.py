@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -226,6 +228,27 @@ def test_remove_all_removable():
                 for eps in range(p):
                     want = remove_corner_set(la, pt.removable_nodes(la, eps, p))
                     assert pt.remove_all_removable(la, eps, p) == want
+
+
+def test_removing_eps_nodes_makes_them_addable_and_moves_no_other():
+    """The addable eps-rows of la less a set A of removable eps-nodes are
+    those of la and the rows of A: a removal changes whether a node is
+    addable only at its own place and at its neighbours, whose residues
+    eps -+ 1 are not eps for p >= 2."""
+    for p in (2, 3, 5):
+        for n in range(13):
+            for la in pt.partitions_of(n):
+                for eps in range(p):
+                    added = [i for i, _ in pt.addable_nodes(la, eps, p)]
+                    removed = [i for i, _ in pt.removable_nodes(la, eps, p)]
+                    for k in range(len(removed) + 1):
+                        for sub in itertools.combinations(removed, k):
+                            rows = list(la)
+                            for i in sub:
+                                rows[i - 1] -= 1
+                            mu = tuple(filter(None, rows))
+                            got = [i for i, _ in pt.addable_nodes(mu, eps, p)]
+                            assert got == sorted(added + list(sub)), (la, eps, p, sub)
 
 
 def test_four_bar_core():
