@@ -17,30 +17,37 @@ A vector holds each nonzero coefficient a + b sqrt2 as the pair (a, b), ints
 unless the input has Fractions.  Operators add terms c * sqrt2^k, for an input
 coefficient c, by the pair rules of scalars; Scalars are built where coeffs is read.
 
-The composites work one input label at a time and run a from max(0, -c)
-(max(0, -d) for quot_red) up to m, the label's number of removable
-eps-nodes, read once, so no e_eps^(a) call returns zero.  That is exact: on
-one label, the counts r for which e_eps^(r) (or f_eps^(r)) has a term form
-the interval [0, m], m the number of removable (addable) eps-nodes.  Linear
-labels lose or gain any subset of those nodes.  A spin label's top end is
-its largest move (see the spin section of partitions), which moves every
-one of them.  To go down from an r-cell removal, take the topmost row that
-sheds cells and shed one cell fewer there: a row that may shed two cells
-may shed one, the row ends one cell longer than before, so still longer
-than the row below, and no longer than it was, so still shorter than the
-unchanged row above.  That is a legal (r-1)-cell removal.  Dually, grow
-one cell fewer in the lowest row that grows (dropping the new row (1) if
-it is added).
+The two-step composites (the spin runner swap and quot_reds) work one input
+label at a time and run a from max(0, -c) (max(0, -d) for quot_red) up to
+m, the label's number of removable eps-nodes, read once, so no e_eps^(a)
+call returns zero.  That is exact: on one label, the counts r for which
+e_eps^(r) (or f_eps^(r)) has a term form the interval [0, m], m the number
+of removable (addable) eps-nodes.  Linear labels lose or gain any subset of
+those nodes.  A spin label's top end is its largest move (see the spin
+section of partitions), which moves every one of them.  To go down from an
+r-cell removal, take the topmost row that sheds cells and shed one cell
+fewer there: a row that may shed two cells may shed one, the row ends one
+cell longer than before, so still longer than the row below, and no longer
+than it was, so still shorter than the unchanged row above.  That is a
+legal (r-1)-cell removal.  Dually, grow one cell fewer in the lowest row
+that grows (dropping the new row (1) if it is added).  Moving no nodes is
+the identity, so the label itself stands for the lowering at a = 0 and the
+lowered vector for a raise by 0: no composite calls _apply with r = 0.
 
-runner_swap reads a linear label's removable and addable eps-nodes once and
-makes no apply_e or apply_f call: removing a set A of removable eps-nodes
-leaves every other eps-node as it was and makes the nodes of A addable, so
-the addable eps-nodes of the lowered label are those of the label together
-with A.  That is exact for p >= 2: a removal changes whether a node is
-addable only at its own place and at its two neighbours, whose residues
-eps - 1 and eps + 1 are not eps mod p.  No such rule holds for spin labels,
-where a removal can block a growth in the row below, so they take the two
-steps.
+runner_swap makes a linear label's terms in closed form, from one scan of
+its eps-nodes, with no apply_e or apply_f call.  Removing a set A of
+removable eps-nodes leaves every other eps-node as it was and makes the
+nodes of A addable; that is exact for p >= 2, since a removal changes
+whether a node is addable only at its own place and at its two neighbours,
+whose residues eps - 1 and eps + 1 are not eps mod p.  So a term of
+f_eps^(a+c) e_eps^(a) on la is la - A + B with B = B1 u B2, B1 among the
+addable rows and B2 in A, which is the label la - (A - B2) + B1.  Summing
+(-1)^|A| over every A that contains a fixed A - B2 gives zero unless
+A - B2 is every removable row.  So S^(c) la = (-1)^m times the sum of
+la - Rem + B over the (m + c)-subsets B of the addable eps-rows, Rem the m
+removable ones; at the top degree B is all of them.  No such rule holds for
+spin labels, where a removal can block a growth in the row below, so they
+take the two steps.
 
 quot_reds takes a family of degrees d and makes each label's lowering
 e_eps'^(a) e_eps^(a) once per a, from the least max(0, -d) up to m, for
@@ -203,40 +210,38 @@ def _removable_count(basis, label, eps):
 
 def _linear_runner_swap(acc, label, pair, eps, c, p):
     """Add the degree-c runner swap of one linear label, times pair, into
-    acc, from one scan of its eps-nodes: lower the rows of each a-subset A
-    of the removable ones, then raise each (a + c)-subset of the addable
-    ones of the lowered label, which are those of the label and the rows
-    of A (see runner_swap)."""
-    rows = [*label, 0]
-    removable = [i - 1 for i, _ in removable_nodes(label, eps, p)]
-    addable = [i - 1 for i, _ in addable_nodes(label, eps, p)]
-    for a in range(max(0, -c), len(removable) + 1):
-        x0, y0 = (-pair[0], -pair[1]) if a % 2 else pair
-        for sub in itertools.combinations(removable, a):
-            low = rows.copy()
-            for i in sub:
-                low[i] -= 1
-            for up in itertools.combinations(sorted(addable + list(sub)), a + c):
-                new = low.copy()
-                for i in up:
-                    new[i] += 1
-                new = tuple(filter(None, new))
-                x, y = acc.get(new, (0, 0))
-                acc[new] = (x + x0, y + y0)
+    acc in closed form (see runner_swap): lower every removable eps-row
+    once, then raise each (m + c)-subset of the addable ones, in ascending
+    rows, each term times (-1)^m."""
+    low, m = [*label, 0], 0
+    for i, _ in removable_nodes(label, eps, p):
+        low[i - 1] -= 1
+        m += 1
+    if m + c < 0:
+        return
+    x0, y0 = (-pair[0], -pair[1]) if m % 2 else pair
+    for up in itertools.combinations([i - 1 for i, _ in addable_nodes(label, eps, p)], m + c):
+        new = low.copy()
+        for i in up:
+            new[i] += 1
+        new = tuple(filter(None, new))
+        x, y = acc.get(new, (0, 0))
+        acc[new] = (x + x0, y + y0)
 
 
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
     (-1)^a f_eps^(a+c) e_eps^(a), rightmost factor applied first.
 
-    A linear label is done in one scan of its eps-nodes.  Removing an
-    eps-node changes whether a node is addable only at its own place and
-    at its two neighbours, whose residues eps - 1 and eps + 1 are not eps
-    mod p for p >= 2; so the addable eps-nodes of the label less a set A
-    of removable ones are those of the label together with A.  Raising
-    over the sorted union gives the terms of e_eps^(a) then f_eps^(a+c) in
-    the same order with the same coefficients.  A spin label takes the two
-    steps: there a removal can block a growth in the row below.
+    A linear label takes the closed form.  A term la - A + B, with
+    B = B1 u B2, B1 among the addable eps-rows and B2 in A, is the label
+    la - (A - B2) + B1, since for p >= 2 removing eps-nodes makes them
+    addable and moves no other.  Summing (-1)^|A| over every A that
+    contains a fixed A - B2 gives zero unless A - B2 is every removable
+    row, so S^(c) la = (-1)^m times the sum of la - Rem + B over the
+    (m + c)-subsets B of the addable eps-rows, Rem the m removable ones:
+    C(#addable, m + c) terms, none for m + c < 0.  A spin label takes the
+    two steps: there a removal can block a growth in the row below.
 
     The alternative global sign (-1)^(a+c) differs only by the factor
     (-1)^c, invisible for even c; the convention here is pinned by the
@@ -250,7 +255,8 @@ def runner_swap(v, eps, c, p=2):
             continue
         one = CharVector(v.basis, v.n, {label: pair})
         for a in range(max(0, -c), _removable_count(v.basis, label, eps) + 1):
-            _add(acc, apply_f(apply_e(one, eps, a, p), eps, a + c, p), -1 if a % 2 else 1)
+            w = apply_e(one, eps, a, p) if a else one
+            _add(acc, apply_f(w, eps, a + c, p) if a + c else w, -1 if a % 2 else 1)
     return _nonzero(v.basis, v.n + c, acc)
 
 
@@ -264,7 +270,9 @@ def quot_reds(v, eps, ds):
     it is made once per a, from the least max(0, -d) up to m, and raised
     for each d with a + d >= 0; each degree sums the same terms in the same
     order as it would alone.  The f steps are skipped when the lowering
-    gives zero, which no node count of the label foretells."""
+    gives zero, which no node count of the label foretells.  At a = 0 the
+    lowering is the label itself, and at a + d = 0 the raise is the
+    lowering, so no apply call has r = 0."""
     _check_operator(v.basis, eps, 2)
     ds = tuple(ds)
     if not ds:
@@ -274,13 +282,13 @@ def quot_reds(v, eps, ds):
     for label, pair in v.pairs.items():
         one = CharVector(v.basis, v.n, {label: pair})
         for a in range(start, _removable_count(v.basis, label, eps) + 1):
-            w = apply_e(apply_e(one, eps, a), ebar, a)
+            w = apply_e(apply_e(one, eps, a), ebar, a) if a else one
             if w.is_zero():
                 continue
             for acc, d in zip(accs, ds):
                 k = a + d
                 if k >= 0:
-                    _add(acc, apply_f(apply_f(w, ebar, k), eps, k), -1 if k % 2 else 1)
+                    _add(acc, apply_f(apply_f(w, ebar, k), eps, k) if k else w, -1 if k % 2 else 1)
     return [_nonzero(v.basis, v.n + 2 * d, acc) for acc, d in zip(accs, ds)]
 
 

@@ -291,7 +291,8 @@ def test_composites_match_the_probe_loops_bit_for_bit():
     """The composites read m once and run a up to it; the probe loops run
     a until e_eps^(a) vanishes.  Every label with n <= 12, both residues,
     c in [-4, 4] and at each label's own top and bottom degrees and one
-    past each, d in [-3, 3], and the p = 5 swaps for n <= 10."""
+    past each, d in [-3, 3], and the p = 3 and p = 5 swaps for n <= 10,
+    every residue."""
     for n in range(13):
         units = [u("linear", la) for la in partitions_of(n)]
         units += [u("spin", al) for al in strict_partitions_of(n)]
@@ -305,10 +306,11 @@ def test_composites_match_the_probe_loops_bit_for_bit():
     for n in range(11):
         for la in partitions_of(n):
             v = u("linear", la)
-            for eps in range(5):
-                for c in (*range(-4, 5), *_edge_degrees("linear", la, eps, 5)):
-                    assert (_bits(cs.runner_swap(v, eps, c, p=5))
-                            == _bits(runner_swap_by_probes(v, eps, c, p=5)))
+            for p in (3, 5):
+                for eps in range(p):
+                    for c in (*range(-4, 5), *_edge_degrees("linear", la, eps, p)):
+                        assert (_bits(cs.runner_swap(v, eps, c, p=p))
+                                == _bits(runner_swap_by_probes(v, eps, c, p=p)))
     for v in _mixed_vectors():
         for eps in (0, 1):
             assert _bits(cs.runner_swap(v, eps, 1)) == _bits(runner_swap_by_probes(v, eps, 1))
@@ -317,9 +319,10 @@ def test_composites_match_the_probe_loops_bit_for_bit():
 
 def test_composites_make_no_zero_probe(monkeypatch):
     """On one spin label with m removable eps-nodes, runner_swap calls
-    apply_e once for each a from max(0, -c) to m, and no call returns
-    zero; on a linear label it makes no call, reading the lowerings off
-    one node scan.  quot_red calls it twice per a, e_eps^(a) first."""
+    apply_e once for each a from max(1, -c) to m, and no call returns
+    zero; the label itself is the lowering at a = 0.  On a linear label it
+    makes no call, taking the closed form.  quot_red calls it twice per
+    a >= 1, e_eps^(a) first."""
     calls = []
     apply_e = cs.apply_e
 
@@ -334,7 +337,7 @@ def test_composites_make_no_zero_probe(monkeypatch):
         m = len(nodes(label, eps))
         assert m >= 1
         for c in range(-m - 2, 4):
-            want = max(0, m + 1 - max(0, -c))
+            want = max(0, m + 1 - max(1, -c))
             calls.clear()
             cs.runner_swap(u(basis, label), eps, c)
             assert len(calls) == (want if basis == "spin" else 0), (label, eps, c)
@@ -358,28 +361,63 @@ class _TermLog(dict):
         super().__setitem__(label, pair)
 
 
-def test_linear_runner_swap_adds_the_two_step_terms_in_order():
-    """One node scan per linear label makes the terms of e_eps^(a) then
-    f_eps^(a+c) one by one, in the order the two steps reach them: each
-    a-subset of the removable nodes of the label, then each
-    (a + c)-subset of the addable nodes of the lowered label, moved by
-    the validating corner helpers.  Every label with n <= 11, p = 2 and 3,
-    every residue and c from one below the bottom to one past the top."""
+def _two_step_terms(la, eps, c, p):
+    """The terms of sum over a of (-1)^a f_eps^(a+c) e_eps^(a) on la, in
+    the order the two steps reach them: each a-subset of the removable
+    nodes, then each (a + c)-subset of the addable nodes of the lowered
+    label, moved by the validating corner helpers."""
+    nodes = removable_nodes(la, eps, p)
+    for a in range(max(0, -c), len(nodes) + 1):
+        for low in itertools.combinations(nodes, a):
+            mu = remove_corner_set(la, low)
+            for up in itertools.combinations(addable_nodes(mu, eps, p), a + c):
+                yield add_corner_set(mu, up), -1 if a % 2 else 1
+
+
+def test_linear_runner_swap_adds_only_the_surviving_terms():
+    """One node scan per linear label adds (-1)^m times la less every
+    removable eps-node plus each (m + c)-subset of the addable ones, in
+    combinations order, each label once, so no term cancels; and that is
+    the two-step sum, zeros dropped, pair for pair and in key order.
+    Every label with n <= 11, p = 2 and 3, every residue and c from one
+    below the bottom to one past the top."""
     for n in range(12):
         for la in partitions_of(n):
             for p in (2, 3):
                 for eps in range(p):
                     nodes = removable_nodes(la, eps, p)
-                    for c in range(-len(nodes) - 1, n_eps(la, eps, p) + 2):
-                        want = []
-                        for a in range(max(0, -c), len(nodes) + 1):
-                            for low in itertools.combinations(nodes, a):
-                                mu = remove_corner_set(la, low)
-                                for up in itertools.combinations(addable_nodes(mu, eps, p), a + c):
-                                    want.append((add_corner_set(mu, up), -1 if a % 2 else 1))
+                    m, low = len(nodes), remove_corner_set(la, nodes)
+                    sign = -1 if m % 2 else 1
+                    for c in range(-m - 1, n_eps(la, eps, p) + 2):
+                        want = [(add_corner_set(low, up), sign) for up in
+                                itertools.combinations(addable_nodes(la, eps, p), m + c)] if m + c >= 0 else []
                         acc = _TermLog()
                         cs._linear_runner_swap(acc, la, (1, 0), eps, c, p)
                         assert acc.terms == want, (la, p, eps, c)
+                        assert len(acc) == len(acc.terms), (la, p, eps, c)
+                        summed = {}
+                        for mu, x in _two_step_terms(la, eps, c, p):
+                            summed[mu] = summed.get(mu, 0) + x
+                        assert list(acc.items()) == [(mu, (x, 0)) for mu, x in summed.items() if x]
+
+
+def test_composites_call_apply_with_no_empty_move(monkeypatch):
+    """No composite asks _apply to move r = 0 nodes: the label stands for
+    the lowering at a = 0 and the lowered vector for a raise by 0."""
+    counts = []
+    apply = cs._apply
+
+    def counted(v, eps, r, p, grow):
+        counts.append(r)
+        return apply(v, eps, r, p, grow)
+
+    monkeypatch.setattr(cs, "_apply", counted)
+    for v in _vectors_upto(7):
+        for eps in (0, 1):
+            for c in range(-4, 5):
+                cs.runner_swap(v, eps, c)
+            cs.quot_reds(v, eps, range(-3, 4))
+    assert counts and 0 not in counts
 
 
 def _pair_bits(v):
@@ -403,7 +441,7 @@ def test_quot_reds_match_quot_red_bit_for_bit():
 
 def test_quot_reds_lower_each_label_once(monkeypatch):
     """On one label with m removable eps-nodes, a family call makes the
-    lowering e_eps'^(a) e_eps^(a) once for each a from the least
+    lowering e_eps'^(a) e_eps^(a) once for each a >= 1 from the least
     max(0, -d) over its degrees up to m, however many degrees it holds,
     and no e_eps^(a) call returns zero; no degree, no call."""
     calls = []
@@ -425,7 +463,7 @@ def test_quot_reds_lower_each_label_once(monkeypatch):
             start = min(max(0, -d) for d in ds)
             calls.clear()
             assert len(cs.quot_reds(u(basis, label), eps, ds)) == len(ds)
-            assert len(calls) == 2 * max(0, m + 1 - start), (label, eps, ds)
+            assert len(calls) == 2 * max(0, m + 1 - max(1, start)), (label, eps, ds)
             assert all(not w.is_zero() for w in calls[::2])
         calls.clear()
         assert cs.quot_reds(u(basis, label), eps, ()) == []
@@ -433,9 +471,9 @@ def test_quot_reds_lower_each_label_once(monkeypatch):
 
 
 def test_quot_red_makes_no_f_step_on_an_empty_vector(monkeypatch):
-    """quot_red calls apply_f twice for each a whose e_eps'^(a) e_eps^(a)
-    of the label is not zero, and never for the others; on each label
-    below some a gives zero."""
+    """quot_red calls apply_f twice for each a with a + d >= 1 whose
+    e_eps'^(a) e_eps^(a) of the label is not zero, and never for the
+    others; on each label below some a gives zero."""
     calls = []
     apply_e, apply_f = cs.apply_e, cs.apply_f
 
@@ -451,7 +489,7 @@ def test_quot_red_makes_no_f_step_on_an_empty_vector(monkeypatch):
                  for a in range(len(nodes(label, eps)) + 1)]
         assert any(w.is_zero() for w in inner[1:])
         for d in range(-3, 4):
-            live = sum(not w.is_zero() for w in inner[max(0, -d):])
+            live = sum(not w.is_zero() for w in inner[max(0, 1 - d):])
             calls.clear()
             cs.quot_red(u(basis, label), eps, d)
             assert len(calls) == 2 * live, (label, eps, d)

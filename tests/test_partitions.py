@@ -251,6 +251,47 @@ def test_removing_eps_nodes_makes_them_addable_and_moves_no_other():
                             assert got == sorted(added + list(sub)), (la, eps, p, sub)
 
 
+def _moved(la, down, up):
+    """la with one cell off each row (from 1) in down and one onto each in up."""
+    rows = [*la, 0]
+    for i in down:
+        rows[i - 1] -= 1
+    for i in up:
+        rows[i - 1] += 1
+    return tuple(filter(None, rows))
+
+
+def test_two_step_runner_swap_terms_cancel_to_the_closed_form():
+    """Inclusion-exclusion behind the linear runner swap: the terms
+    (-1)^a (la - A) + B, A an a-subset of the removable eps-rows and B an
+    (a + c)-subset of the addable eps-rows of la - A, summed with zeros
+    dropped, are (-1)^m (la - Rem) + B over the (m + c)-subsets B of the
+    addable eps-rows of la, Rem the m removable ones, each label once.
+    Every partition with n <= 10, p in {2, 3, 5}, every eps and c from one
+    below the bottom to one past the top."""
+    for p in (2, 3, 5):
+        for n in range(11):
+            for la in pt.partitions_of(n):
+                for eps in range(p):
+                    added = [i for i, _ in pt.addable_nodes(la, eps, p)]
+                    removed = [i for i, _ in pt.removable_nodes(la, eps, p)]
+                    m = len(removed)
+                    for c in range(-m - 1, len(added) - m + 2):
+                        summed = {}
+                        for a in range(max(0, -c), m + 1):
+                            for sub in itertools.combinations(removed, a):
+                                mu = _moved(la, sub, ())
+                                for up in itertools.combinations(
+                                        [i for i, _ in pt.addable_nodes(mu, eps, p)], a + c):
+                                    key = _moved(mu, (), up)
+                                    summed[key] = summed.get(key, 0) + (-1) ** a
+                        got = {key: x for key, x in summed.items() if x}
+                        closed = [_moved(la, removed, up)
+                                  for up in itertools.combinations(added, m + c)] if m + c >= 0 else []
+                        assert got == dict.fromkeys(closed, (-1) ** m), (la, eps, p, c)
+                        assert len(set(closed)) == len(closed)
+
+
 def test_four_bar_core():
     assert pt.four_bar_core((12, 8, 7, 4, 3, 2)) == ((7, 3), 13)
     assert pt.four_bar_core((4, 3, 2)) == ((3,), 3)
