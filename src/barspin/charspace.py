@@ -63,12 +63,13 @@ import itertools
 from dataclasses import dataclass
 
 from barspin.partitions import (
-    addable_nodes,
+    addable_rows,
+    check_modulus,
     check_partition,
     check_strict,
     conjugate,
     format_partition,
-    removable_nodes,
+    removable_rows,
     remove_all_spin_removable,
     size,
     spin_additions,
@@ -141,8 +142,7 @@ def unit(basis, label):
 # branching operators
 
 def _check_operator(basis, eps, p):
-    if p < 2:
-        raise ValueError(f"p = {p} is not at least 2")
+    check_modulus(p)
     if not 0 <= eps < p:
         raise ValueError(f"residue {eps} out of range for p = {p}")
     if basis == "spin" and p != 2:
@@ -162,22 +162,11 @@ def _apply(v, eps, r, p, grow):
     if r < 0:
         raise ValueError("r must be nonnegative")
     _check_operator(v.basis, eps, p)
-    if not r:
-        return CharVector(v.basis, v.n, dict(v.pairs))
     step, acc = (1 if grow else -1), {}
     for label, (a, b) in v.pairs.items():
         if v.basis == "linear":
-            # the rows (from 0) of label + (0,) that end in a removable
-            # (addable) eps-node
-            rows = [*label, 0]
-            nodes = [i - 1 for i, _ in (addable_nodes if grow else removable_nodes)(label, eps, p)]
-            for sub in itertools.combinations(nodes, r):
-                new = rows.copy()
-                for i in sub:
-                    new[i] += step
-                new = tuple(filter(None, new))
-                x, y = acc.get(new, (0, 0))
-                acc[new] = (x + a, y + b)
+            rows = (addable_rows if grow else removable_rows)(label, eps, p)
+            _shift(acc, [*label, 0], itertools.combinations(rows, r), step, a, b)
             continue
         evens = {x for x in label if x % 2 == 0}
         for new in (spin_additions if grow else spin_removals)(label, eps, r):
@@ -185,6 +174,18 @@ def _apply(v, eps, r, p, grow):
             x, y = acc.get(new, (0, 0))
             acc[new] = (x + c, y + d)
     return _nonzero(v.basis, v.n + step * r, acc)
+
+
+def _shift(acc, rows, subsets, step, a, b):
+    """Add (a, b) into acc at the label of rows with each row of one subset
+    moved by step and zero rows dropped, for each subset in turn."""
+    for sub in subsets:
+        new = rows.copy()
+        for i in sub:
+            new[i] += step
+        new = tuple(filter(None, new))
+        x, y = acc.get(new, (0, 0))
+        acc[new] = (x + a, y + b)
 
 
 def apply_e(v, eps, r=1, p=2):
@@ -204,7 +205,7 @@ def apply_f(v, eps, r=1, p=2):
 def _removable_count(basis, label, eps):
     """m, the number of removable eps-nodes of one label (p = 2)."""
     if basis == "linear":
-        return len(removable_nodes(label, eps))
+        return len(removable_rows(label, eps))
     return size(label) - size(remove_all_spin_removable(label, eps))
 
 
@@ -213,35 +214,23 @@ def _linear_runner_swap(acc, label, pair, eps, c, p):
     acc in closed form (see runner_swap): lower every removable eps-row
     once, then raise each (m + c)-subset of the addable ones, in ascending
     rows, each term times (-1)^m."""
-    low, m = [*label, 0], 0
-    for i, _ in removable_nodes(label, eps, p):
-        low[i - 1] -= 1
-        m += 1
-    if m + c < 0:
-        return
-    x0, y0 = (-pair[0], -pair[1]) if m % 2 else pair
-    for up in itertools.combinations([i - 1 for i, _ in addable_nodes(label, eps, p)], m + c):
-        new = low.copy()
-        for i in up:
-            new[i] += 1
-        new = tuple(filter(None, new))
-        x, y = acc.get(new, (0, 0))
-        acc[new] = (x + x0, y + y0)
+    rem = removable_rows(label, eps, p)
+    m = len(rem)
+    if m + c >= 0:
+        low = [part - (i in rem) for i, part in enumerate((*label, 0))]
+        x, y = (-pair[0], -pair[1]) if m % 2 else pair
+        _shift(acc, low, itertools.combinations(addable_rows(label, eps, p), m + c), 1, x, y)
 
 
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
     (-1)^a f_eps^(a+c) e_eps^(a), rightmost factor applied first.
 
-    A linear label takes the closed form.  A term la - A + B, with
-    B = B1 u B2, B1 among the addable eps-rows and B2 in A, is the label
-    la - (A - B2) + B1, since for p >= 2 removing eps-nodes makes them
-    addable and moves no other.  Summing (-1)^|A| over every A that
-    contains a fixed A - B2 gives zero unless A - B2 is every removable
-    row, so S^(c) la = (-1)^m times the sum of la - Rem + B over the
-    (m + c)-subsets B of the addable eps-rows, Rem the m removable ones:
-    C(#addable, m + c) terms, none for m + c < 0.  A spin label takes the
-    two steps: there a removal can block a growth in the row below.
+    A linear label takes the closed form that the module docstring
+    derives: (-1)^m times the sum of la - Rem + B over the (m + c)-subsets
+    B of the addable eps-rows, Rem the m removable ones, so no term for
+    m + c < 0.  A spin label takes the two steps: there a removal can
+    block a growth in the row below.
 
     The alternative global sign (-1)^(a+c) differs only by the factor
     (-1)^c, invisible for even c; the convention here is pinned by the

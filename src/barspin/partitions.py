@@ -193,7 +193,14 @@ def spin_residue(c):
     return (c // 2) % 2
 
 
+def check_modulus(p):
+    """Residues are taken mod p for p >= 2 only."""
+    if p < 2:
+        raise ValueError(f"p = {p} is not at least 2")
+
+
 def content_counts(la, p=2):
+    check_modulus(p)
     counts = [0] * p
     for r, c in cells(la):
         counts[residue(r, c, p)] += 1
@@ -245,31 +252,33 @@ def regularize2(la):
 
 
 # ---------------------------------------------------------------------------
-# removable/addable nodes (linear side, any modulus)
+# removable/addable nodes (linear side, any modulus p >= 2)
 
-def removable_nodes(la, eps, p=2):
+def removable_rows(la, eps, p=2):
+    """The rows (from 0) of la that end in a removable eps-node, top down."""
+    check_modulus(p)
     rows = (*la, 0)
-    return [(i, part) for i, part in enumerate(la, 1)
-            if part > rows[i] and (part - i) % p == eps]
+    return [i for i, part in enumerate(la) if part > rows[i + 1] and (part - i - 1) % p == eps]
 
 
-def addable_nodes(la, eps, p=2):
-    """The new row (len(la) + 1, 1) comes last, from the trailing 0 row."""
+def addable_rows(la, eps, p=2):
+    """The rows (from 0) of la + (0,) that end in an addable eps-node, top down."""
+    check_modulus(p)
     rows = (*la, 0)
-    return [(i, part + 1) for i, part in enumerate(rows, 1)
-            if (i == 1 or rows[i - 2] > part) and (part + 1 - i) % p == eps]
+    return [i for i, part in enumerate(rows)
+            if (not i or rows[i - 1] > part) and (part - i) % p == eps]
 
 
 def remove_all_removable(la, eps, p=2):
     rows = list(la)
-    for i, _ in removable_nodes(la, eps, p):
-        rows[i - 1] -= 1
+    for i in removable_rows(la, eps, p):
+        rows[i] -= 1
     return tuple(filter(None, rows))
 
 
 def n_eps(la, eps, p=2):
     """Net number of addable minus removable eps-nodes."""
-    return len(addable_nodes(la, eps, p)) - len(removable_nodes(la, eps, p))
+    return len(addable_rows(la, eps, p)) - len(removable_rows(la, eps, p))
 
 
 # ---------------------------------------------------------------------------

@@ -841,8 +841,9 @@ def scan_reference(n, cache_dir=None):
 # the operator-layer routes replaced by counting and row-by-row passes
 
 def removable_nodes_by_rows(la, eps, p=2):
-    """partitions.removable_nodes as a loop over the rows, one residue call
-    per corner."""
+    """The removable eps-nodes of la as (row, column) pairs from 1, top
+    down, by a loop over the rows with one residue call per corner;
+    partitions.removable_rows gives their rows, from 0."""
     out = []
     for i in range(1, len(la) + 1):
         part = la[i - 1]
@@ -853,8 +854,9 @@ def removable_nodes_by_rows(la, eps, p=2):
 
 
 def addable_nodes_by_rows(la, eps, p=2):
-    """partitions.addable_nodes as a loop over the rows, with the new row
-    (len(la) + 1, 1) handled on its own."""
+    """The addable eps-nodes of la as (row, column) pairs from 1, top down,
+    by a loop over the rows with the new row (len(la) + 1, 1) handled on
+    its own, last; partitions.addable_rows gives their rows, from 0."""
     out = []
     for i in range(1, len(la) + 1):
         part = la[i - 1]

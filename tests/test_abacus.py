@@ -81,8 +81,8 @@ def test_swp_involution(la, eps):
 @given(partition_st, st.integers(min_value=0, max_value=1))
 def test_swp_moves_all_eps_nodes(la, eps):
     mu = abacus.swp(la, eps)
-    add = pt.addable_nodes(la, eps)
-    rem = pt.removable_nodes(la, eps)
+    add = pt.addable_rows(la, eps)
+    rem = pt.removable_rows(la, eps)
     assert pt.size(mu) == pt.size(la) + len(add) - len(rem)
 
 

@@ -201,3 +201,29 @@ def test_criterion_12_odd_runner_swap_example():
     got = cs.runner_swap(cs.unit("linear", (9, 8, 5, 1, 1, 1, 1, 1)), 2, 1, p=5)
     want = scaled(cs.unit("linear", (9, 9, 4, 1, 1, 1, 1, 1, 1)), S(-1))
     assert got == want
+
+
+def test_top_runner_swaps_carry_scan_pairs_to_scan_pairs():
+    """The scan and the operator layer agree, each computed on its own and
+    neither read off swp or bswp: for every pair (al, la, ratio) of
+    scan(n), n <= 30, and each eps, la and al have the same top degree k;
+    the degree-k runner swap sends [la] to s_L [la'] and <<al>> to
+    s_S <<al'>>, s_L and s_S signs; and (al', la', ratio s_S s_L) is a pair
+    of scan(n + k).  258 checks, 24 with k = 0, images up to n = 38."""
+    scans, degrees = {}, []
+    for n in range(31):
+        for al, la, ratio in cv.scan(n):
+            for eps in (0, 1):
+                k = pt.n_eps(la, eps)
+                assert k == pt.spin_n_eps(al, eps), (al, la, eps)
+                images = []
+                for basis, label in (("linear", la), ("spin", al)):
+                    ((image, pair),) = cs.runner_swap(cs.unit(basis, label), eps, k).pairs.items()
+                    assert pair in ((1, 0), (-1, 0)), (basis, label, eps, pair)
+                    images.append((image, pair[0]))
+                (la2, s_l), (al2, s_s) = images
+                if n + k not in scans:
+                    scans[n + k] = cv.scan(n + k)
+                assert (al2, la2, ratio * (s_s * s_l)) in scans[n + k], (al, la, eps)
+                degrees.append(k)
+    assert len(degrees) == 258 and degrees.count(0) == 24 and max(degrees) == 8

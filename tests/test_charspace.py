@@ -20,10 +20,9 @@ from barspin import charspace as cs
 from barspin import verify
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin.partitions import (
-    addable_nodes,
     n_eps,
     partitions_of,
-    removable_nodes,
+    removable_rows,
     size,
     spin_additions,
     spin_n_eps,
@@ -33,6 +32,7 @@ from barspin.partitions import (
 )
 from oracles import (
     add_corner_set,
+    addable_nodes_by_rows,
     b_sum_by_intermediates,
     bounds_by_padding,
     choices_by_product,
@@ -42,6 +42,7 @@ from oracles import (
     linear_swap_sign_by_swp,
     quot_red_by_probes,
     remove_corner_set,
+    removable_nodes_by_rows,
     runner_swap_by_probes,
     scaled,
     spin_addable_nodes_reference,
@@ -131,9 +132,28 @@ def test_apply_e_rejects_bad_residue():
 @pytest.mark.parametrize("op", [cs.apply_e, cs.apply_f, cs.runner_swap])
 def test_operators_reject_p_below_2(op):
     """p = 1 makes every node residue 0, so the operators would mix nodes
-    of all residues; each refuses it rather than answer."""
-    with pytest.raises(ValueError, match="at least 2"):
-        op(u("linear", (2, 1, 1)), 0, 0 if op is cs.runner_swap else 1, p=1)
+    of all residues; each refuses it, and p = 0 and -2, rather than answer."""
+    for p in (-2, 0, 1):
+        with pytest.raises(ValueError, match=f"p = {p} is not at least 2"):
+            op(u("linear", (2, 1, 1)), 0, 0 if op is cs.runner_swap else 1, p=p)
+
+
+def test_moving_no_nodes_is_the_identity():
+    """apply_e and apply_f with r = 0 return a new vector equal to the
+    input, down to the type of each coordinate and the order of the
+    labels: every label with n <= 11, p = 2 and 3 (linear), both bases."""
+    for n in range(12):
+        units = [(u("linear", la), p) for la in partitions_of(n) for p in (2, 3)]
+        units += [(u("spin", al), 2) for al in strict_partitions_of(n)]
+        for v, p in units:
+            for eps in range(p):
+                for op in (cs.apply_e, cs.apply_f):
+                    w = op(v, eps, 0, p)
+                    assert w is not v and w.pairs is not v.pairs
+                    assert _bits(w) == _bits(v), (v, eps, op)
+    for v in _mixed_vectors():
+        for eps in (0, 1):
+            assert _bits(cs.apply_e(v, eps, 0)) == _bits(cs.apply_f(v, eps, 0)) == _bits(v)
 
 
 def test_e_f_adjoint_spin():
@@ -178,7 +198,7 @@ def apply_reference(v, eps, r, p=2, grow=False):
     terms = []
     for label, c in v.coeffs.items():
         if v.basis == "linear":
-            nodes = addable_nodes if grow else removable_nodes
+            nodes = addable_nodes_by_rows if grow else removable_nodes_by_rows
             move = add_corner_set if grow else remove_corner_set
             terms += [(move(label, sub), c) for sub in itertools.combinations(nodes(label, eps, p), r)]
         else:
@@ -281,7 +301,7 @@ def _edge_degrees(basis, label, eps, p=2):
     """A label's top degree n_eps and its bottom -m, m its number of
     removable eps-nodes, and one past each."""
     if basis == "linear":
-        top, m = n_eps(label, eps, p), len(removable_nodes(label, eps, p))
+        top, m = n_eps(label, eps, p), len(removable_rows(label, eps, p))
     else:
         top, m = spin_n_eps(label, eps), len(spin_removable_nodes_reference(label, eps))
     return top, top + 1, -m, -m - 1
@@ -333,7 +353,7 @@ def test_composites_make_no_zero_probe(monkeypatch):
     monkeypatch.setattr(cs, "apply_e", counted)
     for basis, label, eps in (("linear", (6, 3, 1, 1), 1), ("linear", (5, 3, 2, 2), 0),
                               ("spin", (6, 3, 2), 1), ("spin", (9, 5, 4, 1), 0)):
-        nodes = removable_nodes if basis == "linear" else spin_removable_nodes_reference
+        nodes = removable_rows if basis == "linear" else spin_removable_nodes_reference
         m = len(nodes(label, eps))
         assert m >= 1
         for c in range(-m - 2, 4):
@@ -366,11 +386,11 @@ def _two_step_terms(la, eps, c, p):
     the order the two steps reach them: each a-subset of the removable
     nodes, then each (a + c)-subset of the addable nodes of the lowered
     label, moved by the validating corner helpers."""
-    nodes = removable_nodes(la, eps, p)
+    nodes = removable_nodes_by_rows(la, eps, p)
     for a in range(max(0, -c), len(nodes) + 1):
         for low in itertools.combinations(nodes, a):
             mu = remove_corner_set(la, low)
-            for up in itertools.combinations(addable_nodes(mu, eps, p), a + c):
+            for up in itertools.combinations(addable_nodes_by_rows(mu, eps, p), a + c):
                 yield add_corner_set(mu, up), -1 if a % 2 else 1
 
 
@@ -385,12 +405,12 @@ def test_linear_runner_swap_adds_only_the_surviving_terms():
         for la in partitions_of(n):
             for p in (2, 3):
                 for eps in range(p):
-                    nodes = removable_nodes(la, eps, p)
+                    nodes = removable_nodes_by_rows(la, eps, p)
                     m, low = len(nodes), remove_corner_set(la, nodes)
                     sign = -1 if m % 2 else 1
                     for c in range(-m - 1, n_eps(la, eps, p) + 2):
                         want = [(add_corner_set(low, up), sign) for up in
-                                itertools.combinations(addable_nodes(la, eps, p), m + c)] if m + c >= 0 else []
+                                itertools.combinations(addable_nodes_by_rows(la, eps, p), m + c)] if m + c >= 0 else []
                         acc = _TermLog()
                         cs._linear_runner_swap(acc, la, (1, 0), eps, c, p)
                         assert acc.terms == want, (la, p, eps, c)
@@ -454,7 +474,7 @@ def test_quot_reds_lower_each_label_once(monkeypatch):
     monkeypatch.setattr(cs, "apply_e", counted)
     for basis, label, eps in (("linear", (6, 3, 1, 1), 1), ("linear", (5, 3, 2, 2), 0),
                               ("spin", (6, 3, 2), 1), ("spin", (9, 5, 4, 1), 0)):
-        nodes = removable_nodes if basis == "linear" else spin_removable_nodes_reference
+        nodes = removable_rows if basis == "linear" else spin_removable_nodes_reference
         m = len(nodes(label, eps))
         degrees = range(-m - 2, 4)
         families = [degrees[i:j] for i in range(len(degrees)) for j in range(i + 1, len(degrees) + 1)]
@@ -484,7 +504,7 @@ def test_quot_red_makes_no_f_step_on_an_empty_vector(monkeypatch):
     monkeypatch.setattr(cs, "apply_f", counted)
     for basis, label, eps in (("linear", (4, 1), 1), ("linear", (2, 1), 1),
                               ("spin", (5,), 0), ("spin", (3, 2), 1)):
-        nodes = removable_nodes if basis == "linear" else spin_removable_nodes_reference
+        nodes = removable_rows if basis == "linear" else spin_removable_nodes_reference
         inner = [apply_e(apply_e(u(basis, label), eps, a), 1 - eps, a)
                  for a in range(len(nodes(label, eps)) + 1)]
         assert any(w.is_zero() for w in inner[1:])

@@ -226,7 +226,7 @@ def test_remove_all_removable():
         for n in range(0, 11):
             for la in pt.partitions_of(n):
                 for eps in range(p):
-                    want = remove_corner_set(la, pt.removable_nodes(la, eps, p))
+                    want = remove_corner_set(la, removable_nodes_by_rows(la, eps, p))
                     assert pt.remove_all_removable(la, eps, p) == want
 
 
@@ -239,25 +239,25 @@ def test_removing_eps_nodes_makes_them_addable_and_moves_no_other():
         for n in range(13):
             for la in pt.partitions_of(n):
                 for eps in range(p):
-                    added = [i for i, _ in pt.addable_nodes(la, eps, p)]
-                    removed = [i for i, _ in pt.removable_nodes(la, eps, p)]
+                    added = pt.addable_rows(la, eps, p)
+                    removed = pt.removable_rows(la, eps, p)
                     for k in range(len(removed) + 1):
                         for sub in itertools.combinations(removed, k):
                             rows = list(la)
                             for i in sub:
-                                rows[i - 1] -= 1
+                                rows[i] -= 1
                             mu = tuple(filter(None, rows))
-                            got = [i for i, _ in pt.addable_nodes(mu, eps, p)]
+                            got = pt.addable_rows(mu, eps, p)
                             assert got == sorted(added + list(sub)), (la, eps, p, sub)
 
 
 def _moved(la, down, up):
-    """la with one cell off each row (from 1) in down and one onto each in up."""
+    """la with one cell off each row (from 0) in down and one onto each in up."""
     rows = [*la, 0]
     for i in down:
-        rows[i - 1] -= 1
+        rows[i] -= 1
     for i in up:
-        rows[i - 1] += 1
+        rows[i] += 1
     return tuple(filter(None, rows))
 
 
@@ -273,8 +273,8 @@ def test_two_step_runner_swap_terms_cancel_to_the_closed_form():
         for n in range(11):
             for la in pt.partitions_of(n):
                 for eps in range(p):
-                    added = [i for i, _ in pt.addable_nodes(la, eps, p)]
-                    removed = [i for i, _ in pt.removable_nodes(la, eps, p)]
+                    added = pt.addable_rows(la, eps, p)
+                    removed = pt.removable_rows(la, eps, p)
                     m = len(removed)
                     for c in range(-m - 1, len(added) - m + 2):
                         summed = {}
@@ -282,7 +282,7 @@ def test_two_step_runner_swap_terms_cancel_to_the_closed_form():
                             for sub in itertools.combinations(removed, a):
                                 mu = _moved(la, sub, ())
                                 for up in itertools.combinations(
-                                        [i for i, _ in pt.addable_nodes(mu, eps, p)], a + c):
+                                        pt.addable_rows(mu, eps, p), a + c):
                                     key = _moved(mu, (), up)
                                     summed[key] = summed.get(key, 0) + (-1) ** a
                         got = {key: x for key, x in summed.items() if x}
@@ -453,9 +453,26 @@ def test_k_core_and_k_weight_reject_a_length_below_one():
 
 
 def test_node_lists_match_the_row_loops():
+    """The row functions give the rows, less one, of the node oracles, in
+    the same order: every label with n <= 12, p = 2, 3, 5, every eps."""
     for n in range(13):
         for la in pt.partitions_of(n):
             for p in (2, 3, 5):
                 for eps in range(p):
-                    assert pt.removable_nodes(la, eps, p) == removable_nodes_by_rows(la, eps, p)
-                    assert pt.addable_nodes(la, eps, p) == addable_nodes_by_rows(la, eps, p)
+                    rem, add = removable_nodes_by_rows(la, eps, p), addable_nodes_by_rows(la, eps, p)
+                    assert pt.removable_rows(la, eps, p) == [i - 1 for i, _ in rem]
+                    assert pt.addable_rows(la, eps, p) == [i - 1 for i, _ in add]
+
+
+@pytest.mark.parametrize("p", [-2, 0, 1])
+def test_residue_helpers_reject_p_below_2(p):
+    """Residues mod p are read for p >= 2 only: at p = 1 every corner is an
+    eps-node, p = 0 divides by zero and p = -2 takes residues below 0."""
+    for call in (lambda: pt.check_modulus(p),
+                 lambda: pt.removable_rows((3, 1), 0, p),
+                 lambda: pt.addable_rows((3, 1), 0, p),
+                 lambda: pt.remove_all_removable((3, 1), 0, p),
+                 lambda: pt.n_eps((3, 1), 0, p),
+                 lambda: pt.content_counts((3, 1), p)):
+        with pytest.raises(ValueError, match=f"p = {p} is not at least 2"):
+            call()
