@@ -13,6 +13,7 @@ from __future__ import annotations
 from barspin.partitions import (
     beta_numbers,
     check_partition,
+    check_residue,
     check_strict,
     k_core,
     partition_from_beta,
@@ -72,8 +73,7 @@ def swp(la, eps):
     """Swap the two runners of the display whose bead count r satisfies
     r = 1 - eps mod 2; realized by toggling the last bit of every position."""
     check_partition(la)
-    if eps not in (0, 1):
-        raise ValueError(f"residue must be 0 or 1, got {eps!r}")
+    check_residue(eps)
     r = len(la) + (len(la) + eps + 1) % 2
     return partition_from_beta([b ^ 1 for b in beta_numbers(la, r)])
 
@@ -86,8 +86,7 @@ def bswp(al, eps):
     numbers in pairs, (1,3), (5,7), ... for eps = 1 and (3,5), (7,9), ...
     for eps = 0."""
     check_strict(al)
-    if eps not in (0, 1):
-        raise ValueError(f"residue must be 0 or 1, got {eps!r}")
+    check_residue(eps)
     up = (2 * eps - 1) % 4
     parts = []
     for a in al:

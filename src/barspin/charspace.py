@@ -64,8 +64,8 @@ from dataclasses import dataclass
 
 from barspin.partitions import (
     addable_rows,
-    check_modulus,
     check_partition,
+    check_residue,
     check_strict,
     conjugate,
     format_partition,
@@ -142,9 +142,7 @@ def unit(basis, label):
 # branching operators
 
 def _check_operator(basis, eps, p):
-    check_modulus(p)
-    if not 0 <= eps < p:
-        raise ValueError(f"residue {eps} out of range for p = {p}")
+    check_residue(eps, p)
     if basis == "spin" and p != 2:
         raise ValueError("spin operators exist only for p = 2")
 

@@ -4,13 +4,18 @@ and the partition the linear character is labelled by.
 The classification: alpha works exactly when it is 4-stepped (each part > 4
 has its predecessor part - 4) and 4-semicongruent (all odd parts agree mod 4),
 equivalently alpha is a 4-bar-core joined with twice a componentwise sum of
-two staircases.  The linear label is the partition with 2-core delta_a and
-2-quotient the two staircases, up to conjugation.
+two staircases: alpha = bar_staircase(a) U 2*(delta_r + delta_s) with
+r >= s >= 0, of size n = a(a+1)/2 + r(r+1) + s(s+1).  The linear label is
+the partition with 2-core delta_a and 2-quotient the two staircases, up to
+conjugation.  `predicted_pairs` enumerates the triples (a, r, s) of size n;
+its test oracle `predicted_pairs_by_filter` runs `fsas_decompose` on every
+strict partition of n instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from barspin.abacus import from_core_quotient
 from barspin.partitions import (
@@ -22,7 +27,6 @@ from barspin.partitions import (
     odd_parts,
     scale_parts,
     staircase,
-    strict_partitions_of,
     sum_parts,
     union_parts,
 )
@@ -67,18 +71,28 @@ def ratio_exponent(al):
 
 def predicted_pairs(n):
     """All (alpha, lambda) expected proportional at size n, with the exponent:
-    a sorted list of (alpha, lambda, e)."""
+    a sorted list of (alpha, lambda, e).
+
+    alpha runs over the FSAS labels rebuilt from the triples (a, r, s) with
+    n = a(a+1)/2 + r(r+1) + s(s+1) and r >= s >= 0.  The odd parts of the
+    rebuilt label are bar_staircase(a) and its even parts 2*(delta_r +
+    delta_s), so distinct triples give distinct labels, and e = r.  The
+    tests check it against `predicted_pairs_by_filter`, which runs
+    `fsas_decompose` on every strict partition of n."""
     check_size(n)
     out = []
-    for al in strict_partitions_of(n):
-        dec = fsas_decompose(al)
-        if dec is None:
-            continue
-        la, conj = dec.linear_labels()
-        e = ratio_exponent(al)
-        out.append((al, la, e))
-        if conj != la:
-            out.append((al, conj, e))
+    for a in range(isqrt(2 * n) + 1):
+        for r in range(isqrt(n) + 1):
+            for s in range(r + 1):
+                if a * (a + 1) // 2 + r * (r + 1) + s * (s + 1) != n:
+                    continue
+                dec = FsasDecomposition(a, r, s)
+                al = dec.rebuild()
+                la, conj = dec.linear_labels()
+                e = ratio_exponent(al)
+                out.append((al, la, e))
+                if conj != la:
+                    out.append((al, conj, e))
     return sorted(out)
 
 

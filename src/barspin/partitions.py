@@ -185,6 +185,7 @@ def odd_parts(la):
 # residues and contents
 
 def residue(r, c, p=2):
+    check_modulus(p)
     return (c - r) % p
 
 
@@ -199,11 +200,26 @@ def check_modulus(p):
         raise ValueError(f"p = {p} is not at least 2")
 
 
+def check_residue(eps, p=2):
+    """A residue mod p is an int (a bool is not one) from 0 to p - 1, for
+    p >= 2.  A bad p is named first; the row helpers call this once per
+    label, so a good pair makes no further call."""
+    if type(eps) is not int or not 0 <= eps < p or p < 2:
+        check_modulus(p)
+        raise ValueError(f"residues mod {p} must be integers from 0 to {p - 1}: {eps!r}")
+
+
 def content_counts(la, p=2):
+    """The number of cells of la of each residue mod p.  Row r holds a run
+    of la_r consecutive contents, so each residue gets la_r // p of its
+    cells and the la_r % p residues from residue(r, 1, p) on one more."""
     check_modulus(p)
     counts = [0] * p
-    for r, c in cells(la):
-        counts[residue(r, c, p)] += 1
+    for r, part in enumerate(la, 1):
+        whole, rest = divmod(part, p)
+        first = residue(r, 1, p)
+        for eps in range(p):
+            counts[eps] += whole + ((eps - first) % p < rest)
     return tuple(counts)
 
 
@@ -256,14 +272,14 @@ def regularize2(la):
 
 def removable_rows(la, eps, p=2):
     """The rows (from 0) of la that end in a removable eps-node, top down."""
-    check_modulus(p)
+    check_residue(eps, p)
     rows = (*la, 0)
     return [i for i, part in enumerate(la) if part > rows[i + 1] and (part - i - 1) % p == eps]
 
 
 def addable_rows(la, eps, p=2):
     """The rows (from 0) of la + (0,) that end in an addable eps-node, top down."""
-    check_modulus(p)
+    check_residue(eps, p)
     rows = (*la, 0)
     return [i for i, part in enumerate(rows)
             if (not i or rows[i - 1] > part) and (part - i) % p == eps]
@@ -504,12 +520,14 @@ def _spin_moves(rows, eps, sign, count):
 def spin_removals(al, eps, count):
     """Every strict partition left by shedding exactly count end cells of
     spin residue eps, up to 2 per row."""
+    check_residue(eps)
     return _spin_moves(al, eps, -1, count)
 
 
 def spin_additions(al, eps, count):
     """Every strict partition made by growing exactly count end cells of
     spin residue eps, up to 2 per row, the new row (1) included."""
+    check_residue(eps)
     return _spin_moves(al + (0,), eps, 1, count)
 
 
@@ -528,9 +546,11 @@ def _largest_move(rows, eps, sign):
 def spin_n_eps(al, eps):
     """Spin-addable minus spin-removable eps-nodes: the cells the largest
     addition grows minus the cells the largest removal sheds."""
+    check_residue(eps)
     return sum(_largest_move(al + (0,), eps, 1)) + sum(_largest_move(al, eps, -1)) - 2 * size(al)
 
 
 def remove_all_spin_removable(al, eps):
     """Shed every spin-removable eps-node at once: the largest removal."""
+    check_residue(eps)
     return tuple(filter(None, _largest_move(al, eps, -1)))

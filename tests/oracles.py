@@ -18,7 +18,9 @@ one production route for, by a slower or more literal construction.
 - The strict-label parsers that `classify.spin_rock_decompose` replaced:
   the index of a bar staircase, FSAS read off the halved even parts, and
   the RoCK decomposition that checks each difference from the bar
-  staircase and the order of sigma.
+  staircase and the order of sigma; and the predicted pairs as a filter
+  of every strict partition through `classify.fsas_decompose` (the route
+  that the enumeration of the triples (a, r, s) replaced).
 - The 4-bar core by greedy 4-bar moves, and the k-bars of a strict label
   as tuples with the k-bar core by greedy k-bar removals (the oracles for
   the closed forms of `partitions.four_bar_core` and `partitions.bar_core`).
@@ -75,7 +77,7 @@ from operator import ge, gt
 
 from barspin import charspace as cs, charvalues as cv
 from barspin.abacus import bswp, canonical_bead_count, swp
-from barspin.classify import FsasDecomposition
+from barspin.classify import FsasDecomposition, fsas_decompose, ratio_exponent
 from barspin.partitions import (
     bar_staircase,
     beta_numbers,
@@ -401,6 +403,22 @@ def spin_rock_decompose_checked(al):
     sigma = tuple(p for p in sigma if p)
     eta = tuple(p // 2 for p in even_parts(al))
     return b, sigma, eta
+
+
+def predicted_pairs_by_filter(n):
+    """`classify.predicted_pairs` as a filter: every strict partition of n
+    through `fsas_decompose`, in place of the triples (a, r, s) of size n."""
+    out = []
+    for al in strict_partitions_of(n):
+        dec = fsas_decompose(al)
+        if dec is None:
+            continue
+        la, conj = dec.linear_labels()
+        e = ratio_exponent(al)
+        out.append((al, la, e))
+        if conj != la:
+            out.append((al, conj, e))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,18 @@ the sums over the interm1 and interm0 lists) come from tests/oracles.py.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from barspin import charspace as cs
 from barspin import verify
+from barspin.charvalues import chi, spin_value
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin.partitions import (
     n_eps,
+    odd_partitions_of,
     partitions_of,
     removable_rows,
     size,
@@ -828,6 +831,67 @@ def test_b_sum_matches_b_closed():
             for k in range(0, 5):
                 for theta in strict_partitions_of(k):
                     assert cs.b_sum(eta, theta) == cs.b_closed(eta, theta)
+
+
+# ---------------------------------------------------------------------------
+# the branching operators against the character values: summed over eps,
+# e_eps is restriction and f_eps is induction (James-Kerber 1981, 2.4;
+# Morris 1962 for the spin labels and their sqrt2 factors)
+
+BASES = (("linear", partitions_of, chi), ("spin", strict_partitions_of, spin_value))
+
+
+def value_on(v, nu, value):
+    """The character v on the class nu: each coefficient times the value
+    of its label."""
+    return sum((c * value(label, nu) for label, c in v.coeffs.items()), S(0))
+
+
+def test_restriction_is_e_0_plus_e_1():
+    """(e_0 u + e_1 u)(nu) = u(nu U (1)) for every unit u with 2 <= n <= 14,
+    in both bases, and every odd class nu of size n - 1."""
+    for basis, labels, value in BASES:
+        for n in range(2, 15):
+            classes = odd_partitions_of(n - 1)
+            for label in labels(n):
+                one = u(basis, label)
+                down = [cs.apply_e(one, 0), cs.apply_e(one, 1)]
+                for nu in classes:
+                    got = value_on(down[0], nu, value) + value_on(down[1], nu, value)
+                    assert got == value(label, nu + (1,)), (basis, label, nu)
+
+
+def test_induction_is_f_0_plus_f_1():
+    """(f_0 u + f_1 u)(nu) = m_1(nu) u(nu less one part 1) for every unit u
+    with 1 <= n <= 13, in both bases, and every odd class nu of size n + 1;
+    m_1(nu) counts the parts 1 of nu."""
+    for basis, labels, value in BASES:
+        for n in range(1, 14):
+            classes = odd_partitions_of(n + 1)
+            for label in labels(n):
+                one = u(basis, label)
+                up = [cs.apply_f(one, 0), cs.apply_f(one, 1)]
+                for nu in classes:
+                    m1 = nu.count(1)
+                    want = m1 * value(label, nu[:-1]) if m1 else S(0)
+                    got = value_on(up[0], nu, value) + value_on(up[1], nu, value)
+                    assert got == want, (basis, label, nu)
+
+
+def test_divided_powers_times_r_factorial_are_powers():
+    """r! e_eps^(r) u is e_eps applied r times, and likewise for f, for
+    r <= 3, both eps and every unit u with n <= 12 in both bases."""
+    for basis, labels, _ in BASES:
+        for n in range(13):
+            for label in labels(n):
+                one = u(basis, label)
+                for op in (cs.apply_e, cs.apply_f):
+                    for eps in (0, 1):
+                        power = one
+                        for r in range(1, 4):
+                            power = op(power, eps)
+                            divided = op(one, eps, r)
+                            assert scaled(divided, S(math.factorial(r))) == power, (basis, label, op, eps, r)
 
 
 # ---------------------------------------------------------------------------

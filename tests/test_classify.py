@@ -19,6 +19,7 @@ from barspin import classify as cl
 from barspin.abacus import two_quotient
 from barspin.partitions import (
     bar_staircase,
+    is_strict,
     k_core,
     k_weight,
     partitions_of,
@@ -29,7 +30,7 @@ from barspin.partitions import (
     sum_parts,
     union_parts,
 )
-from oracles import fsas_decompose_by_halves, spin_rock_decompose_checked
+from oracles import fsas_decompose_by_halves, predicted_pairs_by_filter, spin_rock_decompose_checked
 
 
 def is_four_stepped(al):
@@ -230,9 +231,10 @@ def test_rock_spin_labels_have_small_weight(n):
         assert 2 * size(sigma) + size(eta) <= b + 1
 
 
-def test_predicted_pairs_decomposes_each_label_once(monkeypatch):
-    """predicted_pairs builds both linear labels from its own decomposition
-    of alpha, and a fresh decomposition keeps its answer."""
+def test_predicted_pairs_decomposes_no_label(monkeypatch):
+    """predicted_pairs builds each label and both its linear labels from
+    the triple (a, r, s) and calls fsas_decompose on no label, and a fresh
+    decomposition of each label gives back its linear labels."""
     calls = []
     decompose = cl.fsas_decompose
 
@@ -242,11 +244,45 @@ def test_predicted_pairs_decomposes_each_label_once(monkeypatch):
 
     monkeypatch.setattr(cl, "fsas_decompose", counted)
     for n in range(13):
-        calls.clear()
         pairs = cl.predicted_pairs(n)
-        assert sorted(calls) == sorted(strict_partitions_of(n)), n
+        assert calls == [], n
         for al, la, _ in pairs:
-            assert la in cl.fsas_decompose(al).linear_labels()
+            assert la in decompose(al).linear_labels()
+
+
+def test_predicted_pairs_equal_the_filter_oracle():
+    """predicted_pairs and equality_cases, order included, equal the filter
+    of every strict partition through fsas_decompose for every n <= 80."""
+    for n in range(81):
+        by_filter = predicted_pairs_by_filter(n)
+        assert cl.predicted_pairs(n) == by_filter, n
+        assert cl.equality_cases(n) == [rec for rec in by_filter if rec[2] <= 1], n
+
+
+def test_each_triple_of_size_n_gives_its_own_label():
+    """Every (a, r, s) with r >= s >= 0 and a(a+1)/2 + r(r+1) + s(s+1) = n
+    <= 80 rebuilds to a strict label of size n with ratio exponent r that
+    decomposes back to (a, r, s), no two triples give one label, and these
+    are the labels that predicted_pairs names."""
+    for n in range(81):
+        labels = set()
+        a = 0
+        while a * (a + 1) // 2 <= n:
+            r = 0
+            while a * (a + 1) // 2 + r * (r + 1) <= n:
+                for s in range(r + 1):
+                    if a * (a + 1) // 2 + r * (r + 1) + s * (s + 1) != n:
+                        continue
+                    dec = cl.FsasDecomposition(a, r, s)
+                    al = dec.rebuild()
+                    assert is_strict(al) and size(al) == n, dec
+                    assert cl.ratio_exponent(al) == r, dec
+                    assert cl.fsas_decompose(al) == dec
+                    assert al not in labels, dec
+                    labels.add(al)
+                r += 1
+            a += 1
+        assert labels == {al for al, _, _ in cl.predicted_pairs(n)}, n
 
 
 def test_size_entry_points_name_a_size_that_is_not_a_non_negative_int():

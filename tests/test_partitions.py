@@ -1,9 +1,10 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from barspin import charspace as cs, partitions as pt
+from barspin import abacus, charspace as cs, partitions as pt
 from oracles import (
     addable_nodes_by_rows,
     bar_core_by_bars,
@@ -469,6 +470,8 @@ def test_residue_helpers_reject_p_below_2(p):
     """Residues mod p are read for p >= 2 only: at p = 1 every corner is an
     eps-node, p = 0 divides by zero and p = -2 takes residues below 0."""
     for call in (lambda: pt.check_modulus(p),
+                 lambda: pt.check_residue(0, p),
+                 lambda: pt.residue(1, 2, p),
                  lambda: pt.removable_rows((3, 1), 0, p),
                  lambda: pt.addable_rows((3, 1), 0, p),
                  lambda: pt.remove_all_removable((3, 1), 0, p),
@@ -476,3 +479,71 @@ def test_residue_helpers_reject_p_below_2(p):
                  lambda: pt.content_counts((3, 1), p)):
         with pytest.raises(ValueError, match=f"p = {p} is not at least 2"):
             call()
+
+
+def _residue_takers():
+    """(name, call) for every public function with a residue argument:
+    call(eps, p) passes p where the function takes one, and None where it
+    does not (those are for p = 2 only)."""
+    lin, spin = cs.unit("linear", (3, 1)), cs.unit("spin", (5, 2))
+    with_p = {
+        "check_residue": lambda eps, p: pt.check_residue(eps, p),
+        "removable_rows": lambda eps, p: pt.removable_rows((3, 1), eps, p),
+        "addable_rows": lambda eps, p: pt.addable_rows((3, 1), eps, p),
+        "remove_all_removable": lambda eps, p: pt.remove_all_removable((3, 1), eps, p),
+        "n_eps": lambda eps, p: pt.n_eps((3, 1), eps, p),
+        "apply_e": lambda eps, p: cs.apply_e(lin, eps, 1, p),
+        "apply_f": lambda eps, p: cs.apply_f(lin, eps, 1, p),
+        "runner_swap": lambda eps, p: cs.runner_swap(lin, eps, 0, p),
+    }
+    at_2 = {
+        "spin_n_eps": lambda eps: pt.spin_n_eps((5, 2), eps),
+        "remove_all_spin_removable": lambda eps: pt.remove_all_spin_removable((5, 2), eps),
+        "spin_removals": lambda eps: pt.spin_removals((5, 2), eps, 1),
+        "spin_additions": lambda eps: pt.spin_additions((5, 2), eps, 1),
+        "swp": lambda eps: abacus.swp((3, 1), eps),
+        "bswp": lambda eps: abacus.bswp((5, 2), eps),
+        "apply_e spin": lambda eps: cs.apply_e(spin, eps),
+        "apply_f spin": lambda eps: cs.apply_f(spin, eps),
+        "runner_swap spin": lambda eps: cs.runner_swap(spin, eps, 0),
+        "quot_reds": lambda eps: cs.quot_reds(spin, eps, ()),
+        "quot_red": lambda eps: cs.quot_red(lin, eps, 0),
+        "swap_sign": lambda eps: cs.swap_sign("spin", (5, 2), eps),
+    }
+    return with_p, at_2
+
+
+def test_every_residue_taker_names_a_residue_out_of_range():
+    """One rule and one message for a residue that is not an int from 0 to
+    p - 1: eps = -1, 2, 0.5, None and True at p = 2 everywhere, and eps = 3
+    at p = 3 where p is taken."""
+    with_p, at_2 = _residue_takers()
+    calls = [(name, eps, 2, lambda eps=eps, fn=fn: fn(eps, 2))
+             for name, fn in with_p.items() for eps in (-1, 2, 0.5, None, True)]
+    calls += [(name, 3, 3, lambda fn=fn: fn(3, 3)) for name, fn in with_p.items()]
+    calls += [(name, eps, 2, lambda eps=eps, fn=fn: fn(eps))
+              for name, fn in at_2.items() for eps in (-1, 2, 0.5, None, True)]
+    for name, eps, p, call in calls:
+        message = f"residues mod {p} must be integers from 0 to {p - 1}: {eps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+            pytest.fail(f"{name} took eps = {eps!r} at p = {p}")
+    for fn in with_p.values():
+        fn(2, 3)
+    for eps in (0, 1):
+        for fn in with_p.values():
+            fn(eps, 2)
+        for fn in at_2.values():
+            fn(eps)
+
+
+def test_content_counts_sum_each_cells_residue():
+    """The per-row counts of content_counts equal residue summed cell by
+    cell: every partition with n <= 11, p = 2, 3, 5 and 13."""
+    for n in range(12):
+        for la in pt.partitions_of(n):
+            for p in (2, 3, 5, 13):
+                counts = [0] * p
+                for r, c in pt.cells(la):
+                    counts[pt.residue(r, c, p)] += 1
+                assert pt.content_counts(la, p) == tuple(counts), (la, p)
