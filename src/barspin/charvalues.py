@@ -25,6 +25,16 @@ directly; the bar recursion on tuples at (1^n) and the P-matrix solve for
 X are test oracles only.  Since len(nu) = n mod 2 on odd classes, every
 spin row lies wholly in Z or wholly in sqrt2*Z.
 
+Every value is read a row at a time: one label's values on a list of
+classes.  A label of mask m has the memo key prefix | m on the class nu,
+prefix = memo_key(nu, 0) with nu sorted down.  So a list of classes is
+read once into its fronts, the prefix, Gauss sign and length of each
+class, and a row is one kernel call per front, read lazily.  `chi_rows`
+and `spin_rows` check each class once and each label once, and `chi` and
+`spin_value` are their rows of one value.  The scan, the Brauer vectors
+and the cache fill build the fronts of classes they enumerate themselves
+and read the same streams unchecked.
+
 The Gauss sign (-1)^((nu_i^2 - 1)/8) per part matches evaluating on the
 odd-order preimage of the class in the double cover; it is pinned by an
 explicit spinor-matrix oracle in the tests (trace of the odd-order lift in
@@ -48,9 +58,9 @@ none more.  The spin degree is read only for the labels that hit some
 partition's key.  The comparison runs on plain ints: la's value over its
 degree D is chi/D, alpha's is sign * X / (X_alpha * 2^((n - len(nu))/2)),
 and both denominators are positive, so the two agree exactly when the
-cross-products do.  Cold, the kernels give these ints through per-class
-memo-key prefixes and signs; with a cache directory they are read from
-the cached rows, one per label.
+cross-products do.  Cold, the scan reads these ints on the row route
+above, from one set of fronts per scan, and checks nothing per pair; with
+a cache directory they are read from the cached rows, one per label.
 
 A conjugate pair of partitions is compared once.  chi^{la'} = sgn chi^la
 (James-Kerber 1981, 2.1.8), and sgn is 1 on a class of odd parts, so la
@@ -128,12 +138,9 @@ from barspin.symfunc import _bar_kernel, _schur_degree, p_in_P_coefficient
 def chi(la, nu):
     """Ordinary character value chi^la(nu) for a partition la and a class nu
     of the same size.  A class is a multiset of cycle lengths, so its parts
-    may come in any order."""
-    check_partition(la)
-    check_class(nu)
-    if size(la) != size(nu):
-        raise ValueError(f"size mismatch: {la} vs {nu}")
-    return _chi_kernel(memo_key(sorted(nu, reverse=True), beta_mask(la)))
+    may come in any order: the one value of `chi_rows` on one label and one
+    class."""
+    return next(next(chi_rows([la], [nu])))
 
 
 @lru_cache(maxsize=None)
@@ -189,12 +196,6 @@ def _gauss_sign(nu):
     return -1 if sum((q * q - 1) // 8 for q in nu) % 2 else 1
 
 
-def _spin_int(mask, nu):
-    """The Gauss sign times X^al_nu, al the strict label of part mask `mask`:
-    the spin value of al on nu over sqrt2^(len(nu) - len(al))."""
-    return _gauss_sign(nu) * _bar_kernel(memo_key(nu, mask))
-
-
 def spin_degree(al):
     """Degree of the spin character, normalized so the squares over strict
     labels sum to n factorial; a Scalar, an integer or an integer times
@@ -204,46 +205,91 @@ def spin_degree(al):
 
 
 def spin_value(al, nu):
-    """Spin character value on the odd class nu, its parts in any order."""
-    check_strict(al)
-    check_class(nu)
-    if size(nu) != size(al):
-        raise ValueError(f"size mismatch: {al} vs {nu}")
-    if any(p % 2 == 0 for p in nu):
-        raise ValueError(f"spin values live on odd classes, got {nu}")
-    nu = tuple(sorted(nu, reverse=True))
-    return Scalar(*mul_sqrt2_pow(_spin_int(part_mask(al), nu), 0, len(nu) - len(al)))
+    """Spin character value on the odd class nu, its parts in any order: the
+    one value of `spin_rows` on one label and one class."""
+    return next(next(spin_rows([al], [nu])))
 
 
 # ---------------------------------------------------------------------------
-# rows, Brauer vectors and tables
+# rows (see the module docstring), Brauer vectors and tables
 #
-# Both list a label's values on odd_partitions_of(n), in descending
-# lexicographic order, so the last entry is at (1^n), the positive degree.
-# A row holds ints: chi, or the Gauss sign times X^al_nu (`_spin_int`).  A
-# Brauer vector holds the character values as Scalars.
+# A Brauer vector, like a cached row, lists a label's values on
+# odd_partitions_of(n), in descending lexicographic order, so the last entry
+# is at (1^n), the positive degree.
 
-def _linear_row(la):
-    mask = beta_mask(la)
-    return [_chi_kernel(memo_key(nu, mask)) for nu in odd_partitions_of(size(la))]
+def _fronts(classes):
+    """The fronts of the classes, sorted down and unchecked: their memo-key
+    prefixes, Gauss signs and lengths, as three lists."""
+    return ([memo_key(nu, 0) for nu in classes], [_gauss_sign(nu) for nu in classes],
+            [len(nu) for nu in classes])
 
 
-def _spin_row(al):
-    mask = part_mask(al)
-    return [_spin_int(mask, nu) for nu in odd_partitions_of(size(al))]
+def _chi_values(mask, prefixes):
+    """chi on each class, lazily, for the beta-set mask of a partition."""
+    return (_chi_kernel(prefix | mask) for prefix in prefixes)
+
+
+def _spin_ints(mask, prefixes, signs):
+    """The Gauss sign times X^al_nu on each class, lazily, for the part mask
+    of al: the spin value over sqrt2^(len(nu) - len(al))."""
+    return (sign * _bar_kernel(prefix | mask) for prefix, sign in zip(prefixes, signs))
+
+
+def _spin_values(al, fronts):
+    """The spin values of al on each class of the fronts, lazily, as Scalars."""
+    prefixes, signs, lengths = fronts
+    ints = _spin_ints(part_mask(al), prefixes, signs)
+    return (Scalar(*mul_sqrt2_pow(x, 0, length - len(al))) for x, length in zip(ints, lengths))
+
+
+def _rows(labels, check, classes, odd, read):
+    """read(label, fronts) for each label, lazily.  Each class is checked
+    here, once: positive parts, the first class's size, odd parts when odd.
+    Each label is checked, by `check` and for that size, at its row."""
+    classes = list(classes)
+    for nu in classes:
+        check_class(nu)
+        if size(nu) != size(classes[0]):
+            raise ValueError(f"size mismatch: {classes[0]} vs {nu}")
+        if odd and any(p % 2 == 0 for p in nu):
+            raise ValueError(f"spin values live on odd classes, got {nu}")
+    fronts = _fronts([sorted(nu, reverse=True) for nu in classes])
+
+    def rows():
+        for label in labels:
+            check(label)
+            if classes and size(label) != size(classes[0]):
+                raise ValueError(f"size mismatch: {label} vs {classes[0]}")
+            yield read(label, fronts)
+
+    return rows()
+
+
+def chi_rows(labels, classes):
+    """For each partition la of labels, its lazy row of ints chi^la(nu) over
+    the classes, which share one size and give their parts in any order."""
+    return _rows(labels, check_partition, classes, False,
+                 lambda la, fronts: _chi_values(beta_mask(la), fronts[0]))
+
+
+def spin_rows(labels, classes):
+    """For each strict label of labels, its lazy row of spin values, as
+    Scalars, over the odd classes, which share one size and give their
+    parts in any order."""
+    return _rows(labels, check_strict, classes, True, _spin_values)
 
 
 def linear_brauer(la):
     la = tuple(la)
     check_partition(la)
-    return tuple(Scalar(x) for x in _linear_row(la))
+    prefixes, _, _ = _fronts(odd_partitions_of(size(la)))
+    return tuple(map(Scalar, _chi_values(beta_mask(la), prefixes)))
 
 
 def spin_brauer(al):
     al = tuple(al)
     check_strict(al)
-    return tuple(Scalar(*mul_sqrt2_pow(x, 0, len(nu) - len(al)))
-                 for x, nu in zip(_spin_row(al), odd_partitions_of(size(al))))
+    return tuple(_spin_values(al, _fronts(odd_partitions_of(size(al)))))
 
 
 def linear_brauer_table(n):
@@ -317,8 +363,9 @@ def load_or_build_tables(n, cache_dir):
         except (ValueError, KeyError, TypeError) as exc:
             print(f"warning: ignoring bad table cache {path}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
-    lin = {la: _linear_row(la) for la in partitions_of(n)}
-    spn = {al: _spin_row(al) for al in strict_partitions_of(n)}
+    prefixes, signs, _ = _fronts(odd_partitions_of(n))
+    lin = {la: list(_chi_values(beta_mask(la), prefixes)) for la in partitions_of(n)}
+    spn = {al: list(_spin_ints(part_mask(al), prefixes, signs)) for al in strict_partitions_of(n)}
     os.makedirs(cache_dir, exist_ok=True)
     _write_cache(path, n, lin, spn)
     return lin, spn
@@ -456,7 +503,7 @@ def _key_hits(n):
 def _confirm(d, chis, x, spins, shifts):
     """Whether chi / d == spin / (x << shift) on every class, cross-multiplied,
     for a partition of degree d and values chis and a strict label with X^al
-    at (1^n) equal to x and ints spins (`_spin_int`); stops at the first
+    at (1^n) equal to x and ints spins (`_spin_ints`); stops at the first
     class where they differ."""
     return all(c * (x << s) == v * d for c, v, s in zip(chis, spins, shifts))
 
@@ -496,17 +543,14 @@ def scan(n, cache_dir=None):
     # each call starts a fresh read
     if cache_dir is None:
         one = classes[-1]
-        # per class: its memo key prefix (a label's key is prefix | mask), its sign
-        fronts = [(memo_key(classes[i], 0), _gauss_sign(classes[i])) for i in cols]
+        prefixes, signs, _ = _fronts([classes[i] for i in cols])
 
         def linear(la):
             mask = beta_mask(la)
-            return _degree(mask), (_chi_kernel(prefix | mask) for prefix, _ in fronts)
+            return _degree(mask), _chi_values(mask, prefixes)
 
         def spin(al):
-            mask = part_mask(al)
-            return (p_in_P_coefficient(al, one),
-                    (sign * _bar_kernel(prefix | mask) for prefix, sign in fronts))
+            return p_in_P_coefficient(al, one), _spin_ints(part_mask(al), prefixes, signs)
     else:
         lin, spn = load_or_build_tables(n, cache_dir)
         linear = lambda la: (lin[la][-1], map(lin[la].__getitem__, cols))

@@ -159,9 +159,10 @@ def run_equality(rep, cache_dir):
 
 # One row per basis holds what the checks read of it: name, weight_word,
 # top_rule and bottom_word are what a message calls a label, its weight, the
-# top-degree swap and what the bottom test pins; lowest is the largest removal.
+# top-degree swap and what the bottom test pins; lowest is the largest removal;
+# rows(labels, classes) reads a lazy row of values per label.
 _Basis = namedtuple("_Basis", "basis name weight_word top_rule bottom_word labels n_eps "
-                              "swapped lowest is_bottom degree weight value")
+                              "swapped lowest is_bottom degree weight rows")
 
 
 def _bases():
@@ -173,11 +174,11 @@ def _bases():
         "linear": _Basis("linear", "la", "weight", "[la] == sign*[swp la]", "value",
                          pt.partitions_of, pt.n_eps, swp, pt.remove_all_removable,
                          lambda v, low: _signed_unit(v, low, PM_ONE),
-                         cv.specht_degree, pt.k_weight, cv.chi),
+                         cv.specht_degree, pt.k_weight, cv.chi_rows),
         "spin": _Basis("spin", "al", "bar weight", "<<al>> == sign*<<bswp al>>", "label",
                        pt.strict_partitions_of, pt.spin_n_eps, bswp, pt.remove_all_spin_removable,
                        lambda v, low: set(v.pairs) == {low},
-                       cv.spin_degree, pt.bar_weight, cv.spin_value),
+                       cv.spin_degree, pt.bar_weight, cv.spin_rows),
     }
 
 
@@ -503,10 +504,12 @@ def run_symfunc(rep, cache_dir):
                for s in range(0, r + 1) if _tri(r) + _tri(s) <= bound))
 
     for n in range(1, min(bound, 10) + 1):
+        partitions = pt.partitions_of(n)
         rep.tally(f"rim-hook recursion vs power-sum transition, n={n}",
-                  (None if sf.schur_poly(la).get(nu, 0) == cv.chi(la, nu)
+                  (None if sf.schur_poly(la).get(nu, 0) == x
                    else f"la={format_partition(la)} nu={format_partition(nu)}"
-                   for la in pt.partitions_of(n) for nu in pt.partitions_of(n)))
+                   for la, row in zip(partitions, cv.chi_rows(partitions, partitions))
+                   for nu, x in zip(partitions, row)))
 
     # 12 (1, 1/2, 1/3, 1/4): each side below is homogeneous of degree |al|
     # (or r), so it scales by 12^degree and the check runs in ints.
@@ -525,11 +528,13 @@ def run_symfunc(rep, cache_dir):
 # degrees and golden data
 
 def _integral_spin_rows(bound):
-    for al in (al for n in range(1, bound + 1) for al in pt.strict_partitions_of(n)):
-        for v in cv.spin_brauer(al):
-            plain = v.b == 0 and v.a.denominator == 1
-            radical = v.a == 0 and v.b.denominator == 1
-            yield None if plain or radical else f"al={format_partition(al)}: {v}"
+    for n in range(1, bound + 1):
+        labels = pt.strict_partitions_of(n)
+        for al, row in zip(labels, cv.spin_rows(labels, pt.odd_partitions_of(n))):
+            for v in row:
+                plain = v.b == 0 and v.a.denominator == 1
+                radical = v.a == 0 and v.b.denominator == 1
+                yield None if plain or radical else f"al={format_partition(al)}: {v}"
 
 
 def run_degrees(rep, cache_dir):
@@ -556,18 +561,17 @@ def run_degrees(rep, cache_dir):
 # ---------------------------------------------------------------------------
 # support and descent invariants
 
-def _cycle_class(k, w, n):
-    return (k,) * w + (1,) * (n - k * w)
-
-
 def _support_is_weight(n):
     """Each odd k-(bar-)weight is the largest w with a nonzero value on (k^w, 1^(n-kw))."""
     for k in range(1, n + 1, 2):
         top = range(n // k, -1, -1)
+        classes = [(k,) * w + (1,) * (n - k * w) for w in top]
         for b in _bases().values():
-            for label in b.labels(n):
+            labels = b.labels(n)
+            for label, row in zip(labels, b.rows(labels, classes)):
                 want = b.weight(label, k)
-                got = next(w for w in top if b.value(label, _cycle_class(k, w, n)))
+                # the row is lazy: values past the first nonzero are never read
+                got = next(w for w, x in zip(top, row) if x)
                 yield None if want == got else (f"{b.name}={format_partition(label)} k={k}: "
                                                 f"{b.weight_word} {want} support {got}")
 

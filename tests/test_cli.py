@@ -5,7 +5,9 @@ both captured.  Frozen outputs follow the worked abacus examples used in
 the operator tests.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -15,6 +17,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barspin import classify, cli, verify
 
@@ -236,6 +239,85 @@ def test_readme_examples_match_the_cli(capsys):
         assert all(w in rest for w in shown), argv
         assert (got[0], got[-1]) == (want[0], want[-1]), argv
         assert len(got) == len(want) or "..." in want, argv
+
+
+# ---------------------------------------------------------------------------
+# drawn command lines: every run of value, info and apply exits 0 or 2
+#
+# Labels and classes have at most 4 parts of at most 6 (0 allowed, in any
+# order), so n <= 24; eps runs over -1..2 and r, c and d over -3..3.  Larger
+# classes are out of scope: the class 2,2,...,2 of size 1200 still exits 3
+# (a RecursionError in the chi kernel).
+
+PARTS = st.one_of(
+    st.lists(st.integers(1, 6), max_size=4).map(lambda ps: sorted(ps, reverse=True)),
+    st.sets(st.integers(1, 6), max_size=4).map(lambda ps: sorted(ps, reverse=True)),
+    st.lists(st.integers(0, 6), max_size=4))
+NOT_PARTS = st.sampled_from(["", "a", "1,,2", "2;1", "1.0", "-1", "+2", "\u0663", " 3 , 1 "])
+TEXT = st.one_of(PARTS.map(lambda ps: ",".join(map(str, ps)) or "-"), NOT_PARTS)
+
+
+def run_quiet(argv):
+    """(exit code, stdout, stderr) of cli.main, captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(argv):
+    """Exit 0 with output and a silent stderr, or exit 2 with one stderr
+    line and no traceback."""
+    code, out, err = run_quiet(argv)
+    assert code in (0, 2), (argv, err)
+    if code == 0:
+        assert out and not err, argv
+    else:
+        assert not out and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err, argv
+
+
+@st.composite
+def cycle_type(draw, n):
+    """Text of a class of size n, its parts in any order; each even part is
+    split into p - 1 and 1 half the time, so odd classes come up too."""
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])] if n else []
+    if draw(st.booleans()):
+        parts = [q for p in parts for q in ((p - 1, 1) if p % 2 == 0 else (p,))]
+    return ",".join(map(str, draw(st.permutations(parts)))) or "-"
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_drawn_value_commands_exit_0_or_2(data):
+    """The class is of the label's size unless drawn freely."""
+    parts = data.draw(PARTS)
+    label = ",".join(map(str, parts)) or "-"
+    cls = data.draw(st.one_of(cycle_type(sum(parts)), TEXT))
+    assert_clean_exit(["value", data.draw(st.sampled_from(["specht", "spin"])), label, cls])
+
+
+@given(st.sampled_from(["partition", "strict"]), TEXT)
+@settings(max_examples=200, deadline=None)
+def test_drawn_info_commands_exit_0_or_2(kind, label):
+    assert_clean_exit(["info", kind, label])
+
+
+FLAG = {"e": "r", "f": "r", "S": "c", "R": "d"}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_drawn_apply_commands_exit_0_or_2(data):
+    """The operator's own flag is set or left out; a flag of another
+    operator is added now and then."""
+    op = data.draw(st.sampled_from("efSR"))
+    flags = data.draw(st.dictionaries(st.just(FLAG[op]), st.integers(-3, 3)))
+    flags |= data.draw(st.dictionaries(st.sampled_from("rcd"), st.integers(-3, 3), max_size=1))
+    argv = ["apply", op, "--basis", data.draw(st.sampled_from(["linear", "spin"])),
+            f"--eps={data.draw(st.integers(-1, 2))}", data.draw(TEXT)]
+    assert_clean_exit(argv + [f"--{k}={v}" for k, v in flags.items()])
 
 
 # ---------------------------------------------------------------------------

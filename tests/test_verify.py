@@ -60,8 +60,9 @@ def test_bottom_value_is_a_unit_in_the_linear_basis_and_a_support_in_the_spin_ba
 def test_invariants_failures_name_the_weight_of_each_basis(monkeypatch):
     """With every value 1, the support reaches the top cycle count, past
     a label's weight."""
-    monkeypatch.setattr(cv, "chi", lambda la, nu: 1)
-    monkeypatch.setattr(cv, "spin_value", lambda al, nu: Scalar(1))
+    monkeypatch.setattr(cv, "chi_rows", lambda labels, classes: ([1] * len(classes) for _ in labels))
+    monkeypatch.setattr(cv, "spin_rows",
+                        lambda labels, classes: ([Scalar(1)] * len(classes) for _ in labels))
     fails = failures("invariants", 5)
     got = fails["weights equal maximal nonvanishing cycle counts, n=5"]
     assert got == ("4 of 30 checks fail: la=3,1,1 k=3: weight 0 support 1; "
