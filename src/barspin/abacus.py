@@ -4,8 +4,10 @@ With r beads, position b holds a bead for each beta-number b; it sits on
 runner b mod 2 (its parity) at slot b div 2 (its half), slot 0 the top row
 (James-Kerber 1981, 2.7).  Adding one bead at 0 and shifting every other
 bead up by one keeps the partition and swaps the runners.  The 2-quotient,
-its inverse and the runner swap read runner and slot off each bead, and
-count a 2-core's beads, which fill each runner from the top.
+its inverse and the runner swap read runner and slot off each bead.  A
+2-core fills each runner from the top, so it is the staircase whose length
+the difference of the two runners' bead counts gives, and no core is built
+as a partition to be measured.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from barspin.partitions import (
     check_partition,
     check_residue,
     check_strict,
-    k_core,
     partition_from_beta,
+    staircase,
 )
 
 
 def pretty(la):
     """ASCII picture of the canonical display of la, one slot per line,
     'X' bead / '-' gap."""
-    check_partition(la)
     beads = set(beta_numbers(la, canonical_bead_count(la)))
     lines = ["runners 0 1"]
     for slot in range(max(beads, default=-1) // 2 + 1):
@@ -31,42 +32,54 @@ def pretty(la):
     return "\n".join(lines)
 
 
+def _runners(la):
+    """The slots on runners 0 and 1 of the display of la with one bead per
+    part, top first, and the length a of its 2-core: with d more beads on
+    runner 1 than on runner 0, the core is staircase(d) for d >= 0 and
+    staircase(-d - 1) otherwise."""
+    check_partition(la)
+    halves = ([], [])
+    for b in beta_numbers(la):
+        halves[b & 1].append(b >> 1)
+    d = len(halves[1]) - len(halves[0])
+    return halves, d if d >= 0 else -d - 1
+
+
 def canonical_bead_count(la):
     """Smallest r >= len(la) with r = length of the 2-core mod 2."""
-    return len(la) + (len(la) - len(k_core(la, 2))) % 2
+    return len(la) + (len(la) - _runners(la)[1]) % 2
 
 
 def two_quotient(la):
     """(2-core, (q0, q1)) read off the canonical 2-runner display: runner
-    eps with slots s_0 > ... > s_(m-1) gives q_eps the parts s_j - m + 1 + j."""
-    core = k_core(la, 2)
-    halves = ([], [])
-    # canonical_bead_count, with the core at hand
-    for b in beta_numbers(la, len(la) + (len(la) - len(core)) % 2):
-        halves[b & 1].append(b >> 1)
-    return core, tuple(tuple(filter(None, (s - len(h) + 1 + j for j, s in enumerate(h))))
-                       for h in halves)
+    eps with slots s_0 > ... > s_(m-1) gives q_eps the parts s_j - m + 1 + j.
+    The runners are read with one bead per part; when the canonical display
+    has one bead more, that bead swaps the runners and adds a zero part."""
+    halves, a = _runners(la)
+    quotient = tuple(tuple(filter(None, (s - len(h) + 1 + j for j, s in enumerate(h))))
+                     for h in halves)
+    return staircase(a), quotient[::-1] if (len(la) - a) % 2 else quotient
 
 
 def from_core_quotient(core, q0, q1):
-    """The partition with the given 2-core and 2-quotient: the core fills
-    slots 0..m-1 of runner eps, and its j-th bead from the bottom moves
-    down by the j-th part of q_eps."""
+    """The partition with the given 2-core and 2-quotient.  The core is a
+    staircase (a, ..., 1); with 2M + a beads, M = max(len q0, len q1), it
+    fills slots 0..M-1 of runner 0 and 0..M+a-1 of runner 1, and the j-th
+    bead from the bottom of runner eps moves down by the j-th part of q_eps.
+    The beads, merged top first, less the staircase of positions, are the
+    parts."""
     for la in (core, q0, q1):
         check_partition(la)
-    # each two more beads put one more on each runner, so both hold enough
-    counts, slots = [0, 0], [0, 0]
-    for b in beta_numbers(core, len(core) + 2 * max(len(q0), len(q1))):
-        counts[b & 1] += 1
-        slots[b & 1] += b >> 1
-    # m beads fill slots 0..m-1 exactly when their slots sum to m(m-1)/2
-    if any(s != m * (m - 1) // 2 for m, s in zip(counts, slots)):
+    a = len(core)
+    if tuple(core) != staircase(a):
         raise ValueError(f"{core} is not a 2-core")
-    beads = []
-    for eps, (m, q) in enumerate(zip(counts, (q0, q1))):
-        parts = [*q] + [0] * (m - len(q))
-        beads.extend(2 * (m - 1 - j + part) + eps for j, part in enumerate(parts))
-    return partition_from_beta(beads)
+    m = max(len(q0), len(q1))
+    beads = [2 * (m - 1 - j + part) for j, part in enumerate([*q0] + [0] * (m - len(q0)))]
+    beads += [2 * (m + a - 1 - j + part) + 1
+              for j, part in enumerate([*q1] + [0] * (m + a - len(q1)))]
+    beads.sort(reverse=True)
+    top = len(beads) - 1
+    return tuple(filter(None, (b - top + i for i, b in enumerate(beads))))
 
 
 def swp(la, eps):

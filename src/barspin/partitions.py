@@ -323,17 +323,24 @@ def rim_hooks(la, k):
     """All k-rim-hook removals as (smaller partition, leg length) pairs,
     highest bead first: each strip of k places on the beta-set (`strips`),
     the leg being the number of beads it passes."""
-    if k < 1:
-        raise ValueError(f"rim hooks have positive lengths only, got {k}")
+    check_partition(la)
+    if type(k) is not int or k < 1:
+        raise ValueError(f"rim hooks have positive lengths only, got {k!r}")
     return [(partition_from_beta([b for b in range(new.bit_length()) if new >> b & 1]), leg)
             for new, leg in strips(beta_mask(la), k)]
+
+
+def _check_core_length(k):
+    """A core or weight length is an int (a bool is not one) >= 1."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"cores are defined for positive lengths only, got {k!r}")
 
 
 def k_core(la, k):
     """The k-core: each runner of the k-abacus keeps its number of beads,
     slid to the top."""
-    if k < 1:
-        raise ValueError(f"cores are defined for positive lengths only, got {k}")
+    check_partition(la)
+    _check_core_length(k)
     counts = [0] * k
     for b in beta_numbers(la):
         counts[b % k] += 1
@@ -341,7 +348,21 @@ def k_core(la, k):
 
 
 def k_weight(la, k):
-    return (size(la) - size(k_core(la, k))) // k
+    """The k-weight read off the k-abacus with one bead per part: the
+    k-core keeps each runner's c beads at slots 0..c-1, so the weight is
+    the sum of the beads' slots minus C(c, 2) for each runner.  One pass:
+    each bead adds its slot less the beads already met on its runner."""
+    check_partition(la)
+    _check_core_length(k)
+    r = len(la)
+    on_runner = {}
+    weight = 0
+    for i, part in enumerate(la):
+        slot, j = divmod(part + r - 1 - i, k)
+        c = on_runner.get(j, 0)
+        on_runner[j] = c + 1
+        weight += slot - c
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +433,9 @@ def bar_core(al, k):
     """The k-bar core of a strict partition, k odd (Olsson 1993): on the
     k-abacus of the parts, runner 0 empties, and of runners j and k - j the
     one with more beads keeps the surplus, slid to the top."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"bars are defined for odd positive lengths only, got {k}")
+    check_strict(al)
+    if type(k) is not int or k < 1 or k % 2 == 0:
+        raise ValueError(f"bars are defined for odd positive lengths only, got {k!r}")
     beads = [0] * k
     for a in al:
         beads[a % k] += 1
@@ -422,7 +444,8 @@ def bar_core(al, k):
 
 
 def bar_weight(al, k):
-    return (size(al) - size(bar_core(al, k))) // k
+    core = bar_core(al, k)
+    return (size(al) - size(core)) // k
 
 
 def largest_odd_bar(al):
@@ -447,6 +470,7 @@ def four_bar_core(al):
     of 4, or lowers an odd part by 4, so it keeps d = #(parts = 1 mod 4) -
     #(parts = 3 mod 4).  The 4-bar cores are the bar staircases, one for
     each d (bars and 4-bar cores: Olsson 1993)."""
+    check_strict(al)
     d = sum(1 if p % 4 == 1 else -1 for p in al if p % 2)
     core = bar_staircase(2 * d - 1 if d > 0 else -2 * d)
     return core, (size(al) - size(core)) // 2

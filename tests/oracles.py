@@ -57,9 +57,13 @@ one production route for, by a slower or more literal construction.
   of the linear key summed cell by cell.
 - The operator-layer routes replaced by counting and row-by-row passes: the
   linear node lists as row loops, the k-core from sorted runner lists, the
-  2-quotient and its inverse on the display's bead set, the linear swap sign
-  through `swp` and the diagram intersection, the intermediates as a
-  filtered product, the vertical-strip intervals read off the rows and the
+  2-quotient and its inverse on the display's bead set, the k-weight as
+  the size that the k-core sheds, the 2-quotient read after the 2-core is
+  built by `partitions.k_core`, and its inverse that checks the core by the
+  slot sums and sorts the beads through `partition_from_beta` (the routes
+  that the bead counts of `partitions.k_weight` and `abacus` replaced),
+  the linear swap sign through `swp` and the diagram intersection, the
+  intermediates as a filtered product, the vertical-strip intervals read off the rows and the
   signed count run on them row by row (both replaced by horizontal strips
   of the conjugates), the signed sum over the `interm1` list, the row
   intervals on padded, reversed copies and the signed sum over their list
@@ -86,6 +90,7 @@ from barspin.partitions import (
     check_strict,
     conjugate,
     even_parts,
+    k_core,
     memo_key,
     odd_partitions_of,
     odd_parts,
@@ -923,6 +928,41 @@ def from_core_quotient_by_display(core, q0, q1):
         slots = _runner_slots(core_beads, eps)
         grown = [0] * (len(slots) - len(q)) + sorted(q)
         beads.extend((i + grown[i]) * 2 + eps for i in range(len(slots)))
+    return partition_from_beta(beads)
+
+
+def k_weight_by_core(la, k):
+    """partitions.k_weight as the size la sheds to its k-core, over k."""
+    return (size(la) - size(k_core(la, k))) // k
+
+
+def two_quotient_by_core(la):
+    """abacus.two_quotient with the 2-core built by partitions.k_core and
+    the canonical bead count read off its length."""
+    core = k_core(la, 2)
+    halves = ([], [])
+    for b in beta_numbers(la, len(la) + (len(la) - len(core)) % 2):
+        halves[b & 1].append(b >> 1)
+    return core, tuple(tuple(filter(None, (s - len(h) + 1 + j for j, s in enumerate(h))))
+                       for h in halves)
+
+
+def from_core_quotient_by_slot_sums(core, q0, q1):
+    """abacus.from_core_quotient on the core's beads: m beads on a runner
+    fill its slots 0..m-1 exactly when their slots sum to m(m-1)/2, and the
+    moved beads go back through partition_from_beta."""
+    for la in (core, q0, q1):
+        check_partition(la)
+    counts, slots = [0, 0], [0, 0]
+    for b in beta_numbers(core, len(core) + 2 * max(len(q0), len(q1))):
+        counts[b & 1] += 1
+        slots[b & 1] += b >> 1
+    if any(s != m * (m - 1) // 2 for m, s in zip(counts, slots)):
+        raise ValueError(f"{core} is not a 2-core")
+    beads = []
+    for eps, (m, q) in enumerate(zip(counts, (q0, q1))):
+        parts = [*q] + [0] * (m - len(q))
+        beads.extend(2 * (m - 1 - j + part) + eps for j, part in enumerate(parts))
     return partition_from_beta(beads)
 
 

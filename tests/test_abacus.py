@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from barspin import abacus, partitions as pt
-from oracles import from_core_quotient_by_display, two_quotient_by_display
+from oracles import (
+    from_core_quotient_by_display,
+    from_core_quotient_by_slot_sums,
+    two_quotient_by_core,
+    two_quotient_by_display,
+)
 
 partition_st = st.builds(
     lambda parts: tuple(sorted(parts, reverse=True)),
@@ -54,15 +59,17 @@ def test_core_quotient_roundtrip(la):
 
 def test_core_quotient_roundtrip_over_staircase_cores():
     """from_core_quotient and back, for every 2-core (a, a-1, ..., 1) with
-    a <= 6 and every quotient pair with |q0| + |q1| <= 8; the bead counts
-    per runner give what the frozenset display gives."""
-    pairs = [(q0, q1) for m in range(9) for k in range(m + 1)
+    a <= 7 and every quotient pair with |q0| + |q1| <= 10; the beads placed
+    by the staircase's runner counts give what the frozenset display and
+    the slot-sum route give."""
+    pairs = [(q0, q1) for m in range(11) for k in range(m + 1)
              for q0 in pt.partitions_of(k) for q1 in pt.partitions_of(m - k)]
-    for a in range(7):
+    for a in range(8):
         core = pt.staircase(a)
         for q0, q1 in pairs:
             la = abacus.from_core_quotient(core, q0, q1)
             assert la == from_core_quotient_by_display(core, q0, q1)
+            assert la == from_core_quotient_by_slot_sums(core, q0, q1)
             assert abacus.two_quotient(la) == (core, (q0, q1))
             assert pt.size(la) == pt.size(core) + 2 * (pt.size(q0) + pt.size(q1))
 
@@ -139,6 +146,19 @@ def test_two_quotient_matches_the_display_route():
             assert abacus.two_quotient(la) == two_quotient_by_display(la)
 
 
+def test_two_quotient_matches_the_core_route():
+    """The 2-core read off the runners' bead counts against the one that
+    partitions.k_core builds, with the canonical bead count and the
+    quotient, and from_core_quotient back to the label: every partition
+    with n <= 20."""
+    for n in range(21):
+        for la in pt.partitions_of(n):
+            core, quotient = abacus.two_quotient(la)
+            assert (core, quotient) == two_quotient_by_core(la), la
+            assert abacus.canonical_bead_count(la) == len(la) + (len(la) - len(core)) % 2
+            assert abacus.from_core_quotient(core, *quotient) == la
+
+
 def test_rewrites_check_their_input():
     bad = [(abacus.swp, ((2, True), 0)), (abacus.swp, ((1, 2), 1)),
            (abacus.bswp, ((3, True), 0)), (abacus.bswp, ((2, 2), 1)),
@@ -159,5 +179,6 @@ def test_runner_swaps_name_a_residue_that_is_not_0_or_1():
 
 def test_from_core_quotient_rejects_a_core_that_is_not_one():
     for core in ((2,), (3, 1), (2, 2), (1, 1)):
-        with pytest.raises(ValueError, match="not a 2-core"):
-            abacus.from_core_quotient(core, (), ())
+        for route in (abacus.from_core_quotient, from_core_quotient_by_slot_sums):
+            with pytest.raises(ValueError, match=re.escape(f"{core} is not a 2-core")):
+                route(core, (), ())

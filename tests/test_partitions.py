@@ -15,6 +15,7 @@ from oracles import (
     conjugate_by_columns,
     four_bar_core_by_moves,
     k_core_by_runners,
+    k_weight_by_core,
     partition_set,
     remove_all_spin_removable_reference,
     remove_corner_set,
@@ -451,6 +452,52 @@ def test_k_core_and_k_weight_reject_a_length_below_one():
         pt.k_core((2, 1), 0)
     with pytest.raises(ValueError, match="got -1"):
         pt.k_weight((2, 1), -1)
+
+
+def test_k_weight_matches_the_core_route():
+    """The weight read off the k-abacus bead counts against the size shed
+    to the k-core: every partition with n <= 20 and every 1 <= k <= n + 1."""
+    for n in range(21):
+        for la in pt.partitions_of(n):
+            for k in range(1, n + 2):
+                assert pt.k_weight(la, k) == k_weight_by_core(la, k), (la, k)
+
+
+def test_every_core_and_hook_helper_checks_its_label_and_length():
+    """One message for each bad label, the same as check_partition's or
+    check_strict's, and for a length that is not a positive int (odd for
+    bars; a bool is not one), the helper's own; good inputs pass."""
+    bad_labels = {(1, 2): "parts must weakly decrease", (2, True): "parts must be positive",
+                  (2, 0): "parts must be positive", (2.0,): "parts must be positive"}
+    lengths = {"cores": (0, -1, 2.0, True, "2"), "rim hooks": (0, -1, 2.0, True, "2"),
+               "bars": (0, 2, -1, 3.0, True, "3")}
+    messages = {"cores": "cores are defined for positive lengths only, got {!r}",
+                "rim hooks": "rim hooks have positive lengths only, got {!r}",
+                "bars": "bars are defined for odd positive lengths only, got {!r}"}
+    # (name, call(label, length), what the label and length are checked as)
+    takers = [
+        ("two_quotient", lambda la, k: abacus.two_quotient(la), "partition"),
+        ("canonical_bead_count", lambda la, k: abacus.canonical_bead_count(la), "partition"),
+        ("pretty", lambda la, k: abacus.pretty(la), "partition"),
+        ("k_core", pt.k_core, "cores"),
+        ("k_weight", pt.k_weight, "cores"),
+        ("rim_hooks", pt.rim_hooks, "rim hooks"),
+        ("bar_core", pt.bar_core, "bars"),
+        ("bar_weight", pt.bar_weight, "bars"),
+        ("four_bar_core", lambda al, k: pt.four_bar_core(al), "strict"),
+    ]
+    for name, call, kind in takers:
+        strict = kind in ("bars", "strict")
+        labels = {**bad_labels, (2, 2): "parts must strictly decrease"} if strict else bad_labels
+        for label, message in labels.items():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(label, 3)
+                pytest.fail(f"{name} took the label {label!r}")
+        for k in lengths.get(kind, ()):
+            with pytest.raises(ValueError, match=re.escape(messages[kind].format(k))):
+                call((3, 1), k)
+                pytest.fail(f"{name} took the length {k!r}")
+        call((3, 1), 3)
 
 
 def test_node_lists_match_the_row_loops():
