@@ -17,6 +17,16 @@ A vector holds each nonzero coefficient a + b sqrt2 as the pair (a, b), ints
 unless the input has Fractions.  Operators add terms c * sqrt2^k, for an input
 coefficient c, by the pair rules of scalars; Scalars are built where coeffs is read.
 
+The moves of one label are kept in one table, the lru_cache of _moves: its
+key is (basis, label, eps, r, p, grow) and its value a tuple of (new label,
+k) pairs, k = 0 for a linear label.  The composites reach one label from
+many, so most of a suite's moves are repeats.  Every degree is checked to be
+an int before it enters a key (a bool is not one: True and 1 share a key).
+The table lives for one suite run: verify.run_suite empties it
+(_moves.cache_clear()) before the suite starts, so it holds one suite's
+labels and no report, timing or trace depends on the suites run before.  A
+long-lived caller outside verify can bound it the same way.
+
 The two-step composites (the spin runner swap and quot_reds) work one input
 label at a time and run a from max(0, -c) (max(0, -d) for quot_red) up to
 m, the label's number of removable eps-nodes, read once, so no e_eps^(a)
@@ -61,6 +71,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 from barspin.partitions import (
     addable_rows,
@@ -121,13 +133,18 @@ def _checked(basis, label):
 
 
 def vector(basis, n, items):
-    """The sum of the (label, Scalar) items."""
+    """The sum of the (label, coefficient) items.  A coefficient is a
+    Scalar, or an int, bool or Fraction read as the Scalar it names."""
     _checked(basis, ())  # the basis, even with no items
     acc = {}
     for label, c in items:
         label = _checked(basis, label)
         if size(label) != n:
             raise ValueError(f"label {label} has the wrong size for n = {n}")
+        if not isinstance(c, Scalar):
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients must be Scalars, ints or Fractions, got {c!r}")
+            c = Scalar(c)
         x, y = acc.get(label, (0, 0))
         acc[label] = (x + c.a, y + c.b)
     return _nonzero(basis, n, acc)
@@ -147,43 +164,57 @@ def _check_operator(basis, eps, p):
         raise ValueError("spin operators exist only for p = 2")
 
 
-def _apply(v, eps, r, p, grow):
-    """Remove (grow=False) or add r nodes of residue eps in all legal ways.
+def _check_degree(name, x, nonnegative=False):
+    """An operator degree is an int (a bool is not one); r, a count of
+    nodes moved, is also at least 0."""
+    if type(x) is not int or nonnegative and x < 0:
+        kind = "a non-negative integer" if nonnegative else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {x!r}")
 
-    Linear basis: one term per r-subset of the removable (addable)
-    eps-nodes, coefficient unchanged.  Each subset changes its rows by one
-    cell; the nodes are corners, so the result is a partition.  Spin basis:
-    one term per way of shedding (growing) r end cells of spin residue eps,
-    at most two per row, that leaves a strict partition, times sqrt2^k with
-    k the number of even integers that are a part of exactly one of the old
-    and new labels.  Moving no nodes is the identity."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+
+@lru_cache(maxsize=None)
+def _moves(basis, label, eps, r, p, grow):
+    """The terms that moving r nodes of residue eps makes of one label, as
+    (new label, k) pairs with coefficient sqrt2^k, in the order _apply adds
+    them.  Linear basis: one term per r-subset of the removable (addable)
+    eps-rows, k = 0.  Each subset changes its rows by one cell; the nodes
+    are corners, so the result is a partition.  Spin basis: one term per
+    way of shedding (growing) r end cells of spin residue eps, at most two
+    per row, that leaves a strict partition, k the number of even integers
+    that are a part of exactly one of the old and new labels.  The table
+    lives for one suite run: verify.run_suite empties it first."""
+    if basis == "linear":
+        rows = (addable_rows if grow else removable_rows)(label, eps, p)
+        return tuple((new, 0) for new in
+                     _shift([*label, 0], itertools.combinations(rows, r), 1 if grow else -1))
+    evens = {x for x in label if x % 2 == 0}
+    return tuple((new, len(evens ^ {x for x in new if x % 2 == 0}))
+                 for new in (spin_additions if grow else spin_removals)(label, eps, r))
+
+
+def _apply(v, eps, r, p, grow):
+    """Remove (grow=False) or add r nodes of residue eps in all legal ways:
+    each label's terms, read from _moves, times its coefficient.  Moving
+    no nodes is the identity."""
     _check_operator(v.basis, eps, p)
-    step, acc = (1 if grow else -1), {}
+    _check_degree("r", r, nonnegative=True)
+    acc = {}
     for label, (a, b) in v.pairs.items():
-        if v.basis == "linear":
-            rows = (addable_rows if grow else removable_rows)(label, eps, p)
-            _shift(acc, [*label, 0], itertools.combinations(rows, r), step, a, b)
-            continue
-        evens = {x for x in label if x % 2 == 0}
-        for new in (spin_additions if grow else spin_removals)(label, eps, r):
-            c, d = mul_sqrt2_pow(a, b, len(evens ^ {x for x in new if x % 2 == 0}))
+        for new, k in _moves(v.basis, label, eps, r, p, grow):
+            c, d = mul_sqrt2_pow(a, b, k) if k else (a, b)
             x, y = acc.get(new, (0, 0))
             acc[new] = (x + c, y + d)
-    return _nonzero(v.basis, v.n + step * r, acc)
+    return _nonzero(v.basis, v.n + (r if grow else -r), acc)
 
 
-def _shift(acc, rows, subsets, step, a, b):
-    """Add (a, b) into acc at the label of rows with each row of one subset
-    moved by step and zero rows dropped, for each subset in turn."""
+def _shift(rows, subsets, step):
+    """The label of rows with each row of one subset moved by step and zero
+    rows dropped, for each subset in turn."""
     for sub in subsets:
         new = rows.copy()
         for i in sub:
             new[i] += step
-        new = tuple(filter(None, new))
-        x, y = acc.get(new, (0, 0))
-        acc[new] = (x + a, y + b)
+        yield tuple(filter(None, new))
 
 
 def apply_e(v, eps, r=1, p=2):
@@ -216,8 +247,10 @@ def _linear_runner_swap(acc, label, pair, eps, c, p):
     m = len(rem)
     if m + c >= 0:
         low = [part - (i in rem) for i, part in enumerate((*label, 0))]
-        x, y = (-pair[0], -pair[1]) if m % 2 else pair
-        _shift(acc, low, itertools.combinations(addable_rows(label, eps, p), m + c), 1, x, y)
+        a, b = (-pair[0], -pair[1]) if m % 2 else pair
+        for new in _shift(low, itertools.combinations(addable_rows(label, eps, p), m + c), 1):
+            x, y = acc.get(new, (0, 0))
+            acc[new] = (x + a, y + b)
 
 
 def runner_swap(v, eps, c, p=2):
@@ -235,6 +268,7 @@ def runner_swap(v, eps, c, p=2):
     odd-p worked example S_2^(1) on (9,8,5,1^5) in the verify suite.
     """
     _check_operator(v.basis, eps, p)
+    _check_degree("c", c)
     acc = {}
     for label, pair in v.pairs.items():
         if v.basis == "linear":
@@ -262,6 +296,8 @@ def quot_reds(v, eps, ds):
     lowering, so no apply call has r = 0."""
     _check_operator(v.basis, eps, 2)
     ds = tuple(ds)
+    for d in ds:
+        _check_degree("d", d)
     if not ds:
         return []
     ebar, accs = 1 - eps, [{} for _ in ds]

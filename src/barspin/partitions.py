@@ -338,13 +338,14 @@ def _check_core_length(k):
 
 def k_core(la, k):
     """The k-core: each runner of the k-abacus keeps its number of beads,
-    slid to the top."""
+    slid to the top.  Only the runners that hold a bead are counted, so
+    the cost does not grow with k."""
     check_partition(la)
     _check_core_length(k)
-    counts = [0] * k
+    counts = {}
     for b in beta_numbers(la):
-        counts[b % k] += 1
-    return partition_from_beta([j + k * i for j in range(k) for i in range(counts[j])])
+        counts[b % k] = counts.get(b % k, 0) + 1
+    return partition_from_beta([j + k * i for j, c in counts.items() for i in range(c)])
 
 
 def k_weight(la, k):
@@ -432,15 +433,16 @@ def strips(mask, k):
 def bar_core(al, k):
     """The k-bar core of a strict partition, k odd (Olsson 1993): on the
     k-abacus of the parts, runner 0 empties, and of runners j and k - j the
-    one with more beads keeps the surplus, slid to the top."""
+    one with more beads keeps the surplus, slid to the top.  Only the
+    runners that hold a bead are counted, so the cost does not grow with k."""
     check_strict(al)
     if type(k) is not int or k < 1 or k % 2 == 0:
         raise ValueError(f"bars are defined for odd positive lengths only, got {k!r}")
-    beads = [0] * k
+    beads = {}
     for a in al:
-        beads[a % k] += 1
-    return tuple(sorted((j + k * i for j in range(1, k)
-                         for i in range(beads[j] - beads[k - j])), reverse=True))
+        beads[a % k] = beads.get(a % k, 0) + 1
+    return tuple(sorted((j + k * i for j, c in beads.items() if j
+                         for i in range(c - beads.get(k - j, 0))), reverse=True))
 
 
 def bar_weight(al, k):

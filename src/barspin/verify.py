@@ -1,13 +1,14 @@
 """Exhaustive finite verification sweeps for the character identities.
 
 Each suite checks one family of identities up to a size bound and fills a
-Report.  `run_suite` resolves the bound and builds the Report; a suite
-reads its bound from `rep.max_n`.  A `check` case compares one expected
-and one actual text.  A `tally` case is a sweep, aggregated per size so
-reports stay readable: it is fed one outcome per instance checked, a falsy
-outcome for a pass and the failure message otherwise, so its
-`N checks pass` counts the instances and a failure names the first few
-offending labels.  All comparisons are exact.
+Report.  `run_suite` resolves the bound, empties the move table of
+`charspace._moves` and builds the Report; a suite reads its bound from
+`rep.max_n`.  A `check` case compares one expected and one actual text.  A
+`tally` case is a sweep, aggregated per size so reports stay readable: it
+is fed one outcome per instance checked, a falsy outcome for a pass and
+the failure message otherwise, so its `N checks pass` counts the instances
+and a failure names the first few offending labels.  All comparisons are
+exact.
 """
 
 from __future__ import annotations
@@ -644,11 +645,14 @@ SUITES = {
 
 
 def run_suite(name, max_n=None, cache_dir=None):
-    """The Report of one suite, at its default bound when max_n is None."""
+    """The Report of one suite, at its default bound when max_n is None.
+    The operators' move table starts empty, so a suite's report and timing
+    do not depend on which suites ran before it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     if max_n is not None:
         pt.check_size(max_n)
+    cs._moves.cache_clear()
     t0 = time.perf_counter()
     rep = Report(name, DEFAULT_BOUNDS[name] if max_n is None else max_n)
     SUITES[name](rep, cache_dir)

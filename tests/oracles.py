@@ -893,10 +893,10 @@ def addable_nodes_by_rows(la, eps, p=2):
 
 def k_core_by_runners(la, k):
     """partitions.k_core with each runner's bead slots listed and sorted,
-    then slid to the top."""
+    then slid to the top; a runner with no bead is not listed."""
     beta = beta_numbers(la)
-    runners = [sorted((b - j) // k for b in beta if b % k == j) for j in range(k)]
-    return partition_from_beta([i * k + j for j in range(k) for i in range(len(runners[j]))])
+    runners = {j: sorted((b - j) // k for b in beta if b % k == j) for j in {b % k for b in beta}}
+    return partition_from_beta([i * k + j for j, slots in runners.items() for i in range(len(slots))])
 
 
 def _runner_slots(beads, eps):

@@ -22,6 +22,7 @@ from barspin import verify
 from barspin.charvalues import chi, spin_value
 from barspin.scalars import Scalar, sqrt2_pow
 from barspin.partitions import (
+    even_parts,
     n_eps,
     odd_partitions_of,
     partitions_of,
@@ -49,7 +50,9 @@ from oracles import (
     runner_swap_by_probes,
     scaled,
     spin_addable_nodes_reference,
+    spin_additions_brute,
     spin_removable_nodes_reference,
+    spin_removals_brute,
     vertical_bounds,
 )
 
@@ -97,6 +100,23 @@ def test_apply_sums_terms_into_one_vector():
     assert list(got.pairs.items()) == [((2, 2, 1), (3, 0)), ((3, 1, 1), (1, 0))]
 
 
+@pytest.mark.parametrize("c, pair", [(3, (3, 0)), (-1, (-1, 0)), (True, (1, 0)), (False, None),
+                                     (Fraction(1, 2), (Fraction(1, 2), 0)), (Fraction(4, 2), (2, 0))])
+def test_vector_reads_an_int_bool_or_fraction_coefficient_as_a_scalar(c, pair):
+    """Each is the Scalar it names: a bool or an integral Fraction as an
+    int coordinate, and a zero dropped."""
+    v = cs.vector("linear", 2, [((2,), c), ((1, 1), 1)])
+    assert v == cs.vector("linear", 2, [((2,), Scalar(c)), ((1, 1), Scalar(1))])
+    assert v.pairs.get((2,)) == pair
+    assert all(type(x) in (int, Fraction) and type(x) is not bool for ab in v.pairs.values() for x in ab)
+
+
+@pytest.mark.parametrize("c", [1.0, "1", None, 1j, (1, 0)])
+def test_vector_rejects_any_other_coefficient(c):
+    with pytest.raises(TypeError, match=r"coefficients must be Scalars, ints or Fractions, got "):
+        cs.vector("linear", 2, [((2,), c)])
+
+
 def test_add_scale_inner():
     v = cs.vector("spin", 4, [((3, 1), S(1)), ((3, 1), S(-1))])
     assert v.is_zero()
@@ -139,6 +159,71 @@ def test_operators_reject_p_below_2(op):
     for p in (-2, 0, 1):
         with pytest.raises(ValueError, match=f"p = {p} is not at least 2"):
             op(u("linear", (2, 1, 1)), 0, 0 if op is cs.runner_swap else 1, p=p)
+
+
+def _degree_calls(basis):
+    """(degree name, call on one degree) for each operator on a unit vector."""
+    v = u(basis, (3, 1))
+    return [("r", lambda x: cs.apply_e(v, 0, x)), ("r", lambda x: cs.apply_f(v, 0, x)),
+            ("c", lambda x: cs.runner_swap(v, 0, x)), ("d", lambda x: cs.quot_red(v, 0, x)),
+            ("d", lambda x: cs.quot_reds(v, 0, [1, x])[1])]
+
+
+@pytest.mark.parametrize("basis", ["linear", "spin"])
+def test_operators_reject_a_degree_that_is_not_an_int(basis):
+    """A degree is an int (a bool is not one), and r, a count of nodes
+    moved, is also at least 0; the negative c and d are legal."""
+    for name, call in _degree_calls(basis):
+        kind = "a non-negative integer" if name == "r" else "an integer"
+        for x in (1.5, True, "1", *((-1,) if name == "r" else ())):
+            with pytest.raises(ValueError) as exc:
+                call(x)
+            assert str(exc.value) == f"{name} must be {kind}, got {x!r}"
+        for x in (0, 1, 2, *(() if name == "r" else (-1,))):
+            assert type(call(x).n) is int
+
+
+def _moves_by_oracles(basis, label, eps, r, p, grow):
+    """The terms of one move, node by node through the validating corner
+    helpers (linear, in the library's order) or by brute force (spin,
+    sorted), each with its sqrt2 exponent."""
+    if basis == "linear":
+        nodes = (addable_nodes_by_rows if grow else removable_nodes_by_rows)(label, eps, p)
+        move = add_corner_set if grow else remove_corner_set
+        return tuple((move(label, sub), 0) for sub in itertools.combinations(nodes, r))
+    evens = set(even_parts(label))
+    brute = spin_additions_brute if grow else spin_removals_brute
+    return tuple(sorted((be, len(evens ^ set(even_parts(be)))) for be in brute(label, eps, r)))
+
+
+def test_move_table_matches_the_node_and_brute_force_oracles():
+    """charspace._moves on every label with n <= 10, each residue, r <= 3,
+    both directions and p = 2, 3 for the linear labels, against the
+    oracles: first on an empty table, where no key repeats, then again on
+    the full one, where every call is a hit.  Each answer is a tuple of
+    (tuple, int) pairs, so no caller can change a stored entry."""
+    cases = [("linear", la, eps, p) for n in range(11) for la in partitions_of(n)
+             for p in (2, 3) for eps in range(p)]
+    cases += [("spin", al, eps, 2) for n in range(11) for al in strict_partitions_of(n)
+              for eps in (0, 1)]
+    cs._moves.cache_clear()
+    calls = 0
+    for hits in ("none", "all"):
+        for basis, label, eps, p in cases:
+            for r, grow in itertools.product(range(4), (False, True)):
+                got = cs._moves(basis, label, eps, r, p, grow)
+                calls += 1
+                assert type(got) is tuple, (basis, label)
+                assert all(type(t) is tuple and type(t[0]) is tuple and type(t[1]) is int
+                           for t in got), (basis, label)
+                if basis == "spin":
+                    assert len(set(got)) == len(got), (label, eps, r, grow)
+                    got = tuple(sorted(got))
+                assert got == _moves_by_oracles(basis, label, eps, r, p, grow), \
+                    (basis, label, eps, r, p, grow)
+        info = cs._moves.cache_info()
+        assert info.hits == (0 if hits == "none" else calls // 2), hits
+    cs._moves.cache_clear()
 
 
 def test_moving_no_nodes_is_the_identity():

@@ -317,10 +317,10 @@ def test_four_bar_core_invariants(al):
 def test_bar_core_matches_greedy_bars():
     """The abacus closed form of the k-bar core, and the weight read off
     it, against greedy k-bar removals, for every strict label of size <= 20
-    and every odd k <= n + 1."""
+    and every odd k <= n + 2, and at k = 10**6 + 1, past every part."""
     for n in range(21):
         for al in pt.strict_partitions_of(n):
-            for k in range(1, n + 2, 2):
+            for k in (*range(1, n + 3, 2), 10**6 + 1):
                 core = bar_core_by_bars(al, k)
                 assert pt.bar_core(al, k) == core, (al, k)
                 assert pt.bar_weight(al, k) == (n - pt.size(core)) // k, (al, k)
@@ -441,9 +441,11 @@ def test_k_core():
 
 
 def test_k_core_counts_beads_per_runner():
-    for n in range(13):
+    """Every partition with n <= 14, at each k <= n + 2 and at
+    k = 10**6 + 1, past every bead."""
+    for n in range(15):
         for la in pt.partitions_of(n):
-            for k in range(1, 7):
+            for k in (*range(1, n + 3), 10**6 + 1):
                 assert pt.k_core(la, k) == k_core_by_runners(la, k)
 
 

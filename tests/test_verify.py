@@ -96,6 +96,23 @@ def test_degrees_reads_the_partners_of_spin_3_1_off_the_scan(monkeypatch):
     assert failures("degrees", 4) == {"linear rows proportional to spin (3,1)": "2,2"}
 
 
+def test_each_suite_run_starts_from_an_empty_move_table(monkeypatch):
+    """run_suite empties the operators' move table before the suite runs,
+    so no report, timing or trace depends on the suites run before it."""
+    assert verify.run_suite("runner-swap-spin", 6).ok
+    assert cs._moves.cache_info().currsize > 0
+    seen, suite = [], verify.SUITES["quot-red"]
+
+    def wrapped(rep, cache_dir):
+        seen.append(cs._moves.cache_info().currsize)
+        suite(rep, cache_dir)
+
+    monkeypatch.setitem(verify.SUITES, "quot-red", wrapped)
+    assert verify.run_suite("quot-red", 6).ok
+    assert seen == [0]
+    assert cs._moves.cache_info().currsize > 0
+
+
 def test_quot_red_counts_at_the_operators_bound():
     """The relaxed labels' degree families leave the suite's cases and
     instances where one call per degree had them."""
