@@ -195,16 +195,18 @@ def spin_residue(c):
 
 
 def check_modulus(p):
-    """Residues are taken mod p for p >= 2 only."""
+    """Residues are taken mod an int p >= 2 only (a bool is not one)."""
+    if type(p) is not int:
+        raise ValueError(f"p must be an integer, got {p!r}")
     if p < 2:
         raise ValueError(f"p = {p} is not at least 2")
 
 
 def check_residue(eps, p=2):
     """A residue mod p is an int (a bool is not one) from 0 to p - 1, for
-    p >= 2.  A bad p is named first; the row helpers call this once per
-    label, so a good pair makes no further call."""
-    if type(eps) is not int or not 0 <= eps < p or p < 2:
+    an int p >= 2.  A bad p is named first; the row helpers call this once
+    per label, so a good pair makes no further call."""
+    if type(eps) is not int or type(p) is not int or not 0 <= eps < p or p < 2:
         check_modulus(p)
         raise ValueError(f"residues mod {p} must be integers from 0 to {p - 1}: {eps!r}")
 

@@ -24,7 +24,7 @@ from barspin import charvalues as cv
 from barspin import classify
 from barspin import partitions as pt
 from barspin import symfunc as sf
-from barspin.abacus import bswp, from_core_quotient, swp, two_quotient
+from barspin.abacus import bswp, from_core_quotient, swp
 from barspin.charspace import PM_ONE, PM_SQRT2
 from barspin.partitions import format_partition
 from barspin.scalars import Scalar, sqrt2_pow
@@ -358,19 +358,42 @@ def _staircase_redistribution(big):
                 a += 1
 
 
+def _linear_quot_red_labels(bound):
+    """(la, core, quotient, ds) for each la of size <= bound whose 2-weight
+    w is at most len(core) + 1, by size and then in partitions_of order;
+    ds holds the degrees d in [-2, 2] with 0 <= w + d <= len(core) + 1,
+    so that both weights w and w + d are at most len(core) + 1.  Each la is
+    built from its coordinates: a core staircase(a) with tri(a) <= bound
+    and a bipartition of each w with w <= a + 1 and tri(a) + 2w <= bound."""
+    found = []
+    for a in range(math.isqrt(2 * bound) + 1):
+        core = pt.staircase(a)
+        for w in range(a + 2):
+            if _tri(a) + 2 * w > bound:
+                break
+            found.extend((from_core_quotient(core, *q), core, q, w) for q in _bipartitions(w))
+    # by size ascending, each size in descending lexicographic order
+    found.sort(key=lambda t: (-pt.size(t[0]), t[0]), reverse=True)
+    for la, core, q, w in found:
+        yield la, core, q, [d for d in range(-2, 3) if 0 <= w + d <= len(core) + 1]
+
+
 def _linear_quot_red(bound):
-    """R^(d) on each la of size <= bound with weights w, w + d <= len(core) + 1."""
-    for la in (la for n in range(0, bound + 1) for la in pt.partitions_of(n)):
-        core, quotient = two_quotient(la)
-        w = pt.size(quotient[0]) + pt.size(quotient[1])
-        ds = [d for d in range(-2, 3) if w + d >= 0 and max(w, w + d) <= len(core) + 1]
+    """For each la of _linear_quot_red_labels(bound) and each of its degrees
+    d, R^(d) la is the sum of c * from_core_quotient(core, *m) over the
+    bipartitions m of w + d, c = interm_signed_sum(quotient, m).  The
+    coefficients depend on (quotient, d) and not on the core, so the nonzero
+    ones are read once per (quotient, d) and each label maps them through its
+    own core."""
+    terms = {}
+    for la, core, q, ds in _linear_quot_red_labels(bound):
+        w = pt.size(q[0]) + pt.size(q[1])
         for d, got in zip(ds, cs.quot_reds(cs.unit("linear", la), (len(core) + 1) % 2, ds)):
-            items = []
-            for m0, m1 in _bipartitions(w + d):
-                c = cs.interm_signed_sum(quotient, (m0, m1))
-                if c:
-                    items.append((from_core_quotient(core, m0, m1), Scalar(c)))
-            want = cs.vector("linear", pt.size(la) + 2 * d, items)
+            if (q, d) not in terms:
+                terms[q, d] = [(m, c) for m in _bipartitions(w + d)
+                               if (c := cs.interm_signed_sum(q, m))]
+            want = cs.vector("linear", pt.size(la) + 2 * d,
+                             [(from_core_quotient(core, *m), c) for m, c in terms[q, d]])
             yield None if got == want else f"la={format_partition(la)} d={d}"
 
 

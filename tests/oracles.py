@@ -21,6 +21,9 @@ one production route for, by a slower or more literal construction.
   staircase and the order of sigma; and the predicted pairs as a filter
   of every strict partition through `classify.fsas_decompose` (the route
   that the enumeration of the triples (a, r, s) replaced).
+- The labels of the linear quotient-redistribution sweep as a filter of
+  every partition through `abacus.two_quotient` (the route that building
+  them from their (core, quotient) coordinates replaced).
 - The 4-bar core by greedy 4-bar moves, and the k-bars of a strict label
   as tuples with the k-bar core by greedy k-bar removals (the oracles for
   the closed forms of `partitions.four_bar_core` and `partitions.bar_core`).
@@ -80,7 +83,7 @@ from functools import lru_cache
 from operator import ge, gt
 
 from barspin import charspace as cs, charvalues as cv
-from barspin.abacus import bswp, canonical_bead_count, swp
+from barspin.abacus import bswp, canonical_bead_count, swp, two_quotient
 from barspin.classify import FsasDecomposition, fsas_decompose, ratio_exponent
 from barspin.partitions import (
     bar_staircase,
@@ -424,6 +427,22 @@ def predicted_pairs_by_filter(n):
         if conj != la:
             out.append((al, conj, e))
     return sorted(out)
+
+
+def linear_quot_red_labels_by_filter(bound):
+    """`verify._linear_quot_red_labels` as a filter: every partition of size
+    <= bound, in partitions_of order, through `two_quotient`, kept when some
+    d in [-2, 2] has w + d >= 0 and max(w, w + d) <= len(core) + 1, w its
+    2-weight, with those degrees."""
+    out = []
+    for n in range(bound + 1):
+        for la in partitions_of(n):
+            core, quotient = two_quotient(la)
+            w = size(quotient[0]) + size(quotient[1])
+            ds = [d for d in range(-2, 3) if w + d >= 0 and max(w, w + d) <= len(core) + 1]
+            if ds:
+                out.append((la, core, quotient, ds))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -530,6 +530,27 @@ def test_residue_helpers_reject_p_below_2(p):
             call()
 
 
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "2"])
+def test_residue_helpers_and_operators_reject_a_modulus_that_is_not_an_int(p):
+    """A modulus is an int (a bool is not one).  Before, p = 2.5 let apply_e
+    answer 0, p = 2.0 and True answered as p = 2 (2.0 in the move table's
+    key of p = 2), and content_counts at 2.0 raised a TypeError."""
+    lin = cs.unit("linear", (3, 1))
+    for call in (lambda: pt.check_modulus(p),
+                 lambda: pt.check_residue(0, p),
+                 lambda: pt.residue(1, 2, p),
+                 lambda: pt.removable_rows((3, 1), 0, p),
+                 lambda: pt.addable_rows((3, 1), 0, p),
+                 lambda: pt.remove_all_removable((3, 1), 0, p),
+                 lambda: pt.n_eps((3, 1), 0, p),
+                 lambda: pt.content_counts((3, 1), p),
+                 lambda: cs.apply_e(lin, 0, 1, p),
+                 lambda: cs.apply_f(lin, 0, 1, p),
+                 lambda: cs.runner_swap(lin, 0, 0, p)):
+        with pytest.raises(ValueError, match=re.escape(f"p must be an integer, got {p!r}")):
+            call()
+
+
 def _residue_takers():
     """(name, call) for every public function with a residue argument:
     call(eps, p) passes p where the function takes one, and None where it

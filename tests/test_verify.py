@@ -12,7 +12,9 @@ import pytest
 from barspin import charspace as cs
 from barspin import charvalues as cv
 from barspin import verify
+from barspin.partitions import format_partition
 from barspin.scalars import Scalar
+from oracles import linear_quot_red_labels_by_filter
 
 
 def failures(suite, max_n):
@@ -152,3 +154,34 @@ def test_relaxed_quot_red_fails_each_degree_on_its_own(monkeypatch, n):
     fails = [msg for msg in got if msg]
     assert len(got) == len(clean) and fails
     assert all(msg.endswith(" d=-1: planted") for msg in fails)
+
+
+def test_linear_quot_red_labels_match_the_filter_oracle():
+    """The labels built from their (core, quotient) coordinates are the
+    partitions that the two_quotient filter keeps, with the same core,
+    quotient and degrees, in the same order: every bound <= 24."""
+    for bound in range(25):
+        assert list(verify._linear_quot_red_labels(bound)) == linear_quot_red_labels_by_filter(bound)
+
+
+@pytest.mark.parametrize("max_n, count", [(14, 178), (18, 316), (22, 537), (28, 867), (32, 1223)])
+def test_linear_quot_red_instance_counts(max_n, count):
+    """The linear case of quot-red at --max-n N runs to |la| <= N - 2 and
+    checks as many (label, degree) instances as the filter over every
+    partition did; all of them pass."""
+    outcomes = list(verify._linear_quot_red(max_n - 2))
+    assert len(outcomes) == count and not any(outcomes)
+
+
+def test_a_planted_signed_sum_fails_each_label_with_its_quotient(monkeypatch):
+    """The expected images are shared by (quotient, d), not by label: a
+    signed sum planted wrong for one quotient fails every degree of every
+    label that carries it, at each of its cores, and no other label."""
+    bad = ((1,), (1,))
+    signed_sum = cs.interm_signed_sum
+    monkeypatch.setattr(cs, "interm_signed_sum",
+                        lambda bla, bmu: signed_sum(bla, bmu) + (bla == bad))
+    carriers = [(la, core, ds) for la, core, q, ds in verify._linear_quot_red_labels(16) if q == bad]
+    assert [len(core) for _, core, _ in carriers] == [1, 2, 3, 4]
+    want = [f"la={format_partition(la)} d={d}" for la, _, ds in carriers for d in ds]
+    assert [msg for msg in verify._linear_quot_red(16) if msg] == want
