@@ -27,37 +27,50 @@ The table lives for one suite run: verify.run_suite empties it
 labels and no report, timing or trace depends on the suites run before.  A
 long-lived caller outside verify can bound it the same way.
 
-The two-step composites (the spin runner swap and quot_reds) work one input
-label at a time and run a from max(0, -c) (max(0, -d) for quot_red) up to
-m, the label's number of removable eps-nodes, read once, so no e_eps^(a)
-call returns zero.  That is exact: on one label, the counts r for which
-e_eps^(r) (or f_eps^(r)) has a term form the interval [0, m], m the number
-of removable (addable) eps-nodes.  Linear labels lose or gain any subset of
-those nodes.  A spin label's top end is its largest move (see the spin
-section of partitions), which moves every one of them.  To go down from an
-r-cell removal, take the topmost row that sheds cells and shed one cell
-fewer there: a row that may shed two cells may shed one, the row ends one
-cell longer than before, so still longer than the row below, and no longer
-than it was, so still shorter than the unchanged row above.  That is a
-legal (r-1)-cell removal.  Dually, grow one cell fewer in the lowest row
-that grows (dropping the new row (1) if it is added).  Moving no nodes is
-the identity, so the label itself stands for the lowering at a = 0 and the
-lowered vector for a raise by 0: no composite calls _apply with r = 0.
+quot_reds, the one two-step composite, works one input label at a time and
+runs a from max(0, -d) up to m, the label's number of removable eps-nodes,
+read once, so no e_eps^(a) call returns zero.  That is exact: on one label,
+the counts r for which e_eps^(r) (or f_eps^(r)) has a term form the
+interval [0, m], m the number of removable (addable) eps-nodes.  Linear
+labels lose or gain any subset of those nodes.  A spin label's top end is
+its largest move (see the spin section of partitions), which moves every
+one of them.  To go down from an r-cell removal, take the topmost row that
+sheds cells and shed one cell fewer there: a row that may shed two cells
+may shed one, the row ends one cell longer than before, so still longer
+than the row below, and no longer than it was, so still shorter than the
+unchanged row above.  That is a legal (r-1)-cell removal.  Dually, grow one
+cell fewer in the lowest row that grows (dropping the new row (1) if it is
+added).  Moving no nodes is the identity, so the label itself stands for the
+lowering at a = 0 and the lowered vector for a raise by 0: no composite
+calls _apply with r = 0.
 
-runner_swap makes a linear label's terms in closed form, from one scan of
-its eps-nodes, with no apply_e or apply_f call.  Removing a set A of
-removable eps-nodes leaves every other eps-node as it was and makes the
-nodes of A addable; that is exact for p >= 2, since a removal changes
-whether a node is addable only at its own place and at its two neighbours,
-whose residues eps - 1 and eps + 1 are not eps mod p.  So a term of
-f_eps^(a+c) e_eps^(a) on la is la - A + B with B = B1 u B2, B1 among the
-addable rows and B2 in A, which is the label la - (A - B2) + B1.  Summing
-(-1)^|A| over every A that contains a fixed A - B2 gives zero unless
-A - B2 is every removable row.  So S^(c) la = (-1)^m times the sum of
-la - Rem + B over the (m + c)-subsets B of the addable eps-rows, Rem the m
-removable ones; at the top degree B is all of them.  No such rule holds for
-spin labels, where a removal can block a growth in the row below, so they
-take the two steps.
+runner_swap makes each label's terms in closed form, with no apply_e or
+apply_f call.  A linear label's come from one scan of its eps-nodes.
+Removing a set A of removable eps-nodes leaves every other eps-node as it
+was and makes the nodes of A addable; that is exact for p >= 2, since a
+removal changes whether a node is addable only at its own place and at its
+two neighbours, whose residues eps - 1 and eps + 1 are not eps mod p.  So a
+term of f_eps^(a+c) e_eps^(a) on la is la - A + B with B = B1 u B2, B1
+among the addable rows and B2 in A, which is the label la - (A - B2) + B1.
+Summing (-1)^|A| over every A that contains a fixed A - B2 gives zero
+unless A - B2 is every removable row.  So S^(c) la = (-1)^m times the sum
+of la - Rem + B over the (m + c)-subsets B of the addable eps-rows, Rem the
+m removable ones; at the top degree B is all of them.
+
+No such rule holds node by node for a spin label, where a removal can block
+a growth in the row below, but one holds block by block.  The spin moves
+shift beads inside the eps-blocks of partitions, one block at a time, and a
+term's sqrt2 exponent is a sum over blocks.  So e_eps^(a) and f_eps^(b) are
+sums of tensor products of per-block moves, and the swap factorises: S^(c)
+is the sum, over the degrees c_j of the blocks with sum c, of the product
+of the blocks' own swaps S_j^(c_j).  Summing the alternating two-step on one
+block leaves at most one signed term per degree (_SWAP): a block with a
+bottom bead and no top bead goes up by 0, 1 or 2, one with a top bead and
+no bottom bead goes down by 2, and a middle block (the middle bead alone,
+or the bottom and top beads without it) stays, times -1, or goes down by 1,
+times -sqrt2.  The floor block of eps = 0 goes up by 0 or 1 without 1, and
+down by 1, times -1, with it.  So runner_swap picks one row per block, its
+degrees summing to c, with no cancelling term.
 
 quot_reds takes a family of degrees d and makes each label's lowering
 e_eps'^(a) e_eps^(a) once per a, from the least max(0, -d) up to m, for
@@ -81,10 +94,12 @@ from barspin.partitions import (
     check_strict,
     conjugate,
     format_partition,
+    label_from_beads,
     removable_rows,
     remove_all_spin_removable,
     size,
     spin_additions,
+    spin_blocks,
     spin_removals,
     union_parts,
 )
@@ -253,15 +268,55 @@ def _linear_runner_swap(acc, label, pair, eps, c, p):
             acc[new] = (x + a, y + b)
 
 
+# The runner swap of one eps-block by key (see partitions' spin section):
+# rows (degree, new key, sign, sqrt2 exponent), degree ascending.  Empty and
+# full blocks are the identity at degree 0.
+_SWAP = {
+    1: ((0, 1, 1, 0), (1, 2, 1, 1), (2, 4, 1, 0)),  # bottom bead
+    3: ((0, 3, 1, 0), (1, 5, 1, 1), (2, 6, 1, 0)),  # bottom and middle beads
+    4: ((-2, 1, 1, 0),),  # top bead
+    6: ((-2, 3, 1, 0),),  # middle and top beads
+    2: ((-1, 1, -1, 1), (0, 2, -1, 0)),  # middle bead
+    5: ((-1, 3, -1, 1), (0, 5, -1, 0)),  # bottom and top beads
+    8: ((0, 8, 1, 0), (1, 12, 1, 0)),  # floor block, 1 not a part
+    12: ((-1, 8, -1, 0),),  # floor block, 1 a part
+}
+
+
+def _spin_runner_swap(acc, label, pair, eps, c):
+    """Add the degree-c runner swap of one strict label, times pair, into
+    acc in closed form (see runner_swap): one _SWAP row per block, top
+    block first, the degrees summing to c.  A pick whose remaining degree
+    the blocks below cannot reach is dropped at once."""
+    beads, blocks = spin_blocks(label, eps)
+    rows = [[(d, (key ^ new) << shift, s, k) for d, new, s, k in _SWAP[key]] for shift, key in blocks]
+    lo, hi = [0], [0]  # lo[i], hi[i]: the least and most degree of blocks i, i+1, ...
+    for r in reversed(rows):
+        lo.append(lo[-1] + r[0][0])
+        hi.append(hi[-1] + r[-1][0])
+    lo.reverse()
+    hi.reverse()
+    states = [(0, c, 1, 0)] if lo[0] <= c <= hi[0] else []
+    for r, least, most in zip(rows, lo[1:], hi[1:]):
+        states = [(x ^ dx, left - d, sign * s, k + dk) for x, left, sign, k in states
+                  for d, dx, s, dk in r if least <= left - d <= most]
+    for x, _, sign, k in states:
+        a, b = mul_sqrt2_pow(*pair, k) if k else pair
+        new = label_from_beads(beads ^ x, eps)
+        y, z = acc.get(new, (0, 0))
+        acc[new] = (y + sign * a, z + sign * b)
+
+
 def runner_swap(v, eps, c, p=2):
     """The degree-c runner swap: sum over a of
     (-1)^a f_eps^(a+c) e_eps^(a), rightmost factor applied first.
 
-    A linear label takes the closed form that the module docstring
-    derives: (-1)^m times the sum of la - Rem + B over the (m + c)-subsets
-    B of the addable eps-rows, Rem the m removable ones, so no term for
-    m + c < 0.  A spin label takes the two steps: there a removal can
-    block a growth in the row below.
+    Each label takes the closed form that the module docstring derives,
+    with no loop over a.  A linear label: (-1)^m times the sum of
+    la - Rem + B over the (m + c)-subsets B of the addable eps-rows, Rem
+    the m removable ones, so no term for m + c < 0.  A strict label: the
+    product of its eps-blocks' own swaps, one _SWAP row per block with the
+    degrees summing to c, so no term outside [-m, n_eps].
 
     The alternative global sign (-1)^(a+c) differs only by the factor
     (-1)^c, invisible for even c; the convention here is pinned by the
@@ -273,11 +328,8 @@ def runner_swap(v, eps, c, p=2):
     for label, pair in v.pairs.items():
         if v.basis == "linear":
             _linear_runner_swap(acc, label, pair, eps, c, p)
-            continue
-        one = CharVector(v.basis, v.n, {label: pair})
-        for a in range(max(0, -c), _removable_count(v.basis, label, eps) + 1):
-            w = apply_e(one, eps, a, p) if a else one
-            _add(acc, apply_f(w, eps, a + c, p) if a + c else w, -1 if a % 2 else 1)
+        else:
+            _spin_runner_swap(acc, label, pair, eps, c)
     return _nonzero(v.basis, v.n + c, acc)
 
 
@@ -326,8 +378,11 @@ def swap_sign(basis, label, eps):
     """Sign carried by the top-degree runner swap on one label (p = 2):
     the parity of m, its number of removable eps-nodes.  In the linear
     basis swp removes every removable eps-node and adds every addable one,
-    so m counts the removed nodes; the spin basis keeps the same parity
-    rule (the runner-swap-spin suite checks it label by label)."""
+    so m counts the removed nodes.  In the spin basis a block with a top
+    bead sheds two nodes, a middle block one, and the floor block holding
+    1 one, so m has the parity of the middle blocks and that floor block:
+    the blocks whose top _SWAP row is negative.  The runner-swap-spin suite
+    checks the rule against runner_swap label by label."""
     label = _checked(basis, label)
     _check_operator(basis, eps, 2)
     return -1 if _removable_count(basis, label, eps) % 2 else 1

@@ -1,7 +1,10 @@
 """Command line surface: label inspection, operator application, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal error (any other exception escaping a command).
+3 internal error (any other exception escaping a command), 141 when the
+reader of standard output closes it early (as in `barspin verify all |
+head -1`), with nothing on stderr; 141 is what a shell reports for a
+process ended by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import traceback
 from barspin import abacus, charspace, charvalues, classify, verify
 from barspin import partitions as pt
 from barspin.partitions import format_partition
+
+
+CLOSED_STDOUT = 141
 
 
 class UsageError(Exception):
@@ -228,7 +234,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the interpreter's last flush of what is
+        # still buffered does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

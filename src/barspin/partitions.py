@@ -498,87 +498,116 @@ def bar_staircase(a):
 
 
 # ---------------------------------------------------------------------------
-# spin nodes: simultaneous end-of-row removals/additions for strict partitions
+# spin moves on eps-blocks
 #
-# A residue-eps spin move sheds (grows) end cells of spin residue eps, up to
-# two per row, and leaves a strict partition.  Growing runs on al + (0,), so
-# the new row (1) is a zero part growing one cell, with no special case.  The
-# legal moves are closed under taking the larger move in each row: the new
-# parts are the row-wise min (max) of two strictly decreasing sequences,
-# which decreases strictly, and each row's options {0}, {0, 1} or {0, 1, 2}
-# are closed downwards.  So there is a unique largest move, and its cells
-# hold every cell that any move sheds (grows): those are the spin-removable
-# (addable) eps-nodes.  The greedy `_largest_move` finds it.
+# A residue-eps spin move sheds (grows) end cells of spin residue eps,
+# (c // 2) % 2 for column c, up to two per row, and leaves a strict
+# partition; growing runs on al + (0,), so the new row (1) is a zero part
+# growing one cell.  The residue has period 4 in the column, so whether a
+# part may move, and by how much, depends only on its value mod 4.  Read
+# the parts as beads on positions and cut the positions into eps-blocks of
+# three, 4j + 2eps - 1 + {0, 1, 2} (bottom, middle, top), each followed by
+# one position (2 mod 4 for eps = 0, 0 mod 4 for eps = 1) whose bead never
+# moves.  A removal moves the middle bead down 1, or the top bead down 1 or
+# 2; an addition is the reverse.  Beads stay strictly ordered, so no bead
+# lands on or jumps over another, and every move shifts beads inside one
+# block: the blocks move independently.  For eps = 0 the floor block 0 is
+# {0, 1}: the zero row grows to 1 when 1 is not a part, and the part 1
+# shrinks to 0.  The even part a move changes is a block's middle
+# position, and the floor block changes none, so the sqrt2 exponent of a
+# term (the even parts in exactly one of the two labels) counts the blocks
+# whose middle bead comes or goes (Bessenrodt-Olsson 1997 put the bars of
+# characteristic 2 on the same 4-runner abacus).
+#
+# Each block's moves are the rows of a small table, keyed by its three bits
+# (1 bottom, 2 middle, 4 top), or 8 + them for the floor block (8: 1 is
+# not a part, 12: it is).  Empty and full blocks have no move.  Each row is
+# (cells moved, new key), in the order of the rows' shifts read
+# lexicographically, top row first.  Picking one row per block, top block
+# first, lists the moves in that order over the whole label: descending
+# lexicographic for removals and ascending for additions.  The largest
+# move takes every block's last row; its cells are the spin-removable
+# (addable) eps-nodes.
 
-def _spin_options(part, eps, sign):
-    """How many end cells (0, 1 or 2) a row of this size may shed (sign -1)
-    or grow (sign +1) with every moved cell of spin residue eps."""
-    first = part if sign < 0 else part + 1  # column of the first cell moved
-    if first < 1 or spin_residue(first) != eps:
-        return (0,)
-    # columns c and c + 1 share a spin residue only for even c
-    return (0, 1, 2) if first + sign >= 1 and spin_residue(first + sign) == eps else (0, 1)
+_SHED = {1: ((0, 1),), 2: ((0, 2), (1, 1)), 3: ((0, 3),), 4: ((0, 4), (1, 2), (2, 1)),
+         5: ((0, 5), (1, 3)), 6: ((0, 6), (1, 5), (2, 3)), 8: ((0, 8),), 12: ((0, 12), (1, 8))}
+_GROW = {1: ((0, 1), (1, 2), (2, 4)), 2: ((0, 2), (1, 4)), 3: ((0, 3), (1, 5), (2, 6)),
+         4: ((0, 4),), 5: ((0, 5), (1, 6)), 6: ((0, 6),), 8: ((0, 8), (1, 12)), 12: ((0, 12),)}
 
 
-def _spin_moves(rows, eps, sign, count):
-    """Every strict partition left by moving exactly count cells, one pick
-    of options per row, keeping the rows strictly decreasing (a trailing 0
-    allowed), built row by row.  Picks that cannot end at count cells are
-    dropped as early as possible."""
-    opts = [_spin_options(part, eps, sign) for part in rows]
-    room = [0]  # room[i]: the most cells rows i, i+1, ... can still move
-    for o in reversed(opts):
-        room.append(room[-1] + o[-1])
+def spin_blocks(al, eps):
+    """(beads, blocks) for a strict label: beads is its part mask with part
+    x at bit x + 1 - 2 eps, so eps-block j is bits 4j to 4j + 2 and bit
+    4j + 3 never moves; blocks lists (4j, key) for each block a move can
+    change, top block first, with the floor block always last for eps = 0."""
+    check_residue(eps)
+    beads = part_mask(al) << 1 >> 2 * eps
+    blocks, rest = [], beads
+    while rest:
+        shift = rest.bit_length() - 1 & ~3
+        key = rest >> shift & 7
+        rest &= (1 << shift) - 1
+        if 0 < key < 7:
+            blocks.append((shift, key))
+    if not eps:  # the floor block, read as block 0 holding 1 (key 4) or nothing
+        if beads & 4:
+            blocks.pop()
+        blocks.append((0, 12 if beads & 4 else 8))
+    return beads, blocks
+
+
+def label_from_beads(beads, eps):
+    """The strict label with a part x for each bit x + 1 - 2 eps of beads."""
+    out = []
+    while beads:
+        y = beads.bit_length() - 1
+        beads ^= 1 << y
+        out.append(y + 2 * eps - 1)
+    return tuple(out)
+
+
+def _block_moves(al, eps, table, count):
+    """Every label left by one row of table per block, count cells in all,
+    in the order of the rows, top block first.  A pick that cannot end at
+    count cells is dropped at once."""
+    beads, blocks = spin_blocks(al, eps)
+    rows = [[(d, (key ^ new) << shift) for d, new in table[key]] for shift, key in blocks
+            if len(table[key]) > 1]
+    room = [0]  # room[i]: the most cells blocks i, i+1, ... can still move
+    for r in reversed(rows):
+        room.append(room[-1] + r[-1][0])
     room.reverse()
-    states = [((), 0)]
-    for part, row_opts, rest in zip(rows, opts, room[1:]):
-        nxt = []
-        for parts, moved in states:
-            for k in row_opts:
-                new = part + sign * k
-                if parts and new >= parts[-1]:
-                    continue
-                if not moved + k <= count <= moved + k + rest:
-                    continue
-                nxt.append((parts + (new,), moved + k))
-        states = nxt
-    return [tuple(filter(None, parts)) for parts, moved in states if moved == count]
+    if not 0 <= count <= room[0]:
+        return []
+    states = [(0, count)]
+    for r, rest in zip(rows, room[1:]):
+        states = [(x ^ dx, left - d) for x, left in states for d, dx in r if 0 <= left - d <= rest]
+    return [label_from_beads(beads ^ x, eps) for x, _ in states]
 
 
 def spin_removals(al, eps, count):
     """Every strict partition left by shedding exactly count end cells of
-    spin residue eps, up to 2 per row."""
-    check_residue(eps)
-    return _spin_moves(al, eps, -1, count)
+    spin residue eps, up to 2 per row, in descending lexicographic order."""
+    return _block_moves(al, eps, _SHED, count)
 
 
 def spin_additions(al, eps, count):
     """Every strict partition made by growing exactly count end cells of
-    spin residue eps, up to 2 per row, the new row (1) included."""
-    check_residue(eps)
-    return _spin_moves(al + (0,), eps, 1, count)
-
-
-def _largest_move(rows, eps, sign):
-    """Rows after the largest move (sign as in `_spin_moves`, a trailing 0
-    kept), greedily from the bottom row up for a removal and the top row
-    down for an addition: each row moves the most it may and stays strictly
-    beyond the new end of the row before it, the furthest any move takes it."""
-    moved = []
-    for part in rows if sign > 0 else reversed(rows):
-        moved.append(next(part + sign * k for k in reversed(_spin_options(part, eps, sign))
-                          if not moved or sign * (moved[-1] - part - sign * k) > 0))
-    return moved if sign > 0 else moved[::-1]
+    spin residue eps, up to 2 per row, the new row (1) included, in
+    ascending lexicographic order."""
+    return _block_moves(al, eps, _GROW, count)
 
 
 def spin_n_eps(al, eps):
-    """Spin-addable minus spin-removable eps-nodes: the cells the largest
-    addition grows minus the cells the largest removal sheds."""
-    check_residue(eps)
-    return sum(_largest_move(al + (0,), eps, 1)) + sum(_largest_move(al, eps, -1)) - 2 * size(al)
+    """Spin-addable minus spin-removable eps-nodes: 2 for each block with a
+    bead at the bottom and none at the top, -2 for each the other way
+    round, and for eps = 0 the floor block's -1 if 1 is a part, +1 if not."""
+    return sum(_GROW[key][-1][0] - _SHED[key][-1][0] for _, key in spin_blocks(al, eps)[1])
 
 
 def remove_all_spin_removable(al, eps):
     """Shed every spin-removable eps-node at once: the largest removal."""
-    check_residue(eps)
-    return tuple(filter(None, _largest_move(al, eps, -1)))
+    beads, blocks = spin_blocks(al, eps)
+    for shift, key in blocks:
+        beads ^= (key ^ _SHED[key][-1][1]) << shift
+    return label_from_beads(beads, eps)

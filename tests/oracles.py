@@ -12,6 +12,12 @@ one production route for, by a slower or more literal construction.
   the neighbouring pairs (the reference for the single-pass checks of
   `partitions`).
 - The spin moves by brute force over every strict label of the right size.
+- The spin moves row by row, the routes that the eps-blocks of
+  `partitions` replaced: each row's options, every move built row by row
+  with a state list, the greedy largest move, and what the library reads
+  off it (n_eps and the full removal); and the spin runner swap as the
+  two steps on those moves (the oracle for the block table of
+  `charspace.runner_swap`).
 - The spin-removable and spin-addable nodes as the union of the cells moved
   by every legal move, over every count, and what the library reads off
   those nodes (their counts, the full removal and the runner-swap sign).
@@ -219,6 +225,101 @@ def spin_additions_brute(al, eps, count):
                 _end_cells_ok(a, b, eps) for a, b in zip(al, be)):
             out.add(be)
     return out
+
+
+# ---------------------------------------------------------------------------
+# spin moves row by row
+#
+# Growing runs on al + (0,), so the new row (1) is a zero part growing one
+# cell.  The legal moves are closed under taking the larger move in each
+# row: the new parts are the row-wise min (max) of two strictly decreasing
+# sequences, which decreases strictly, and each row's options {0}, {0, 1}
+# or {0, 1, 2} are closed downwards.  So there is a unique largest move,
+# found greedily.
+
+def spin_options(part, eps, sign):
+    """How many end cells (0, 1 or 2) a row of this size may shed (sign -1)
+    or grow (sign +1) with every moved cell of spin residue eps."""
+    first = part if sign < 0 else part + 1  # column of the first cell moved
+    if first < 1 or spin_residue(first) != eps:
+        return (0,)
+    # columns c and c + 1 share a spin residue only for even c
+    return (0, 1, 2) if first + sign >= 1 and spin_residue(first + sign) == eps else (0, 1)
+
+
+def spin_moves_by_rows(rows, eps, sign, count):
+    """Every strict partition left by moving exactly count cells, one pick
+    of options per row, keeping the rows strictly decreasing (a trailing 0
+    allowed), built row by row.  Picks that cannot end at count cells are
+    dropped as early as possible."""
+    opts = [spin_options(part, eps, sign) for part in rows]
+    room = [0]  # room[i]: the most cells rows i, i+1, ... can still move
+    for o in reversed(opts):
+        room.append(room[-1] + o[-1])
+    room.reverse()
+    states = [((), 0)]
+    for part, row_opts, rest in zip(rows, opts, room[1:]):
+        nxt = []
+        for parts, moved in states:
+            for k in row_opts:
+                new = part + sign * k
+                if parts and new >= parts[-1]:
+                    continue
+                if not moved + k <= count <= moved + k + rest:
+                    continue
+                nxt.append((parts + (new,), moved + k))
+        states = nxt
+    return [tuple(filter(None, parts)) for parts, moved in states if moved == count]
+
+
+def spin_removals_by_rows(al, eps, count):
+    return spin_moves_by_rows(al, eps, -1, count)
+
+
+def spin_additions_by_rows(al, eps, count):
+    return spin_moves_by_rows(al + (0,), eps, 1, count)
+
+
+def largest_move_by_rows(rows, eps, sign):
+    """Rows after the largest move (sign as in spin_moves_by_rows, a
+    trailing 0 kept), greedily from the bottom row up for a removal and the
+    top row down for an addition: each row moves the most it may and stays
+    strictly beyond the new end of the row before it, the furthest any
+    move takes it."""
+    moved = []
+    for part in rows if sign > 0 else reversed(rows):
+        moved.append(next(part + sign * k for k in reversed(spin_options(part, eps, sign))
+                          if not moved or sign * (moved[-1] - part - sign * k) > 0))
+    return moved if sign > 0 else moved[::-1]
+
+
+def spin_n_eps_by_rows(al, eps):
+    """The cells the largest addition grows minus those the largest
+    removal sheds."""
+    return sum(largest_move_by_rows(al + (0,), eps, 1)) + sum(largest_move_by_rows(al, eps, -1)) - 2 * size(al)
+
+
+def remove_all_spin_removable_by_rows(al, eps):
+    return tuple(filter(None, largest_move_by_rows(al, eps, -1)))
+
+
+def even_flips(al, be):
+    """The even integers that are a part of exactly one of the two."""
+    return len({p for p in al if p % 2 == 0} ^ {p for p in be if p % 2 == 0})
+
+
+def spin_runner_swap_by_rows(al, eps, c):
+    """sum over a of (-1)^a f_eps^(a+c) e_eps^(a) on <<al>>, with the row
+    moves above, each term times sqrt2 to its even flips: {label: (a, b)}
+    for each nonzero coefficient a + b sqrt2."""
+    acc = {}
+    for a in range(max(0, -c), size(al) + 1):
+        for low in spin_removals_by_rows(al, eps, a):
+            for new in spin_additions_by_rows(low, eps, a + c):
+                x, y = mul_sqrt2_pow(-1 if a % 2 else 1, 0, even_flips(al, low) + even_flips(low, new))
+                old = acc.get(new, (0, 0))
+                acc[new] = (old[0] + x, old[1] + y)
+    return {label: pair for label, pair in acc.items() if pair != (0, 0)}
 
 
 # ---------------------------------------------------------------------------

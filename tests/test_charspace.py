@@ -16,6 +16,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barspin import charspace as cs
 from barspin import verify
@@ -40,11 +41,13 @@ from oracles import (
     b_sum_by_intermediates,
     bounds_by_padding,
     choices_by_product,
+    even_flips,
     interm_signed_sum_by_bounds,
     interm_signed_sum_by_list,
     interm_signed_sum_by_rows,
     linear_swap_sign_by_swp,
     quot_red_by_probes,
+    remove_all_spin_removable_by_rows,
     remove_corner_set,
     removable_nodes_by_rows,
     runner_swap_by_probes,
@@ -52,7 +55,9 @@ from oracles import (
     spin_addable_nodes_reference,
     spin_additions_brute,
     spin_removable_nodes_reference,
+    spin_n_eps_by_rows,
     spin_removals_brute,
+    spin_runner_swap_by_rows,
     vertical_bounds,
 )
 
@@ -267,11 +272,6 @@ def test_e_f_adjoint_linear():
 # ---------------------------------------------------------------------------
 # composites against their defining sums
 
-def _even_flips(al, be):
-    """Even integers that are a part of exactly one of the two."""
-    return len({p for p in al if p % 2 == 0} ^ {p for p in be if p % 2 == 0})
-
-
 def scalar_sum(basis, n, terms):
     """The vector sum of (label, Scalar) terms, added in Scalar arithmetic."""
     coeffs = {}
@@ -291,7 +291,7 @@ def apply_reference(v, eps, r, p=2, grow=False):
             terms += [(move(label, sub), c) for sub in itertools.combinations(nodes(label, eps, p), r)]
         else:
             moves = spin_additions if grow else spin_removals
-            terms += [(be, c * sqrt2_pow(_even_flips(label, be))) for be in moves(label, eps, r)]
+            terms += [(be, c * sqrt2_pow(even_flips(label, be))) for be in moves(label, eps, r)]
     return scalar_sum(v.basis, v.n + r if grow else v.n - r, terms)
 
 
@@ -385,6 +385,20 @@ def _bits(v):
     return v.basis, v.n, [(label, x.a, x.b, type(x.a), type(x.b)) for label, x in v.coeffs.items()]
 
 
+def _sorted_bits(v):
+    """_bits with the labels in labels() order, the order format_vector
+    prints."""
+    basis, n, items = _bits(v)
+    return basis, n, sorted(items, key=lambda item: item[0], reverse=True)
+
+
+def _swap_bits(v):
+    """What the swap tests compare: a linear swap adds its terms in the
+    two-step's first-seen order, a spin swap in its block walk's order, so
+    spin swaps are compared in labels() order."""
+    return (_sorted_bits if v.basis == "spin" else _bits)(v)
+
+
 def _edge_degrees(basis, label, eps, p=2):
     """A label's top degree n_eps and its bottom -m, m its number of
     removable eps-nodes, and one past each."""
@@ -396,11 +410,13 @@ def _edge_degrees(basis, label, eps, p=2):
 
 
 def test_composites_match_the_probe_loops_bit_for_bit():
-    """The composites read m once and run a up to it; the probe loops run
-    a until e_eps^(a) vanishes.  Every label with n <= 12, both residues,
-    c in [-4, 4] and at each label's own top and bottom degrees and one
-    past each, d in [-3, 3], and the p = 3 and p = 5 swaps for n <= 10,
-    every residue."""
+    """quot_red reads m once and runs a up to it, and runner_swap takes its
+    closed form; the probe loops run a until e_eps^(a) vanishes.  Every
+    label with n <= 12, both residues, c in [-4, 4] and at each label's
+    own top and bottom degrees and one past each, d in [-3, 3], and the
+    p = 3 and p = 5 swaps for n <= 10, every residue.  Spin swaps are
+    compared in labels() order (_swap_bits), with each coordinate and its
+    type."""
     for n in range(13):
         units = [u("linear", la) for la in partitions_of(n)]
         units += [u("spin", al) for al in strict_partitions_of(n)]
@@ -408,7 +424,8 @@ def test_composites_match_the_probe_loops_bit_for_bit():
             (label,) = v.pairs
             for eps in (0, 1):
                 for c in (*range(-4, 5), *_edge_degrees(v.basis, label, eps)):
-                    assert _bits(cs.runner_swap(v, eps, c)) == _bits(runner_swap_by_probes(v, eps, c))
+                    assert (_swap_bits(cs.runner_swap(v, eps, c))
+                            == _swap_bits(runner_swap_by_probes(v, eps, c)))
                 for d in range(-3, 4):
                     assert _bits(cs.quot_red(v, eps, d)) == _bits(quot_red_by_probes(v, eps, d))
     for n in range(11):
@@ -421,16 +438,16 @@ def test_composites_match_the_probe_loops_bit_for_bit():
                                 == _bits(runner_swap_by_probes(v, eps, c, p=p)))
     for v in _mixed_vectors():
         for eps in (0, 1):
-            assert _bits(cs.runner_swap(v, eps, 1)) == _bits(runner_swap_by_probes(v, eps, 1))
+            assert _swap_bits(cs.runner_swap(v, eps, 1)) == _swap_bits(runner_swap_by_probes(v, eps, 1))
             assert _bits(cs.quot_red(v, eps, -1)) == _bits(quot_red_by_probes(v, eps, -1))
 
 
 def test_composites_make_no_zero_probe(monkeypatch):
-    """On one spin label with m removable eps-nodes, runner_swap calls
-    apply_e once for each a from max(1, -c) to m, and no call returns
-    zero; the label itself is the lowering at a = 0.  On a linear label it
-    makes no call, taking the closed form.  quot_red calls it twice per
-    a >= 1, e_eps^(a) first."""
+    """runner_swap takes its closed form and makes no apply_e call in
+    either basis.  On one label with m removable eps-nodes, quot_red calls
+    apply_e twice for each a from max(1, -d) to m, e_eps^(a) first, and no
+    e_eps^(a) call returns zero; the label itself is the lowering at
+    a = 0."""
     calls = []
     apply_e = cs.apply_e
 
@@ -448,9 +465,7 @@ def test_composites_make_no_zero_probe(monkeypatch):
             want = max(0, m + 1 - max(1, -c))
             calls.clear()
             cs.runner_swap(u(basis, label), eps, c)
-            assert len(calls) == (want if basis == "spin" else 0), (label, eps, c)
-            assert all(not w.is_zero() for w in calls)
-            calls.clear()
+            assert not calls, (label, eps, c)
             cs.quot_red(u(basis, label), eps, c)
             assert len(calls) == 2 * want, (label, eps, c)
             assert all(not w.is_zero() for w in calls[::2])
@@ -480,6 +495,76 @@ def _two_step_terms(la, eps, c, p):
             mu = remove_corner_set(la, low)
             for up in itertools.combinations(addable_nodes_by_rows(mu, eps, p), a + c):
                 yield add_corner_set(mu, up), -1 if a % 2 else 1
+
+
+def _check_spin_swap(al, eps, against_rows=False):
+    """The block swap of one strict label against the two-step probe loop,
+    pair for pair with each coordinate's type, in labels() order, for c
+    from -m - 1 to n_eps + 1 (m and n_eps from the row routes); and, if
+    asked, against the two steps on the row moves."""
+    v = u("spin", al)
+    m = size(al) - size(remove_all_spin_removable_by_rows(al, eps))
+    for c in range(-m - 1, spin_n_eps_by_rows(al, eps) + 2):
+        got = cs.runner_swap(v, eps, c)
+        assert _sorted_bits(got) == _sorted_bits(runner_swap_by_probes(v, eps, c)), (al, eps, c)
+        if against_rows:
+            assert got.pairs == spin_runner_swap_by_rows(al, eps, c), (al, eps, c)
+
+
+def test_spin_swap_matches_the_two_step():
+    """Every strict label with n <= 24 and both residues: 8,006 degrees."""
+    for n in range(25):
+        for al in strict_partitions_of(n):
+            for eps in (0, 1):
+                _check_spin_swap(al, eps)
+    cs._moves.cache_clear()
+
+
+def _strict_upto(parts, bound):
+    """The distinct parts, largest first, while their sum stays <= bound."""
+    out, total = [], 0
+    for part in sorted(set(parts), reverse=True):
+        if total + part <= bound:
+            out.append(part)
+            total += part
+    return tuple(out)
+
+
+@settings(deadline=None)  # a label with many middle blocks takes the two steps about 1 s
+@given(st.builds(lambda parts: _strict_upto(parts, 120),
+                 st.lists(st.integers(min_value=1, max_value=40), max_size=10)),
+       st.integers(min_value=0, max_value=1))
+def test_spin_swap_matches_the_two_step_up_to_120(al, eps):
+    _check_spin_swap(al, eps, against_rows=True)
+    cs._moves.cache_clear()
+
+
+def test_the_block_swap_table_is_the_two_step_on_one_block():
+    """Each entry of charspace._SWAP is read off the alternating two-step on
+    the row moves of a label with one eps-block: for eps = 1 and each key,
+    the label with a part base + i for each bit i of the key, in block 0
+    (base 1) and block 1 (base 5); for eps = 0 the floor block alone, the
+    labels () and (1).  Each degree c in [-3, 3] leaves zero or one term,
+    +-1 or +-sqrt2, and its rows (c, new key, sign, sqrt2 exponent) are
+    the entry; the empty and full blocks are the identity at c = 0."""
+    def rows(al, eps, key_of):
+        out = []
+        for c in range(-3, 4):
+            terms = spin_runner_swap_by_rows(al, eps, c)
+            if terms:
+                ((new, (a, b)),) = terms.items()
+                assert abs(a) + abs(b) == 1, (al, eps, c)
+                out.append((c, key_of(new), a + b, abs(b)))
+        return tuple(out)
+
+    for key in range(8):
+        for base in (1, 5):
+            al = tuple(base + i for i in (2, 1, 0) if key >> i & 1)
+            got = rows(al, 1, lambda be: sum(1 << (x - base) for x in be))
+            assert got == cs._SWAP.get(key, ((0, key, 1, 0),)), (key, base)
+    for key, al in ((8, ()), (12, (1,))):
+        assert rows(al, 0, lambda be: 8 | 4 * (1 in be)) == cs._SWAP[key], key
+    assert set(cs._SWAP) == {1, 2, 3, 4, 5, 6, 8, 12}
 
 
 def test_linear_runner_swap_adds_only_the_surviving_terms():

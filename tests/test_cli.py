@@ -501,6 +501,38 @@ def test_verify_internal_error_exits_3(capsys, monkeypatch):
     assert "internal error in verify: ValueError: boom" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "all"),
+    ("verify", "all", "--format", "json"),
+    ("verify", "all", "--format", "csv"),
+    ("info", "partition", "20000"),
+])
+def test_closed_stdout_ends_quietly(argv):
+    """A reader that closes the pipe after one line (or 1 KiB: a JSON report
+    is one line) ends the run with exit 141 and nothing on stderr.  The
+    pipe holds 4 KiB and each output is over 10 KiB, so the run is still
+    writing when the pipe closes."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs pipes whose size can be set")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "barspin", *argv],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n") and len(line) < 1024:
+        line += os.read(read_end, 1)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert line.strip()
+    assert (proc.returncode, err) == (cli.CLOSED_STDOUT, b"")
+    assert cli.CLOSED_STDOUT == 141
+
+
 def test_verify_with_truncated_cache_rebuilds(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "main", "--max-n", "4", "--cache", str(tmp_path))
     assert code == 0

@@ -17,12 +17,16 @@ from oracles import (
     k_core_by_runners,
     k_weight_by_core,
     partition_set,
+    remove_all_spin_removable_by_rows,
     remove_all_spin_removable_reference,
     remove_corner_set,
     spin_addable_nodes_reference,
     spin_additions_brute,
+    spin_additions_by_rows,
+    spin_n_eps_by_rows,
     spin_removable_nodes_reference,
     spin_removals_brute,
+    spin_removals_by_rows,
     removable_nodes_by_rows,
     rim_hooks_by_beta,
     spin_swap_sign_reference,
@@ -213,6 +217,59 @@ def test_spin_moves_match_brute_force():
                     add = spin_additions_brute(al, eps, count)
                     assert pt.spin_removals(al, eps, count) == sorted(rem, reverse=True)
                     assert pt.spin_additions(al, eps, count) == sorted(add)
+
+
+def _check_block_moves(al, eps):
+    """The eps-block routes of one strict label against the row routes:
+    n_eps, the full removal, and the removals and additions of every count
+    from 0 to past the largest move, in the order _moves lists them."""
+    assert pt.spin_n_eps(al, eps) == spin_n_eps_by_rows(al, eps), (al, eps)
+    assert pt.remove_all_spin_removable(al, eps) == remove_all_spin_removable_by_rows(al, eps), (al, eps)
+    for count in range(2 * len(al) + 3):
+        assert pt.spin_removals(al, eps, count) == spin_removals_by_rows(al, eps, count), (al, eps, count)
+        assert pt.spin_additions(al, eps, count) == spin_additions_by_rows(al, eps, count), (al, eps, count)
+
+
+def test_block_moves_match_the_row_moves():
+    """Every strict label with n <= 20, both residues."""
+    for n in range(21):
+        for al in pt.strict_partitions_of(n):
+            for eps in (0, 1):
+                _check_block_moves(al, eps)
+
+
+def strict_upto(parts, bound):
+    """The distinct parts, largest first, while their sum stays <= bound."""
+    out, total = [], 0
+    for part in sorted(set(parts), reverse=True):
+        if total + part <= bound:
+            out.append(part)
+            total += part
+    return tuple(out)
+
+
+strict_to_120 = st.builds(lambda parts: strict_upto(parts, 120),
+                          st.lists(st.integers(min_value=1, max_value=40), max_size=10))
+
+
+@given(strict_to_120, st.integers(min_value=0, max_value=1))
+def test_block_moves_match_the_row_moves_up_to_120(al, eps):
+    _check_block_moves(al, eps)
+
+
+def test_spin_blocks_read_the_part_mask():
+    """Part x is bead x + 1 - 2 eps; the blocks that can move come top
+    first, and for eps = 0 the floor block (8, or 12 with the part 1)
+    comes last."""
+    # eps = 1: 7 and 6 in block 1 (key 6), 4 never moves, 3 and 1 in block 0 (key 5)
+    assert pt.spin_blocks((7, 6, 4, 3, 1), 1) == (0b1101101, [(4, 6), (0, 5)])
+    # eps = 0: 5, 4 and 3 fill block 1, 2 never moves, 1 is the floor's
+    assert pt.spin_blocks((5, 4, 3, 2, 1), 0) == (0b1111100, [(0, 12)])
+    assert pt.spin_blocks((), 0) == (0, [(0, 8)])
+    assert pt.spin_blocks((), 1) == (0, [])
+    for al in pt.strict_partitions_upto(12):
+        for eps in (0, 1):
+            assert pt.label_from_beads(pt.spin_blocks(al, eps)[0], eps) == al
 
 
 def test_remove_all_spin_removable():
