@@ -17,15 +17,18 @@ A vector holds each nonzero coefficient a + b sqrt2 as the pair (a, b), ints
 unless the input has Fractions.  Operators add terms c * sqrt2^k, for an input
 coefficient c, by the pair rules of scalars; Scalars are built where coeffs is read.
 
-The moves of one label are kept in one table, the lru_cache of _moves: its
-key is (basis, label, eps, r, p, grow) and its value a tuple of (new label,
-k) pairs, k = 0 for a linear label.  The composites reach one label from
-many, so most of a suite's moves are repeats.  Every degree is checked to be
-an int before it enters a key (a bool is not one: True and 1 share a key).
-The table lives for one suite run: verify.run_suite empties it
-(_moves.cache_clear()) before the suite starts, so it holds one suite's
+Two tables live for one suite run.  The moves of one label are kept in the
+lru_cache of _moves: its key is (basis, label, eps, r, p, grow) and its
+value a tuple of (new label, k) pairs, k = 0 for a linear label.  The
+composites reach one label from many, so most of a suite's moves are
+repeats.  quot_reds keeps each single-label raise f_eps^(k) f_eps'^(k) mu,
+k >= 1, in the lru_cache of _raise, keyed (basis, mu, eps, k) and filled
+through apply_f on a miss; the lowerings of one suite's labels overlap, so
+most raises are repeats too.  Every degree is checked to be an int before it enters a key (a
+bool is not one: True and 1 share a key).  verify.run_suite empties both
+tables (cache_clear()) before the suite starts, so they hold one suite's
 labels and no report, timing or trace depends on the suites run before.  A
-long-lived caller outside verify can bound it the same way.
+long-lived caller outside verify can bound them the same way.
 
 quot_reds, the one two-step composite, works one input label at a time and
 runs a from max(0, -d) up to m, the label's number of removable eps-nodes,
@@ -77,14 +80,19 @@ e_eps'^(a) e_eps^(a) once per a, from the least max(0, -d) up to m, for
 all of them; each degree raises it for its own a >= max(0, -d).  Sharing is
 exact because the lowering does not depend on d: every degree sums the same
 terms in the same order as it would alone, and quot_red is the family of
-one degree.
+one degree.  The raise of a lowered vector is the sum of its labels' raises
+(_raise) times their coefficients.  That keeps the order in which raising
+the vector whole first reaches each label, and, since one lowered label's
+raise has a sqrt2 exponent of one parity on each term, each coordinate's
+type too.  Raising the vector whole drops no term as zero that the sum
+would keep: the lowering of one input label, and each raise of it, is the
+label's coefficient times a sum with coefficients in N[sqrt2].
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from barspin.partitions import (
@@ -145,24 +153,6 @@ def _checked(basis, label):
     label = tuple(label)
     (check_strict if basis == "spin" else check_partition)(label)
     return label
-
-
-def vector(basis, n, items):
-    """The sum of the (label, coefficient) items.  A coefficient is a
-    Scalar, or an int, bool or Fraction read as the Scalar it names."""
-    _checked(basis, ())  # the basis, even with no items
-    acc = {}
-    for label, c in items:
-        label = _checked(basis, label)
-        if size(label) != n:
-            raise ValueError(f"label {label} has the wrong size for n = {n}")
-        if not isinstance(c, Scalar):
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficients must be Scalars, ints or Fractions, got {c!r}")
-            c = Scalar(c)
-        x, y = acc.get(label, (0, 0))
-        acc[label] = (x + c.a, y + c.b)
-    return _nonzero(basis, n, acc)
 
 
 def unit(basis, label):
@@ -333,6 +323,31 @@ def runner_swap(v, eps, c, p=2):
     return _nonzero(v.basis, v.n + c, acc)
 
 
+@lru_cache(maxsize=None)
+def _raise(basis, label, eps, k):
+    """f_eps^(k) f_eps'^(k) of one label, eps' = 1 - eps, k >= 1: its
+    (new label, x, y) terms with coefficient x + y sqrt2, in the order the
+    two apply_f steps make them.  One of x and y is 0, since the parity of
+    a term's sqrt2 exponent is that of the even parts it flips.  The table
+    lives for one suite run: verify.run_suite empties it first."""
+    one = CharVector(basis, size(label), {label: (1, 0)})
+    return tuple((new, x, y) for new, (x, y) in apply_f(apply_f(one, 1 - eps, k), eps, k).pairs.items())
+
+
+def _add_raises(acc, basis, w, eps, k):
+    """Add (-1)^k f_eps^(k) f_eps'^(k) w into acc, one _raise row per label
+    of w times its coefficient.  A term times x (or y sqrt2) multiplies only
+    the coordinate that the two steps would carry there, so each
+    coordinate keeps the value and the type that raising w whole gives."""
+    for label, (a, b) in w.pairs.items():
+        if k % 2:
+            a, b = -a, -b
+        for new, x, y in _raise(basis, label, eps, k):
+            c, d = (a * x, b * x) if x else (2 * b * y, a * y)
+            s, t = acc.get(new, (0, 0))
+            acc[new] = (s + c, t + d)
+
+
 def quot_reds(v, eps, ds):
     """The quotient redistributions of v for each degree d in ds, one
     vector per degree in the order given: sum over a of (-1)^(a+d)
@@ -342,10 +357,12 @@ def quot_reds(v, eps, ds):
     The lowering e_eps'^(a) e_eps^(a) of a label does not depend on d, so
     it is made once per a, from the least max(0, -d) up to m, and raised
     for each d with a + d >= 0; each degree sums the same terms in the same
-    order as it would alone.  The f steps are skipped when the lowering
-    gives zero, which no node count of the label foretells.  At a = 0 the
-    lowering is the label itself, and at a + d = 0 the raise is the
-    lowering, so no apply call has r = 0."""
+    order as it would alone.  The raise adds each lowered label's row of
+    the raise table (_raise), so a label lowered again, by another input
+    label or another degree, is raised from the table.  No raise is made
+    when the lowering gives zero, which no node count of the label
+    foretells.  At a = 0 the lowering is the label itself, and at a + d = 0
+    the raise is the lowering, so no apply call has r = 0."""
     _check_operator(v.basis, eps, 2)
     ds = tuple(ds)
     for d in ds:
@@ -362,8 +379,10 @@ def quot_reds(v, eps, ds):
                 continue
             for acc, d in zip(accs, ds):
                 k = a + d
-                if k >= 0:
-                    _add(acc, apply_f(apply_f(w, ebar, k), eps, k) if k else w, -1 if k % 2 else 1)
+                if k > 0:
+                    _add_raises(acc, v.basis, w, eps, k)
+                elif k == 0:
+                    _add(acc, w, 1)
     return [_nonzero(v.basis, v.n + 2 * d, acc) for acc, d in zip(accs, ds)]
 
 
@@ -480,20 +499,35 @@ def b_sum(eta, theta):
     [v in theta]) (+-4 strictly inside a row), w(0) = 2, rows with hi = 0
     left out.  One pass carries the sums over all picks and over those at
     their row's lower end: rows interlace, so only a pick lo = hi' of one row
-    and the next is not strict, and then eta_i = theta_i = hi' > lo'."""
-    e, t = set(eta), set(theta)
-    w = lambda v: (-4 if v % 2 else 4) >> ((v in e) + (v in t)) if v else 2
+    and the next is not strict, and then eta_i = theta_i = hi' > lo'.  The
+    pass reads the rows as it goes, stops at the first empty one (lo > hi),
+    builds the part sets only once a row is not empty, and returns the
+    shared _ZERO for a zero sum."""
+    e = t = hi = None
     total, at_lo, above = 1, 0, 0
-    for lo, hi in _bounds(eta, theta):
-        if lo > hi:
-            return _ZERO
-        if not hi:
-            break
-        top, bottom = w(hi), w(lo)
-        row = top + (bottom + (hi - lo - 1) % 2 * (4 if lo % 2 else -4) if hi > lo else 0)
-        total, at_lo, above = total * row - (at_lo * top if hi == above else 0), bottom * total, lo
+    # a 0 closes both labels, so the last parts make the last row (0, hi)
+    for x, y in itertools.zip_longest((*eta, 0), (*theta, 0), fillvalue=0):
+        lo = x if x > y else y
+        if hi is not None:
+            if lo > hi:
+                return _ZERO
+            if not hi:
+                break
+            if e is None:
+                e, t = set(eta), set(theta)
+            top, bottom = _b_weight(hi, e, t), _b_weight(lo, e, t)
+            row = top + (bottom + (hi - lo - 1) % 2 * (4 if lo % 2 else -4) if hi > lo else 0)
+            total, at_lo, above = total * row - (at_lo * top if hi == above else 0), bottom * total, lo
+        hi = x if x < y else y
+    if not total:
+        return _ZERO
     sign = -1 if sum(theta) % 2 else 1
     return Scalar(*mul_sqrt2_pow(sign * total, 0, abs(len(eta) - len(theta))))
+
+
+def _b_weight(v, e, t):
+    """b_sum's w(v) for the part sets e of eta and t of theta."""
+    return (-4 if v % 2 else 4) >> ((v in e) + (v in t)) if v else 2
 
 
 # b_closed's values, shared (a Scalar is immutable); a pair is indexed by sign parity

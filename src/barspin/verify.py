@@ -1,14 +1,14 @@
 """Exhaustive finite verification sweeps for the character identities.
 
 Each suite checks one family of identities up to a size bound and fills a
-Report.  `run_suite` resolves the bound, empties the move table of
-`charspace._moves` and builds the Report; a suite reads its bound from
-`rep.max_n`.  A `check` case compares one expected and one actual text.  A
-`tally` case is a sweep, aggregated per size so reports stay readable: it
-is fed one outcome per instance checked, a falsy outcome for a pass and
-the failure message otherwise, so its `N checks pass` counts the instances
-and a failure names the first few offending labels.  All comparisons are
-exact.
+Report.  `run_suite` resolves the bound, empties the operators' two tables
+(`charspace._moves` and `charspace._raise`) and builds the Report; a suite
+reads its bound from `rep.max_n`.  A `check` case compares one expected and
+one actual text.  A `tally` case is a sweep, aggregated per size so reports
+stay readable: it is fed one outcome per instance checked, a falsy outcome
+for a pass and the failure message otherwise, so its `N checks pass` counts
+the instances and a failure names the first few offending labels.  All
+comparisons are exact.
 """
 
 from __future__ import annotations
@@ -292,10 +292,12 @@ def _rock_expected(b, sigma, eta, d):
     with the size difference |theta| - |eta| of each pair, which need not
     equal d when |tau| differs from |sigma|; collapsing the sum to the
     single stratum |tau| = |sigma| drops real terms (visible already for
-    (9,1) with d = -2 and for (1) with d = 2)."""
+    (9,1) with d = -2 and for (1) with d = 2).  The vector is built as
+    pairs: b_closed is 0, +-1 or +-sqrt2, so a term is (count * a,
+    count * b), and each label is strict by the filter that keeps it."""
     w = 2 * pt.size(sigma) + pt.size(eta)
     n2 = pt.size(pt.bar_staircase(b)) + 2 * (w + d)
-    items = []
+    acc = {}
     for k in range(0, max(w + d, 0) // 2 + 1):
         for tau in pt.partitions_of(k):
             count = len(cs.interm1(sigma, tau))
@@ -308,8 +310,9 @@ def _rock_expected(b, sigma, eta, d):
                 label = classify.rock_label(b, tau, theta)
                 if not pt.is_strict(label):
                     continue
-                items.append((label, Scalar(count) * coeff))
-    return cs.vector("spin", n2, items)
+                x, y = acc.get(label, (0, 0))
+                acc[label] = (x + count * coeff.a, y + count * coeff.b)
+    return cs._nonzero("spin", n2, acc)
 
 
 def _relaxed_quot_red(n):
@@ -384,16 +387,23 @@ def _linear_quot_red(bound):
     bipartitions m of w + d, c = interm_signed_sum(quotient, m).  The
     coefficients depend on (quotient, d) and not on the core, so the nonzero
     ones are read once per (quotient, d) and each label maps them through its
-    own core."""
-    terms = {}
-    for la, core, q, ds in _linear_quot_red_labels(bound):
+    own core.  Each label is built once per (core, bipartition), the
+    sweep's own labels first; distinct bipartitions give distinct labels,
+    so the expected vector is one pair (c, 0) per term."""
+    rows = list(_linear_quot_red_labels(bound))
+    terms, labels = {}, {(core, q): la for la, core, q, _ in rows}
+    for la, core, q, ds in rows:
         w = pt.size(q[0]) + pt.size(q[1])
         for d, got in zip(ds, cs.quot_reds(cs.unit("linear", la), (len(core) + 1) % 2, ds)):
             if (q, d) not in terms:
                 terms[q, d] = [(m, c) for m in _bipartitions(w + d)
                                if (c := cs.interm_signed_sum(q, m))]
-            want = cs.vector("linear", pt.size(la) + 2 * d,
-                             [(from_core_quotient(core, *m), c) for m, c in terms[q, d]])
+            pairs = {}
+            for m, c in terms[q, d]:
+                if (core, m) not in labels:
+                    labels[core, m] = from_core_quotient(core, *m)
+                pairs[labels[core, m]] = (c, 0)
+            want = cs.CharVector("linear", pt.size(la) + 2 * d, pairs)
             yield None if got == want else f"la={format_partition(la)} d={d}"
 
 
@@ -669,13 +679,19 @@ SUITES = {
 
 def run_suite(name, max_n=None, cache_dir=None):
     """The Report of one suite, at its default bound when max_n is None.
-    The operators' move table starts empty, so a suite's report and timing
-    do not depend on which suites ran before it."""
+    The operators' move table (charspace._moves) and quot_reds' raise table
+    (charspace._raise) start empty, so no report and no operator timing
+    depends on which suites ran before it.  The kernel and enumerator
+    memos (charvalues._chi_kernel and _p2_span_memo, the symfunc caches,
+    partitions_of and its strict and odd kin) live for the process, so a
+    scan or symfunc suite runs faster after one that filled them; its
+    report is the same."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     if max_n is not None:
         pt.check_size(max_n)
     cs._moves.cache_clear()
+    cs._raise.cache_clear()
     t0 = time.perf_counter()
     rep = Report(name, DEFAULT_BOUNDS[name] if max_n is None else max_n)
     SUITES[name](rep, cache_dir)

@@ -79,7 +79,8 @@ one production route for, by a slower or more literal construction.
   (both replaced by one pass down the rows), B(eta,
   theta) summed over the `interm0` list (the route the row pass of
   `charspace.b_sum` replaced), the composites that run a until e_eps^(a)
-  vanishes, and a vector times a Scalar.
+  vanishes, a vector times a Scalar, and a vector summed from checked
+  (label, coefficient) items.
 """
 
 import itertools
@@ -1187,24 +1188,44 @@ def b_sum_by_intermediates(eta, theta):
     return Scalar(a, b)
 
 
+def vector(basis, n, items):
+    """The sum of the (label, coefficient) items, each label checked
+    against the basis and n: the route the suites' expected vectors took
+    before they were built as pairs.  A coefficient is a Scalar, or an int,
+    bool or Fraction read as the Scalar it names."""
+    cs._checked(basis, ())  # the basis, even with no items
+    acc = {}
+    for label, c in items:
+        label = cs._checked(basis, label)
+        if size(label) != n:
+            raise ValueError(f"label {label} has the wrong size for n = {n}")
+        if not isinstance(c, Scalar):
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients must be Scalars, ints or Fractions, got {c!r}")
+            c = Scalar(c)
+        x, y = acc.get(label, (0, 0))
+        acc[label] = (x + c.a, y + c.b)
+    return cs._nonzero(basis, n, acc)
+
+
 def _summed(basis, n, terms):
-    """The vector of (label, sign, vector) terms, summed as coordinate
-    pairs per label in the order the labels first appear."""
+    """The vector of (sign, vector) terms, summed as coordinate pairs per
+    label in the order the labels first appear, the coordinates as the
+    operators left them."""
     acc = {}
     for sign, w in terms:
-        for label, x in w.coeffs.items():
-            pair = acc.setdefault(label, [0, 0])
-            pair[0] += sign * x.a
-            pair[1] += sign * x.b
-    return cs.vector(basis, n, [(label, Scalar(a, b)) for label, (a, b) in acc.items()])
+        for label, (a, b) in w.pairs.items():
+            x, y = acc.get(label, (0, 0))
+            acc[label] = (x + sign * a, y + sign * b)
+    return cs._nonzero(basis, n, acc)
 
 
 def runner_swap_by_probes(v, eps, c, p=2):
     """charspace.runner_swap with a running up from max(0, -c) until
     e_eps^(a) of the label vanishes, that last call a probe."""
     terms = []
-    for label, coef in v.coeffs.items():
-        one = cs.vector(v.basis, v.n, [(label, coef)])
+    for label, pair in v.pairs.items():
+        one = cs.CharVector(v.basis, v.n, {label: pair})
         for a in range(max(0, -c), v.n + 1):
             w = cs.apply_e(one, eps, a, p)
             if w.is_zero():
@@ -1217,8 +1238,8 @@ def quot_red_by_probes(v, eps, d):
     """charspace.quot_red with the same probe loop."""
     ebar = 1 - eps
     terms = []
-    for label, coef in v.coeffs.items():
-        one = cs.vector(v.basis, v.n, [(label, coef)])
+    for label, pair in v.pairs.items():
+        one = cs.CharVector(v.basis, v.n, {label: pair})
         for a in range(max(0, -d), v.n + 1):
             w = cs.apply_e(one, eps, a)
             if w.is_zero():
@@ -1230,4 +1251,4 @@ def quot_red_by_probes(v, eps, d):
 
 def scaled(v, c):
     """c v for a Scalar c, label by label in Scalar arithmetic."""
-    return cs.vector(v.basis, v.n, [(label, c * x) for label, x in v.coeffs.items()])
+    return vector(v.basis, v.n, [(label, c * x) for label, x in v.coeffs.items()])

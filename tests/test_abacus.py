@@ -159,6 +159,42 @@ def test_two_quotient_matches_the_core_route():
             assert abacus.from_core_quotient(core, *quotient) == la
 
 
+def _partition_upto(parts, bound):
+    """The parts, largest first, while their sum stays <= bound."""
+    out, total = [], 0
+    for part in sorted(parts, reverse=True):
+        if total + part <= bound:
+            out.append(part)
+            total += part
+    return tuple(out)
+
+
+@given(st.builds(lambda parts: _partition_upto(parts, 120),
+                 st.lists(st.integers(min_value=1, max_value=40), max_size=40)))
+def test_two_quotient_matches_the_core_route_up_to_120(la):
+    """The bead-count route against the k_core route, and both inverses
+    back to the label, on drawn partitions with n <= 120."""
+    core, quotient = abacus.two_quotient(la)
+    assert (core, quotient) == two_quotient_by_core(la)
+    assert abacus.from_core_quotient(core, *quotient) == la
+    assert from_core_quotient_by_slot_sums(core, *quotient) == la
+
+
+@given(st.integers(min_value=0, max_value=15),
+       st.lists(st.integers(min_value=1, max_value=30), max_size=20),
+       st.lists(st.integers(min_value=1, max_value=30), max_size=20))
+def test_from_core_quotient_matches_the_slot_sums_up_to_120(a, parts0, parts1):
+    """from_core_quotient against the slot-sum route on drawn coordinates,
+    a staircase core and a bipartition cut down to fit a label with
+    n <= 120, and two_quotient back to the coordinates."""
+    core = pt.staircase(a)
+    q0 = _partition_upto(parts0, (120 - pt.size(core)) // 2)
+    q1 = _partition_upto(parts1, (120 - pt.size(core)) // 2 - pt.size(q0))
+    la = abacus.from_core_quotient(core, q0, q1)
+    assert la == from_core_quotient_by_slot_sums(core, q0, q1)
+    assert abacus.two_quotient(la) == (core, (q0, q1))
+
+
 def test_rewrites_check_their_input():
     bad = [(abacus.swp, ((2, True), 0)), (abacus.swp, ((1, 2), 1)),
            (abacus.bswp, ((3, True), 0)), (abacus.bswp, ((2, 2), 1)),

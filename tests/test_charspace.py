@@ -8,7 +8,8 @@ intermediates' signs without listing them; the reference routes below do
 the same sums term by term in Scalar arithmetic, move by move through the
 validating corner helpers, and over the intermediates picked row by row.
 The routes the library replaced (the probe loops, the filtered product,
-the sums over the interm1 and interm0 lists) come from tests/oracles.py.
+the sums over the interm1 and interm0 lists) and `vector`, which sums
+checked (label, coefficient) items, come from tests/oracles.py.
 """
 
 import itertools
@@ -58,6 +59,7 @@ from oracles import (
     spin_n_eps_by_rows,
     spin_removals_brute,
     spin_runner_swap_by_rows,
+    vector,
     vertical_bounds,
 )
 
@@ -81,7 +83,7 @@ def inner(v, w):
 # vector plumbing
 
 def test_vector_accumulates_duplicate_labels():
-    v = cs.vector("spin", 4, [((3, 1), S(1)), ((3, 1), S(2))])
+    v = vector("spin", 4, [((3, 1), S(1)), ((3, 1), S(2))])
     assert v == scaled(u("spin", (3, 1)), S(3))
 
 
@@ -89,7 +91,7 @@ def test_vector_validation():
     with pytest.raises(ValueError):
         cs.unit("spin", (2, 2))
     with pytest.raises(ValueError):
-        cs.vector("linear", 4, [((3, 2), S(1))])
+        vector("linear", 4, [((3, 2), S(1))])
     with pytest.raises(ValueError):
         inner(u("spin", (3, 1)), u("linear", (2, 2)))
 
@@ -97,10 +99,10 @@ def test_vector_validation():
 def test_apply_sums_terms_into_one_vector():
     """Terms that meet on one label merge, a label whose terms cancel leaves
     pairs, and the rest keep the order they are first reached in."""
-    assert cs.apply_e(cs.vector("linear", 2, [((2,), S(1)), ((1, 1), S(-1))]), 1).is_zero()
+    assert cs.apply_e(vector("linear", 2, [((2,), S(1)), ((1, 1), S(-1))]), 1).is_zero()
     # [2,2] -> [3,2] + [2,2,1], -[3,1] -> -[3,2] - [3,1,1],
     # 2[2,1,1] -> 2[3,1,1] + 2[2,2,1]
-    v = cs.vector("linear", 4, [((2, 2), S(1)), ((3, 1), S(-1)), ((2, 1, 1), S(2))])
+    v = vector("linear", 4, [((2, 2), S(1)), ((3, 1), S(-1)), ((2, 1, 1), S(2))])
     got = cs.apply_f(v, 0)
     assert list(got.pairs.items()) == [((2, 2, 1), (3, 0)), ((3, 1, 1), (1, 0))]
 
@@ -110,8 +112,8 @@ def test_apply_sums_terms_into_one_vector():
 def test_vector_reads_an_int_bool_or_fraction_coefficient_as_a_scalar(c, pair):
     """Each is the Scalar it names: a bool or an integral Fraction as an
     int coordinate, and a zero dropped."""
-    v = cs.vector("linear", 2, [((2,), c), ((1, 1), 1)])
-    assert v == cs.vector("linear", 2, [((2,), Scalar(c)), ((1, 1), Scalar(1))])
+    v = vector("linear", 2, [((2,), c), ((1, 1), 1)])
+    assert v == vector("linear", 2, [((2,), Scalar(c)), ((1, 1), Scalar(1))])
     assert v.pairs.get((2,)) == pair
     assert all(type(x) in (int, Fraction) and type(x) is not bool for ab in v.pairs.values() for x in ab)
 
@@ -119,11 +121,11 @@ def test_vector_reads_an_int_bool_or_fraction_coefficient_as_a_scalar(c, pair):
 @pytest.mark.parametrize("c", [1.0, "1", None, 1j, (1, 0)])
 def test_vector_rejects_any_other_coefficient(c):
     with pytest.raises(TypeError, match=r"coefficients must be Scalars, ints or Fractions, got "):
-        cs.vector("linear", 2, [((2,), c)])
+        vector("linear", 2, [((2,), c)])
 
 
 def test_add_scale_inner():
-    v = cs.vector("spin", 4, [((3, 1), S(1)), ((3, 1), S(-1))])
+    v = vector("spin", 4, [((3, 1), S(1)), ((3, 1), S(-1))])
     assert v.is_zero()
     assert inner(u("spin", (3, 1)), u("spin", (3, 1))) == S(1)
     assert inner(u("linear", (2, 2)), u("linear", (2, 1, 1))) == S(0)
@@ -134,20 +136,20 @@ def test_add_scale_inner():
 
 def test_apply_e_frozen():
     got = cs.apply_e(u("spin", (6, 3, 2)), 1, r=2)
-    assert got == cs.vector("spin", 9, [((5, 3, 1), S(2)), ((6, 2, 1), S(1))])
+    assert got == vector("spin", 9, [((5, 3, 1), S(2)), ((6, 2, 1), S(1))])
     got = cs.apply_e(u("linear", (6, 3, 1, 1)), 1, r=2)
-    assert got == cs.vector(
+    assert got == vector(
         "linear", 9, [((6, 2, 1), S(1)), ((5, 3, 1), S(1)), ((5, 2, 1, 1), S(1))]
     )
     got = cs.apply_e(u("spin", (4, 1)), 0)
-    assert got == cs.vector("spin", 4, [((4,), S(1)), ((3, 1), S(0, 1))])
+    assert got == vector("spin", 4, [((4,), S(1)), ((3, 1), S(0, 1))])
 
 
 def test_apply_f_frozen():
     got = cs.apply_f(u("spin", (5, 2, 1)), 1)
-    assert got == cs.vector("spin", 9, [((6, 2, 1), S(0, 1)), ((5, 3, 1), S(0, 1))])
+    assert got == vector("spin", 9, [((6, 2, 1), S(0, 1)), ((5, 3, 1), S(0, 1))])
     got = cs.apply_f(u("linear", (2, 1)), 0)
-    assert got == cs.vector(
+    assert got == vector(
         "linear", 4, [((3, 1), S(1)), ((2, 2), S(1)), ((2, 1, 1), S(1))]
     )
 
@@ -277,7 +279,7 @@ def scalar_sum(basis, n, terms):
     coeffs = {}
     for label, x in terms:
         coeffs[label] = coeffs.get(label, Scalar(0)) + x
-    return cs.vector(basis, n, coeffs.items())
+    return vector(basis, n, coeffs.items())
 
 
 def apply_reference(v, eps, r, p=2, grow=False):
@@ -318,17 +320,17 @@ def quot_red_reference(v, eps, d):
 def _mixed_vectors():
     """Multi-label vectors with mixed coefficients, some not integral."""
     F = Fraction
-    yield cs.vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1)), ((6, 3, 1), S(-3, 2))])
-    yield cs.vector("spin", 10, [((9, 1), S(F(1, 3), 2)), ((5, 4, 1), S(0, F(-5, 7))),
+    yield vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1)), ((6, 3, 1), S(-3, 2))])
+    yield vector("spin", 10, [((9, 1), S(F(1, 3), 2)), ((5, 4, 1), S(0, F(-5, 7))),
                                  ((6, 3, 1), S(-3, F(2, 9))), ((4, 3, 2, 1), S(F(1, 2), F(1, 2)))])
-    yield cs.vector("spin", 9, [(al, S((-1) ** i, i)) for i, al in enumerate(strict_partitions_of(9))])
-    yield cs.vector("spin", 8, [(al, S(F(i, 3), F(1, i + 2))) for i, al in enumerate(strict_partitions_of(8))])
-    yield cs.vector("linear", 6, [((3, 2, 1), S(1)), ((4, 2), S(-1)), ((2, 2, 1, 1), S(0, 1)),
+    yield vector("spin", 9, [(al, S((-1) ** i, i)) for i, al in enumerate(strict_partitions_of(9))])
+    yield vector("spin", 8, [(al, S(F(i, 3), F(1, i + 2))) for i, al in enumerate(strict_partitions_of(8))])
+    yield vector("linear", 6, [((3, 2, 1), S(1)), ((4, 2), S(-1)), ((2, 2, 1, 1), S(0, 1)),
                                   ((3, 3), S(5, -2))])
-    yield cs.vector("linear", 6, [((3, 2, 1), S(F(1, 3))), ((4, 2), S(-1)), ((2, 2, 1, 1), S(0, F(3, 4))),
+    yield vector("linear", 6, [((3, 2, 1), S(F(1, 3))), ((4, 2), S(-1)), ((2, 2, 1, 1), S(0, F(3, 4))),
                                   ((3, 3), S(5, F(-2, 9)))])
-    yield cs.vector("linear", 5, [(la, S(i + 1, i % 3)) for i, la in enumerate(partitions_of(5))])
-    yield cs.vector("linear", 5, [(la, S(F(1, i + 2), F(i, 5))) for i, la in enumerate(partitions_of(5))])
+    yield vector("linear", 5, [(la, S(i + 1, i % 3)) for i, la in enumerate(partitions_of(5))])
+    yield vector("linear", 5, [(la, S(F(1, i + 2), F(i, 5))) for i, la in enumerate(partitions_of(5))])
 
 
 def _vectors_upto(m):
@@ -356,13 +358,13 @@ def test_apply_matches_scalar_reference():
 
 def test_apply_keeps_fraction_coordinates_exact():
     F = Fraction
-    v = cs.vector("spin", 4, [((3, 1), S(F(1, 3), F(1, 2)))])
+    v = vector("spin", 4, [((3, 1), S(F(1, 3), F(1, 2)))])
     # f_0 <<3,1>> = sqrt2 <<4,1>>, and sqrt2 (1/3 + sqrt2/2) = 1 + sqrt2/3
     got = cs.apply_f(v, 0)
     assert got.coeffs == {(4, 1): S(1, F(1, 3))}
     assert type(got.coeffs[(4, 1)].a) is int
     # e_0 <<3,1>> = <<3>> and e_0 <<4>> = sqrt2 <<3>>: these two terms cancel
-    w = cs.vector("spin", 4, [((3, 1), S(F(1, 3), F(1, 2))), ((4,), S(F(-1, 2), F(-1, 6)))])
+    w = vector("spin", 4, [((3, 1), S(F(1, 3), F(1, 2))), ((4,), S(F(-1, 2), F(-1, 6)))])
     assert cs.apply_e(w, 0).is_zero()
 
 
@@ -520,14 +522,19 @@ def test_spin_swap_matches_the_two_step():
     cs._moves.cache_clear()
 
 
-def _strict_upto(parts, bound):
-    """The distinct parts, largest first, while their sum stays <= bound."""
+def _partition_upto(parts, bound):
+    """The parts, largest first, while their sum stays <= bound."""
     out, total = [], 0
-    for part in sorted(set(parts), reverse=True):
+    for part in sorted(parts, reverse=True):
         if total + part <= bound:
             out.append(part)
             total += part
     return tuple(out)
+
+
+def _strict_upto(parts, bound):
+    """The distinct parts, largest first, while their sum stays <= bound."""
+    return _partition_upto(set(parts), bound)
 
 
 @settings(deadline=None)  # a label with many middle blocks takes the two steps about 1 s
@@ -632,6 +639,29 @@ def test_quot_reds_match_quot_red_bit_for_bit():
                 assert got == [_pair_bits(cs.quot_red(v, eps, d)) for d in ds]
 
 
+@settings(deadline=None)
+@given(st.one_of(
+    st.builds(lambda parts: u("linear", _partition_upto(parts, 40)),
+              st.lists(st.integers(min_value=1, max_value=16), max_size=14)),
+    st.builds(lambda parts: u("spin", _strict_upto(parts, 40)),
+              st.lists(st.integers(min_value=1, max_value=20), max_size=10)),
+    st.sampled_from(list(_mixed_vectors()))),
+    st.integers(min_value=0, max_value=1))
+def test_quot_reds_match_the_probe_loops_on_a_warm_raise_table(v, eps):
+    """quot_reds reads each single-label raise from its table, which is
+    not emptied between examples, against the probe loops that raise each
+    lowered vector whole: unit labels up to n = 40 in both bases and the
+    mixed vectors, Fraction coefficients among them, d in [-3, 3], pair for
+    pair in order with each coordinate's type.  The second family call
+    finds every raise in the table."""
+    ds = range(-3, 4)
+    want = [_pair_bits(quot_red_by_probes(v, eps, d)) for d in ds]
+    assert list(map(_pair_bits, cs.quot_reds(v, eps, ds))) == want
+    misses = cs._raise.cache_info().misses
+    assert list(map(_pair_bits, cs.quot_reds(v, eps, ds))) == want
+    assert cs._raise.cache_info().misses == misses
+
+
 def test_quot_reds_lower_each_label_once(monkeypatch):
     """On one label with m removable eps-nodes, a family call makes the
     lowering e_eps'^(a) e_eps^(a) once for each a >= 1 from the least
@@ -664,9 +694,10 @@ def test_quot_reds_lower_each_label_once(monkeypatch):
 
 
 def test_quot_red_makes_no_f_step_on_an_empty_vector(monkeypatch):
-    """quot_red calls apply_f twice for each a with a + d >= 1 whose
-    e_eps'^(a) e_eps^(a) of the label is not zero, and never for the
-    others; on each label below some a gives zero."""
+    """On a cold raise table, quot_red calls apply_f twice for each label
+    of e_eps'^(a) e_eps^(a) of the label, for each a with a + d >= 1, and
+    never for an a whose lowering is zero; on each label below some a gives
+    zero.  Each first call raises one label with coefficient 1."""
     calls = []
     apply_e, apply_f = cs.apply_e, cs.apply_f
 
@@ -682,11 +713,12 @@ def test_quot_red_makes_no_f_step_on_an_empty_vector(monkeypatch):
                  for a in range(len(nodes(label, eps)) + 1)]
         assert any(w.is_zero() for w in inner[1:])
         for d in range(-3, 4):
-            live = sum(not w.is_zero() for w in inner[max(0, 1 - d):])
+            live = sum(len(w.pairs) for w in inner[max(0, 1 - d):])
+            cs._raise.cache_clear()
             calls.clear()
             cs.quot_red(u(basis, label), eps, d)
             assert len(calls) == 2 * live, (label, eps, d)
-            assert all(not w.is_zero() for w in calls[::2])
+            assert all(list(w.pairs.values()) == [(1, 0)] for w in calls[::2])
 
 
 def test_operators_build_no_scalar_until_coeffs_is_read(monkeypatch):
@@ -722,12 +754,12 @@ def test_format_vector_and_signed_unit_read_coeffs_once(monkeypatch):
     reads = []
     view = cs.CharVector.coeffs
     monkeypatch.setattr(cs.CharVector, "coeffs", property(lambda v: reads.append(v) or view.fget(v)))
-    v = cs.vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1)), ((6, 3, 1), S(-3, 2))])
+    v = vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1)), ((6, 3, 1), S(-3, 2))])
     assert cs.format_vector(v) == "2*<<9,1>> + (-3 + 2*sqrt2)*<<6,3,1>> + sqrt2*<<5,4,1>>"
     assert reads == [v]
     reads.clear()
     assert not verify._signed_unit(v, (9, 1), verify.PM_ONE)
-    w = cs.vector("spin", 10, [((9, 1), S(-1))])
+    w = vector("spin", 10, [((9, 1), S(-1))])
     assert verify._signed_unit(w, (9, 1), verify.PM_ONE)
     assert reads == [v, w]
 
@@ -796,10 +828,10 @@ def test_quot_red_frozen():
         u("spin", (4, 3)), S(0, -1)
     )
     assert cs.quot_red(u("spin", (9, 1)), 0, -2) == u("spin", (5, 1))
-    assert cs.quot_red(u("spin", (9, 1)), 0, 0) == cs.vector(
+    assert cs.quot_red(u("spin", (9, 1)), 0, 0) == vector(
         "spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1))]
     )
-    assert cs.quot_red(u("spin", (1,)), 0, 2) == cs.vector(
+    assert cs.quot_red(u("spin", (1,)), 0, 2) == vector(
         "spin", 5, [((5,), S(1)), ((4, 1), S(0, 1))]
     )
     assert cs.quot_red(u("spin", (1,)), 1, 2).is_zero()
@@ -807,11 +839,11 @@ def test_quot_red_frozen():
 
 
 def test_quot_red_is_linear():
-    v = cs.vector("spin", 10, [((9, 1), S(1)), ((5, 4, 1), S(0, 1))])
+    v = vector("spin", 10, [((9, 1), S(1)), ((5, 4, 1), S(0, 1))])
     got = cs.quot_red(v, 0, -2)
     one = cs.quot_red(u("spin", (9, 1)), 0, -2)
     two = scaled(cs.quot_red(u("spin", (5, 4, 1)), 0, -2), S(0, 1))
-    want = cs.vector("spin", 6, [*one.coeffs.items(), *two.coeffs.items()])
+    want = vector("spin", 6, [*one.coeffs.items(), *two.coeffs.items()])
     assert got == want
 
 
@@ -1073,9 +1105,9 @@ def test_format_label():
 
 
 def test_format_vector():
-    assert cs.format_vector(cs.vector("spin", 3, [])) == "0"
+    assert cs.format_vector(vector("spin", 3, [])) == "0"
     assert cs.format_vector(u("spin", (3, 1))) == "<<3,1>>"
-    v = cs.vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1))])
+    v = vector("spin", 10, [((9, 1), S(2)), ((5, 4, 1), S(0, 1))])
     assert cs.format_vector(v) == "2*<<9,1>> + sqrt2*<<5,4,1>>"
     w = scaled(u("linear", (4, 1, 1, 1)), S(-1))
     assert cs.format_vector(w) == "-[4,1,1,1]"

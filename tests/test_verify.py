@@ -14,7 +14,7 @@ from barspin import charvalues as cv
 from barspin import verify
 from barspin.partitions import format_partition
 from barspin.scalars import Scalar
-from oracles import linear_quot_red_labels_by_filter
+from oracles import linear_quot_red_labels_by_filter, vector
 
 
 def failures(suite, max_n):
@@ -32,7 +32,7 @@ def test_runner_swap_failures_name_the_label_in_each_basis(monkeypatch):
     """With every runner swap the zero vector, each check of both suites
     fails and names its first label."""
     monkeypatch.setattr(cs, "runner_swap",
-                        lambda v, eps, c, p=2: cs.vector(v.basis, v.n + c, []))
+                        lambda v, eps, c, p=2: vector(v.basis, v.n + c, []))
     lin = failures("runner-swap", 2)
     assert "la=- eps=0 -> 0; la=- eps=1 -> 0" in case(lin, "S^(n_eps)[la] == sign*[swp la], |la|=0")
     assert "up a=0 q=(-;-); " in case(lin, "core transport")
@@ -51,7 +51,7 @@ def test_bottom_value_is_a_unit_in_the_linear_basis_and_a_support_in_the_spin_ba
 
     def doubled(v, eps, c, p=2):
         w = swap(v, eps, c, p)
-        return cs.vector(w.basis, w.n, [(label, 2 * x) for label, x in w.coeffs.items()])
+        return vector(w.basis, w.n, [(label, 2 * x) for label, x in w.coeffs.items()])
 
     monkeypatch.setattr(cs, "runner_swap", doubled)
     assert "- eps=0 c=0; - eps=1 c=0; " in case(failures("runner-swap", 2), "vanishing outside")
@@ -99,21 +99,23 @@ def test_degrees_reads_the_partners_of_spin_3_1_off_the_scan(monkeypatch):
 
 
 def test_each_suite_run_starts_from_an_empty_move_table(monkeypatch):
-    """run_suite empties the operators' move table before the suite runs,
-    so no report, timing or trace depends on the suites run before it.
-    quot-red fills the table: it takes the two steps through _apply."""
+    """run_suite empties the operators' move table and quot_reds' raise
+    table before the suite runs, so no report, timing or trace depends on
+    the suites run before it.  quot-red fills both: it lowers through
+    _apply and raises through the raise table, which fills through _apply."""
+    sizes = lambda: (cs._moves.cache_info().currsize, cs._raise.cache_info().currsize)
     assert verify.run_suite("quot-red", 6).ok
-    assert cs._moves.cache_info().currsize > 0
+    assert min(sizes()) > 0
     seen, suite = [], verify.SUITES["quot-red"]
 
     def wrapped(rep, cache_dir):
-        seen.append(cs._moves.cache_info().currsize)
+        seen.append(sizes())
         suite(rep, cache_dir)
 
     monkeypatch.setitem(verify.SUITES, "quot-red", wrapped)
     assert verify.run_suite("quot-red", 6).ok
-    assert seen == [0]
-    assert cs._moves.cache_info().currsize > 0
+    assert seen == [(0, 0)]
+    assert min(sizes()) > 0
 
 
 def test_quot_red_counts_at_the_operators_bound():
